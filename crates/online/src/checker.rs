@@ -371,6 +371,15 @@ impl OnlineTxn {
     pub(crate) fn anchor(&self) -> EventKey {
         anchor_event(&self.txn, self.level)
     }
+
+    /// This transaction's term of the memory estimate. The three
+    /// lengths never change while it is resident (re-evaluation and
+    /// list cascades rewrite read states and write-set values in
+    /// place), so adding the term on entry and subtracting it on exit
+    /// keeps [`OnlineChecker::txn_bytes`] exact.
+    fn estimated_bytes(&self) -> usize {
+        128 + self.txn.ops.len() * 48 + self.reads.len() * 96 + self.write_set.len() * 56
+    }
 }
 
 /// The event a transaction's reads anchor at under `level`.
@@ -498,7 +507,13 @@ pub struct OnlineChecker {
     /// [`ExtPredicate::Committed`] membership predicate — when false,
     /// the extended trigger sweep for committed-readers is skipped.
     pub(crate) has_committed_ext: bool,
-    pub(crate) txns: FxHashMap<TxnId, OnlineTxn>,
+    /// Resident transactions. Private, with [`Self::insert_txn`] and
+    /// [`Self::remove_txn`] the only ways in and out, so `txn_bytes`
+    /// cannot drift from the map.
+    txns: FxHashMap<TxnId, OnlineTxn>,
+    /// Sum of [`OnlineTxn::estimated_bytes`] over `txns` — the one term
+    /// of the memory estimate that has no `len()` to read it from.
+    txn_bytes: usize,
     pub(crate) globals: GlobalChecks,
     pub(crate) frontier: VersionedMap<Snapshot>,
     /// Committed-membership summaries for the RC EXT predicate; only
@@ -566,6 +581,7 @@ impl OnlineChecker {
             track_overlaps,
             has_committed_ext,
             txns: FxHashMap::default(),
+            txn_bytes: 0,
             globals: GlobalChecks::default(),
             frontier: VersionedMap::new(),
             membership: MembershipIndex::new(),
@@ -703,6 +719,29 @@ impl OnlineChecker {
         self.txns.len()
     }
 
+    /// The resident transactions, read-only (checkpoint and re-shard
+    /// walk them).
+    pub(crate) fn txns(&self) -> &FxHashMap<TxnId, OnlineTxn> {
+        &self.txns
+    }
+
+    /// Make `t` resident (arrival, spill reload, snapshot restore,
+    /// re-shard), keeping the running byte count in step.
+    pub(crate) fn insert_txn(&mut self, t: OnlineTxn) {
+        self.txn_bytes += t.estimated_bytes();
+        if let Some(old) = self.txns.insert(t.txn.tid, t) {
+            self.txn_bytes -= old.estimated_bytes();
+        }
+    }
+
+    /// Evict `tid` (GC spill, re-shard gather), keeping the running
+    /// byte count in step.
+    pub(crate) fn remove_txn(&mut self, tid: TxnId) -> Option<OnlineTxn> {
+        let old = self.txns.remove(&tid)?;
+        self.txn_bytes -= old.estimated_bytes();
+        Some(old)
+    }
+
     /// True when `tid` is resident with tentative (not yet finalized)
     /// EXT verdicts — used by shard workers to tell the coordinator
     /// whether an `ExtFinalized` event will eventually follow.
@@ -711,7 +750,7 @@ impl OnlineChecker {
     }
 
     /// Rough estimate of live checker memory, for the constrained-memory
-    /// experiment (Fig. 16).
+    /// experiment (Fig. 16) and the daemon's admission control.
     ///
     /// Covers the resident transactions and versioned indexes, the
     /// spill store's buffered segments (the in-memory backend *retains*
@@ -719,12 +758,15 @@ impl OnlineChecker {
     /// reduce process memory), and the transient event/deadline/trigger
     /// buffers. The `memory_estimate_*` test pins this arithmetic
     /// against the component accessors.
+    ///
+    /// O(1): every term is a length or a counter maintained where state
+    /// enters or leaves, so the cost does not grow with the history.
+    /// Tests and debug builds check the figure against a full recount
+    /// on every call.
     pub fn estimated_memory_bytes(&self) -> usize {
-        let mut bytes = self.state_bytes_estimate();
-        bytes += self.spill.buffered_bytes();
-        bytes += self.deadlines.len() * std::mem::size_of::<Reverse<(u64, TxnId)>>();
-        bytes += self.triggers.len() * std::mem::size_of::<(Key, EventKey)>();
-        bytes += self.events.capacity() * std::mem::size_of::<CheckEvent>();
+        let bytes = self.state_bytes_estimate() + self.spill.buffered_bytes() + self.buffer_bytes();
+        #[cfg(any(test, debug_assertions))]
+        debug_assert_eq!(bytes, self.recount_memory_bytes(), "resident-byte counters drifted");
         bytes
     }
 
@@ -732,17 +774,41 @@ impl OnlineChecker {
     /// transactions, frontier versions and the read/write/overlap
     /// indexes (no spill-store or buffer overhead).
     fn state_bytes_estimate(&self) -> usize {
+        self.txn_bytes
+            + self.frontier.len() * 72
+            + self.membership.approx_bytes()
+            + self.ongoing.len() * 64
+            + self.readers.len() * 40
+            + self.writers.len() * 40
+    }
+
+    /// The transient deadline/trigger/event buffers' share of the
+    /// estimate (plain lengths; nothing to maintain or recount).
+    fn buffer_bytes(&self) -> usize {
+        self.deadlines.len() * std::mem::size_of::<Reverse<(u64, TxnId)>>()
+            + self.triggers.len() * std::mem::size_of::<(Key, EventKey)>()
+            + self.events.capacity() * std::mem::size_of::<CheckEvent>()
+    }
+
+    /// [`Self::estimated_memory_bytes`] recomputed by walking the
+    /// resident state — the oracle the maintained counters must equal.
+    /// Exists only in tests and debug builds; a release build cannot
+    /// reach an O(resident state) loop from the estimate.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn recount_memory_bytes(&self) -> usize {
         let mut bytes = 0usize;
         // aion-lint: allow(determinism) — commutative sum; visit order
         // cannot affect the estimate
         for t in self.txns.values() {
-            bytes += 128 + t.txn.ops.len() * 48 + t.reads.len() * 96 + t.write_set.len() * 56;
+            bytes += t.estimated_bytes();
         }
         bytes += self.frontier.len() * 72;
-        bytes += self.membership.approx_bytes();
+        bytes += self.membership.recount_approx_bytes();
         bytes += self.ongoing.len() * 64;
-        bytes += self.readers.len() * 40 + self.writers.len() * 40;
-        bytes
+        bytes += self.readers.recount_len() * 40 + self.writers.recount_len() * 40;
+        bytes += self.spill.recount_buffered_bytes();
+        bytes + self.buffer_bytes()
     }
 
     /// Advance the (virtual) clock and finalize every transaction whose
@@ -1013,7 +1079,7 @@ impl OnlineChecker {
         } else {
             self.deadlines.push(Reverse((self.now_ms + self.cfg.ext_timeout_ms, tid)));
         }
-        self.txns.insert(tid, OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
+        self.insert_txn(OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
 
         self.process_triggers();
     }
@@ -1239,8 +1305,8 @@ impl OnlineChecker {
                 return;
             }
         };
-        for tid in &spilled {
-            self.txns.remove(tid);
+        for &tid in &spilled {
+            self.remove_txn(tid);
         }
         self.stats.gc_spills += 1;
         self.stats.spilled_txns += entries.len();
@@ -1341,17 +1407,14 @@ impl OnlineChecker {
                         self.ongoing.register(*key, tid, nc, e.txn.start_event(), commit_ev, true);
                     }
                 }
-                self.txns.insert(
-                    tid,
-                    OnlineTxn {
-                        txn: e.txn,
-                        level,
-                        write_set: e.write_set,
-                        reads: Vec::new(),
-                        anchor_keys: Vec::new(),
-                        finalized: true,
-                    },
-                );
+                self.insert_txn(OnlineTxn {
+                    txn: e.txn,
+                    level,
+                    write_set: e.write_set,
+                    reads: Vec::new(),
+                    anchor_keys: Vec::new(),
+                    finalized: true,
+                });
             }
         }
         if all_loaded {

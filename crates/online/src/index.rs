@@ -17,18 +17,22 @@ pub struct ReadRef {
 
 /// Per-key index of items anchored at events, ordered by event.
 ///
-/// The inner map is `pub(crate)` so the checkpoint codec
-/// ([`crate::snapshot`]) can serialize and restore the index *exactly* —
-/// including per-event item order, which re-registration could not
-/// reproduce for state that was GC-pruned or spill-reloaded.
+/// The inner map is readable crate-wide (`chains`) so
+/// the checkpoint codec ([`crate::snapshot`]) can serialize and restore
+/// the index *exactly* — including per-event item order, which
+/// re-registration could not reproduce for state that was GC-pruned or
+/// spill-reloaded — but only `insert` and `prune_below` change it, which
+/// is what keeps `items` equal to its contents.
 #[derive(Clone, Debug)]
 pub struct KeyEventIndex<T> {
-    pub(crate) keys: FxHashMap<Key, BTreeMap<EventKey, Vec<T>>>,
+    keys: FxHashMap<Key, BTreeMap<EventKey, Vec<T>>>,
+    /// Total items across every chain, so `len` never walks the maps.
+    items: usize,
 }
 
 impl<T> Default for KeyEventIndex<T> {
     fn default() -> Self {
-        KeyEventIndex { keys: FxHashMap::default() }
+        KeyEventIndex { keys: FxHashMap::default(), items: 0 }
     }
 }
 
@@ -41,6 +45,7 @@ impl<T: Clone + PartialEq> KeyEventIndex<T> {
     /// Register `item` for `key` at `at`.
     pub fn insert(&mut self, key: Key, at: EventKey, item: T) {
         self.keys.entry(key).or_default().entry(at).or_default().push(item);
+        self.items += 1;
     }
 
     /// Items for `key` anchored inside `(lo, hi]`, with their anchor
@@ -76,11 +81,27 @@ impl<T: Clone + PartialEq> KeyEventIndex<T> {
             }
             !chain.is_empty()
         });
+        self.items -= dropped;
         dropped
     }
 
-    /// Total anchored items (for stats).
+    /// Every key's event-ordered chain of item vectors, read-only.
+    pub(crate) fn chains(&self) -> &FxHashMap<Key, BTreeMap<EventKey, Vec<T>>> {
+        &self.keys
+    }
+
+    /// Total anchored items (for stats and the memory estimate).
     pub fn len(&self) -> usize {
+        self.items
+    }
+
+    /// [`len`](Self::len) recounted by walking every chain — the oracle
+    /// the maintained counter is checked against in tests and debug
+    /// builds.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn recount_len(&self) -> usize {
+        // aion-lint: allow(determinism) — commutative sum; visit order
+        // cannot affect the count
         self.keys.values().flat_map(|c| c.values()).map(Vec::len).sum()
     }
 
@@ -210,6 +231,7 @@ mod tests {
         let dropped = idx.prune_below(s(20, 2));
         assert_eq!(dropped, 2); // key1@10 and key2@15
         assert_eq!(idx.range(Key(1), s(5, 0), s(25, 9)).len(), 2);
+        assert_eq!((idx.len(), idx.recount_len()), (2, 2), "counter follows the prune");
     }
 
     #[test]

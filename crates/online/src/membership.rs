@@ -58,6 +58,9 @@ pub struct MembershipIndex {
     keys: FxHashMap<Key, FxHashMap<Snapshot, Events>>,
     /// Total `(key, event)` entries across all value sets.
     versions: usize,
+    /// Distinct `(key, value)` pairs, i.e. stored snapshots — kept beside
+    /// `versions` so [`MembershipIndex::approx_bytes`] never walks `keys`.
+    values: usize,
 }
 
 impl MembershipIndex {
@@ -109,8 +112,8 @@ impl MembershipIndex {
                     }
                 }
             }
-            if drop_value {
-                per_key.remove(old);
+            if drop_value && per_key.remove(old).is_some() {
+                self.values -= 1;
             }
         }
         // `get_mut` before `insert` so the common hit path (same value
@@ -119,6 +122,7 @@ impl MembershipIndex {
             None => {
                 per_key.insert(snap.clone(), Events::One(at));
                 self.versions += 1;
+                self.values += 1;
             }
             Some(events) => match events {
                 Events::One(only) if *only == at => {}
@@ -203,6 +207,16 @@ impl MembershipIndex {
     /// accounting in `state_bytes_estimate`: each recorded version costs
     /// an event entry, each distinct value a stored snapshot.
     pub fn approx_bytes(&self) -> usize {
+        self.versions * 24 + self.values * 72
+    }
+
+    /// [`approx_bytes`](Self::approx_bytes) with the distinct values
+    /// recounted by walking every key — the oracle the maintained
+    /// counter is checked against in tests and debug builds.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn recount_approx_bytes(&self) -> usize {
+        // aion-lint: allow(determinism) — commutative sum; visit order
+        // cannot affect the count
         let distinct_values: usize = self.keys.values().map(FxHashMap::len).sum();
         self.versions * 24 + distinct_values * 72
     }
@@ -244,6 +258,8 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert!(!m.contains_before(Key(1), ev(99), &scalar(5)));
         assert!(m.contains_before(Key(1), ev(99), &scalar(7)));
+        assert_eq!(m.approx_bytes(), 24 + 72, "the withdrawn value left the byte count");
+        assert_eq!(m.approx_bytes(), m.recount_approx_bytes());
     }
 
     #[test]
@@ -258,6 +274,7 @@ mod tests {
         m.record(Key(1), ev(10), &scalar(9), Some(&scalar(5)));
         assert!(!m.contains_before(Key(1), ev(11), &scalar(5)));
         assert!(m.contains_before(Key(1), ev(21), &scalar(5)));
+        assert_eq!(m.approx_bytes(), m.recount_approx_bytes());
     }
 
     #[test]
@@ -280,6 +297,7 @@ mod tests {
         m.record(Key(2), ev(30), &scalar(8), Some(&scalar(7)));
         assert!(m.contains_before(Key(2), ev(36), &scalar(7)), "promoted fallback survives");
         assert!(!m.contains_before(Key(2), ev(35), &scalar(7)));
+        assert_eq!(m.approx_bytes(), m.recount_approx_bytes());
     }
 
     #[test]

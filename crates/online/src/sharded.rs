@@ -877,7 +877,7 @@ fn resplit_workers(
         }
         // aion-lint: allow(determinism) — gather order is normalized by
         // the (key, event) sort before re-partitioning below
-        for (key, chain) in w.writers.keys.iter() {
+        for (key, chain) in w.writers.chains().iter() {
             for (event, items) in chain {
                 writer_entries.push((*key, *event, items.clone()));
             }
@@ -895,9 +895,9 @@ fn resplit_workers(
         flips.txns_with_flips.extend(t.txns_with_flips);
         flips.rectify_ms.extend(t.rectify_ms);
 
-        let tids: Vec<TxnId> = w.txns.keys().copied().collect();
+        let tids: Vec<TxnId> = w.txns().keys().copied().collect();
         for tid in tids {
-            let Some(mut t) = w.txns.remove(&tid) else { continue };
+            let Some(mut t) = w.remove_txn(tid) else { continue };
             if t.finalized {
                 for r in &mut t.reads {
                     r.settled = true;
@@ -992,17 +992,14 @@ fn resplit_workers(
                     w.readers.insert(r.key, anchor, ReadRef { tid, read_idx: idx as u32 });
                 }
             }
-            w.txns.insert(
-                tid,
-                OnlineTxn {
-                    txn: t.txn.clone(),
-                    level: t.level,
-                    write_set,
-                    reads,
-                    anchor_keys,
-                    finalized,
-                },
-            );
+            w.insert_txn(OnlineTxn {
+                txn: t.txn.clone(),
+                level: t.level,
+                write_set,
+                reads,
+                anchor_keys,
+                finalized,
+            });
         }
     }
 

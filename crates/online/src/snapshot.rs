@@ -397,13 +397,19 @@ fn put_flips(buf: &mut impl BufMut, f: &FlipTracker) {
     }
 }
 
-fn get_flips(buf: &mut impl Buf) -> Result<FlipTracker, CodecError> {
+fn get_flips(buf: &mut impl Buf) -> Result<FlipTracker, SnapshotError> {
     let mut f = FlipTracker::new(get_bool(buf)?);
     f.total_flips = get_varint(buf)?;
     for _ in 0..get_varint(buf)? {
         let t = TxnId(get_varint(buf)?);
         let k = Key(get_varint(buf)?);
-        f.flips_per_pair.insert((t, k), get_varint(buf)? as u32);
+        // A pair is only recorded by flipping, so a count of zero (or
+        // one that does not fit the counter) is not a state any run
+        // can checkpoint.
+        let n = u32::try_from(get_varint(buf)?).ok().filter(|n| *n > 0).ok_or_else(|| {
+            SnapshotError::Corrupt(format!("flip count of ({t}, {k}) outside 1..=u32::MAX"))
+        })?;
+        f.flips_per_pair.insert((t, k), n);
     }
     for _ in 0..get_varint(buf)? {
         f.txns_with_flips.insert(TxnId(get_varint(buf)?));
@@ -499,11 +505,11 @@ impl OnlineChecker {
         put_config(buf, &self.cfg);
         put_globals(buf, &self.globals);
 
-        let mut tids: Vec<TxnId> = self.txns.keys().copied().collect();
+        let mut tids: Vec<TxnId> = self.txns().keys().copied().collect();
         tids.sort_unstable();
         put_varint(buf, tids.len() as u64);
         for tid in tids {
-            put_online_txn(buf, &self.txns[&tid]);
+            put_online_txn(buf, &self.txns()[&tid]);
         }
 
         let mut versions: Vec<(Key, EventKey, &aion_types::Snapshot)> =
@@ -520,7 +526,7 @@ impl OnlineChecker {
         // their exact in-memory order (insertion order matters for the
         // step-③ sweep; see the module docs).
         let mut reader_chains: Vec<(Key, &std::collections::BTreeMap<EventKey, Vec<ReadRef>>)> =
-            self.readers.keys.iter().map(|(k, c)| (*k, c)).collect();
+            self.readers.chains().iter().map(|(k, c)| (*k, c)).collect();
         reader_chains.sort_unstable_by_key(|(k, _)| k.0);
         put_varint(buf, reader_chains.iter().map(|(_, c)| c.len() as u64).sum());
         for (key, chain) in reader_chains {
@@ -536,7 +542,7 @@ impl OnlineChecker {
         }
 
         let mut writer_chains: Vec<(Key, &std::collections::BTreeMap<EventKey, Vec<TxnId>>)> =
-            self.writers.keys.iter().map(|(k, c)| (*k, c)).collect();
+            self.writers.chains().iter().map(|(k, c)| (*k, c)).collect();
         writer_chains.sort_unstable_by_key(|(k, _)| k.0);
         put_varint(buf, writer_chains.iter().map(|(_, c)| c.len() as u64).sum());
         for (key, chain) in writer_chains {
@@ -626,8 +632,7 @@ impl OnlineChecker {
         ck.globals = get_globals(buf)?;
 
         for _ in 0..get_varint(buf)? {
-            let t = get_online_txn(buf)?;
-            ck.txns.insert(t.txn.tid, t);
+            ck.insert_txn(get_online_txn(buf)?);
         }
 
         for _ in 0..get_varint(buf)? {
@@ -845,6 +850,28 @@ mod tests {
         let (oa, ob) = (ck.finish(), back.finish());
         assert_eq!(oa.report.violations, ob.report.violations);
         assert!(oa.is_ok(), "stale committed reads are RC-legal: {}", oa.report);
+    }
+
+    /// A hostile snapshot carrying a zero flip count used to restore
+    /// verbatim and then underflow the histogram bucket on `finish`.
+    #[test]
+    fn zero_flip_count_is_rejected_at_restore() {
+        let mut ck = OnlineChecker::builder().track_flip_details(true).build().unwrap();
+        ck.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
+        ck.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 7);
+        assert_eq!(ck.flips.flips_per_pair.len(), 1, "the late writer flipped the read");
+        assert!(OnlineChecker::restore(&ck.checkpoint().unwrap()).is_ok());
+        for n in ck.flips.flips_per_pair.values_mut() {
+            *n = 0;
+        }
+        let hostile = ck.checkpoint().unwrap();
+        match OnlineChecker::restore(&hostile) {
+            Err(SnapshotError::Corrupt(detail)) => {
+                assert!(detail.contains("flip count"), "{detail}")
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a zero flip count must not restore"),
+        }
     }
 
     #[test]

@@ -115,6 +115,10 @@ enum Backend {
 pub struct SpillStore {
     backend: Backend,
     segments: Vec<SegmentMeta>,
+    /// Bytes held by the in-memory backend's segment buffers (0 for the
+    /// disk backend), maintained by `spill` and `import_segments` so
+    /// [`SpillStore::buffered_bytes`] never walks them.
+    memory_bytes: usize,
     faults: Option<Arc<SpillFaultPlan>>,
 }
 
@@ -122,7 +126,12 @@ impl SpillStore {
     /// A spill store backed by memory buffers (encode/decode costs are
     /// identical to the disk backend).
     pub fn in_memory() -> SpillStore {
-        SpillStore { backend: Backend::Memory(Vec::new()), segments: Vec::new(), faults: None }
+        SpillStore {
+            backend: Backend::Memory(Vec::new()),
+            segments: Vec::new(),
+            memory_bytes: 0,
+            faults: None,
+        }
     }
 
     /// A spill store backed by a file at `path` (created/truncated).
@@ -132,6 +141,7 @@ impl SpillStore {
         Ok(SpillStore {
             backend: Backend::Disk { file, _path: path },
             segments: Vec::new(),
+            memory_bytes: 0,
             faults: None,
         })
     }
@@ -179,6 +189,7 @@ impl SpillStore {
         let (offset, len) = match &mut self.backend {
             Backend::Memory(bufs) => {
                 bufs.push(buf.to_vec());
+                self.memory_bytes += bytes;
                 (0, bytes)
             }
             Backend::Disk { file, .. } => {
@@ -246,6 +257,14 @@ impl SpillStore {
     /// keeps. Disk-backed stores only pay the metadata — their segments
     /// live in the file.
     pub fn buffered_bytes(&self) -> usize {
+        self.segments.len() * std::mem::size_of::<SegmentMeta>() + self.memory_bytes
+    }
+
+    /// [`buffered_bytes`](Self::buffered_bytes) recounted from the
+    /// segment buffers themselves — the oracle the maintained counter
+    /// is checked against in tests and debug builds.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn recount_buffered_bytes(&self) -> usize {
         let meta = self.segments.len() * std::mem::size_of::<SegmentMeta>();
         match &self.backend {
             Backend::Memory(bufs) => meta + bufs.iter().map(Vec::len).sum::<usize>(),
@@ -287,6 +306,7 @@ impl SpillStore {
             let offset = match &mut self.backend {
                 Backend::Memory(bufs) => {
                     bufs.push(seg.bytes);
+                    self.memory_bytes += len;
                     0
                 }
                 Backend::Disk { file, .. } => {
@@ -363,6 +383,8 @@ mod tests {
         let (id, bytes) = store.spill(&entries).unwrap();
         assert!(bytes > 0);
         assert_eq!(store.resident_out(), 2);
+        assert_eq!(store.buffered_bytes(), std::mem::size_of::<SegmentMeta>() + bytes);
+        assert_eq!(store.buffered_bytes(), store.recount_buffered_bytes());
         let back = store.reload(id).unwrap();
         assert_eq!(back, entries);
         assert_eq!(store.resident_out(), 0);

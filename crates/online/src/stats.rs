@@ -59,8 +59,13 @@ impl FlipTracker {
         // aion-lint: allow(determinism) — order-insensitive histogram
         // fold; each value lands in its bucket regardless of visit order
         for &n in self.flips_per_pair.values() {
-            let bucket = (n as usize).min(4) - 1;
-            flip_histogram[bucket] += 1;
+            // Buckets are 1, 2, 3 and 4+ flips. A pair only enters the
+            // map by flipping and restore rejects a zero count, but the
+            // arithmetic is total anyway: a summary must never abort.
+            let bucket = (n.clamp(1, 4) - 1) as usize;
+            if let Some(slot) = flip_histogram.get_mut(bucket) {
+                *slot += 1;
+            }
         }
         FlipSummary {
             total_flips: self.total_flips,
@@ -97,6 +102,13 @@ mod tests {
             t.record_flip(TxnId(1), Key(1), None);
         }
         assert_eq!(t.summary().flip_histogram, [0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn zero_count_cannot_underflow_the_bucket() {
+        let mut t = FlipTracker::new(true);
+        t.flips_per_pair.insert((TxnId(1), Key(1)), 0);
+        assert_eq!(t.summary().flip_histogram, [1, 0, 0, 0]);
     }
 
     #[test]

@@ -1,0 +1,198 @@
+//! The resident-byte accounting invariant: `estimated_memory_bytes()` is
+//! a sum of maintained counters, and after *every* `feed` and `tick` it
+//! must equal `recount_memory_bytes()` — the full walk over resident
+//! transactions, reader/writer chains, membership values and spill
+//! buffers that the estimate used to be.
+//!
+//! Covered: out-of-order arrival plans at all four levels and under a
+//! per-transaction mixed policy, kv and list histories (list cascades
+//! withdraw and revise published versions), `OnlineGcPolicy::Checking`
+//! with in-memory and on-disk spill including straggler reloads, and
+//! `checkpoint` → `restore` at an arbitrary arrival boundary.
+//!
+//! The oracle only exists where debug assertions do, hence the gate.
+#![cfg(debug_assertions)]
+
+use aion_online::{feed_plan, Arrival, FeedConfig, OnlineChecker, OnlineGcPolicy};
+use aion_types::{Checker, CheckerStats, DataKind, IsolationLevel, LevelPolicy};
+use aion_workload::{generate_history, KeyDist, LevelMix, WorkloadSpec};
+use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+
+const POLICIES: usize = 5;
+
+/// The four uniform levels, then the per-transaction mixed policy.
+fn policy(idx: usize) -> LevelPolicy {
+    match idx {
+        0 => LevelPolicy::Uniform(IsolationLevel::ReadCommitted),
+        1 => LevelPolicy::Uniform(IsolationLevel::ReadAtomic),
+        2 => LevelPolicy::Uniform(IsolationLevel::Si),
+        3 => LevelPolicy::Uniform(IsolationLevel::Ser),
+        _ => LevelPolicy::per_txn(IsolationLevel::Si),
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Gc {
+    Off,
+    Memory(usize),
+    Disk(usize),
+}
+
+/// An out-of-order plan: small dispatch batches and a delay spread wide
+/// enough that some transactions arrive after later ones were finalized
+/// and spilled (the deep stragglers that force a reload).
+fn plan(spec: &WorkloadSpec, policy_idx: usize, seed: u64) -> (DataKind, Vec<Arrival>) {
+    let mut h = generate_history(spec, IsolationLevel::Si);
+    if policy_idx == POLICIES - 1 {
+        LevelMix::per_txn(1.0, 1.0, 1.0, 1.0).stamp(&mut h, seed);
+    }
+    let cfg = FeedConfig {
+        batch_size: 8,
+        batch_interval_ms: 10,
+        delay_mean_ms: 40.0,
+        delay_std_ms: 60.0,
+        seed,
+    };
+    (h.kind, feed_plan(&h, &cfg))
+}
+
+/// A spill directory of the calling test's own (tests run in parallel).
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("aion-mem-acct-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+fn open(kind: DataKind, levels: LevelPolicy, gc: Gc, dir: &Path) -> OnlineChecker {
+    let b = OnlineChecker::builder().kind(kind).levels(levels).ext_timeout_ms(15);
+    let b = match gc {
+        Gc::Off => b,
+        Gc::Memory(max_txns) => b.gc(OnlineGcPolicy::Checking { max_txns }),
+        Gc::Disk(max_txns) => {
+            b.gc(OnlineGcPolicy::Checking { max_txns }).spill_path(dir.join("live.spill"))
+        }
+    };
+    b.build().expect("open session")
+}
+
+fn exact(ck: &OnlineChecker, at: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        ck.estimated_memory_bytes(),
+        ck.recount_memory_bytes(),
+        "counter drifted from the recount {}",
+        at
+    );
+    Ok(())
+}
+
+/// Drive `plan` through a fresh checker, checkpointing and restoring at
+/// arrival boundary `cut`, asserting counter ≡ oracle after every call.
+fn drive(
+    kind: DataKind,
+    levels: LevelPolicy,
+    gc: Gc,
+    plan: &[Arrival],
+    cut: usize,
+    dir: &Path,
+) -> Result<CheckerStats, TestCaseError> {
+    let mut ck = open(kind, levels, gc, dir);
+    exact(&ck, "when fresh")?;
+    for (i, (at, txn)) in plan.iter().enumerate() {
+        if i == cut {
+            let before = ck.estimated_memory_bytes();
+            let snap = ck.checkpoint().expect("checkpoint");
+            // Restore next to the live spill file, never over it.
+            let spill = match gc {
+                Gc::Disk(_) => Some(dir.join("restored.spill")),
+                _ => None,
+            };
+            ck = OnlineChecker::restore_into(&snap, spill).expect("restore");
+            exact(&ck, "after restore")?;
+            prop_assert_eq!(ck.estimated_memory_bytes(), before, "restore changed the estimate");
+        }
+        ck.tick(*at);
+        exact(&ck, &format!("after tick {i}"))?;
+        ck.feed(txn.clone(), *at);
+        exact(&ck, &format!("after feed {i}"))?;
+    }
+    ck.tick(u64::MAX);
+    exact(&ck, "after the final drain")?;
+    Ok(ck.stats())
+}
+
+fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
+    (40usize..120, 2usize..8, 1usize..6, 0.0f64..1.0, 2u64..30, 0u64..500, any::<bool>()).prop_map(
+        |(txns, sessions, ops, reads, keys, seed, list)| {
+            WorkloadSpec::default()
+                .with_txns(txns)
+                .with_sessions(sessions)
+                .with_ops_per_txn(ops)
+                .with_read_ratio(reads)
+                .with_keys(keys)
+                .with_seed(seed)
+                .with_dist(KeyDist::Uniform)
+                .with_kind(if list { DataKind::List } else { DataKind::Kv })
+        },
+    )
+}
+
+fn arb_gc() -> impl Strategy<Value = Gc> {
+    prop_oneof![Just(Gc::Off), (4usize..24).prop_map(Gc::Memory), (4usize..24).prop_map(Gc::Disk)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn counter_equals_recount_after_every_call(
+        spec in arb_spec(),
+        policy_idx in 0usize..POLICIES,
+        gc in arb_gc(),
+        plan_seed in 0u64..1000,
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let (kind, plan) = plan(&spec, policy_idx, plan_seed);
+        let cut = (cut_frac * plan.len() as f64) as usize;
+        let dir = scratch("prop");
+        let held = drive(kind, policy(policy_idx), gc, &plan, cut, &dir);
+        std::fs::remove_dir_all(&dir).ok();
+        held?;
+    }
+}
+
+/// The property above only means something if its cases reach the
+/// states the counters are adjusted in. A fixed sweep over every policy
+/// × data kind × spill backend must spill, reload stragglers and (for
+/// lists) be fed out of order — and hold the invariant throughout.
+#[test]
+fn sweep_reaches_spills_reloads_and_restores() {
+    let dir = scratch("sweep");
+    let mut spilled = 0;
+    let mut reloaded = 0;
+    for policy_idx in 0..POLICIES {
+        for kind in [DataKind::Kv, DataKind::List] {
+            for gc in [Gc::Memory(12), Gc::Disk(12)] {
+                let spec = WorkloadSpec::default()
+                    .with_txns(160)
+                    .with_sessions(6)
+                    .with_ops_per_txn(4)
+                    .with_read_ratio(0.4)
+                    .with_keys(12)
+                    .with_seed(7 + policy_idx as u64)
+                    .with_dist(KeyDist::Uniform)
+                    .with_kind(kind);
+                let (kind, plan) = plan(&spec, policy_idx, 3);
+                let in_order = plan.windows(2).all(|w| w[0].1.commit_ts <= w[1].1.commit_ts);
+                assert!(!in_order, "the plan must deliver transactions out of commit order");
+                let stats = drive(kind, policy(policy_idx), gc, &plan, plan.len() / 2, &dir)
+                    .unwrap_or_else(|e| panic!("policy {policy_idx} {kind:?} {gc:?}: {e:?}"));
+                spilled += stats.spilled_txns;
+                reloaded += stats.reloaded_txns;
+            }
+        }
+    }
+    assert!(spilled > 0, "no case spilled: the GC sites were never exercised");
+    assert!(reloaded > 0, "no case reloaded a straggler: the reload site was never exercised");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,11 +6,11 @@
 //! (e.g. one mid-`feed`) answers `busy` instead of blocking the worker
 //! pool. The registry also runs **admission control**: every session's
 //! [`estimated_memory_bytes`](aion_types::Checker::estimated_memory_bytes)
-//! is cached after each feed batch, and new arrivals are refused with a
-//! typed [`ServeError::Backpressure`] once the process-wide total
-//! crosses the configured hard ceiling (a soft ceiling below it only
-//! flags the response, letting well-behaved clients throttle
-//! themselves).
+//! is published in an atomic beside its mutex after each admission
+//! window, and new arrivals are refused with a typed
+//! [`ServeError::Backpressure`] once the process-wide total crosses the
+//! configured hard ceiling (a soft ceiling below it only flags the
+//! response, letting well-behaved clients throttle themselves).
 
 use crate::protocol::OpenParams;
 use crate::ServeError;
@@ -21,6 +21,7 @@ use aion_types::snapshot::{
 use aion_types::{CheckEvent, Checker, Clock, Outcome, RealClock};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// The checker variant a session runs.
@@ -106,24 +107,28 @@ impl SessionChecker {
     }
 }
 
-/// Mutable per-session state behind the session mutex.
-pub struct SessionState {
+/// One live session: the checker behind its mutex, and beside it the
+/// figures `stats`, `list` and admission read *without* that mutex.
+/// The atomics are written only by the holder of `checker` (one writer
+/// at a time) and publish nothing but themselves, hence `Relaxed`.
+struct Session {
     /// `None` once the session has been finished (a racing holder of the
     /// session handle sees "unknown" rather than a stale checker).
-    checker: Option<SessionChecker>,
-    /// The data model the session was opened with (seeds the reader's
-    /// kind hint on feeds).
-    pub kind: aion_types::DataKind,
+    checker: Mutex<Option<SessionChecker>>,
+    /// The data model the session was opened with.
+    kind: aion_types::DataKind,
     /// Arrivals so far — also the session's virtual clock in ms: like
     /// [`aion_io::stream_check`], the clock advances one millisecond per
     /// arrival, and it keeps counting across feeds and across
     /// checkpoint/restore so EXT timeouts behave as one uninterrupted
     /// stream.
-    pub txns: u64,
+    txns: AtomicU64,
     /// Events emitted so far.
-    pub events: u64,
+    events: AtomicU64,
     /// Violation events emitted so far.
-    pub violations: u64,
+    violations: AtomicU64,
+    /// The checker's memory estimate as of the last admission window.
+    memory_bytes: AtomicUsize,
 }
 
 /// A point-in-time summary of one live session (the `list`/`stats`
@@ -141,7 +146,7 @@ pub struct SessionInfo {
     pub events: u64,
     /// Violation events so far.
     pub violations: u64,
-    /// Last cached memory estimate.
+    /// Memory estimate as of the last admission window.
     pub memory_bytes: usize,
 }
 
@@ -160,18 +165,15 @@ pub struct FeedSummary {
     pub soft_pressure: bool,
 }
 
-/// Arrivals between admission-control samples during a feed. Memory
-/// estimation walks per-session maps, so it is amortized rather than
-/// paid per transaction.
+/// Arrivals per admission window: the unit a feed ingests, publishes
+/// its counters after, and re-checks the ceilings at. The estimate is a
+/// field read; what the window amortizes is the per-batch work around
+/// it (one channel send per shard, one event flush, one total).
 const ADMISSION_SAMPLE_EVERY: u64 = 64;
 
 /// The named-session table plus admission-control accounting.
 pub struct Registry {
-    sessions: Mutex<BTreeMap<String, Arc<Mutex<SessionState>>>>,
-    /// Cached per-session memory estimates. Kept outside the session
-    /// mutexes so computing the process-wide total never has to take
-    /// (or wait on) another tenant's session lock.
-    mem_cache: Mutex<BTreeMap<String, usize>>,
+    sessions: Mutex<BTreeMap<String, Arc<Session>>>,
     soft_limit_bytes: usize,
     hard_limit_bytes: usize,
     /// Time source for idle tracking. Production uses [`RealClock`];
@@ -191,7 +193,6 @@ impl Registry {
     pub fn new(soft_limit_bytes: usize, hard_limit_bytes: usize) -> Registry {
         Registry {
             sessions: Mutex::new(BTreeMap::new()),
-            mem_cache: Mutex::new(BTreeMap::new()),
             soft_limit_bytes,
             hard_limit_bytes,
             clock: Arc::new(RealClock::new()),
@@ -236,31 +237,33 @@ impl Registry {
             .collect();
         let mut evicted = Vec::new();
         for name in stale {
-            let Some(handle) = self.sessions.lock().get(&name).cloned() else {
+            let Some(session) = self.sessions.lock().get(&name).cloned() else {
                 self.last_active.lock().remove(&name);
                 continue;
             };
             // try_lock: never block eviction behind a live feed.
-            let Some(mut state) = handle.try_lock() else { continue };
+            let Some(mut checker) = session.checker.try_lock() else { continue };
             // A finished-but-unremoved session has no checker to drop;
             // either way the table entry goes away.
-            state.checker.take();
-            drop(state);
+            checker.take();
+            drop(checker);
             self.sessions.lock().remove(&name);
-            self.mem_cache.lock().remove(&name);
             self.last_active.lock().remove(&name);
             evicted.push(name);
         }
         evicted
     }
 
-    /// Sum of cached per-session memory estimates.
+    /// Sum of the sessions' published memory estimates. Takes the
+    /// session table's lock only, never a tenant's.
     pub fn total_memory_bytes(&self) -> usize {
-        self.mem_cache.lock().values().sum()
+        self.sessions.lock().values().map(|s| s.memory_bytes.load(Relaxed)).sum()
     }
 
-    fn cache_memory(&self, name: &str, bytes: usize) {
-        self.mem_cache.lock().insert(name.to_owned(), bytes);
+    /// Whether `name` is a live session (a table lookup; no session
+    /// lock is taken).
+    pub fn exists(&self, name: &str) -> bool {
+        self.sessions.lock().contains_key(name)
     }
 
     /// Create a session from `params`. Fails on duplicate names and
@@ -268,7 +271,7 @@ impl Registry {
     pub fn open(&self, name: &str, params: &OpenParams) -> Result<&'static str, ServeError> {
         let checker = build_checker(params)?;
         let label = checker.name();
-        self.insert(name, checker, params.kind)?;
+        self.insert(name, checker, params.kind, 0)?;
         Ok(label)
     }
 
@@ -277,29 +280,29 @@ impl Registry {
         name: &str,
         checker: SessionChecker,
         kind: aion_types::DataKind,
+        txns: u64,
     ) -> Result<(), ServeError> {
-        let mem = checker.estimated_memory_bytes();
         let mut sessions = self.sessions.lock();
         if sessions.contains_key(name) {
             return Err(ServeError::DuplicateSession(name.to_owned()));
         }
         sessions.insert(
             name.to_owned(),
-            Arc::new(Mutex::new(SessionState {
-                checker: Some(checker),
+            Arc::new(Session {
+                memory_bytes: AtomicUsize::new(checker.estimated_memory_bytes()),
+                checker: Mutex::new(Some(checker)),
                 kind,
-                txns: 0,
-                events: 0,
-                violations: 0,
-            })),
+                txns: AtomicU64::new(txns),
+                events: AtomicU64::new(0),
+                violations: AtomicU64::new(0),
+            }),
         );
         drop(sessions);
-        self.cache_memory(name, mem);
         self.touch(name);
         Ok(())
     }
 
-    fn handle(&self, name: &str) -> Result<Arc<Mutex<SessionState>>, ServeError> {
+    fn handle(&self, name: &str) -> Result<Arc<Session>, ServeError> {
         self.sessions
             .lock()
             .get(name)
@@ -316,73 +319,70 @@ impl Registry {
         reader: &mut dyn aion_io::HistoryReader,
         mut sink: impl FnMut(&[CheckEvent]) -> Result<(), ServeError>,
     ) -> Result<FeedSummary, ServeError> {
-        let handle = self.handle(name)?;
-        let mut state = handle.try_lock().ok_or_else(|| ServeError::Busy(name.to_owned()))?;
+        let session = self.handle(name)?;
+        let mut guard =
+            session.checker.try_lock().ok_or_else(|| ServeError::Busy(name.to_owned()))?;
         // A feed attempt is activity even when admission refuses it —
         // a throttled-but-live client should not be evicted from under
         // its retry loop.
         self.touch(name);
+        let checker = guard.as_mut().ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
         let mut summary = FeedSummary::default();
         let backpressure = |total: usize| ServeError::Backpressure {
             session: name.to_owned(),
             estimated_bytes: total,
             limit_bytes: self.hard_limit_bytes,
         };
-        // Admit against the cached estimates of previous feeds before
+        // Admit against the estimates previous feeds published before
         // ingesting anything from this one.
-        let cached_total = self.total_memory_bytes();
-        if cached_total > self.hard_limit_bytes {
-            return Err(backpressure(cached_total));
+        let published_total = self.total_memory_bytes();
+        if published_total > self.hard_limit_bytes {
+            return Err(backpressure(published_total));
         }
         loop {
             // Collect one admission window, stamping each arrival with
             // its own virtual time, then ingest it as a single batch —
             // for sharded sessions that is one channel send per shard
             // instead of one per transaction.
+            let clock = session.txns.load(Relaxed);
             let mut window: Vec<(aion_types::Transaction, u64)> =
                 Vec::with_capacity(ADMISSION_SAMPLE_EVERY as usize);
             while (window.len() as u64) < ADMISSION_SAMPLE_EVERY {
                 let Some(txn) = reader.next_txn()? else { break };
-                window.push((txn, state.txns + window.len() as u64));
+                window.push((txn, clock + window.len() as u64));
             }
             let exhausted = (window.len() as u64) < ADMISSION_SAMPLE_EVERY;
             if !window.is_empty() {
                 let ingested = window.len() as u64;
-                let checker = state
-                    .checker
-                    .as_mut()
-                    .ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
                 let evs = checker.feed_batch(window);
                 let violations = evs.iter().filter(|e| e.is_violation()).count() as u64;
-                state.txns += ingested;
                 summary.txns += ingested;
                 summary.events += evs.len() as u64;
                 summary.violations += violations;
-                state.events += evs.len() as u64;
-                state.violations += violations;
+                // Publish before the sink can fail: whatever happens to
+                // the connection, `stats` and admission see this window.
+                session.txns.fetch_add(ingested, Relaxed);
+                session.events.fetch_add(evs.len() as u64, Relaxed);
+                session.violations.fetch_add(violations, Relaxed);
+                session.memory_bytes.store(checker.estimated_memory_bytes(), Relaxed);
                 sink(&evs)?;
             }
-            if exhausted {
-                let mem = state.checker.as_ref().map_or(0, SessionChecker::estimated_memory_bytes);
-                self.cache_memory(name, mem);
-                summary.memory_bytes = mem;
-                if self.total_memory_bytes() > self.soft_limit_bytes {
-                    summary.soft_pressure = true;
-                }
-                return Ok(summary);
-            }
-            // Re-sample at each batch boundary: a feed overshoots the
-            // hard ceiling by at most one batch before refusal, and the
-            // session keeps everything ingested so far (checkpoint,
-            // finish and retry all remain available).
-            let mem = state.checker.as_ref().map_or(0, SessionChecker::estimated_memory_bytes);
-            self.cache_memory(name, mem);
+            // Re-check the ceilings at each window boundary: a feed
+            // overshoots the hard ceiling by at most one window before
+            // refusal, and the session keeps everything ingested so far
+            // (checkpoint, finish and retry all remain available).
             let total = self.total_memory_bytes();
-            if total > self.hard_limit_bytes {
-                return Err(backpressure(total));
-            }
             if total > self.soft_limit_bytes {
                 summary.soft_pressure = true;
+            }
+            if exhausted {
+                // An empty last window changed nothing since the
+                // previous publish, so the atomic is current either way.
+                summary.memory_bytes = session.memory_bytes.load(Relaxed);
+                return Ok(summary);
+            }
+            if total > self.hard_limit_bytes {
+                return Err(backpressure(total));
             }
         }
     }
@@ -391,35 +391,33 @@ impl Registry {
     /// checker and remove the session. Returns the terminal outcome plus
     /// the session's lifetime arrival count.
     pub fn finish(&self, name: &str) -> Result<(Outcome, u64), ServeError> {
-        let handle = self.handle(name)?;
-        let mut state = handle.try_lock().ok_or_else(|| ServeError::Busy(name.to_owned()))?;
+        let session = self.handle(name)?;
+        let mut guard =
+            session.checker.try_lock().ok_or_else(|| ServeError::Busy(name.to_owned()))?;
         let mut checker =
-            state.checker.take().ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
+            guard.take().ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
         // Jump the virtual clock to the end of time, exactly like
-        // `stream_check`, so every tentative EXT verdict finalizes.
-        let evs = checker.tick(u64::MAX);
-        state.events += evs.len() as u64;
-        state.violations += evs.iter().filter(|e| e.is_violation()).count() as u64;
-        let txns = state.txns;
+        // `stream_check`, so every tentative EXT verdict finalizes (the
+        // violations among the returned events are in the report).
+        checker.tick(u64::MAX);
         let outcome = checker.finish();
-        drop(state);
+        drop(guard);
         self.sessions.lock().remove(name);
-        self.mem_cache.lock().remove(name);
         self.last_active.lock().remove(name);
-        Ok((outcome, txns))
+        Ok((outcome, session.txns.load(Relaxed)))
     }
 
     /// Checkpoint session `name` to `path` on the server's filesystem.
     /// The session keeps running; the snapshot captures the state as of
     /// this call. Returns `(snapshot kind, bytes written)`.
     pub fn checkpoint(&self, name: &str, path: &str) -> Result<(&'static str, usize), ServeError> {
-        let handle = self.handle(name)?;
-        let mut state = handle.try_lock().ok_or_else(|| ServeError::Busy(name.to_owned()))?;
+        let session = self.handle(name)?;
+        let mut guard =
+            session.checker.try_lock().ok_or_else(|| ServeError::Busy(name.to_owned()))?;
         self.touch(name);
-        let txns = state.txns;
-        let data_kind = state.kind;
-        let checker =
-            state.checker.as_mut().ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
+        let txns = session.txns.load(Relaxed);
+        let data_kind = session.kind;
+        let checker = guard.as_mut().ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
         let kind = checker.kind_label();
         let body = checker.checkpoint().map_err(ServeError::Snapshot)?;
         // The daemon wraps the checker snapshot with the session's own
@@ -491,51 +489,38 @@ impl Registry {
             }
         };
         let label = checker.name();
-        self.insert(name, checker, kind)?;
-        if let Some(state) = self.sessions.lock().get(name) {
-            state.lock().txns = txns;
-        }
+        self.insert(name, checker, kind, txns)?;
         Ok(label)
     }
 
     /// Live counters for session `name`.
     pub fn stats(&self, name: &str) -> Result<SessionInfo, ServeError> {
-        let handle = self.handle(name)?;
-        Ok(self.info(name, &handle))
-    }
-
-    fn info(&self, name: &str, handle: &Arc<Mutex<SessionState>>) -> SessionInfo {
-        let cached = self.mem_cache.lock().get(name).copied().unwrap_or(0);
-        match handle.try_lock() {
-            Some(state) => SessionInfo {
-                name: name.to_owned(),
-                checker: state.checker.as_ref().map_or("finished", SessionChecker::name).to_owned(),
-                txns: state.txns,
-                events: state.events,
-                violations: state.violations,
-                memory_bytes: state
-                    .checker
-                    .as_ref()
-                    .map_or(cached, SessionChecker::estimated_memory_bytes),
-            },
-            // Mid-feed sessions report their cached estimate instead of
-            // blocking `list` behind the feed.
-            None => SessionInfo {
-                name: name.to_owned(),
-                checker: "busy".to_owned(),
-                txns: 0,
-                events: 0,
-                violations: 0,
-                memory_bytes: cached,
-            },
-        }
+        self.handle(name).map(|session| info(name, &session))
     }
 
     /// Summaries of every live session, in name order.
     pub fn list(&self) -> Vec<SessionInfo> {
-        let sessions: Vec<(String, Arc<Mutex<SessionState>>)> =
+        let sessions: Vec<(String, Arc<Session>)> =
             self.sessions.lock().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        sessions.iter().map(|(name, handle)| self.info(name, handle)).collect()
+        sessions.iter().map(|(name, session)| info(name, session)).collect()
+    }
+}
+
+/// A session's published figures. Only the checker's name needs the
+/// session lock; a mid-feed session answers `"busy"` there and reports
+/// the counters its feed last published instead of blocking `list`.
+fn info(name: &str, session: &Session) -> SessionInfo {
+    let checker = match session.checker.try_lock() {
+        Some(guard) => guard.as_ref().map_or("finished", SessionChecker::name),
+        None => "busy",
+    };
+    SessionInfo {
+        name: name.to_owned(),
+        checker: checker.to_owned(),
+        txns: session.txns.load(Relaxed),
+        events: session.events.load(Relaxed),
+        violations: session.violations.load(Relaxed),
+        memory_bytes: session.memory_bytes.load(Relaxed),
     }
 }
 
@@ -650,6 +635,55 @@ mod tests {
         assert!(matches!(err, ServeError::Backpressure { .. }), "{err}");
         let stats = reg.stats("t").unwrap();
         assert_eq!(stats.txns, 64, "refused after exactly one admission batch");
+    }
+
+    /// A mid-feed session cannot be locked, but it is not a blank: the
+    /// feed publishes its counters and estimate after every admission
+    /// window, and `stats`/`list` report those last-known values.
+    #[test]
+    fn busy_sessions_report_their_last_published_counters() {
+        let reg = Registry::new(usize::MAX, usize::MAX);
+        reg.open("t", &OpenParams::default()).unwrap();
+        let mut h = History::new(DataKind::Kv);
+        for i in 0..130u64 {
+            // Every tenth arrival reuses tid 1: a violation event at
+            // arrival, so all three counters move mid-feed.
+            // (Rejected before SESSION, so session 0's numbering skips it.)
+            let dup = i > 0 && i % 10 == 0;
+            h.push(
+                TxnBuilder::new(if dup { 1 } else { i + 1 })
+                    .session(u32::from(dup), (i - i / 10) as u32)
+                    .interval(2 * i + 1, 2 * i + 2)
+                    .put(Key(i), Value(i))
+                    .build(),
+            );
+        }
+        let mut bytes = Vec::new();
+        write_history(&h, Format::Jsonl, &mut bytes).unwrap();
+        let mut reader = open_stream(&bytes[..], Format::Jsonl, ReaderOptions::default()).unwrap();
+        let mut seen = Vec::new();
+        let mut violations = 0u64;
+        let summary = reg
+            .feed("t", reader.as_mut(), |evs| {
+                violations += evs.iter().filter(|e| e.is_violation()).count() as u64;
+                let info = reg.stats("t")?;
+                assert_eq!(info.checker, "busy", "the feed holds the session lock");
+                assert_eq!(info.violations, violations, "published with their window");
+                assert_eq!(info.events, violations, "this history emits nothing else");
+                assert_eq!(reg.list()[0].txns, info.txns, "`list` reads the same atomics");
+                seen.push((info.txns, info.memory_bytes));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(summary.violations, 12);
+        let txns: Vec<u64> = seen.iter().map(|(t, _)| *t).collect();
+        assert_eq!(txns, vec![64, 128, 130], "one publish per admission window");
+        assert!(seen.windows(2).all(|w| w[0].1 < w[1].1), "estimates grow with the feed: {seen:?}");
+        let idle = reg.stats("t").unwrap();
+        assert_eq!(idle.checker, "aion-si");
+        assert_eq!((idle.txns, idle.events), (summary.txns, summary.events));
+        assert_eq!(Some(idle.memory_bytes), seen.last().map(|(_, m)| *m));
+        assert_eq!(idle.memory_bytes, summary.memory_bytes);
     }
 
     #[test]

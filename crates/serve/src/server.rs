@@ -209,7 +209,9 @@ fn dispatch(
         }
         Command::Feed { session, events } => {
             // Fail fast on unknown sessions, before consuming the stream.
-            registry.stats(&session)?;
+            if !registry.exists(&session) {
+                return Err(ServeError::UnknownSession(session));
+            }
             let opts = ReaderOptions { strict: false, kind_hint: None };
             let (format, mut hist) = open_sniffed_stream(reader, opts)?;
             let summary = registry.feed(&session, hist.as_mut(), |evs| {

@@ -26,6 +26,25 @@ fn stop(addr: &str, handle: aion_serve::ServerHandle) {
     handle.join().unwrap();
 }
 
+/// The recount oracle's figure for a default session fed `fixture` the
+/// way the daemon feeds it: arrival *n* at virtual time *n*, tick first.
+/// (The oracle exists only where debug assertions do.)
+#[cfg(debug_assertions)]
+fn recounted_bytes(fixture: &str) -> u64 {
+    use aion_types::Checker;
+    let file = std::io::BufReader::new(std::fs::File::open(corpus(fixture)).unwrap());
+    let opts = aion_io::ReaderOptions { strict: false, kind_hint: None };
+    let (_, mut reader) = aion_io::open_sniffed_stream(file, opts).unwrap();
+    let mut twin = aion_online::OnlineChecker::builder().build().unwrap();
+    let mut now = 0;
+    while let Some(txn) = reader.next_txn().unwrap() {
+        twin.tick(now);
+        twin.feed(txn, now);
+        now += 1;
+    }
+    twin.recount_memory_bytes() as u64
+}
+
 #[test]
 fn valid_and_anomalous_fixtures_get_the_recorded_verdicts() {
     let (addr, handle) = start(ServeConfig::default());
@@ -39,6 +58,10 @@ fn valid_and_anomalous_fixtures_get_the_recorded_verdicts() {
     let fed = client::feed_path(&addr, "good", corpus("valid_kv_si.jsonl"), false).unwrap();
     assert!(fed.int_field("txns").unwrap() > 0);
     assert_eq!(fed.str_field("format"), Some("jsonl"));
+    // The reply's estimate is a sum of maintained counters; it must be
+    // the figure a full walk over the same state produces.
+    #[cfg(debug_assertions)]
+    assert_eq!(fed.int_field("memory_bytes"), Some(recounted_bytes("valid_kv_si.jsonl")));
     // The anomalous history rides the binary format: the socket sniffer
     // must detect it without a file extension.
     let fed = client::feed_path(&addr, "bad", corpus("lost-update_si.bin"), true).unwrap();
