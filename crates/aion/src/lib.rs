@@ -52,8 +52,11 @@
 //! assert!(outcome.is_ok());
 //!
 //! // ...and online with AION, streaming events as arrivals come in.
-//! let mut checker =
-//!     OnlineChecker::builder().mode(Mode::Si).ext_timeout_ms(5_000).build().expect("config");
+//! let mut checker = OnlineChecker::builder()
+//!     .level(IsolationLevel::Si)
+//!     .ext_timeout_ms(5_000)
+//!     .build()
+//!     .expect("config");
 //! for (i, txn) in history.txns.iter().enumerate() {
 //!     for event in checker.feed(txn.clone(), i as u64) {
 //!         println!("[{i}] {event}");
@@ -93,8 +96,6 @@ pub mod prelude {
     //! checkers stay behind [`crate::baselines`] to keep the namespace
     //! tidy.
 
-    #[allow(deprecated)] // the alias itself is the pre-lattice compatibility surface
-    pub use aion_types::Mode;
     pub use aion_types::{
         apply, expected_read, AxiomKind, CheckEvent, CheckReport, Checker, CheckerStats, DataKind,
         EventKey, ExtPredicate, FlipSummary, History, HistoryStats, IsolationLevel, Key,
@@ -110,9 +111,9 @@ pub mod prelude {
     };
 
     pub use aion_online::{
-        feed_plan, route_txn, run_plan, shard_of, AionConfig, AionOutcome, AionStats, Arrival,
-        ConfigError, FeedConfig, OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy,
-        OnlineRunReport, RoutedTxn, ShardConfig, ShardedChecker, TimedEvent,
+        feed_plan, route_txn, run_plan, shard_of, AionConfig, AionOutcome, Arrival, ConfigError,
+        FeedConfig, OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy, OnlineRunReport,
+        RoutedTxn, ShardConfig, ShardedChecker, TimedEvent,
     };
 
     pub use aion_storage::{

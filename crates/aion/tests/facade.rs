@@ -162,14 +162,12 @@ fn ser_checkers_agree_on_write_skew() {
     let (si_offline, _) = drive(ChronosChecker::si(DataKind::Kv), &h.txns);
     assert!(si_online.is_ok() && si_offline.is_ok(), "write skew is legal under SI");
 
-    // Pre-PR-5 source compatibility, asserted on purpose: the deprecated
-    // `Mode` alias and builder method must keep compiling and behaving.
-    #[allow(deprecated)]
-    let (ser_online, _) = drive(OnlineChecker::builder().mode(Mode::Ser).build().unwrap(), &h.txns);
+    let (ser_online, _) =
+        drive(OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap(), &h.txns);
     let (ser_offline, _) = drive(ChronosChecker::ser(DataKind::Kv), &h.txns);
     let (ser_emme, _) = drive(EmmeChecker::ser(DataKind::Kv), &h.txns);
     assert!(!ser_online.is_ok(), "AION-SER must reject write skew");
-    assert_eq!(ser_online.checker, "aion-ser", "the Mode alias selects the same session");
+    assert_eq!(ser_online.checker, "aion-ser");
     assert!(!ser_offline.is_ok(), "CHRONOS-SER must reject write skew");
     assert!(!ser_emme.is_ok(), "Emme-SER must reject write skew");
 
@@ -188,6 +186,25 @@ fn ser_checkers_agree_on_write_skew() {
         Some(IsolationLevel::ReadCommitted)
     );
     assert_eq!(IsolationLevel::strongest(IsolationLevel::Si, IsolationLevel::Ser), None);
+}
+
+/// An Eq. (1)-malformed transaction (`start_ts > commit_ts`) is checked
+/// but never publishes a version, offline and online, at every level: the
+/// reader of the value it wrote is an EXT violation everywhere.
+#[test]
+fn malformed_transactions_never_publish_at_any_level() {
+    let mut h = History::new(DataKind::Kv);
+    h.push(TxnBuilder::new(1).session(0, 0).interval(9, 3).put(Key(1), Value(1)).build());
+    h.push(TxnBuilder::new(2).session(1, 0).interval(10, 11).read(Key(1), Value(1)).build());
+
+    let kinds = |out: &Outcome| out.report.violations.iter().map(|v| v.kind()).collect::<Vec<_>>();
+    for &level in IsolationLevel::ALL {
+        let (offline, _) =
+            drive(ChronosChecker::new(level, h.kind, ChronosOptions::default()), &h.txns);
+        let (online, _) = drive(OnlineChecker::builder().level(level).build().unwrap(), &h.txns);
+        assert_eq!(kinds(&offline), [AxiomKind::Integrity, AxiomKind::Ext], "{}", offline.report);
+        assert_eq!(kinds(&online), kinds(&offline), "{level}: {}", online.report);
+    }
 }
 
 #[test]

@@ -59,7 +59,6 @@ fn main() {
                 for id in ALL {
                     println!("  {id}");
                 }
-                println!("  bench-record  (writes BENCH_aion.json; not part of `all`)");
                 println!(
                     "  conformance   (anomaly × level × checker matrix; --fast for CI; \
                      not part of `all`)"

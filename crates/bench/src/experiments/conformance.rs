@@ -661,12 +661,12 @@ fn write_doc() {
          per-transaction-leveled histories, valid and injected alike.\n\n\
          The matrix is a live regression net, not just documentation: it\n\
          already caught CHRONOS-SER silently accepting start-timestamp\n\
-         collisions that AION-SER reports (fixed in\n\
-         `crates/core/src/chronos_ser.rs`).\n",
+         collisions that AION-SER reports (the integrity scan has since\n\
+         moved to `crates/core/src/event.rs`, which every level shares).\n",
     );
-    // Repo-root-relative by convention (like bench-record's
-    // BENCH_aion.json); from another cwd the matrix verdict still stands,
-    // so degrade to a warning rather than failing a passed run.
+    // Repo-root-relative by convention; from another cwd the matrix
+    // verdict still stands, so degrade to a warning rather than failing
+    // a passed run.
     match std::fs::write("docs/conformance.md", md) {
         Ok(()) => println!("wrote docs/conformance.md"),
         Err(e) => eprintln!(

@@ -12,7 +12,6 @@ pub mod interchange;
 pub mod lint;
 pub mod offline;
 pub mod online;
-pub mod record;
 pub mod serve;
 
 use std::path::PathBuf;
@@ -79,7 +78,6 @@ pub fn run(id: &str, ctx: &Ctx) -> bool {
         "fig17_18" => flipflops::fig17_18(ctx),
         "fig19" => flipflops::fig19(ctx),
         "fig20_21" => flipflops::fig20_21(ctx),
-        "bench-record" => record::bench_record(ctx),
         "conformance" => conformance::conformance(ctx),
         _ => return false,
     }

@@ -1,8 +1,9 @@
 //! # aion-bench
 //!
 //! Experiment harness reproducing every table and figure in the
-//! CHRONOS/AION paper's evaluation (§V, §VI and the appendix), plus the
-//! Criterion micro-benchmarks in `benches/`. Run experiments with
+//! CHRONOS/AION paper's evaluation (§V, §VI and the appendix). Performance
+//! is recorded by the separate `benchmark` package under
+//! `src/bin/benchmark/` (see `BENCHMARK.json`). Run experiments with
 //!
 //! ```text
 //! cargo run --release -p aion-bench --bin experiments -- <id> [--scale N]

@@ -1,19 +1,34 @@
-//! CHRONOS: the offline timestamp-based snapshot-isolation checker
-//! (paper Algorithm 2).
+//! CHRONOS: the offline timestamp-based isolation checker (paper
+//! Algorithm 2) — one simulation, driven by a level's predicate set.
 //!
-//! CHRONOS relates SI's operational semantics (Algorithm 1) to its axiomatic
-//! semantics by fixing arbitration to commit-timestamp order (Definition 5)
-//! and visibility to "committed before my start" (Definition 6). With both
-//! relations fixed, PREFIX holds by construction and the remaining axioms —
-//! SESSION, INT, EXT, NOCONFLICT — are checked by *simulating* the execution
-//! one start/commit event at a time in timestamp order:
+//! CHRONOS relates an isolation level's operational semantics to its
+//! axiomatic semantics by fixing arbitration to commit-timestamp order
+//! (Definition 5) and visibility to "committed before my anchor"
+//! (Definition 6). With both relations fixed, PREFIX holds by construction
+//! and the remaining axioms — SESSION, INT, EXT, NOCONFLICT — are checked
+//! by *simulating* the execution one start/commit event at a time in
+//! timestamp order:
 //!
 //! * `frontier[k]` — the last committed snapshot of key `k` (in AR order);
+//! * `committed` — every published `(key, snapshot)` version, kept only for
+//!   [`ExtPredicate::Committed`], where *any* earlier version justifies a
+//!   read;
 //! * `ongoing[k]` — transactions currently holding an uncommitted write to
-//!   `k`; non-empty at another writer's commit ⇒ NOCONFLICT violation;
-//! * `last_sno`/`last_cts` — per-session progress for SESSION;
-//! * a per-transaction `int_val` (scoped to the transaction's start event)
+//!   `k`, kept only when the level activates NOCONFLICT; non-empty at
+//!   another writer's commit ⇒ violation;
+//! * `next_sno`/`last_cts` — per-session progress for SESSION;
+//! * a per-transaction `int_val` (scoped to the transaction's anchor event)
 //!   for INT and the read-expectation rule of [`aion_types::expected_read`].
+//!
+//! What differs between levels is data, not code: [`IsolationLevel::checks`]
+//! names the event a transaction's reads anchor at ([`ReadAnchor`] — the
+//! paper's §VI-A derives SER from SI by moving it from the start to the
+//! commit event), what an external read must observe ([`ExtPredicate`]),
+//! whether overlapping writers conflict, and which [`SessionPredicate`]
+//! applies. SESSION and the per-operation simulation run at the anchor
+//! event; publication and NOCONFLICT run at the commit event. The online
+//! checker dispatches on the same predicate sets, so a level is defined
+//! once and checked two ways.
 //!
 //! Complexity is `O(N log N + M)`: one sort of `2N` events plus constant
 //! amortized work per operation (hash-map backed state). All violations are
@@ -22,10 +37,10 @@
 use crate::event::build_events;
 use crate::gc::GcPolicy;
 use crate::report::{ChronosOutcome, StageTimings};
-use aion_types::Stopwatch;
 use aion_types::{
-    apply, classify_mismatch, CheckReport, DataKind, FxHashMap, History, Key, MismatchAxiom,
-    Mutation, Op, SessionId, Snapshot, Timestamp, Transaction, TxnId, Violation,
+    apply, classify_mismatch, CheckReport, DataKind, ExtPredicate, FxHashMap, FxHashSet, History,
+    IsolationLevel, Key, LevelChecks, MismatchAxiom, Mutation, Op, ReadAnchor, SessionId,
+    SessionPredicate, Snapshot, Stopwatch, Timestamp, Transaction, TxnId, Violation,
 };
 
 /// Configuration for an offline checking run.
@@ -47,29 +62,34 @@ impl ChronosOptions {
     }
 }
 
-/// Shared simulation state for the SI checker.
-struct SiState {
+/// The simulation state.
+struct Simulation {
     kind: DataKind,
+    checks: LevelChecks,
     /// Next expected sequence number per session (paper: `last_sno + 1`).
     next_sno: FxHashMap<SessionId, u32>,
-    /// Commit timestamp of the last processed transaction per session.
+    /// Commit timestamp of the last anchored transaction per session.
     last_cts: FxHashMap<SessionId, Timestamp>,
     /// Last committed snapshot per key (paper: `frontier`).
     frontier: FxHashMap<Key, Snapshot>,
-    /// Uncommitted writers per key (paper: `ongoing`).
+    /// Every published version ([`ExtPredicate::Committed`] only).
+    committed: FxHashSet<(Key, Snapshot)>,
+    /// Uncommitted writers per key (paper: `ongoing`; NOCONFLICT only).
     ongoing: FxHashMap<Key, Vec<TxnId>>,
-    /// Final written snapshots of started-but-uncommitted transactions
+    /// Final written snapshots of anchored-but-uncommitted transactions
     /// (paper: `ext_val`, keyed by transaction).
     pending_writes: FxHashMap<TxnId, Vec<(Key, Snapshot)>>,
 }
 
-impl SiState {
-    fn new(kind: DataKind) -> SiState {
-        SiState {
+impl Simulation {
+    fn new(kind: DataKind, checks: LevelChecks) -> Simulation {
+        Simulation {
             kind,
+            checks,
             next_sno: FxHashMap::default(),
             last_cts: FxHashMap::default(),
             frontier: FxHashMap::default(),
+            committed: FxHashSet::default(),
             ongoing: FxHashMap::default(),
             pending_writes: FxHashMap::default(),
         }
@@ -83,7 +103,13 @@ impl SiState {
     fn check_session(&mut self, t: &Transaction, report: &mut CheckReport) {
         let expected = self.next_sno.get(&t.sid).copied().unwrap_or(0);
         let last_cts = self.last_cts.get(&t.sid).copied().unwrap_or(Timestamp::MIN);
-        if t.sno != expected || t.start_ts < last_cts {
+        let predates_predecessor = match self.checks.session {
+            SessionPredicate::SnapshotOrder => t.start_ts < last_cts,
+            // Anchors run in commit order, so with sequence numbers in
+            // order the session embeds into commit order by construction.
+            SessionPredicate::CommitOrder => false,
+        };
+        if t.sno != expected || predates_predecessor {
             report.push(Violation::Session {
                 tid: t.tid,
                 sid: t.sid,
@@ -97,17 +123,19 @@ impl SiState {
         self.last_cts.insert(t.sid, t.commit_ts);
     }
 
-    /// Paper lines 2:6–2:22: process the start event — SESSION, INT, EXT,
-    /// and accumulation of the transaction's write set.
-    fn process_start(&mut self, t: &Transaction, report: &mut CheckReport) {
+    /// Paper lines 2:6–2:22: process the anchor event — SESSION, INT, EXT,
+    /// and accumulation of the write set the commit event will publish.
+    fn process_anchor(&mut self, t: &Transaction, report: &mut CheckReport) {
         self.check_session(t, report);
 
-        // Malformed `start > commit` transactions were already reported at
-        // event build time; their commit event precedes this start event,
-        // so registering them as ongoing would leave permanent ghosts.
+        // An Eq. (1)-malformed transaction (`start > commit`, reported at
+        // event build time) is checked but never publishes: its commit
+        // event precedes its start event, so at a start anchor it would
+        // leave permanent `ongoing` ghosts, and at any anchor a version no
+        // well-formed execution produced. Online admission does the same.
         let malformed = t.start_ts > t.commit_ts;
 
-        // Per-transaction scratch state, dropped at the end of the start
+        // Per-transaction scratch state, dropped at the end of the anchor
         // event (the paper gc's `int_val` at commit; since all operations
         // are examined here, the scope can end even earlier).
         let mut int_val: FxHashMap<Key, Snapshot> = FxHashMap::default();
@@ -118,14 +146,20 @@ impl SiState {
             match op {
                 Op::Read { key, value } => match int_val.get(key) {
                     None => {
-                        // External read: must observe the frontier (EXT).
-                        let expect = self.frontier_of(*key);
-                        if *value != expect {
+                        // External read: the frontier always justifies it;
+                        // under `Committed` so does any earlier version
+                        // (or the initial value) — staleness is permitted.
+                        let frontier = self.frontier_of(*key);
+                        let justified = *value == frontier
+                            || (self.checks.ext == ExtPredicate::Committed
+                                && (*value == Snapshot::initial(self.kind)
+                                    || self.committed.contains(&(*key, value.clone()))));
+                        if !justified {
                             report.push(Violation::Ext {
                                 tid: t.tid,
                                 key: *key,
                                 op_index,
-                                expected: expect.clone(),
+                                expected: frontier,
                                 observed: value.clone(),
                             });
                         }
@@ -135,29 +169,24 @@ impl SiState {
                     }
                     Some(cur) => {
                         if value != cur {
-                            let axiom =
-                                classify_mismatch(muts.get(key).map_or(&[][..], |m| m), value);
-                            let v = match axiom {
-                                MismatchAxiom::Int => Violation::Int {
-                                    tid: t.tid,
-                                    key: *key,
-                                    op_index,
-                                    expected: cur.clone(),
-                                    observed: value.clone(),
-                                },
-                                MismatchAxiom::Ext => Violation::Ext {
-                                    tid: t.tid,
-                                    key: *key,
-                                    op_index,
-                                    expected: cur.clone(),
-                                    observed: value.clone(),
-                                },
-                            };
-                            report.push(v);
+                            let (tid, key, expected, observed) =
+                                (t.tid, *key, cur.clone(), value.clone());
+                            let muts = muts.get(&key).map_or(&[][..], |m| m);
+                            report.push(match classify_mismatch(muts, value) {
+                                MismatchAxiom::Int => {
+                                    Violation::Int { tid, key, op_index, expected, observed }
+                                }
+                                MismatchAxiom::Ext => {
+                                    Violation::Ext { tid, key, op_index, expected, observed }
+                                }
+                            });
                         }
                     }
                 },
                 Op::Write { key, mutation } => {
+                    // Base-dependent (list-append) chains fold over the
+                    // frontier base at every level — the convention the
+                    // online `Committed` predicate falls back to.
                     let base = match int_val.get(key) {
                         Some(cur) => cur.clone(),
                         None => self.frontier_of(*key),
@@ -169,7 +198,7 @@ impl SiState {
                         Some((_, snap)) => *snap = newv,
                         None => {
                             write_set.push((*key, newv));
-                            if !malformed {
+                            if self.checks.noconflict && !malformed {
                                 self.ongoing.entry(*key).or_default().push(t.tid);
                             }
                         }
@@ -183,54 +212,43 @@ impl SiState {
         }
     }
 
-    /// Paper lines 2:23–2:33: process the commit event — NOCONFLICT
-    /// (when the level activates it) and frontier publication, then
-    /// release per-transaction state.
-    fn process_commit(&mut self, tid: TxnId, noconflict: bool, report: &mut CheckReport) {
+    /// Paper lines 2:23–2:33: process the commit event — NOCONFLICT (when
+    /// the level activates it) and publication.
+    fn process_commit(&mut self, tid: TxnId, report: &mut CheckReport) {
         let Some(write_set) = self.pending_writes.remove(&tid) else {
-            return; // read-only, malformed, or never started
+            return; // read-only, malformed, or never anchored
         };
         for (key, snap) in write_set {
+            // (`ongoing` has entries only when the level has NOCONFLICT.)
             if let Some(writers) = self.ongoing.get_mut(&key) {
                 if let Some(pos) = writers.iter().position(|&w| w == tid) {
                     writers.swap_remove(pos);
                 }
                 // Anyone still ongoing on this key overlaps us: NOCONFLICT.
                 // The first committer reports, so each conflicting pair is
-                // reported exactly once (paper Example 4). Read Atomic
-                // shares the whole simulation but permits the overlap.
-                if noconflict {
-                    for &other in writers.iter() {
-                        report.push(Violation::NoConflict { key, t1: tid, t2: other });
-                    }
+                // reported exactly once (paper Example 4).
+                for &other in writers.iter() {
+                    report.push(Violation::NoConflict { key, t1: tid, t2: other });
                 }
                 if writers.is_empty() {
                     self.ongoing.remove(&key);
                 }
+            }
+            if self.checks.ext == ExtPredicate::Committed {
+                self.committed.insert((key, snap.clone()));
             }
             self.frontier.insert(key, snap);
         }
     }
 }
 
-/// Check a history against snapshot isolation, consuming it so that
-/// transactions can be freed as soon as they are processed (the GC study of
-/// Figs. 6, 9, 10 depends on this).
-pub fn check_si_consuming(history: History, opts: &ChronosOptions) -> ChronosOutcome {
-    check_snapshot_consuming(history, opts, true)
-}
-
-/// Check a history against Read Atomic — the start-anchored snapshot
-/// simulation of [`check_si_consuming`] with NOCONFLICT disabled
-/// (concurrent writers are permitted; fractured or stale reads are not).
-pub fn check_ra_consuming(history: History, opts: &ChronosOptions) -> ChronosOutcome {
-    check_snapshot_consuming(history, opts, false)
-}
-
-fn check_snapshot_consuming(
+/// Check a history against `level`, consuming it so that transactions can
+/// be freed as soon as they are processed (the GC study of Figs. 6, 9, 10
+/// depends on this).
+pub fn check_consuming(
     history: History,
+    level: IsolationLevel,
     opts: &ChronosOptions,
-    noconflict: bool,
 ) -> ChronosOutcome {
     let mut outcome = ChronosOutcome {
         txns: history.txns.len(),
@@ -239,7 +257,7 @@ fn check_snapshot_consuming(
     };
     let mut report = CheckReport::new();
 
-    // --- sorting stage ---------------------------------------------------
+    // --- sorting stage (plus the level-independent integrity scan) -------
     let sort_start = Stopwatch::start();
     let events = build_events(&history, &mut report);
     let sorting = sort_start.elapsed();
@@ -247,18 +265,24 @@ fn check_snapshot_consuming(
     // --- checking (+ gc) stage -------------------------------------------
     let check_start = Stopwatch::start();
     let mut gc_time = std::time::Duration::ZERO;
-    let kind = history.kind;
+    let checks = level.checks();
+    let anchor_is_start = checks.anchor == ReadAnchor::Start;
+    let mut sim = Simulation::new(history.kind, checks);
     let mut slots: Vec<Option<Transaction>> = history.txns.into_iter().map(Some).collect();
-    let mut commit_done: Vec<bool> = vec![false; slots.len()];
-    let mut state = SiState::new(kind);
+    // Events still to come per transaction; a sweep frees the ones at zero.
+    // (Not "commit seen": a malformed transaction's commit event precedes
+    // its start event, which may still need the operations.)
+    let mut events_left: Vec<u8> = vec![2; slots.len()];
     let mut commits_since_gc = 0usize;
     let mut open_txns = 0usize;
 
     for ev in &events {
         let idx = ev.idx as usize;
-        if ev.is_start() {
+        events_left[idx] -= 1;
+
+        if ev.is_start() == anchor_is_start {
             if let Some(t) = slots[idx].as_ref() {
-                state.process_start(t, &mut report);
+                sim.process_anchor(t, &mut report);
                 open_txns += 1;
                 outcome.peak_open_txns = outcome.peak_open_txns.max(open_txns);
             }
@@ -266,18 +290,20 @@ fn check_snapshot_consuming(
                 // Everything needed later lives in `pending_writes` now.
                 slots[idx] = None;
             }
-        } else {
-            state.process_commit(ev.key.tid, noconflict, &mut report);
-            open_txns = open_txns.saturating_sub(1);
-            commit_done[idx] = true;
-            commits_since_gc += 1;
-            if let GcPolicy::EveryN(n) = opts.gc {
-                if commits_since_gc >= n {
-                    commits_since_gc = 0;
-                    let gc_start = Stopwatch::start();
-                    sweep(&mut slots, &commit_done);
-                    gc_time += gc_start.elapsed();
-                }
+        }
+        if ev.is_start() {
+            continue;
+        }
+
+        sim.process_commit(ev.key.tid, &mut report);
+        open_txns = open_txns.saturating_sub(1);
+        commits_since_gc += 1;
+        if let GcPolicy::EveryN(n) = opts.gc {
+            if commits_since_gc >= n {
+                commits_since_gc = 0;
+                let gc_start = Stopwatch::start();
+                sweep(&mut slots, &events_left);
+                gc_time += gc_start.elapsed();
             }
         }
     }
@@ -292,37 +318,50 @@ fn check_snapshot_consuming(
     outcome
 }
 
-/// One GC sweep: walk the whole transaction table (modelling a heap scan)
-/// and drop every transaction whose commit event has been processed.
-fn sweep(slots: &mut [Option<Transaction>], commit_done: &[bool]) {
-    for (slot, &done) in slots.iter_mut().zip(commit_done) {
-        if done && slot.is_some() {
+/// One GC sweep: walk the whole transaction table (modelling a heap scan,
+/// so frequent sweeps cost more in total, as in the paper) and drop every
+/// transaction both of whose events have been processed.
+fn sweep(slots: &mut [Option<Transaction>], events_left: &[u8]) {
+    for (slot, &left) in slots.iter_mut().zip(events_left) {
+        if left == 0 && slot.is_some() {
             *slot = None;
         }
     }
 }
 
-/// Check a history against snapshot isolation by reference. Clones the
-/// transactions internally; prefer [`check_si_consuming`] for large
-/// histories where the incremental memory release matters.
-pub fn check_si(history: &History, opts: &ChronosOptions) -> ChronosOutcome {
-    check_si_consuming(history.clone(), opts)
+/// Check a history against `level` by reference. Clones the transactions
+/// internally; prefer [`check_consuming`] for large histories where the
+/// incremental memory release matters.
+pub fn check(history: &History, level: IsolationLevel, opts: &ChronosOptions) -> ChronosOutcome {
+    check_consuming(history.clone(), level, opts)
 }
 
-/// Check a history against Read Atomic by reference (see
-/// [`check_ra_consuming`]).
-pub fn check_ra(history: &History, opts: &ChronosOptions) -> ChronosOutcome {
-    check_ra_consuming(history.clone(), opts)
+/// The per-level entry points: [`check`], [`check_consuming`] and a
+/// report-only convenience with `level` filled in.
+macro_rules! level_entry_points {
+    ($($level:ident ($what:literal): $check:ident, $consuming:ident, $report:ident;)*) => {$(
+        #[doc = concat!("Check a history against ", $what, " by reference (see [`check`]).")]
+        pub fn $check(history: &History, opts: &ChronosOptions) -> ChronosOutcome {
+            check(history, IsolationLevel::$level, opts)
+        }
+
+        #[doc = concat!("Check a history against ", $what, ", consuming it (see [`check_consuming`]).")]
+        pub fn $consuming(history: History, opts: &ChronosOptions) -> ChronosOutcome {
+            check_consuming(history, IsolationLevel::$level, opts)
+        }
+
+        #[doc = concat!("Convenience: check against ", $what, " with default options and return only the report.")]
+        pub fn $report(history: &History) -> CheckReport {
+            check(history, IsolationLevel::$level, &ChronosOptions::default()).report
+        }
+    )*};
 }
 
-/// Convenience: check with default options and return only the report.
-pub fn check_si_report(history: &History) -> CheckReport {
-    check_si(history, &ChronosOptions::default()).report
-}
-
-/// Convenience: RA-check with default options and return only the report.
-pub fn check_ra_report(history: &History) -> CheckReport {
-    check_ra(history, &ChronosOptions::default()).report
+level_entry_points! {
+    ReadCommitted("read committed"): check_rc, check_rc_consuming, check_rc_report;
+    ReadAtomic("Read Atomic"): check_ra, check_ra_consuming, check_ra_report;
+    Si("snapshot isolation"): check_si, check_si_consuming, check_si_report;
+    Ser("serializability"): check_ser, check_ser_consuming, check_ser_report;
 }
 
 #[cfg(test)]
@@ -598,15 +637,39 @@ mod tests {
 
     #[test]
     fn gc_policies_do_not_change_verdict() {
-        let h = kv(vec![
-            TxnBuilder::new(1).session(0, 0).interval(1, 4).put(Key(1), Value(1)).build(),
-            TxnBuilder::new(2).session(1, 0).interval(2, 5).put(Key(1), Value(2)).build(),
-            TxnBuilder::new(3).session(2, 0).interval(6, 7).read(Key(1), Value(2)).build(),
-        ]);
-        let base = check_si(&h, &ChronosOptions::with_gc(GcPolicy::Never)).report;
-        for gc in [GcPolicy::Fast, GcPolicy::EveryN(1), GcPolicy::EveryN(2)] {
-            let r = check_si(&h, &ChronosOptions::with_gc(gc)).report;
-            assert_eq!(r.violations, base.violations, "gc {gc:?}");
+        use IsolationLevel::{ReadCommitted, Ser, Si};
+        let x = Key(1);
+        let w = |tid, sid, s, c, v| {
+            TxnBuilder::new(tid).session(sid, 0).interval(s, c).put(x, Value(v)).build()
+        };
+        let r = |tid, sid, s, c, v| {
+            TxnBuilder::new(tid).session(sid, 0).interval(s, c).read(x, Value(v)).build()
+        };
+        // Each history with one (level, axiom) it must be flagged for.
+        let cases = [
+            // Overlapping writers, then a frontier read.
+            (vec![w(1, 0, 1, 4, 1), w(2, 1, 2, 5, 2), r(3, 2, 6, 7, 2)], Si, AxiomKind::NoConflict),
+            // A value nobody committed.
+            (vec![w(1, 0, 1, 2, 1), r(2, 1, 3, 4, 9)], ReadCommitted, AxiomKind::Ext),
+            // A read of the snapshot a concurrent writer replaced.
+            (vec![w(0, 0, 1, 2, 1), w(1, 1, 3, 6, 2), r(2, 2, 4, 7, 1)], Ser, AxiomKind::Ext),
+            // An Eq. (1)-malformed reader: its commit event precedes its
+            // start event, which must still find the operations after a
+            // sweep ran in between.
+            (vec![w(1, 0, 1, 2, 1), r(2, 1, 9, 3, 7), w(3, 2, 4, 5, 2)], Si, AxiomKind::Ext),
+        ];
+        for (txns, flagged_at, axiom) in cases {
+            let h = kv(txns);
+            for &level in IsolationLevel::ALL {
+                let base = check(&h, level, &ChronosOptions::with_gc(GcPolicy::Never)).report;
+                if level == flagged_at {
+                    assert_eq!(base.count(axiom), 1, "{level}: {base}");
+                }
+                for gc in [GcPolicy::Fast, GcPolicy::EveryN(1), GcPolicy::EveryN(2)] {
+                    let r = check(&h, level, &ChronosOptions::with_gc(gc)).report;
+                    assert_eq!(r.violations, base.violations, "{level}, {gc:?}");
+                }
+            }
         }
     }
 
@@ -640,5 +703,49 @@ mod tests {
         ]);
         let out = check_si(&h, &ChronosOptions::default());
         assert_eq!(out.peak_open_txns, 3);
+        // A commit-anchored level runs each transaction whole at its
+        // commit event: never more than one open.
+        for &level in IsolationLevel::ALL {
+            let expected = match level.checks().anchor {
+                ReadAnchor::Start => 3,
+                ReadAnchor::Commit => 1,
+            };
+            let out = check(&h, level, &ChronosOptions::default());
+            assert_eq!(out.peak_open_txns, expected, "{level}");
+        }
+    }
+
+    /// One hot key with a long version chain: every reader observes a
+    /// version from half-way back — stale, so EXT at SI, but committed, so
+    /// legal at RC — and a last reader a value nobody wrote.
+    #[test]
+    fn single_hot_key_membership_under_rc() {
+        let x = Key(1);
+        let mut txns = Vec::new();
+        for i in 0..20_000u64 {
+            let (ts, sno) = (4 * i + 1, i as u32);
+            txns.push(
+                TxnBuilder::new(2 * i).session(0, sno).interval(ts, ts + 1).put(x, Value(i + 1)),
+            );
+            txns.push(
+                TxnBuilder::new(2 * i + 1)
+                    .session(1, sno)
+                    .interval(ts + 2, ts + 3)
+                    .read(x, Value(i / 2 + 1)),
+            );
+        }
+        let mut h = kv(txns.into_iter().map(TxnBuilder::build).collect());
+        assert!(check_rc(&h, &ChronosOptions::default()).is_ok());
+        assert_eq!(check_si_report(&h).count(AxiomKind::Ext), 19_999, "all but reader 0 are stale");
+
+        let reader = |tid: u64, sid, v| {
+            let ts = 2 * tid + 1;
+            TxnBuilder::new(tid).session(sid, 0).interval(ts, ts + 1).read(x, Value(v)).build()
+        };
+        h.push(reader(40_000, 2, 0));
+        h.push(reader(40_001, 3, 77_777));
+        let out = check_rc(&h, &ChronosOptions::default());
+        assert_eq!(out.report.len(), 1, "the initial value is a member, 77777 is not");
+        assert!(matches!(out.report.violations[0], Violation::Ext { tid: TxnId(40_001), .. }));
     }
 }

@@ -1,19 +1,20 @@
 //! # aion-core — CHRONOS
 //!
-//! Offline timestamp-based isolation checkers from the paper *"Online
+//! The offline timestamp-based isolation checker from the paper *"Online
 //! Timestamp-based Transactional Isolation Checking of Database Systems"*
-//! (ICDE 2025):
+//! (ICDE 2025): one simulation ([`chronos::check`], paper Algorithm 2,
+//! `O(N log N + M)`) driven by the predicate set of the level being
+//! checked ([`aion_types::IsolationLevel::checks`]):
 //!
-//! * [`chronos::check_si`] — snapshot isolation (paper Algorithm 2),
-//!   `O(N log N + M)`;
-//! * [`chronos::check_ra`] — Read Atomic (the SI simulation with
-//!   NOCONFLICT disabled: fractured reads forbidden, concurrent
-//!   writers permitted);
-//! * [`chronos_ser::check_ser`] — serializability under commit-timestamp
-//!   arbitration (paper §VI-A);
-//! * [`chronos_rc::check_rc`] — read committed (membership over the
-//!   full per-key version chain: stale reads pass, phantom /
-//!   intermediate / future reads do not);
+//! * [`check_si`] — snapshot isolation: start-anchored frontier reads
+//!   plus NOCONFLICT;
+//! * [`check_ra`] — Read Atomic: the same with NOCONFLICT disabled
+//!   (fractured reads forbidden, concurrent writers permitted);
+//! * [`check_ser`] — serializability under commit-timestamp arbitration
+//!   (paper §VI-A): the read anchor moves to the commit event;
+//! * [`check_rc`] — read committed: commit-anchored membership over every
+//!   published version (stale reads pass, phantom / intermediate / future
+//!   reads do not);
 //! * GC policies ([`gc::GcPolicy`]) and stage timing instrumentation
 //!   ([`report::StageTimings`]) matching the paper's runtime decomposition
 //!   experiments.
@@ -34,19 +35,237 @@
 #![warn(rust_2018_idioms)]
 
 pub mod chronos;
-pub mod chronos_rc;
-pub mod chronos_ser;
 pub mod event;
 pub mod gc;
 pub mod report;
 pub mod session;
 
 pub use chronos::{
-    check_ra, check_ra_consuming, check_ra_report, check_si, check_si_consuming, check_si_report,
-    ChronosOptions,
+    check, check_consuming, check_ra, check_ra_consuming, check_ra_report, check_rc,
+    check_rc_consuming, check_rc_report, check_ser, check_ser_consuming, check_ser_report,
+    check_si, check_si_consuming, check_si_report, ChronosOptions,
 };
-pub use chronos_rc::{check_rc, check_rc_consuming, check_rc_report, ChronosRcOptions};
-pub use chronos_ser::{check_ser, check_ser_consuming, check_ser_report, ChronosSerOptions};
 pub use gc::GcPolicy;
 pub use report::{ChronosOutcome, StageTimings};
 pub use session::ChronosChecker;
+
+// The RC- and SER-specific unit tests of `chronos::check`. They sit at the
+// crate root, not in `chronos::tests`, because the tier-1 floor names tests
+// by module path and these two paths date from when each level was a file.
+#[cfg(test)]
+mod chronos_rc {
+    mod tests {
+        use crate::{check_rc, check_ser, check_si, ChronosOptions};
+        use aion_types::{AxiomKind, DataKind, History, Key, Transaction, TxnBuilder, Value};
+
+        fn kv(txns: Vec<Transaction>) -> History {
+            History { kind: DataKind::Kv, txns }
+        }
+
+        #[test]
+        fn stale_committed_reads_pass_under_rc() {
+            // Figure 11's stale read: EXT under SI/SER, legal under RC.
+            let x = Key(1);
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 2).put(x, Value(1)).build(),
+                TxnBuilder::new(2).session(1, 0).interval(3, 4).put(x, Value(2)).build(),
+                TxnBuilder::new(3).session(2, 0).interval(5, 6).read(x, Value(1)).build(),
+            ]);
+            assert!(check_rc(&h, &ChronosOptions::default()).is_ok());
+            assert!(!check_ser(&h, &ChronosOptions::default()).is_ok());
+        }
+
+        #[test]
+        fn phantom_and_future_reads_fail_under_rc() {
+            // A value nobody committed (G1a shape).
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 2).put(Key(1), Value(7)).build(),
+                TxnBuilder::new(2).session(1, 0).interval(3, 4).read(Key(1), Value(9)).build(),
+            ]);
+            let out = check_rc(&h, &ChronosOptions::default());
+            assert_eq!(out.report.count(AxiomKind::Ext), 1, "{}", out.report);
+            // A version committed after the reader (future read): the
+            // membership set at the reader's commit point does not hold it.
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 2).read(Key(1), Value(5)).build(),
+                TxnBuilder::new(2).session(1, 0).interval(3, 4).put(Key(1), Value(5)).build(),
+            ]);
+            let out = check_rc(&h, &ChronosOptions::default());
+            assert_eq!(out.report.count(AxiomKind::Ext), 1, "{}", out.report);
+        }
+
+        #[test]
+        fn int_and_session_and_integrity_still_checked() {
+            let h = kv(vec![TxnBuilder::new(1)
+                .session(0, 0)
+                .interval(1, 2)
+                .put(Key(1), Value(5))
+                .read(Key(1), Value(9))
+                .build()]);
+            assert_eq!(check_rc(&h, &ChronosOptions::default()).report.count(AxiomKind::Int), 1);
+
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 2).build(),
+                TxnBuilder::new(2).session(0, 2).interval(3, 4).build(), // sno gap
+            ]);
+            assert_eq!(
+                check_rc(&h, &ChronosOptions::default()).report.count(AxiomKind::Session),
+                1
+            );
+
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 5).build(),
+                TxnBuilder::new(2).session(1, 0).interval(1, 7).build(), // ts collision
+            ]);
+            assert_eq!(
+                check_rc(&h, &ChronosOptions::default()).report.count(AxiomKind::Integrity),
+                1
+            );
+        }
+
+        #[test]
+        fn overlapping_writers_pass_under_rc() {
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 4).put(Key(1), Value(1)).build(),
+                TxnBuilder::new(2).session(1, 0).interval(2, 5).put(Key(1), Value(2)).build(),
+                TxnBuilder::new(3).session(2, 0).interval(6, 7).read(Key(1), Value(1)).build(),
+            ]);
+            // SI: NOCONFLICT; RC: both writers fine, the stale read fine.
+            assert!(!check_si(&h, &ChronosOptions::default()).is_ok());
+            assert!(check_rc(&h, &ChronosOptions::default()).is_ok());
+        }
+
+        #[test]
+        fn intermediate_values_are_not_members() {
+            // Writer puts 5 then 6; only 6 is a committed version. A read
+            // of 5 is a G1b intermediate read — EXT under RC.
+            let h = kv(vec![
+                TxnBuilder::new(1)
+                    .session(0, 0)
+                    .interval(1, 2)
+                    .put(Key(1), Value(5))
+                    .put(Key(1), Value(6))
+                    .build(),
+                TxnBuilder::new(2).session(1, 0).interval(3, 4).read(Key(1), Value(5)).build(),
+            ]);
+            let out = check_rc(&h, &ChronosOptions::default());
+            assert_eq!(out.report.count(AxiomKind::Ext), 1, "{}", out.report);
+        }
+    }
+}
+
+#[cfg(test)]
+mod chronos_ser {
+    mod tests {
+        use crate::{check_ser, check_si, ChronosOptions};
+        use aion_types::{
+            AxiomKind, DataKind, History, Key, Transaction, TxnBuilder, Value, Violation,
+        };
+
+        fn kv(txns: Vec<Transaction>) -> History {
+            History { kind: DataKind::Kv, txns }
+        }
+
+        #[test]
+        fn serial_history_passes() {
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 2).put(Key(1), Value(1)).build(),
+                TxnBuilder::new(2)
+                    .session(0, 1)
+                    .interval(3, 4)
+                    .read(Key(1), Value(1))
+                    .put(Key(1), Value(2))
+                    .build(),
+                TxnBuilder::new(3).session(1, 0).interval(5, 6).read(Key(1), Value(2)).build(),
+            ]);
+            let out = check_ser(&h, &ChronosOptions::default());
+            assert!(out.is_ok(), "{}", out.report);
+        }
+
+        #[test]
+        fn si_read_skew_flagged_under_ser() {
+            // T2 overlaps T1 and reads the pre-T1 snapshot: fine under SI,
+            // an EXT violation under commit-order serializability.
+            let h = kv(vec![
+                TxnBuilder::new(0).session(0, 0).interval(1, 2).put(Key(1), Value(1)).build(),
+                TxnBuilder::new(1).session(1, 0).interval(3, 6).put(Key(1), Value(2)).build(),
+                TxnBuilder::new(2).session(2, 0).interval(4, 7).read(Key(1), Value(1)).build(),
+            ]);
+            let si = check_si(&h, &ChronosOptions::default());
+            assert!(si.is_ok(), "SI should accept: {}", si.report);
+            let ser = check_ser(&h, &ChronosOptions::default());
+            assert_eq!(ser.report.count(AxiomKind::Ext), 1, "{}", ser.report);
+        }
+
+        #[test]
+        fn ser_ignores_write_write_overlap_when_reads_consistent() {
+            // Two overlapping blind writers: SI's NOCONFLICT rejects, but under
+            // SER (commit-order execution) the final state is consistent.
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 4).put(Key(1), Value(1)).build(),
+                TxnBuilder::new(2).session(1, 0).interval(2, 5).put(Key(1), Value(2)).build(),
+                TxnBuilder::new(3).session(2, 0).interval(6, 7).read(Key(1), Value(2)).build(),
+            ]);
+            assert!(!check_si(&h, &ChronosOptions::default()).is_ok());
+            assert!(check_ser(&h, &ChronosOptions::default()).is_ok());
+        }
+
+        #[test]
+        fn session_order_must_match_commit_order() {
+            // Session 0's second transaction commits before its first.
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 10).put(Key(1), Value(1)).build(),
+                TxnBuilder::new(2).session(0, 1).interval(2, 5).put(Key(2), Value(1)).build(),
+            ]);
+            let out = check_ser(&h, &ChronosOptions::default());
+            assert!(out.report.count(AxiomKind::Session) >= 1, "{}", out.report);
+        }
+
+        #[test]
+        fn int_checked_under_ser() {
+            let h = kv(vec![TxnBuilder::new(1)
+                .session(0, 0)
+                .interval(1, 2)
+                .put(Key(1), Value(5))
+                .read(Key(1), Value(9))
+                .build()]);
+            let out = check_ser(&h, &ChronosOptions::default());
+            assert_eq!(out.report.count(AxiomKind::Int), 1);
+        }
+
+        #[test]
+        fn duplicate_commit_ts_reported() {
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 5).build(),
+                TxnBuilder::new(2).session(1, 0).interval(2, 5).build(),
+            ]);
+            let out = check_ser(&h, &ChronosOptions::default());
+            assert_eq!(out.report.count(AxiomKind::Integrity), 1);
+        }
+
+        #[test]
+        fn duplicate_start_ts_reported_under_ser() {
+            // SER ignores start timestamps for visibility, but a start
+            // colliding with another transaction's timestamp is still a
+            // collection-integrity break — AION-SER reports it, and the
+            // conformance matrix caught CHRONOS-SER silently accepting it.
+            let h = kv(vec![
+                TxnBuilder::new(1).session(0, 0).interval(1, 5).build(),
+                TxnBuilder::new(2).session(1, 0).interval(1, 7).build(),
+            ]);
+            let out = check_ser(&h, &ChronosOptions::default());
+            assert_eq!(out.report.count(AxiomKind::Integrity), 1, "{}", out.report);
+        }
+
+        #[test]
+        fn eq1_malformed_reported_under_ser() {
+            let h = kv(vec![TxnBuilder::new(1).session(0, 0).interval(9, 3).build()]);
+            let out = check_ser(&h, &ChronosOptions::default());
+            assert!(
+                out.report.violations.iter().any(|v| matches!(v, Violation::TimestampOrder { .. })),
+                "{}",
+                out.report
+            );
+        }
+    }
+}

@@ -1,27 +1,24 @@
 //! Offline CHRONOS behind the streaming [`Checker`] trait.
 //!
-//! [`ChronosChecker`] adapts the batch checkers [`check_si`] and
-//! [`check_ser`] to the workspace-wide session API: `feed` buffers
-//! transactions (emitting no events — offline checkers have no
-//! incremental verdicts), `tick` is a no-op, and `finish` runs the whole
-//! check and converts the [`ChronosOutcome`] into the uniform
-//! [`aion_types::Outcome`]. This is what lets `run_plan`, the benches
-//! and the examples replay one arrival plan through AION and CHRONOS
-//! interchangeably and compare verdicts.
+//! [`ChronosChecker`] adapts the batch checker [`check`] to the
+//! workspace-wide session API: `feed` buffers transactions (emitting no
+//! events — offline checkers have no incremental verdicts), `tick` is a
+//! no-op, and `finish` runs the whole check and converts the
+//! [`ChronosOutcome`] into the uniform [`aion_types::Outcome`]. This is
+//! what lets `run_plan`, the experiments and the examples replay one
+//! arrival plan through AION and CHRONOS interchangeably and compare
+//! verdicts.
 //!
-//! [`check_si`]: crate::chronos::check_si
-//! [`check_ser`]: crate::chronos_ser::check_ser
+//! [`check`]: crate::chronos::check
 //! [`ChronosOutcome`]: crate::report::ChronosOutcome
 
-use crate::chronos::{check_ra_consuming, check_si_consuming, ChronosOptions};
-use crate::chronos_rc::check_rc_consuming;
-use crate::chronos_ser::check_ser_consuming;
+use crate::chronos::{check_consuming, ChronosOptions};
 use aion_types::check::{CheckEvent, Checker, Outcome};
 use aion_types::{DataKind, History, IsolationLevel, Transaction};
 
 /// An offline CHRONOS checking session: buffers the stream, checks at
 /// [`finish`](Checker::finish) against any built-in [`IsolationLevel`]
-/// (RC, RA, SI, SER — each dispatching to its batch twin).
+/// (RC, RA, SI, SER).
 ///
 /// ```
 /// use aion_core::{ChronosChecker, ChronosOptions};
@@ -99,15 +96,7 @@ impl Checker for ChronosChecker {
 
     fn finish(self) -> Outcome {
         let name = self.name();
-        let out = match self.level {
-            IsolationLevel::ReadCommitted => check_rc_consuming(self.history, &self.opts),
-            IsolationLevel::ReadAtomic => check_ra_consuming(self.history, &self.opts),
-            IsolationLevel::Si => check_si_consuming(self.history, &self.opts),
-            IsolationLevel::Ser => check_ser_consuming(self.history, &self.opts),
-            // A level added to the lattice without a CHRONOS twin yet:
-            // a typed refusal, never a silently-wrong verdict.
-            level => return Outcome::unsupported(name, level, self.history.len()),
-        };
+        let out = check_consuming(self.history, self.level, &self.opts);
         Outcome::new(name, out.report, out.txns)
     }
 }

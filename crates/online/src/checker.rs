@@ -34,20 +34,18 @@
 use crate::index::{KeyEventIndex, OngoingIndex, ReadRef};
 use crate::membership::MembershipIndex;
 use crate::spill::{SpillEntry, SpillStore};
-use crate::stats::{AionStats, FlipTracker};
+use crate::stats::FlipTracker;
 use aion_types::{
-    base_independent, classify_mismatch, expected_read, CheckEvent, CheckReport, Checker, DataKind,
-    EventKey, ExtPredicate, FxHashMap, FxHashSet, IsolationLevel, Key, LevelPolicy, MismatchAxiom,
-    Mutation, Op, Outcome, ReadAnchor, SessionId, SessionPredicate, ShardConfig, Snapshot,
-    Timestamp, Transaction, TxnId, Violation,
+    base_independent, classify_mismatch, expected_read, CheckEvent, CheckReport, Checker,
+    CheckerStats, DataKind, EventKey, ExtPredicate, FxHashMap, FxHashSet, IsolationLevel, Key,
+    LevelPolicy, MismatchAxiom, Mutation, Op, Outcome, ReadAnchor, SessionId, SessionPredicate,
+    ShardConfig, Snapshot, Timestamp, Transaction, TxnId, Violation,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 
 use crate::versioned::VersionedMap;
-#[allow(deprecated)] // compatibility re-export, see `aion_types::check::Mode`
-pub use aion_types::check::Mode;
 
 /// Online garbage-collection policy (paper Fig. 12's three strategies).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -236,12 +234,6 @@ impl OnlineCheckerBuilder {
         self
     }
 
-    /// Pre-lattice spelling of [`level`](Self::level).
-    #[deprecated(since = "0.6.0", note = "renamed to `level` (or `levels` for mixed policies)")]
-    pub fn mode(self, mode: IsolationLevel) -> Self {
-        self.level(mode)
-    }
-
     /// EXT finalization timeout in virtual milliseconds (default: the
     /// paper's conservative 5 s).
     pub fn ext_timeout_ms(mut self, ms: u64) -> Self {
@@ -391,7 +383,7 @@ pub(crate) fn anchor_event(txn: &Transaction, level: IsolationLevel) -> EventKey
 }
 
 /// The outcome of an online checking session — the workspace-uniform
-/// [`Outcome`], carrying the report plus [`AionStats`] and flip-flop
+/// [`Outcome`], carrying the report plus [`CheckerStats`] and flip-flop
 /// statistics (§VI-C).
 pub type AionOutcome = Outcome;
 
@@ -545,7 +537,7 @@ pub struct OnlineChecker {
     pub(crate) now_ms: u64,
     pub(crate) report: CheckReport,
     pub(crate) flips: FlipTracker,
-    pub(crate) stats: AionStats,
+    pub(crate) stats: CheckerStats,
     /// Events produced since the last `receive`/`tick` returned.
     pub(crate) events: Vec<CheckEvent>,
 }
@@ -597,7 +589,7 @@ impl OnlineChecker {
             now_ms: 0,
             report: CheckReport::new(),
             flips,
-            stats: AionStats::default(),
+            stats: CheckerStats::default(),
             events: Vec::new(),
         })
     }
@@ -636,20 +628,6 @@ impl OnlineChecker {
     /// Hand the caller everything emitted since the last call.
     fn take_events(&mut self) -> Vec<CheckEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// An SI checker with default settings.
-    pub fn new_si(kind: DataKind) -> OnlineChecker {
-        OnlineChecker::new(AionConfig { kind, ..AionConfig::default() })
-    }
-
-    /// A SER checker with default settings.
-    pub fn new_ser(kind: DataKind) -> OnlineChecker {
-        OnlineChecker::new(AionConfig {
-            kind,
-            levels: LevelPolicy::Uniform(IsolationLevel::Ser),
-            ..AionConfig::default()
-        })
     }
 
     fn frontier_at(&self, key: Key, at: EventKey) -> Snapshot {
@@ -710,7 +688,7 @@ impl OnlineChecker {
     }
 
     /// Runtime counters so far.
-    pub fn stats(&self) -> AionStats {
+    pub fn stats(&self) -> CheckerStats {
         self.stats
     }
 
@@ -1454,7 +1432,7 @@ mod tests {
     use aion_types::{AxiomKind, TxnBuilder, Value};
 
     fn checker() -> OnlineChecker {
-        OnlineChecker::new_si(DataKind::Kv)
+        OnlineChecker::builder().build().unwrap()
     }
 
     fn t(tid: u64, sid: u32, sno: u32, s: u64, c: u64) -> TxnBuilder {
@@ -1720,7 +1698,7 @@ mod tests {
 
     #[test]
     fn ser_mode_checks_commit_order_visibility() {
-        let mut a = OnlineChecker::new_ser(DataKind::Kv);
+        let mut a = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
         // Overlapping under SI but reads the pre-commit value: an EXT
         // violation under SER.
         a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).build(), 0);
@@ -1733,7 +1711,7 @@ mod tests {
 
     #[test]
     fn ser_mode_out_of_order_justification() {
-        let mut a = OnlineChecker::new_ser(DataKind::Kv);
+        let mut a = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
         // Reader arrives before the writer it read from (commit order:
         // writer at 2, reader at 4).
         a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);

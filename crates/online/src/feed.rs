@@ -320,7 +320,7 @@ mod tests {
     fn run_plan_checks_everything() {
         let h = history(100);
         let plan = feed_plan(&h, &FeedConfig::default());
-        let checker = OnlineChecker::new_si(DataKind::Kv);
+        let checker = OnlineChecker::builder().build().unwrap();
         let r = run_plan(checker, &plan);
         assert_eq!(r.processed, 100);
         assert!(r.outcome.is_ok(), "{}", r.outcome.report);
@@ -375,7 +375,7 @@ mod tests {
         let mut h = History::new(DataKind::Kv);
         h.push(TxnBuilder::new(1).session(0, 0).interval(1, 2).read(Key(1), Value(9)).build());
         let plan: Vec<Arrival> = h.txns.iter().map(|t| (0u64, t.clone())).collect();
-        let r = run_plan(OnlineChecker::new_si(DataKind::Kv), &plan);
+        let r = run_plan(OnlineChecker::builder().build().unwrap(), &plan);
         assert_eq!(r.outcome.report.len(), 1);
         assert_eq!(r.violation_events(), 1, "timeline must carry the drained violation");
         assert_eq!(r.finalization_events(), 1);

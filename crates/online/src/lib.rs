@@ -11,7 +11,7 @@
 //! use aion_online::{OnlineChecker, feed::{feed_plan, run_plan, FeedConfig}};
 //! use aion_types::{DataKind, Key, TxnBuilder, Value};
 //!
-//! let mut checker = OnlineChecker::new_si(DataKind::Kv);
+//! let mut checker = OnlineChecker::builder().kind(DataKind::Kv).build().expect("config");
 //! checker.receive(
 //!     TxnBuilder::new(1).session(0, 0).interval(1, 2).put(Key(1), Value(7)).build(), 0);
 //! checker.receive(
@@ -37,8 +37,6 @@ pub mod versioned;
 
 pub use aion_types::check::{CheckEvent, Checker, Outcome, ShardConfig};
 pub use aion_types::{IsolationLevel, LevelPolicy};
-#[allow(deprecated)] // compatibility re-export, see `aion_types::check::Mode`
-pub use checker::Mode;
 pub use checker::{
     AionConfig, AionOutcome, ConfigError, OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy,
 };
@@ -49,6 +47,6 @@ pub use feed::{
 pub use membership::MembershipIndex;
 pub use sharded::ShardedChecker;
 pub use spill::{SpillEntry, SpillFaultPlan, SpillStore};
-pub use stats::{AionStats, FlipSummary};
+pub use stats::FlipSummary;
 pub use transport::{SimSchedule, SimStats};
 pub use versioned::VersionedMap;

@@ -69,7 +69,7 @@ use crate::transport::{
 };
 use aion_types::codec::{get_varint, put_varint, CodecError};
 use aion_types::snapshot::{
-    get_report, get_snapshot_header_versioned, put_report, put_snapshot_header, SnapshotError,
+    get_report, get_snapshot_header, put_report, put_snapshot_header, SnapshotError,
     SNAPSHOT_KIND_SHARDED,
 };
 use aion_types::{
@@ -712,7 +712,7 @@ struct SharedParse {
 impl SharedParse {
     fn read(bytes: &[u8]) -> Result<(SharedParse, Vec<OnlineChecker>), SnapshotError> {
         let mut slice = bytes;
-        let (version, kind) = get_snapshot_header_versioned(&mut slice)?;
+        let kind = get_snapshot_header(&mut slice)?;
         if kind != SNAPSHOT_KIND_SHARDED {
             return Err(SnapshotError::WrongKind { expected: SNAPSHOT_KIND_SHARDED, found: kind });
         }
@@ -729,7 +729,7 @@ impl SharedParse {
             }
             let (body, rest) = slice.split_at(len);
             let mut body_slice = body;
-            let ck = OnlineChecker::read_snapshot_body(&mut body_slice, version, None)?;
+            let ck = OnlineChecker::read_snapshot_body(&mut body_slice, None)?;
             if !body_slice.is_empty() {
                 return Err(SnapshotError::Corrupt(
                     "trailing bytes after a worker snapshot body".into(),
@@ -1051,7 +1051,7 @@ impl Checker for ShardedChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aion_types::{AxiomKind, DataKind, IsolationLevel, Key, TxnBuilder, Value};
+    use aion_types::{AxiomKind, IsolationLevel, Key, TxnBuilder, Value};
 
     fn t(tid: u64, sid: u32, sno: u32, s: u64, c: u64) -> TxnBuilder {
         TxnBuilder::new(tid).session(sid, sno).interval(s, c)
@@ -1157,7 +1157,7 @@ mod tests {
 
     #[test]
     fn one_shard_degenerates_to_single_checker_behaviour() {
-        let mut single = OnlineChecker::new_si(DataKind::Kv);
+        let mut single = OnlineChecker::builder().build().unwrap();
         let mut sharded = sharded(1);
         let txns = vec![
             t(1, 0, 0, 1, 2).put(Key(1), Value(1)).build(),

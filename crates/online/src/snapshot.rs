@@ -38,9 +38,9 @@ use crate::spill::{decode_segment, SegmentExport};
 use crate::stats::FlipTracker;
 use aion_types::codec::{self, get_varint, put_varint, CodecError};
 use aion_types::snapshot::{
-    get_bool, get_check_event, get_opt_varint, get_report, get_snapshot_header_versioned,
-    get_stats, get_string, put_bool, put_check_event, put_opt_varint, put_report,
-    put_snapshot_header, put_stats, put_string, SnapshotError, SNAPSHOT_KIND_SINGLE,
+    get_bool, get_check_event, get_opt_varint, get_report, get_snapshot_header, get_stats,
+    get_string, put_bool, put_check_event, put_opt_varint, put_report, put_snapshot_header,
+    put_stats, put_string, SnapshotError, SNAPSHOT_KIND_SINGLE,
 };
 use aion_types::{
     CheckEvent, DataKind, EventKey, EventKind, IsolationLevel, Key, LevelPolicy, Mutation,
@@ -485,11 +485,11 @@ impl OnlineChecker {
         spill_override: Option<Option<PathBuf>>,
     ) -> Result<OnlineChecker, SnapshotError> {
         let mut slice = bytes;
-        let (version, kind) = get_snapshot_header_versioned(&mut slice)?;
+        let kind = get_snapshot_header(&mut slice)?;
         if kind != SNAPSHOT_KIND_SINGLE {
             return Err(SnapshotError::WrongKind { expected: SNAPSHOT_KIND_SINGLE, found: kind });
         }
-        let ck = Self::read_snapshot_body(&mut slice, version, spill_override)?;
+        let ck = Self::read_snapshot_body(&mut slice, spill_override)?;
         if !slice.is_empty() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after checkpoint body",
@@ -617,11 +617,8 @@ impl OnlineChecker {
     }
 
     /// Body reader shared by the single and the sharded restore.
-    /// `version` is the envelope schema version (already validated to be
-    /// in the supported range); v2 bodies end at the spill segments.
     pub(crate) fn read_snapshot_body(
         buf: &mut &[u8],
-        version: u8,
         spill_override: Option<Option<PathBuf>>,
     ) -> Result<OnlineChecker, SnapshotError> {
         let mut cfg = get_config(buf)?;
@@ -716,25 +713,13 @@ impl OnlineChecker {
         }
         ck.spill.import_segments(segments)?;
 
-        if version >= 3 {
-            for _ in 0..get_varint(buf)? {
-                let k = Key(get_varint(buf)?);
-                let e = get_event_key(buf)?;
-                let s = codec::get_snapshot(buf)?;
-                ck.membership.record(k, e, &s, None);
-            }
-            ck.reload_floor = Timestamp(get_varint(buf)?);
-        } else if ck.has_committed_ext {
-            // v2 body: rebuild the summaries from the frontier. Exact,
-            // because v2 writers latched the frontier against pruning
-            // whenever committed-EXT readers were possible, so every
-            // committed version is still in it.
-            let versions: Vec<(Key, EventKey, aion_types::Snapshot)> =
-                ck.frontier.iter().map(|(k, e, s)| (k, e, s.clone())).collect();
-            for (k, e, s) in versions {
-                ck.membership.record(k, e, &s, None);
-            }
+        for _ in 0..get_varint(buf)? {
+            let k = Key(get_varint(buf)?);
+            let e = get_event_key(buf)?;
+            let s = codec::get_snapshot(buf)?;
+            ck.membership.record(k, e, &s, None);
         }
+        ck.reload_floor = Timestamp(get_varint(buf)?);
         Ok(ck)
     }
 }
@@ -805,51 +790,17 @@ mod tests {
         assert!(matches!(OnlineChecker::restore(&trailing), Err(SnapshotError::Corrupt(_))));
     }
 
-    /// A v2 writer latched the frontier against pruning whenever
-    /// committed-EXT readers were possible, so a v2 body is exactly a v3
-    /// body minus the membership tail. Craft one by stripping the tail
-    /// off a v3 snapshot and patching the version byte: restore must
-    /// rebuild identical summaries from the retained frontier and keep
-    /// checking identically.
+    /// Version 2 (no membership tail) aged out of the restorable range:
+    /// its version byte is refused before any of the body is parsed.
     #[test]
-    fn v2_snapshot_without_membership_tail_still_restores() {
-        let mut ck = OnlineChecker::builder().level(IsolationLevel::ReadCommitted).build().unwrap();
-        for i in 0..10u64 {
-            ck.feed(
-                t(i + 1, 0, i as u32, 10 * i + 1, 10 * i + 2).put(Key(i % 3), Value(i)).build(),
-                i,
-            );
-        }
-        let snap = ck.checkpoint().unwrap();
-        assert!(!ck.membership.is_empty(), "the test needs live summaries");
-
-        // Re-encode the v3 tail with the same codec to learn its length.
-        let mut tail = BytesMut::new();
-        let entries = ck.membership.sorted_entries();
-        put_varint(&mut tail, entries.len() as u64);
-        for (k, e, s) in entries {
-            put_varint(&mut tail, k.0);
-            put_event_key(&mut tail, e);
-            codec::put_snapshot(&mut tail, s);
-        }
-        put_varint(&mut tail, ck.reload_floor.0);
-
-        let mut v2 = snap[..snap.len() - tail.len()].to_vec();
-        assert_eq!(v2[8], 3, "version byte lives after the 8-byte magic");
-        v2[8] = 2;
-        let mut back = OnlineChecker::restore(&v2).unwrap();
-        assert_eq!(
-            back.membership.sorted_entries(),
-            ck.membership.sorted_entries(),
-            "v2 restore rebuilds the summaries from the retained frontier"
-        );
-        // The restored session answers stale committed RC reads like the
-        // uninterrupted one.
-        let stale = || t(100, 1, 0, 200, 201).read(Key(0), Value(0)).build();
-        assert_eq!(ck.feed(stale(), 100), back.feed(stale(), 100));
-        let (oa, ob) = (ck.finish(), back.finish());
-        assert_eq!(oa.report.violations, ob.report.violations);
-        assert!(oa.is_ok(), "stale committed reads are RC-legal: {}", oa.report);
+    fn v2_snapshot_is_rejected_as_unsupported() {
+        let mut snap = busy_checker().checkpoint().unwrap();
+        assert_eq!(snap[8], 3, "version byte lives after the 8-byte magic");
+        snap[8] = 2;
+        assert!(matches!(
+            OnlineChecker::restore(&snap),
+            Err(SnapshotError::UnsupportedVersion { found: 2 })
+        ));
     }
 
     /// A hostile snapshot carrying a zero flip count used to restore

@@ -15,10 +15,6 @@ use aion_types::{FxHashMap, FxHashSet, Key, TxnId};
 
 pub use aion_types::check::{CheckerStats, FlipSummary};
 
-/// Historical name for the online checker's runtime counters, now the
-/// workspace-wide [`CheckerStats`].
-pub type AionStats = CheckerStats;
-
 /// Collects flip-flop events.
 ///
 /// Fields are `pub(crate)` for the checkpoint codec ([`crate::snapshot`]),

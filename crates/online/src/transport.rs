@@ -8,8 +8,7 @@
 //!   per shard, fed over crossbeam channels, exactly the pre-seam
 //!   behaviour (and the same code path: the coordinator's calls compile
 //!   to the same sends/recvs as before, so the abstraction costs one
-//!   virtual dispatch per *message*, not per operation — pinned by the
-//!   `dst-overhead` rows in `BENCH_aion.json`).
+//!   virtual dispatch per *message*, not per operation).
 //! * `SimTransport` — a single-threaded deterministic simulator used
 //!   by the `aion-dst` harness: workers run inline, delivery of commands
 //!   and replies is interleaved, delayed and (for droppable clock

@@ -40,16 +40,6 @@ use crate::level::IsolationLevel;
 use crate::txn::Transaction;
 use crate::violation::{CheckReport, Violation};
 
-/// Pre-lattice name of [`IsolationLevel`], kept so pre-PR-5 callers
-/// (`Mode::Si`, `builder().mode(Mode::Ser)`) still compile. The alias
-/// resolves to the full four-level lattice; exhaustive `match`es must
-/// grow a wildcard arm.
-#[deprecated(
-    since = "0.6.0",
-    note = "renamed to `aion_types::IsolationLevel`; the two-variant era is over"
-)]
-pub type Mode = IsolationLevel;
-
 /// One incremental observation from a streaming checking session.
 ///
 /// Returned by [`Checker::feed`] and [`Checker::tick`] in the order the
@@ -483,17 +473,6 @@ mod tests {
             commit_ts: Timestamp(1),
         });
         assert!(v.is_violation());
-    }
-
-    /// Pre-PR-5 source compatibility: the deprecated `Mode` alias still
-    /// resolves, constructs, and labels.
-    #[test]
-    #[allow(deprecated)]
-    fn mode_alias_stays_source_compatible() {
-        assert_eq!(Mode::Si.label(), "si");
-        assert_eq!(Mode::Ser.label(), "ser");
-        assert_eq!(Mode::default(), Mode::Si);
-        assert_eq!(Mode::Si, IsolationLevel::Si);
     }
 
     #[test]

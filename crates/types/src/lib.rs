@@ -28,8 +28,6 @@ pub mod snapshot;
 mod txn;
 mod violation;
 
-#[allow(deprecated)] // the alias itself is the compatibility surface
-pub use check::Mode;
 pub use check::{CheckEvent, Checker, CheckerStats, FlipSummary, Outcome, ShardConfig, SpillOp};
 pub use clock::{Clock, RealClock, SimClock, Stopwatch};
 pub use fxhash::{FxHashMap, FxHashSet};

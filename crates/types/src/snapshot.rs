@@ -24,13 +24,10 @@
 //! readers reject versions outside
 //! [`SNAPSHOT_VERSION_MIN`]`..=`[`SNAPSHOT_VERSION`] with
 //! [`SnapshotError::UnsupportedVersion`] instead of misparsing. Writers
-//! always emit the current version; readers keep decoding the versions in
-//! that range (the body codecs branch on the version returned by
-//! [`get_snapshot_header_versioned`]), so a daemon upgrade can restore
-//! the checkpoint the previous build left behind. Older versions age out
-//! of the range instead of being migrated in place: checkpoints are
-//! operational artifacts with the lifetime of one stream, not archival
-//! data.
+//! always emit the current version. Older versions age out of the range
+//! instead of being migrated in place — today the range is the current
+//! version alone: checkpoints are operational artifacts with the lifetime
+//! of one stream, not archival data.
 
 use crate::check::{CheckEvent, CheckerStats};
 use crate::codec::{get_varint, put_varint, CodecError};
@@ -49,14 +46,11 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
 /// `SpillError` variant (codec tag 4).
 ///
 /// v3: the single-checker body gained the committed-membership summaries
-/// and the reload floor (appended after the spill segments). A v2 body
-/// restores with the summaries rebuilt from its frontier — exact,
-/// because v2 writers never pruned the frontier under committed-EXT
-/// policies — and the floor at its conservative minimum.
+/// and the reload floor (appended after the spill segments).
 pub const SNAPSHOT_VERSION: u8 = 3;
 
 /// Oldest checkpoint schema version this build still restores.
-pub const SNAPSHOT_VERSION_MIN: u8 = 2;
+pub const SNAPSHOT_VERSION_MIN: u8 = 3;
 
 /// Payload-kind byte: the body is a single `OnlineChecker`.
 pub const SNAPSHOT_KIND_SINGLE: u8 = 0;
@@ -146,19 +140,10 @@ pub fn put_snapshot_header(buf: &mut impl BufMut, kind: u8) {
     buf.put_u8(kind);
 }
 
-/// Validate the checkpoint envelope and return the payload-kind byte.
-///
-/// For callers that only dispatch on the kind; body codecs that must
-/// branch on the schema version use
-/// [`get_snapshot_header_versioned`].
+/// Validate the checkpoint envelope — magic, and a version in
+/// [`SNAPSHOT_VERSION_MIN`]`..=`[`SNAPSHOT_VERSION`] — and return the
+/// payload-kind byte.
 pub fn get_snapshot_header(buf: &mut impl Buf) -> Result<u8, SnapshotError> {
-    get_snapshot_header_versioned(buf).map(|(_, kind)| kind)
-}
-
-/// Validate the checkpoint envelope and return `(version, kind)`, where
-/// the version is guaranteed to lie in
-/// [`SNAPSHOT_VERSION_MIN`]`..=`[`SNAPSHOT_VERSION`].
-pub fn get_snapshot_header_versioned(buf: &mut impl Buf) -> Result<(u8, u8), SnapshotError> {
     if buf.remaining() < SNAPSHOT_MAGIC.len() + 2 {
         return Err(SnapshotError::Codec(CodecError::UnexpectedEof));
     }
@@ -171,7 +156,7 @@ pub fn get_snapshot_header_versioned(buf: &mut impl Buf) -> Result<(u8, u8), Sna
     if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&version) {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    Ok((version, buf.get_u8()))
+    Ok(buf.get_u8())
 }
 
 /// Encode a `bool` as one byte.
@@ -590,20 +575,20 @@ mod tests {
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         ));
 
-        // Every version in the supported range is accepted and reported.
+        // Every version in the supported range is accepted.
         for v in SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION {
             let mut old = buf.to_vec();
             old[8] = v;
             assert_eq!(
-                get_snapshot_header_versioned(&mut &old[..]).unwrap(),
-                (v, SNAPSHOT_KIND_SHARDED),
+                get_snapshot_header(&mut &old[..]).unwrap(),
+                SNAPSHOT_KIND_SHARDED,
                 "version {v} must stay restorable"
             );
         }
         let mut ancient = buf.to_vec();
         ancient[8] = SNAPSHOT_VERSION_MIN - 1;
         assert!(matches!(
-            get_snapshot_header_versioned(&mut &ancient[..]),
+            get_snapshot_header(&mut &ancient[..]),
             Err(SnapshotError::UnsupportedVersion { .. })
         ));
 

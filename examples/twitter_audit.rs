@@ -33,7 +33,10 @@ fn main() {
 
     // Online audit with realistic collection delays.
     let plan = feed_plan(&history, &FeedConfig::default());
-    let online = run_plan(OnlineChecker::new_si(history.kind), &plan);
+    let online = run_plan(
+        OnlineChecker::builder().kind(history.kind).build().expect("in-memory session"),
+        &plan,
+    );
     println!(
         "online AION: {} at {:.0} TPS ({} re-evaluations due to out-of-order arrivals)",
         online.outcome.report.summary(),
