@@ -8,7 +8,7 @@
 //! experiments serve [--addr A] [--workers N] [--soft-limit B] [--hard-limit B]
 //! experiments client <op> --addr HOST:PORT ...
 //! experiments dst [--seeds N] [--seed S] [--schedule random|pathological] [--fast] [--out FILE]
-//! experiments lint [--root DIR] [--fix-baseline]
+//! experiments lint [--root DIR]
 //! experiments list
 //! ```
 
@@ -28,7 +28,6 @@ fn main() {
         Some("client") => return serve::client_cmd(&args[1..]),
         Some("dst") => return dst::dst_cmd(&args[1..]),
         Some("lint") => return lint::lint_cmd(&args[1..]),
-        Some("lint-ratchet") => return lint::ratchet_cmd(&args[1..]),
         _ => {}
     }
     let mut ctx = Ctx::default();
@@ -70,10 +69,7 @@ fn main() {
                 println!(
                     "  dst     (deterministic simulation seed sweep; --seeds N --fast for CI)"
                 );
-                println!(
-                    "  lint    (workspace static analysis: seam/determinism/panic contracts; \
-                     --fix-baseline to regenerate the ratchet ledger)"
-                );
+                println!("  lint    (workspace static analysis: seam/determinism/panic contracts)");
                 return;
             }
             "all" => ids.extend(ALL.iter().map(|s| s.to_string())),

@@ -1,30 +1,25 @@
 //! `experiments lint`: the workspace static-analysis pass as a CLI.
 //!
 //! ```text
-//! experiments lint [--root DIR] [--fix-baseline]
+//! experiments lint [--root DIR]
 //! ```
 //!
 //! Runs `aion_lint::lint_workspace` over every `crates/*/src` file and
-//! reports fresh findings (anything not grandfathered by
-//! `lint/baseline.toml`). Exits non-zero when fresh findings exist, so
-//! CI can gate on it; `--fix-baseline` rewrites the ledger instead (CI
-//! separately proves, via `git diff`, that the committed ledger only
-//! ever shrinks). See `docs/lint.md` for the rule catalog.
+//! prints its findings. Exits non-zero when there is any, so CI can
+//! gate on it. See `docs/lint.md` for the rule catalog.
 
-use aion_lint::baseline::{ratchet_violations, Baseline};
-use aion_lint::{find_workspace_root, fix_baseline, lint_workspace, BASELINE_PATH};
+use aion_lint::{find_workspace_root, lint_workspace};
 use std::path::PathBuf;
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: experiments lint [--root DIR] [--fix-baseline]");
+    eprintln!("usage: experiments lint [--root DIR]");
     std::process::exit(2);
 }
 
 /// Entry point for `experiments lint`.
 pub fn lint_cmd(args: &[String]) {
     let mut root: Option<PathBuf> = None;
-    let mut fix = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -34,7 +29,6 @@ pub fn lint_cmd(args: &[String]) {
                     args.get(i).map(Into::into).unwrap_or_else(|| die("--root needs a directory")),
                 );
             }
-            "--fix-baseline" => fix = true,
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
@@ -43,69 +37,16 @@ pub fn lint_cmd(args: &[String]) {
         .or_else(|| std::env::current_dir().ok().and_then(|cwd| find_workspace_root(&cwd)))
         .unwrap_or_else(|| die("no workspace root found (pass --root)"));
 
-    if fix {
-        match fix_baseline(&root) {
-            Ok(n) => println!(
-                "lint: baseline rewritten with {n} grandfathered finding(s) -> {BASELINE_PATH}"
-            ),
-            Err(e) => die(&format!("{e}")),
-        }
-        return;
-    }
     match lint_workspace(&root) {
         Ok(report) => {
-            for f in &report.fresh {
+            for f in &report.findings {
                 println!("{f}");
             }
-            println!(
-                "lint: {} file(s), {} finding(s) ({} grandfathered by {BASELINE_PATH}, {} fresh)",
-                report.files,
-                report.fresh.len() + report.grandfathered.len(),
-                report.grandfathered.len(),
-                report.fresh.len()
-            );
+            println!("lint: {} file(s), {} finding(s)", report.files, report.findings.len());
             if !report.is_clean() {
                 std::process::exit(1);
             }
         }
         Err(e) => die(&format!("{e}")),
-    }
-}
-
-/// Entry point for `experiments lint-ratchet <old> <new>`: fail unless
-/// `new` is a valid shrink of `old` (CI runs this against the merge
-/// base to prove the grandfather ledger only ever shrinks).
-pub fn ratchet_cmd(args: &[String]) {
-    let (old_path, new_path) = match args {
-        [a, b] => (a, b),
-        _ => {
-            eprintln!("usage: experiments lint-ratchet <old-baseline> <new-baseline>");
-            std::process::exit(2);
-        }
-    };
-    let load = |path: &str| -> Baseline {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        });
-        Baseline::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let old = load(old_path);
-    let new = load(new_path);
-    let violations = ratchet_violations(&old, &new);
-    if violations.is_empty() {
-        println!("lint-ratchet: ok ({} -> {} entries)", old.entries.len(), new.entries.len());
-    } else {
-        for v in &violations {
-            eprintln!("lint-ratchet: {v}");
-        }
-        eprintln!(
-            "lint-ratchet: the baseline may only shrink — fix the new violations \
-             instead of grandfathering them"
-        );
-        std::process::exit(1);
     }
 }

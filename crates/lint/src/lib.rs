@@ -7,51 +7,42 @@
 //! `aion_types::clock::Clock` seam, delivery behind `ShardTransport`,
 //! no hash-order dependence in verdict paths, no panics in daemon code,
 //! no silent `_ =>` over the isolation lattice. This crate makes the
-//! machine check them: a hand-rolled Rust [`lexer`], five [`rules`], a
-//! justified-suppression syntax, and a shrink-only [`baseline`] ratchet.
+//! machine check them: a hand-rolled Rust [`lexer`], five [`rules`] and a
+//! justified-suppression syntax. Every finding fails the run; a reasoned
+//! suppression comment is the only way past a rule.
 //!
-//! Run it as `experiments lint [--fix-baseline]`, the standalone
-//! `aion-lint` binary, or the `workspace_is_clean_modulo_baseline`
+//! Run it as `experiments lint` or the `workspace_is_clean_modulo_baseline`
 //! self-test. See `docs/lint.md` for the rule catalog.
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
-use baseline::{Baseline, BaselineError};
 use rules::{Finding, NameTable};
 use std::path::{Path, PathBuf};
-
-/// Where the baseline ledger lives, relative to the workspace root.
-pub const BASELINE_PATH: &str = "lint/baseline.toml";
 
 /// Everything one lint run produced.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Findings NOT absorbed by the baseline — these fail the run.
-    pub fresh: Vec<Finding>,
-    /// Findings absorbed by the baseline ratchet.
-    pub grandfathered: Vec<Finding>,
+    /// Every unsuppressed finding, sorted — any of them fails the run.
+    pub findings: Vec<Finding>,
     /// Files scanned.
     pub files: usize,
 }
 
 impl LintReport {
-    /// True when the workspace is clean modulo the baseline.
+    /// True when the workspace has no finding.
     pub fn is_clean(&self) -> bool {
-        self.fresh.is_empty()
+        self.findings.is_empty()
     }
 }
 
-/// A lint-run failure (I/O or a corrupt baseline) — distinct from
-/// findings, which are a *result*.
+/// A lint-run failure (I/O) — distinct from findings, which are a
+/// *result*.
 #[derive(Debug)]
 pub enum LintError {
-    /// Reading a source file or the baseline failed.
+    /// Reading a source file failed.
     Io(PathBuf, std::io::Error),
-    /// The baseline file exists but does not parse.
-    Baseline(BaselineError),
     /// No `crates/` directory under the given root.
     NotAWorkspace(PathBuf),
 }
@@ -60,7 +51,6 @@ impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io(p, e) => write!(f, "{}: {e}", p.display()),
-            LintError::Baseline(e) => write!(f, "{e}"),
             LintError::NotAWorkspace(p) => {
                 write!(f, "{} has no crates/ directory (not the workspace root?)", p.display())
             }
@@ -123,9 +113,8 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
     Ok(())
 }
 
-/// Lint the workspace at `root` against its checked-in baseline (a
-/// missing baseline file means an empty baseline). Two passes: collect
-/// hash-typed names everywhere, then run the rules per file.
+/// Lint the workspace at `root`. Two passes: collect hash-typed names
+/// everywhere, then run the rules per file.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     let files = workspace_sources(root)?;
     let mut sources = Vec::with_capacity(files.len());
@@ -143,49 +132,5 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
         findings.extend(rules::lint_file(rel, text, &table));
     }
     findings.sort();
-
-    let baseline_file = root.join(BASELINE_PATH);
-    let baseline = if baseline_file.is_file() {
-        let text = std::fs::read_to_string(&baseline_file)
-            .map_err(|e| LintError::Io(baseline_file.clone(), e))?;
-        Baseline::parse(&text).map_err(LintError::Baseline)?
-    } else {
-        Baseline::default()
-    };
-    let (fresh, grandfathered) = baseline.apply(findings);
-    Ok(LintReport { fresh, grandfathered, files: sources.len() })
-}
-
-/// Re-lint and rewrite `lint/baseline.toml` to exactly the current
-/// findings (the `--fix-baseline` path). Returns the new entry total.
-pub fn fix_baseline(root: &Path) -> Result<usize, LintError> {
-    let report = {
-        // Lint against an EMPTY baseline: the ledger is regenerated from
-        // the full finding set, not the residue of the old one.
-        let files = workspace_sources(root)?;
-        let mut sources = Vec::with_capacity(files.len());
-        for rel in &files {
-            let path = root.join(rel);
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| LintError::Io(path.clone(), e))?;
-            sources.push((rel.clone(), text));
-        }
-        let mut table = NameTable::default();
-        for (rel, text) in &sources {
-            rules::collect_names(rel, text, &mut table);
-        }
-        let mut findings = Vec::new();
-        for (rel, text) in &sources {
-            findings.extend(rules::lint_file(rel, text, &table));
-        }
-        findings.sort();
-        findings
-    };
-    let baseline = Baseline::from_findings(&report);
-    let path = root.join(BASELINE_PATH);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| LintError::Io(dir.to_path_buf(), e))?;
-    }
-    std::fs::write(&path, baseline.render()).map_err(|e| LintError::Io(path.clone(), e))?;
-    Ok(report.len())
+    Ok(LintReport { findings, files: sources.len() })
 }

@@ -14,8 +14,7 @@
 use crate::lexer::{lex, Tok, TokKind};
 use std::collections::BTreeSet;
 
-/// Stable rule identifiers (the names used in `allow(...)` comments and
-/// `lint/baseline.toml`).
+/// Stable rule identifiers (the names used in `allow(...)` comments).
 pub const RULES: &[&str] = &[
     "clock-seam",
     "transport-seam",

@@ -1,9 +1,7 @@
 //! Self-hosting: the workspace that ships `aion-lint` must itself lint
-//! clean modulo the checked-in baseline, and the baseline must be tight
-//! (no slack that would let new violations hide under stale budget).
+//! clean — zero findings, no ledger of tolerated ones.
 
-use aion_lint::baseline::Baseline;
-use aion_lint::{lint_workspace, workspace_sources, BASELINE_PATH};
+use aion_lint::{lint_workspace, workspace_sources};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -19,54 +17,9 @@ fn workspace_is_clean_modulo_baseline() {
     let report = lint_workspace(&workspace_root()).expect("lint workspace");
     assert!(
         report.is_clean(),
-        "fresh lint findings (fix them or, for a pre-existing class, discuss \
-         re-baselining in review):\n{}",
-        report.fresh.iter().map(|f| format!("  {f}\n")).collect::<String>()
+        "lint findings (fix them, or suppress with a reasoned allow comment):\n{}",
+        report.findings.iter().map(|f| format!("  {f}\n")).collect::<String>()
     );
-}
-
-#[test]
-fn baseline_is_tight() {
-    // Every baselined budget must be fully consumed: when a violation is
-    // fixed, `experiments lint --fix-baseline` must be run so the ledger
-    // shrinks — that is the ratchet.
-    let root = workspace_root();
-    let report = lint_workspace(&root).expect("lint workspace");
-    let text = std::fs::read_to_string(root.join(BASELINE_PATH)).expect("read baseline");
-    let baseline = Baseline::parse(&text).expect("parse baseline");
-    let budget: usize = baseline.entries.values().sum();
-    assert_eq!(
-        report.grandfathered.len(),
-        budget,
-        "baseline has unused budget — run `experiments lint --fix-baseline` \
-         to shrink the ledger after fixing violations"
-    );
-}
-
-#[test]
-fn baseline_renders_canonically() {
-    // The checked-in ledger must be in canonical form, so `--fix-baseline`
-    // never produces formatting-only diffs.
-    let root = workspace_root();
-    let text = std::fs::read_to_string(root.join(BASELINE_PATH)).expect("read baseline");
-    let parsed = Baseline::parse(&text).expect("parse baseline");
-    assert_eq!(parsed.render(), text, "baseline.toml is not in canonical render form");
-}
-
-#[test]
-fn baseline_has_no_determinism_or_clock_debt() {
-    // The PR that introduced the linter fixed every clock-seam and
-    // determinism violation rather than grandfathering them; keep it
-    // that way — these two rules guard the DST determinism contract.
-    let root = workspace_root();
-    let text = std::fs::read_to_string(root.join(BASELINE_PATH)).expect("read baseline");
-    let baseline = Baseline::parse(&text).expect("parse baseline");
-    for (rule, file) in baseline.entries.keys() {
-        assert!(
-            rule != "clock-seam" && rule != "determinism" && rule != "suppression",
-            "`{rule}` debt for {file}: this rule class must never be grandfathered"
-        );
-    }
 }
 
 #[test]

@@ -30,22 +30,31 @@
 //! to observe *some* committed version at the anchor — a monotone
 //! predicate under asynchrony (late arrivals can only justify a
 //! tentatively-wrong RC read, never invalidate a right one).
+//!
+//! The module is split along Algorithm 3's seams: this file holds the
+//! session configuration and the resident state, `globals` the admission
+//! checks, `arrival` the per-arrival stages and `TIMEOUT`, `gc` the
+//! spill/reload passes.
+
+mod arrival;
+mod gc;
+mod globals;
+
+pub(crate) use globals::{record_violation, GlobalChecks};
 
 use crate::index::{KeyEventIndex, OngoingIndex, ReadRef};
 use crate::membership::MembershipIndex;
-use crate::spill::{SpillEntry, SpillStore};
+use crate::spill::SpillStore;
 use crate::stats::FlipTracker;
+use crate::versioned::VersionedMap;
 use aion_types::{
-    base_independent, classify_mismatch, expected_read, CheckEvent, CheckReport, Checker,
-    CheckerStats, DataKind, EventKey, ExtPredicate, FxHashMap, FxHashSet, IsolationLevel, Key,
-    LevelPolicy, MismatchAxiom, Mutation, Op, Outcome, ReadAnchor, SessionId, SessionPredicate,
-    ShardConfig, Snapshot, Timestamp, Transaction, TxnId, Violation,
+    base_independent, expected_read, CheckEvent, CheckReport, Checker, CheckerStats, DataKind,
+    EventKey, ExtPredicate, FxHashMap, IsolationLevel, Key, LevelPolicy, Mutation, Outcome,
+    ReadAnchor, ShardConfig, Snapshot, Timestamp, Transaction, TxnId, Violation,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
-
-use crate::versioned::VersionedMap;
 
 /// Online garbage-collection policy (paper Fig. 12's three strategies).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -387,89 +396,6 @@ pub(crate) fn anchor_event(txn: &Transaction, level: IsolationLevel) -> EventKey
 /// statistics (§VI-C).
 pub type AionOutcome = Outcome;
 
-/// The global (cross-key) admission checks: history integrity
-/// (duplicate tids/timestamps, Eq. 1 well-formedness) and SESSION.
-///
-/// Owned in exactly one place per session — by [`OnlineChecker`] when
-/// it runs standalone, by the sharding coordinator when workers run
-/// `coordinated` — so that single and sharded checking share this code
-/// *structurally* instead of keeping two copies in sync.
-#[derive(Debug, Default)]
-pub(crate) struct GlobalChecks {
-    pub(crate) all_tids: FxHashSet<TxnId>,
-    pub(crate) ts_owner: FxHashMap<Timestamp, TxnId>,
-    pub(crate) next_sno: FxHashMap<SessionId, u32>,
-    pub(crate) last_cts: FxHashMap<SessionId, Timestamp>,
-}
-
-impl GlobalChecks {
-    /// Run every global check on one arrival, pushing violations
-    /// through `emit` in report order. Returns `false` when the
-    /// transaction is malformed (duplicate tid, or Eq. 1) and must not
-    /// touch any versioned state.
-    pub(crate) fn admit(
-        &mut self,
-        txn: &Transaction,
-        level: IsolationLevel,
-        mut emit: impl FnMut(Violation),
-    ) -> bool {
-        // --- integrity ---------------------------------------------------
-        if !self.all_tids.insert(txn.tid) {
-            emit(Violation::DuplicateTid { tid: txn.tid });
-            return false;
-        }
-        let mut tss = vec![txn.start_ts];
-        if txn.commit_ts != txn.start_ts {
-            tss.push(txn.commit_ts);
-        }
-        for ts in tss {
-            match self.ts_owner.get(&ts) {
-                Some(&owner) if owner != txn.tid => {
-                    emit(Violation::DuplicateTimestamp { ts, t1: owner, t2: txn.tid });
-                }
-                _ => {
-                    self.ts_owner.insert(ts, txn.tid);
-                }
-            }
-        }
-
-        // --- SESSION -----------------------------------------------------
-        let expected = self.next_sno.get(&txn.sid).copied().unwrap_or(0);
-        let last_cts = self.last_cts.get(&txn.sid).copied().unwrap_or(Timestamp::MIN);
-        let violated = match level.checks().session {
-            // Snapshot-ordered levels (SI, RA): must follow the
-            // predecessor and start after it committed.
-            SessionPredicate::SnapshotOrder => txn.sno != expected || txn.start_ts < last_cts,
-            // Commit-ordered levels (SER, RC): start timestamps are
-            // ignored; session order must embed into commit order.
-            SessionPredicate::CommitOrder => txn.sno != expected || txn.commit_ts <= last_cts,
-        };
-        if violated {
-            emit(Violation::Session {
-                tid: txn.tid,
-                sid: txn.sid,
-                expected_sno: expected,
-                found_sno: txn.sno,
-                start_ts: txn.start_ts,
-                last_commit_ts: last_cts,
-            });
-        }
-        self.next_sno.insert(txn.sid, txn.sno + 1);
-        self.last_cts.insert(txn.sid, txn.commit_ts);
-
-        // --- Eq. (1) -----------------------------------------------------
-        if txn.start_ts > txn.commit_ts {
-            emit(Violation::TimestampOrder {
-                tid: txn.tid,
-                start_ts: txn.start_ts,
-                commit_ts: txn.commit_ts,
-            });
-            return false; // malformed: do not poison the versioned state
-        }
-        true
-    }
-}
-
 /// Stable `"aion-…"` checker name for a level policy (interned: the
 /// `Checker` trait hands out `&'static str`).
 pub(crate) fn aion_level_name(levels: &LevelPolicy) -> &'static str {
@@ -543,18 +469,6 @@ pub struct OnlineChecker {
 }
 
 impl OnlineChecker {
-    /// A checker with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configured spill file cannot be created; use
-    /// [`OnlineChecker::try_new`] (or the builder's fallible
-    /// [`OnlineCheckerBuilder::build`]) to handle that as a typed
-    /// [`ConfigError`] instead.
-    pub fn new(cfg: AionConfig) -> OnlineChecker {
-        OnlineChecker::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// A checker with the given configuration, surfacing configuration
     /// problems (an uncreatable spill file) as a typed error instead of
     /// panicking.
@@ -612,10 +526,7 @@ impl OnlineChecker {
 
     /// Commit a violation to the report and the event stream.
     fn emit(&mut self, v: Violation) {
-        if self.cfg.events {
-            self.events.push(CheckEvent::Violation(v.clone()));
-        }
-        self.report.push(v);
+        record_violation(self.cfg.events, &mut self.events, &mut self.report, v);
     }
 
     /// Stream a non-violation event (skipped when events are off).
@@ -789,618 +700,12 @@ impl OnlineChecker {
         bytes + self.buffer_bytes()
     }
 
-    /// Advance the (virtual) clock and finalize every transaction whose
-    /// EXT timeout has expired (paper's `TIMEOUT` procedure), returning
-    /// the finalizations and EXT violations that produced.
-    pub fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
-        self.now_ms = self.now_ms.max(now_ms);
-        while let Some(&Reverse((deadline, tid))) = self.deadlines.peek() {
-            if deadline > self.now_ms {
-                break;
-            }
-            self.deadlines.pop();
-            self.finalize_txn(tid);
-        }
-        self.take_events()
-    }
-
-    /// Finalize everything regardless of deadlines (end of stream).
-    pub fn drain(&mut self) -> Vec<CheckEvent> {
-        while let Some(Reverse((_, tid))) = self.deadlines.pop() {
-            self.finalize_txn(tid);
-        }
-        self.take_events()
-    }
-
     /// Drain and produce the outcome.
     pub fn finish(mut self) -> AionOutcome {
         self.drain();
         Outcome::new(self.checker_name(), self.report, self.stats.received)
             .with_stats(self.stats)
             .with_flips(self.flips.summary())
-    }
-
-    /// Receive one transaction at (virtual) time `now_ms`, returning the
-    /// events this arrival produced: definitive violations, tentative
-    /// verdict flips of earlier transactions, and GC spill passes.
-    pub fn receive(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
-        self.now_ms = self.now_ms.max(now_ms);
-        self.stats.received += 1;
-        let level = self.cfg.levels.level_for(&txn);
-
-        // Under a sharding coordinator the global (cross-key) checks have
-        // already run exactly once for the whole transaction (through the
-        // same `GlobalChecks` code); this worker only sees well-formed,
-        // deduplicated sub-footprints.
-        if !self.cfg.coordinated {
-            let mut violations = Vec::new();
-            let admitted = self.globals.admit(&txn, level, |violation| violations.push(violation));
-            for violation in violations {
-                self.emit(violation);
-            }
-            if !admitted {
-                return self.take_events();
-            }
-        }
-
-        // --- reload spilled state if this arrival reaches below the GC
-        //     horizon (deep straggler) ---------------------------------------
-        if let Some(horizon) = self.gc_horizon_ts {
-            let anchor_ts = match level.checks().anchor {
-                ReadAnchor::Start => txn.start_ts,
-                ReadAnchor::Commit => txn.commit_ts,
-            };
-            if anchor_ts <= horizon {
-                self.reload_below(txn.commit_ts);
-            }
-        }
-
-        self.process(txn, level);
-        self.maybe_gc();
-        self.stats.peak_resident_txns = self.stats.peak_resident_txns.max(self.txns.len());
-        self.take_events()
-    }
-
-    /// Steps ①–③ for a well-formed arrival, checked at `level`.
-    fn process(&mut self, txn: Transaction, level: IsolationLevel) {
-        let tid = txn.tid;
-        let checks = level.checks();
-        let anchor = anchor_event(&txn, level);
-        let commit_ev = txn.commit_event();
-
-        // -- derive read states and the write set ---------------------------
-        // `anchored` mirrors CHRONOS's `int_val` rule: the *first* access to
-        // a key being a read pins that observation as the base for every
-        // later access to the key in this transaction. Such later reads are
-        // stable under asynchrony (they do not consult the frontier) and
-        // settle immediately; only first reads (and reads over write-first
-        // append chains) are frontier-dependent and tentative.
-        let mut muts_so_far: FxHashMap<Key, Vec<Mutation>> = FxHashMap::default();
-        let mut anchored: FxHashMap<Key, Snapshot> = FxHashMap::default();
-        let mut reads: Vec<ReadState> = Vec::new();
-        for (op_index, op) in txn.ops.iter().enumerate() {
-            if let Some((mine, shards)) = self.cfg.shard_filter {
-                // Foreign keys belong to another shard worker; skipping
-                // them here (rather than re-numbering a filtered ops
-                // vector) keeps `op_index` anchored to program order.
-                if crate::feed::shard_of(op.key(), shards) != mine {
-                    continue;
-                }
-            }
-            match op {
-                Op::Read { key, value } => {
-                    let muts_before = muts_so_far.get(key).cloned().unwrap_or_default();
-                    let mut r = ReadState {
-                        op_index: op_index as u32,
-                        key: *key,
-                        observed: value.clone(),
-                        muts_before,
-                        ok: true,
-                        settled: false,
-                        wrong_since: None,
-                    };
-                    if let Some(base) = anchored.get(key) {
-                        // Internal consistency vs. the anchored observation:
-                        // stable — verdict final now.
-                        let expected = expected_read(base, &r.muts_before);
-                        if expected != r.observed {
-                            let v = match classify_mismatch(&r.muts_before, &r.observed) {
-                                MismatchAxiom::Int => Violation::Int {
-                                    tid,
-                                    key: *key,
-                                    op_index,
-                                    expected,
-                                    observed: r.observed.clone(),
-                                },
-                                MismatchAxiom::Ext => Violation::Ext {
-                                    tid,
-                                    key: *key,
-                                    op_index,
-                                    expected,
-                                    observed: r.observed.clone(),
-                                },
-                            };
-                            self.emit(v);
-                        }
-                        r.settled = true;
-                    } else if r.muts_before.is_empty() {
-                        // First access to the key is this read: anchor it.
-                        anchored.insert(*key, value.clone());
-                    }
-                    reads.push(r);
-                }
-                Op::Write { key, mutation } => {
-                    muts_so_far.entry(*key).or_default().push(*mutation);
-                }
-            }
-        }
-        // Published value per key: fold over the anchored observation when
-        // the key was read first (CHRONOS's int_val chain), else over the
-        // frontier snapshot at the anchor event.
-        let mut write_set: Vec<(Key, Snapshot)> = muts_so_far
-            .iter()
-            .map(|(key, muts)| {
-                let base = match anchored.get(key) {
-                    Some(a) => a.clone(),
-                    None => self.frontier_at(*key, anchor),
-                };
-                (*key, expected_read(&base, muts))
-            })
-            .collect();
-        write_set.sort_unstable_by_key(|(k, _)| *k);
-        let mut anchor_keys: Vec<Key> = anchored.keys().copied().collect();
-        anchor_keys.sort_unstable();
-
-        // -- step ①: tentative verdicts against the known versions ----------
-        for r in reads.iter_mut() {
-            if r.settled {
-                continue;
-            }
-            if self.read_ok(checks.ext, r.key, anchor, &r.muts_before, &r.observed) {
-                r.ok = true;
-                // A committed-predicate `ok` is final when versions are
-                // never withdrawn (the membership set only grows), so the
-                // read settles now instead of riding the reader index —
-                // and the timeout queue — until its deadline.
-                if checks.ext == ExtPredicate::Committed
-                    && self.committed_ok_is_final(&r.muts_before)
-                {
-                    r.settled = true;
-                }
-            } else {
-                let base = self.frontier_at(r.key, anchor);
-                let expected = expected_read(&base, &r.muts_before);
-                match classify_mismatch(&r.muts_before, &r.observed) {
-                    MismatchAxiom::Int => {
-                        // Stable under asynchrony: report immediately.
-                        self.emit(Violation::Int {
-                            tid,
-                            key: r.key,
-                            op_index: r.op_index as usize,
-                            expected,
-                            observed: r.observed.clone(),
-                        });
-                        r.settled = true;
-                        r.ok = true;
-                    }
-                    MismatchAxiom::Ext => {
-                        r.ok = false;
-                        r.wrong_since = Some(self.now_ms);
-                    }
-                }
-            }
-        }
-
-        // -- index reads and writes -----------------------------------------
-        for (idx, r) in reads.iter().enumerate() {
-            if !r.settled {
-                self.readers.insert(r.key, anchor, ReadRef { tid, read_idx: idx as u32 });
-            }
-        }
-        for (key, _) in &write_set {
-            self.writers.insert(*key, anchor, tid);
-        }
-
-        // -- step ③: publish versions and re-check affected readers ---------
-        for (key, snap) in &write_set {
-            let prev = self.frontier.insert(*key, commit_ev, snap.clone());
-            if self.has_committed_ext {
-                self.membership.record(*key, commit_ev, snap, prev.as_ref());
-            }
-        }
-        for (key, _) in &write_set {
-            self.triggers.push_back((*key, commit_ev));
-        }
-
-        // -- step ②: NOCONFLICT via overlap registration --------------------
-        // Every writer registers whenever *some* level of the policy
-        // activates NOCONFLICT (an overlap is a pair property — the
-        // partner's level matters too); a conflict is reported when
-        // either member's level forbids concurrent writers, following
-        // the mixed-level convention that an SI transaction's
-        // first-committer-wins guarantee binds whoever overlaps it.
-        // Each writer's own NOCONFLICT activation travels *inside* the
-        // overlap index, so the pair rule stays exact even when the
-        // partner has been spilled out of resident memory.
-        let mut conflicts: Vec<(Key, crate::index::OngoingWriter)> = Vec::new();
-        if self.track_overlaps {
-            for (key, _) in &write_set {
-                for other in self.ongoing.register(
-                    *key,
-                    tid,
-                    checks.noconflict,
-                    txn.start_event(),
-                    commit_ev,
-                    false,
-                ) {
-                    conflicts.push((*key, other));
-                }
-            }
-        }
-        for (key, other) in conflicts {
-            if !checks.noconflict && !other.noconflict {
-                continue;
-            }
-            // The earlier committer reports (matching CHRONOS's convention).
-            let other_cts =
-                self.txns.get(&other.tid).map(|t| t.txn.commit_ts).unwrap_or(Timestamp::MIN);
-            let (t1, t2) =
-                if other_cts < txn.commit_ts { (other.tid, tid) } else { (tid, other.tid) };
-            self.emit(Violation::NoConflict { key, t1, t2 });
-        }
-
-        // -- register the transaction and its deadline ----------------------
-        let pending = reads.iter().any(|r| !r.settled);
-        let finalized = !pending;
-        if finalized {
-            self.stats.finalized += 1;
-        } else {
-            self.deadlines.push(Reverse((self.now_ms + self.cfg.ext_timeout_ms, tid)));
-        }
-        self.insert_txn(OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
-
-        self.process_triggers();
-    }
-
-    /// Re-check readers (and, for lists, dependent writers) in the window
-    /// `(from, next version of key)` after a version insertion at `from`.
-    ///
-    /// Frontier-predicate readers anchored past the next version of the
-    /// key are untouched by construction (their visible frontier did not
-    /// change). Committed-predicate (RC) readers have no such window —
-    /// *any* version below their anchor can justify their observation —
-    /// so when the policy can produce them, a second sweep re-evaluates
-    /// just those readers beyond the bound.
-    fn process_triggers(&mut self) {
-        while let Some((key, from)) = self.triggers.pop_front() {
-            let bound = if self.cfg.naive_recheck {
-                EventKey::INFINITY
-            } else {
-                self.frontier.next_after(key, from).unwrap_or(EventKey::INFINITY)
-            };
-            for (anchor_ev, rref) in self.readers.range(key, from, bound) {
-                self.re_evaluate(rref, key, anchor_ev, false);
-            }
-            if self.has_committed_ext && bound != EventKey::INFINITY {
-                for (anchor_ev, rref) in self.readers.range(key, bound, EventKey::INFINITY) {
-                    self.re_evaluate(rref, key, anchor_ev, true);
-                }
-            }
-            if self.cfg.kind == DataKind::List {
-                // Append results depend on their base snapshot: writers in
-                // the window must recompute and cascade.
-                for (anchor_ev, wtid) in self.writers.range(key, from, bound) {
-                    self.recompute_writer(wtid, key, anchor_ev);
-                }
-            }
-        }
-    }
-
-    /// True when a committed-predicate read that currently holds `ok`
-    /// can never lose it: outside [`DataKind::List`] no published
-    /// version is ever withdrawn (only list cascades revise), so the
-    /// committed-membership set for a first read only grows, and a
-    /// base-dependent read-over-writes falls back to the (mutable)
-    /// frontier only for lists. Such a verdict is safe to settle early.
-    fn committed_ok_is_final(&self, muts: &[Mutation]) -> bool {
-        self.cfg.kind != DataKind::List && (muts.is_empty() || base_independent(muts))
-    }
-
-    fn re_evaluate(&mut self, rref: ReadRef, key: Key, anchor_ev: EventKey, committed_only: bool) {
-        let Some(t) = self.txns.get(&rref.tid) else { return };
-        if t.finalized {
-            return; // verdict frozen (paper lines 40–41)
-        }
-        let ext = t.level.checks().ext;
-        if committed_only && ext != ExtPredicate::Committed {
-            return; // frontier readers beyond the window are unaffected
-        }
-        let r = &t.reads[rref.read_idx as usize];
-        if r.settled {
-            return;
-        }
-        let new_ok = self.read_ok(ext, key, anchor_ev, &r.muts_before, &r.observed);
-        self.stats.reevaluations += 1;
-        if new_ok != r.ok {
-            let now_final = new_ok
-                && ext == ExtPredicate::Committed
-                && self.committed_ok_is_final(&r.muts_before);
-            let rectified =
-                if new_ok { r.wrong_since.map(|w| self.now_ms.saturating_sub(w)) } else { None };
-            self.flips.record_flip(rref.tid, key, rectified);
-            self.emit_event(|| CheckEvent::VerdictFlip {
-                tid: rref.tid,
-                key,
-                rectified_after_ms: rectified,
-            });
-            let t = self.txns.get_mut(&rref.tid).expect("present above");
-            let r = &mut t.reads[rref.read_idx as usize];
-            r.ok = new_ok;
-            r.wrong_since = if new_ok { None } else { Some(self.now_ms) };
-            // A justified committed read is settled for good — later
-            // publishes to this key can stop re-evaluating it.
-            if now_final {
-                r.settled = true;
-            }
-        }
-    }
-
-    /// Recompute a (list) writer's published snapshot for `key` when its
-    /// base changed; cascades through the frontier if the value differs.
-    fn recompute_writer(&mut self, wtid: TxnId, key: Key, anchor_ev: EventKey) {
-        let Some(t) = self.txns.get(&wtid) else { return };
-        if t.anchor_keys.contains(&key) {
-            return; // published value folds over the anchored observation
-        }
-        let muts: Vec<Mutation> = t
-            .txn
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::Write { key: k, mutation } if *k == key => Some(*mutation),
-                _ => None,
-            })
-            .collect();
-        if muts.is_empty() || aion_types::base_independent(&muts) {
-            return; // Put-rooted values never change with the base
-        }
-        let base = self.frontier_at(key, anchor_ev);
-        let new_snap = expected_read(&base, &muts);
-        let commit_ev = t.txn.commit_event();
-        let current = t.write_set.iter().find(|(k, _)| *k == key).map(|(_, s)| s.clone());
-        if current.as_ref() == Some(&new_snap) {
-            return;
-        }
-        let t = self.txns.get_mut(&wtid).expect("present above");
-        if let Some(entry) = t.write_set.iter_mut().find(|(k, _)| *k == key) {
-            entry.1 = new_snap.clone();
-        }
-        let prev = self.frontier.insert(key, commit_ev, new_snap.clone());
-        if self.has_committed_ext {
-            // The cascade *revised* this published version: the old value
-            // was never a committed observation, so the membership entry
-            // moves with it.
-            self.membership.record(key, commit_ev, &new_snap, prev.as_ref().or(current.as_ref()));
-        }
-        self.triggers.push_back((key, commit_ev));
-    }
-
-    /// Finalize the EXT verdicts of one transaction (paper `TIMEOUT`).
-    fn finalize_txn(&mut self, tid: TxnId) {
-        let Some(t) = self.txns.get(&tid) else { return };
-        if t.finalized {
-            return;
-        }
-        let anchor = t.anchor();
-        let mut viols = Vec::new();
-        for r in &t.reads {
-            if !r.ok && !r.settled {
-                let base = self.frontier_at(r.key, anchor);
-                let expected = expected_read(&base, &r.muts_before);
-                viols.push(Violation::Ext {
-                    tid,
-                    key: r.key,
-                    op_index: r.op_index as usize,
-                    expected,
-                    observed: r.observed.clone(),
-                });
-            }
-        }
-        let n = viols.len() as u32;
-        for v in viols {
-            self.emit(v);
-        }
-        self.emit_event(|| CheckEvent::ExtFinalized { tid, violations: n });
-        self.txns.get_mut(&tid).expect("present above").finalized = true;
-        self.stats.finalized += 1;
-    }
-
-    // --- garbage collection --------------------------------------------------
-
-    fn maybe_gc(&mut self) {
-        let (threshold, target) = match self.cfg.gc {
-            OnlineGcPolicy::None => return,
-            OnlineGcPolicy::Checking { max_txns } => (max_txns, max_txns / 2),
-            OnlineGcPolicy::Full { max_txns } => (max_txns, max_txns.saturating_sub(1)),
-        };
-        if self.txns.len() <= threshold {
-            return;
-        }
-        self.spill_down_to(target);
-    }
-
-    /// Spill finalized transactions (oldest first) until at most `target`
-    /// transactions remain resident, or no more can be safely spilled.
-    fn spill_down_to(&mut self, target: usize) {
-        // Safe horizon: nothing at or above the anchor of any live
-        // (unfinalized) transaction may be spilled — its verdicts can still
-        // change (paper: asynchrony may prevent recycling anything).
-        let mut safe_horizon = EventKey::INFINITY;
-        // aion-lint: allow(determinism) — commutative min-fold; visit
-        // order cannot affect the horizon
-        for t in self.txns.values() {
-            if !t.finalized {
-                safe_horizon = safe_horizon.min(t.anchor());
-            }
-        }
-        let mut candidates: Vec<(EventKey, TxnId)> = self
-            .txns
-            .values()
-            .filter(|t| t.finalized && t.txn.commit_event() < safe_horizon)
-            .map(|t| (t.txn.commit_event(), t.txn.tid))
-            .collect();
-        candidates.sort_unstable();
-
-        let excess = self.txns.len().saturating_sub(target);
-        let spill_count = candidates.len().min(excess);
-        if spill_count == 0 {
-            return; // worst case: asynchrony blocks all recycling
-        }
-        let spilled: Vec<TxnId> = candidates[..spill_count].iter().map(|&(_, t)| t).collect();
-        let mut max_spilled_cts = Timestamp::MIN;
-        let mut min_spilled_cts = Timestamp::MAX;
-        // Encode from borrowed state and only evict on success: a failed
-        // write keeps every candidate resident (memory is simply not
-        // reclaimed this pass) and surfaces as a typed event, never a
-        // panic. The clone is dominated by the encoding work either way.
-        let entries: Vec<SpillEntry> = spilled
-            .iter()
-            .map(|tid| {
-                let t = self.txns.get(tid).expect("candidate is resident");
-                max_spilled_cts = max_spilled_cts.max(t.txn.commit_ts);
-                min_spilled_cts = min_spilled_cts.min(t.txn.commit_ts);
-                SpillEntry { txn: t.txn.clone(), write_set: t.write_set.clone() }
-            })
-            .collect();
-        let bytes = match self.spill.spill(&entries) {
-            Ok((_, bytes)) => bytes,
-            Err(e) => {
-                self.stats.spill_errors += 1;
-                self.emit_event(|| CheckEvent::SpillError {
-                    op: aion_types::SpillOp::Write,
-                    detail: e.to_string(),
-                });
-                return;
-            }
-        };
-        for &tid in &spilled {
-            self.remove_txn(tid);
-        }
-        self.stats.gc_spills += 1;
-        self.stats.spilled_txns += entries.len();
-        self.stats.spill_bytes += bytes as u64;
-        let (spilled, resident_after) = (entries.len(), self.txns.len());
-        self.emit_event(|| CheckEvent::SpillPass { spilled, bytes: bytes as u64, resident_after });
-        self.gc_horizon_ts =
-            Some(self.gc_horizon_ts.map_or(max_spilled_cts, |h| h.max(max_spilled_cts)));
-        // A reloaded-then-re-spilled transaction can land below the
-        // reload floor; pull the floor back so a later straggler pass
-        // fetches it again.
-        self.reload_floor =
-            self.reload_floor.min(Timestamp(min_spilled_cts.get().saturating_sub(1)));
-
-        // Prune versioned state below the oldest event any retained
-        // transaction can still anchor a query at.
-        let mut prune_horizon = safe_horizon;
-        // aion-lint: allow(determinism) — commutative min-fold; visit
-        // order cannot affect the horizon
-        for t in self.txns.values() {
-            prune_horizon = prune_horizon.min(t.anchor());
-        }
-        // The frontier-exact levels only ever query the latest version
-        // below an anchor, which `prune_below` keeps per key. RC's
-        // membership predicate has no such base — *any* committed
-        // version below the anchor can justify a read — but that
-        // question is answered by the committed-membership summaries,
-        // which survive this prune, so the frontier sheds its chains
-        // under RC/mixed policies too.
-        self.frontier.prune_below(prune_horizon);
-        self.ongoing.prune_below(prune_horizon);
-        self.readers.prune_below(prune_horizon);
-        self.writers.prune_below(prune_horizon);
-        // The summaries survive the prune, but shed the events that can
-        // no longer change any membership answer (everything behind a
-        // frozen per-value minimum), so they stay bounded by the live
-        // window plus one entry per distinct (key, value) pair.
-        if self.has_committed_ext {
-            self.membership.compact_below(prune_horizon);
-        }
-    }
-
-    /// Reload every spilled segment that could matter for an arrival whose
-    /// anchor reaches at or below the GC horizon. Conservative: a read may
-    /// need the latest version committed long before its anchor, so all
-    /// segments up to `hi` are brought back.
-    pub(crate) fn reload_below(&mut self, hi: Timestamp) {
-        if hi <= self.reload_floor {
-            return; // everything at or below `hi` is already resident
-        }
-        self.reload_scans += 1;
-        let ids = self.spill.segments_overlapping(Timestamp::MIN, hi);
-        let mut all_loaded = true;
-        for id in ids {
-            // A segment that fails to reload is skipped for this pass —
-            // typed degradation (re-checks against it see less history)
-            // instead of a panic. The segment stays marked unloaded, so
-            // a later pass retries it.
-            let entries = match self.spill.reload(id) {
-                Ok(entries) => entries,
-                Err(e) => {
-                    self.stats.spill_errors += 1;
-                    all_loaded = false;
-                    self.emit_event(|| CheckEvent::SpillError {
-                        op: aion_types::SpillOp::Reload,
-                        detail: e.to_string(),
-                    });
-                    continue;
-                }
-            };
-            for e in entries {
-                let tid = e.txn.tid;
-                if self.txns.contains_key(&tid) {
-                    continue;
-                }
-                self.stats.reloaded_txns += 1;
-                let commit_ev = e.txn.commit_event();
-                for (key, snap) in &e.write_set {
-                    // Re-inserting is safe: reloaded versions are at or
-                    // below the retained per-key base, so no live reader's
-                    // visible version changes (see DESIGN.md).
-                    let prev = self.frontier.insert(*key, commit_ev, snap.clone());
-                    if self.has_committed_ext {
-                        // Idempotent: the summary already carries this
-                        // version from when it was first published.
-                        self.membership.record(*key, commit_ev, snap, prev.as_ref());
-                    }
-                }
-                // The policy resolves deterministically, so the reloaded
-                // transaction gets exactly the level it was checked at
-                // (its declaration survives the spill codec).
-                let level = self.cfg.levels.level_for(&e.txn);
-                if self.track_overlaps {
-                    let nc = level.checks().noconflict;
-                    for (key, _) in &e.write_set {
-                        // Conflicts among reloaded transactions were already
-                        // reported before they were spilled.
-                        self.ongoing.register(*key, tid, nc, e.txn.start_event(), commit_ev, true);
-                    }
-                }
-                self.insert_txn(OnlineTxn {
-                    txn: e.txn,
-                    level,
-                    write_set: e.write_set,
-                    reads: Vec::new(),
-                    anchor_keys: Vec::new(),
-                    finalized: true,
-                });
-            }
-        }
-        if all_loaded {
-            // Every overlapping segment is now resident: later passes
-            // bounded by `hi` have nothing to do. A failed segment keeps
-            // the floor down so it is retried.
-            self.reload_floor = self.reload_floor.max(hi);
-        }
     }
 }
 
@@ -1761,8 +1066,7 @@ mod tests {
         // Writer W2 appends on top of W1, but W1 arrives later: W2's
         // published list must be recomputed and the reader re-justified.
         let k = Key(1);
-        let mut a =
-            OnlineChecker::new(AionConfig { kind: DataKind::List, ..AionConfig::default() });
+        let mut a = OnlineChecker::builder().kind(DataKind::List).build().unwrap();
         // Arrive out of order: W2 (interval [3,4]) first, then reader,
         // then W1 ([1,2]).
         a.receive(t(2, 1, 0, 3, 4).append(k, Value(20)).build(), 0);
@@ -1774,12 +1078,11 @@ mod tests {
 
     #[test]
     fn gc_spills_and_straggler_reloads() {
-        let mut a = OnlineChecker::new(AionConfig {
-            kind: DataKind::Kv,
-            ext_timeout_ms: 10,
-            gc: OnlineGcPolicy::Checking { max_txns: 8 },
-            ..AionConfig::default()
-        });
+        let mut a = OnlineChecker::builder()
+            .ext_timeout_ms(10)
+            .gc(OnlineGcPolicy::Checking { max_txns: 8 })
+            .build()
+            .unwrap();
         // Feed 40 sequential writers with increasing virtual time so the
         // timeouts fire and GC can spill.
         for i in 1..=40u64 {
@@ -1806,11 +1109,8 @@ mod tests {
 
     #[test]
     fn gc_cannot_spill_while_everything_live() {
-        let mut a = OnlineChecker::new(AionConfig {
-            kind: DataKind::Kv,
-            gc: OnlineGcPolicy::Checking { max_txns: 4 },
-            ..AionConfig::default()
-        });
+        let mut a =
+            OnlineChecker::builder().gc(OnlineGcPolicy::Checking { max_txns: 4 }).build().unwrap();
         // No ticks: nothing finalizes, so nothing may be spilled (the
         // paper's worst case).
         for i in 1..=10u64 {
@@ -1822,11 +1122,7 @@ mod tests {
 
     #[test]
     fn flip_details_track_wrong_then_right() {
-        let mut a = OnlineChecker::new(AionConfig {
-            kind: DataKind::Kv,
-            track_flip_details: true,
-            ..AionConfig::default()
-        });
+        let mut a = OnlineChecker::builder().track_flip_details(true).build().unwrap();
         a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
         a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 7);
         let out = a.finish();
@@ -2002,6 +1298,24 @@ mod tests {
         assert!(b.estimated_memory_bytes() < a.estimated_memory_bytes());
         drop(b);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `tick(u64::MAX)` is the end-of-stream drain every driver issues;
+    /// an arrival after it used to overflow `now_ms + ext_timeout_ms`,
+    /// and a session reaching `sno == u32::MAX` used to wrap its
+    /// expected successor to 0.
+    #[test]
+    fn deadline_and_sno_arithmetic_saturate_at_the_edges() {
+        let mut a = checker();
+        a.tick(u64::MAX);
+        a.receive(t(1, 0, u32::MAX, 1, 2).read(Key(1), Value(9)).build(), 0);
+        assert_eq!(a.deadlines.peek(), Some(&Reverse((u64::MAX, TxnId(1)))));
+        assert_eq!(a.report().count(AxiomKind::Session), 1, "the session must start at sno 0");
+        // The successor of u32::MAX is not 0: a restarted session is flagged.
+        a.receive(t(2, 0, 0, 3, 4).build(), 0);
+        assert_eq!(a.report().count(AxiomKind::Session), 2, "{}", a.report());
+        let events = a.tick(u64::MAX);
+        assert!(events.contains(&CheckEvent::ExtFinalized { tid: TxnId(1), violations: 1 }));
     }
 
     #[test]

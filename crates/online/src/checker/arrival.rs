@@ -1,0 +1,420 @@
+//! Algorithm 3 on one arrival: [`OnlineChecker::receive`] names its
+//! stages in the paper's order, each a plain function over the
+//! per-arrival [`Footprint`], followed by the `TIMEOUT` procedure.
+
+use super::{anchor_event, OnlineChecker, OnlineTxn, ReadState};
+use crate::feed::shard_of;
+use crate::index::ReadRef;
+use aion_types::{
+    base_independent, classify_mismatch, expected_read, CheckEvent, DataKind, EventKey,
+    ExtPredicate, FxHashMap, IsolationLevel, Key, MismatchAxiom, Mutation, Op, Snapshot, Timestamp,
+    Transaction, TxnId, Violation,
+};
+use std::cmp::Reverse;
+
+/// Everything the stages derive about one arrival before it becomes a
+/// resident [`OnlineTxn`].
+struct Footprint {
+    txn: Transaction,
+    level: IsolationLevel,
+    /// Where this transaction's reads anchor, per its level.
+    anchor: EventKey,
+    reads: Vec<ReadState>,
+    /// Published value per written key, sorted by key.
+    write_set: Vec<(Key, Snapshot)>,
+    anchor_keys: Vec<Key>,
+}
+
+/// The violation a mismatching read amounts to under `axiom`.
+fn mismatch_violation(
+    axiom: MismatchAxiom,
+    tid: TxnId,
+    r: &ReadState,
+    expected: Snapshot,
+) -> Violation {
+    let (key, op_index, observed) = (r.key, r.op_index as usize, r.observed.clone());
+    match axiom {
+        MismatchAxiom::Int => Violation::Int { tid, key, op_index, expected, observed },
+        MismatchAxiom::Ext => Violation::Ext { tid, key, op_index, expected, observed },
+    }
+}
+
+impl OnlineChecker {
+    /// Receive one transaction at (virtual) time `now_ms`, returning the
+    /// events this arrival produced: definitive violations, tentative
+    /// verdict flips of earlier transactions, and GC spill passes.
+    pub fn receive(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
+        self.now_ms = self.now_ms.max(now_ms);
+        self.stats.received += 1;
+        let level = self.cfg.levels.level_for(&txn);
+        if self.admit(&txn, level) {
+            self.reload_if_below_horizon(&txn, level);
+            let mut fp = self.derive_footprint(txn, level);
+            self.step1_tentative(&mut fp);
+            self.index_and_publish(&fp);
+            self.step2_noconflict(&fp);
+            self.admit_resident(fp);
+            self.process_triggers(); // step ③
+            self.maybe_gc();
+            self.stats.peak_resident_txns = self.stats.peak_resident_txns.max(self.txns.len());
+        }
+        self.take_events()
+    }
+
+    /// SESSION and integrity. Under a sharding coordinator these already
+    /// ran exactly once for the whole transaction (through the same
+    /// [`super::GlobalChecks`]); a worker only sees well-formed,
+    /// deduplicated sub-footprints.
+    fn admit(&mut self, txn: &Transaction, level: IsolationLevel) -> bool {
+        let on = self.cfg.events;
+        self.cfg.coordinated
+            || self.globals.admit(txn, level, |v| {
+                super::record_violation(on, &mut self.events, &mut self.report, v)
+            })
+    }
+
+    /// A deep straggler — one anchored at or below the GC horizon —
+    /// needs the spilled state back before it is checked.
+    fn reload_if_below_horizon(&mut self, txn: &Transaction, level: IsolationLevel) {
+        if self.gc_horizon_ts.is_some_and(|horizon| anchor_event(txn, level).ts <= horizon) {
+            self.reload_below(txn.commit_ts);
+        }
+    }
+
+    /// Derive the read states and the write set.
+    ///
+    /// `anchored` mirrors CHRONOS's `int_val` rule: the *first* access to
+    /// a key being a read pins that observation as the base for every
+    /// later access to the key in this transaction. Such later reads are
+    /// stable under asynchrony (they do not consult the frontier) and
+    /// settle immediately; only first reads (and reads over write-first
+    /// append chains) are frontier-dependent and tentative.
+    fn derive_footprint(&mut self, txn: Transaction, level: IsolationLevel) -> Footprint {
+        let anchor = anchor_event(&txn, level);
+        let mut muts_so_far: FxHashMap<Key, Vec<Mutation>> = FxHashMap::default();
+        let mut anchored: FxHashMap<Key, Snapshot> = FxHashMap::default();
+        let mut reads: Vec<ReadState> = Vec::new();
+        for (op_index, op) in txn.ops.iter().enumerate() {
+            // Foreign keys belong to another shard worker; skipping them
+            // (rather than re-numbering a filtered ops vector) keeps
+            // `op_index` anchored to program order.
+            if self.cfg.shard_filter.is_some_and(|(mine, n)| shard_of(op.key(), n) != mine) {
+                continue;
+            }
+            match op {
+                Op::Write { key, mutation } => {
+                    muts_so_far.entry(*key).or_default().push(*mutation);
+                }
+                Op::Read { key, value } => {
+                    let mut r = ReadState {
+                        op_index: op_index as u32,
+                        key: *key,
+                        observed: value.clone(),
+                        muts_before: muts_so_far.get(key).cloned().unwrap_or_default(),
+                        ok: true,
+                        settled: false,
+                        wrong_since: None,
+                    };
+                    if let Some(base) = anchored.get(key) {
+                        // Internal consistency vs. the anchored
+                        // observation: stable — verdict final now.
+                        let expected = expected_read(base, &r.muts_before);
+                        if expected != r.observed {
+                            let axiom = classify_mismatch(&r.muts_before, &r.observed);
+                            self.emit(mismatch_violation(axiom, txn.tid, &r, expected));
+                        }
+                        r.settled = true;
+                    } else if r.muts_before.is_empty() {
+                        // First access to the key is this read: anchor it.
+                        anchored.insert(*key, value.clone());
+                    }
+                    reads.push(r);
+                }
+            }
+        }
+        // Published value per key: fold over the anchored observation when
+        // the key was read first (CHRONOS's int_val chain), else over the
+        // frontier snapshot at the anchor event.
+        let mut write_set: Vec<(Key, Snapshot)> = muts_so_far
+            .iter()
+            .map(|(key, muts)| {
+                let base =
+                    anchored.get(key).cloned().unwrap_or_else(|| self.frontier_at(*key, anchor));
+                (*key, expected_read(&base, muts))
+            })
+            .collect();
+        write_set.sort_unstable_by_key(|(k, _)| *k);
+        let mut anchor_keys: Vec<Key> = anchored.keys().copied().collect();
+        anchor_keys.sort_unstable();
+        Footprint { txn, level, anchor, reads, write_set, anchor_keys }
+    }
+
+    /// Step ①: tentative EXT verdicts against the versions known now.
+    fn step1_tentative(&mut self, fp: &mut Footprint) {
+        let ext = fp.level.checks().ext;
+        for r in fp.reads.iter_mut().filter(|r| !r.settled) {
+            if self.read_ok(ext, r.key, fp.anchor, &r.muts_before, &r.observed) {
+                // A committed-predicate `ok` is final when versions are
+                // never withdrawn (the membership set only grows), so the
+                // read settles now instead of riding the reader index —
+                // and the timeout queue — until its deadline.
+                r.settled =
+                    ext == ExtPredicate::Committed && self.committed_ok_is_final(&r.muts_before);
+                continue;
+            }
+            match classify_mismatch(&r.muts_before, &r.observed) {
+                MismatchAxiom::Int => {
+                    // Stable under asynchrony: report immediately.
+                    let expected =
+                        expected_read(&self.frontier_at(r.key, fp.anchor), &r.muts_before);
+                    self.emit(mismatch_violation(MismatchAxiom::Int, fp.txn.tid, r, expected));
+                    r.settled = true;
+                }
+                MismatchAxiom::Ext => {
+                    r.ok = false;
+                    r.wrong_since = Some(self.now_ms);
+                }
+            }
+        }
+    }
+
+    /// Index the tentative reads and the writes at the anchor, publish
+    /// the written versions at the commit event, and queue step ③ for
+    /// each.
+    fn index_and_publish(&mut self, fp: &Footprint) {
+        let (tid, commit_ev) = (fp.txn.tid, fp.txn.commit_event());
+        for (idx, r) in fp.reads.iter().enumerate().filter(|(_, r)| !r.settled) {
+            self.readers.insert(r.key, fp.anchor, ReadRef { tid, read_idx: idx as u32 });
+        }
+        for (key, _) in &fp.write_set {
+            self.writers.insert(*key, fp.anchor, tid);
+        }
+        for (key, snap) in &fp.write_set {
+            self.publish(*key, commit_ev, snap, None);
+        }
+        self.triggers.extend(fp.write_set.iter().map(|(key, _)| (*key, commit_ev)));
+    }
+
+    /// Make `snap` the version of `key` committed at `commit_ev` — the
+    /// one place a version enters the frontier and the
+    /// committed-membership summaries together. `revised` is the value a
+    /// list cascade is replacing when the frontier holds no entry to say
+    /// so.
+    pub(super) fn publish(
+        &mut self,
+        key: Key,
+        commit_ev: EventKey,
+        snap: &Snapshot,
+        revised: Option<&Snapshot>,
+    ) {
+        let prev = self.frontier.insert(key, commit_ev, snap.clone());
+        if self.has_committed_ext {
+            self.membership.record(key, commit_ev, snap, prev.as_ref().or(revised));
+        }
+    }
+
+    /// Step ②: NOCONFLICT via overlap registration.
+    ///
+    /// Every writer registers whenever *some* level of the policy
+    /// activates NOCONFLICT (an overlap is a pair property — the
+    /// partner's level matters too); a conflict is reported when either
+    /// member's level forbids concurrent writers, following the
+    /// mixed-level convention that an SI transaction's
+    /// first-committer-wins guarantee binds whoever overlaps it. Each
+    /// writer's own NOCONFLICT activation travels *inside* the overlap
+    /// index, so the pair rule stays exact even when the partner has
+    /// been spilled out of resident memory.
+    fn step2_noconflict(&mut self, fp: &Footprint) {
+        if !self.track_overlaps {
+            return;
+        }
+        let (tid, mine) = (fp.txn.tid, fp.level.checks().noconflict);
+        let (start_ev, commit_ev) = (fp.txn.start_event(), fp.txn.commit_event());
+        for &(key, _) in &fp.write_set {
+            for other in self.ongoing.register(key, tid, mine, start_ev, commit_ev, false) {
+                if !mine && !other.noconflict {
+                    continue;
+                }
+                // The earlier committer reports (matching CHRONOS's
+                // convention).
+                let other_cts =
+                    self.txns.get(&other.tid).map_or(Timestamp::MIN, |t| t.txn.commit_ts);
+                let (t1, t2) =
+                    if other_cts < fp.txn.commit_ts { (other.tid, tid) } else { (tid, other.tid) };
+                self.emit(Violation::NoConflict { key, t1, t2 });
+            }
+        }
+    }
+
+    /// Make the arrival resident, with an EXT deadline while any of its
+    /// reads is still tentative.
+    fn admit_resident(&mut self, fp: Footprint) {
+        let Footprint { txn, level, reads, write_set, anchor_keys, .. } = fp;
+        let finalized = reads.iter().all(|r| r.settled);
+        if finalized {
+            self.stats.finalized += 1;
+        } else {
+            let deadline = self.now_ms.saturating_add(self.cfg.ext_timeout_ms);
+            self.deadlines.push(Reverse((deadline, txn.tid)));
+        }
+        self.insert_txn(OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
+    }
+
+    /// Step ③: re-check readers (and, for lists, dependent writers) in
+    /// the window `(from, next version of key)` after a version
+    /// insertion at `from`.
+    ///
+    /// Frontier-predicate readers anchored past the next version of the
+    /// key are untouched by construction (their visible frontier did not
+    /// change). Committed-predicate (RC) readers have no such window —
+    /// *any* version below their anchor can justify their observation —
+    /// so when the policy can produce them, a second sweep re-evaluates
+    /// just those readers beyond the bound.
+    fn process_triggers(&mut self) {
+        while let Some((key, from)) = self.triggers.pop_front() {
+            let bound = if self.cfg.naive_recheck {
+                EventKey::INFINITY
+            } else {
+                self.frontier.next_after(key, from).unwrap_or(EventKey::INFINITY)
+            };
+            for (anchor_ev, rref) in self.readers.range(key, from, bound) {
+                self.re_evaluate(rref, key, anchor_ev, false);
+            }
+            if self.has_committed_ext && bound != EventKey::INFINITY {
+                for (anchor_ev, rref) in self.readers.range(key, bound, EventKey::INFINITY) {
+                    self.re_evaluate(rref, key, anchor_ev, true);
+                }
+            }
+            if self.cfg.kind == DataKind::List {
+                // Append results depend on their base snapshot: writers in
+                // the window must recompute and cascade.
+                for (anchor_ev, wtid) in self.writers.range(key, from, bound) {
+                    self.recompute_writer(wtid, key, anchor_ev);
+                }
+            }
+        }
+    }
+
+    /// True when a committed-predicate read that currently holds `ok`
+    /// can never lose it: outside [`DataKind::List`] no published
+    /// version is ever withdrawn (only list cascades revise), so the
+    /// committed-membership set for a first read only grows, and a
+    /// base-dependent read-over-writes falls back to the (mutable)
+    /// frontier only for lists. Such a verdict is safe to settle early.
+    fn committed_ok_is_final(&self, muts: &[Mutation]) -> bool {
+        self.cfg.kind != DataKind::List && (muts.is_empty() || base_independent(muts))
+    }
+
+    /// Re-check one tentative read against the versions known now. A
+    /// `committed_only` sweep leaves frontier readers — unaffected beyond
+    /// the window — alone.
+    fn re_evaluate(&mut self, rref: ReadRef, key: Key, anchor_ev: EventKey, committed_only: bool) {
+        // Verdict frozen once finalized (paper lines 40–41), or gone.
+        let Some(t) = self.txns.get(&rref.tid).filter(|t| !t.finalized) else { return };
+        let ext = t.level.checks().ext;
+        if committed_only && ext != ExtPredicate::Committed {
+            return;
+        }
+        let Some(r) = t.reads.get(rref.read_idx as usize).filter(|r| !r.settled) else { return };
+        let ok = self.read_ok(ext, key, anchor_ev, &r.muts_before, &r.observed);
+        self.stats.reevaluations += 1;
+        if ok == r.ok {
+            return;
+        }
+        // A justified committed read is settled for good — later
+        // publishes to this key can stop re-evaluating it.
+        let settles =
+            ok && ext == ExtPredicate::Committed && self.committed_ok_is_final(&r.muts_before);
+        let (tid, now_ms) = (rref.tid, self.now_ms);
+        let rectified_after_ms = r.wrong_since.filter(|_| ok).map(|w| now_ms.saturating_sub(w));
+        self.flips.record_flip(tid, key, rectified_after_ms);
+        self.emit_event(|| CheckEvent::VerdictFlip { tid, key, rectified_after_ms });
+        let read = self.txns.get_mut(&tid).and_then(|t| t.reads.get_mut(rref.read_idx as usize));
+        if let Some(r) = read {
+            r.ok = ok;
+            r.wrong_since = if ok { None } else { Some(now_ms) };
+            r.settled = settles;
+        }
+    }
+
+    /// Recompute a (list) writer's published snapshot for `key` when its
+    /// base changed; cascades through the frontier if the value differs.
+    fn recompute_writer(&mut self, wtid: TxnId, key: Key, anchor_ev: EventKey) {
+        let Some(t) = self.txns.get(&wtid) else { return };
+        if t.anchor_keys.contains(&key) {
+            return; // published value folds over the anchored observation
+        }
+        let muts: Vec<Mutation> = t
+            .txn
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Write { key: k, mutation } if *k == key => Some(*mutation),
+                _ => None,
+            })
+            .collect();
+        if muts.is_empty() || base_independent(&muts) {
+            return; // Put-rooted values never change with the base
+        }
+        let new_snap = expected_read(&self.frontier_at(key, anchor_ev), &muts);
+        let commit_ev = t.txn.commit_event();
+        let entry =
+            self.txns.get_mut(&wtid).and_then(|t| t.write_set.iter_mut().find(|e| e.0 == key));
+        let Some((_, published)) = entry.filter(|e| e.1 != new_snap) else { return };
+        // The cascade *revises* this published version: the old value was
+        // never a committed observation, so the membership entry moves
+        // with it.
+        let old = std::mem::replace(published, new_snap.clone());
+        self.publish(key, commit_ev, &new_snap, Some(&old));
+        self.triggers.push_back((key, commit_ev));
+    }
+
+    // --- TIMEOUT -------------------------------------------------------------
+
+    /// Advance the (virtual) clock and finalize every transaction whose
+    /// EXT timeout has expired (paper's `TIMEOUT` procedure), returning
+    /// the finalizations and EXT violations that produced.
+    pub fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
+        self.now_ms = self.now_ms.max(now_ms);
+        while let Some(&Reverse((deadline, tid))) = self.deadlines.peek() {
+            if deadline > self.now_ms {
+                break;
+            }
+            self.deadlines.pop();
+            self.finalize_txn(tid);
+        }
+        self.take_events()
+    }
+
+    /// Finalize everything regardless of deadlines (end of stream).
+    pub fn drain(&mut self) -> Vec<CheckEvent> {
+        while let Some(Reverse((_, tid))) = self.deadlines.pop() {
+            self.finalize_txn(tid);
+        }
+        self.take_events()
+    }
+
+    /// Finalize the EXT verdicts of one transaction (paper `TIMEOUT`).
+    fn finalize_txn(&mut self, tid: TxnId) {
+        let Some(t) = self.txns.get(&tid).filter(|t| !t.finalized) else { return };
+        let anchor = t.anchor();
+        let violations: Vec<Violation> = t
+            .reads
+            .iter()
+            .filter(|r| !r.ok && !r.settled)
+            .map(|r| {
+                let expected = expected_read(&self.frontier_at(r.key, anchor), &r.muts_before);
+                mismatch_violation(MismatchAxiom::Ext, tid, r, expected)
+            })
+            .collect();
+        let n = violations.len() as u32;
+        for v in violations {
+            self.emit(v);
+        }
+        self.emit_event(|| CheckEvent::ExtFinalized { tid, violations: n });
+        if let Some(t) = self.txns.get_mut(&tid) {
+            t.finalized = true;
+        }
+        self.stats.finalized += 1;
+    }
+}

@@ -1,0 +1,187 @@
+//! Garbage collection: spilling finalized transactions below the safe
+//! horizon to the [`crate::spill`] store, pruning the versioned state
+//! behind them, and reloading them for deep stragglers (paper §III-C3).
+
+use super::{OnlineChecker, OnlineGcPolicy, OnlineTxn};
+use crate::spill::SpillEntry;
+use aion_types::{CheckEvent, EventKey, SpillOp, Timestamp};
+
+impl OnlineChecker {
+    pub(super) fn maybe_gc(&mut self) {
+        let (threshold, target) = match self.cfg.gc {
+            OnlineGcPolicy::None => return,
+            OnlineGcPolicy::Checking { max_txns } => (max_txns, max_txns / 2),
+            OnlineGcPolicy::Full { max_txns } => (max_txns, max_txns.saturating_sub(1)),
+        };
+        if self.txns.len() > threshold {
+            self.spill_down_to(target);
+        }
+    }
+
+    /// The oldest anchor of any live (unfinalized) transaction. Nothing
+    /// at or above it may be spilled — its verdicts can still change
+    /// (paper: asynchrony may prevent recycling anything).
+    fn safe_horizon(&self) -> EventKey {
+        // A commutative min-fold: hash visit order cannot affect it.
+        self.txns
+            .values()
+            .filter(|t| !t.finalized)
+            .map(OnlineTxn::anchor)
+            .min()
+            .unwrap_or(EventKey::INFINITY)
+    }
+
+    /// The finalized transactions below `safe_horizon`, oldest commit
+    /// first, that bring the resident count down to `target`.
+    fn spill_candidates(&self, safe_horizon: EventKey, target: usize) -> Vec<SpillEntry> {
+        let mut candidates: Vec<(EventKey, &OnlineTxn)> = self
+            .txns
+            .values()
+            .filter(|t| t.finalized && t.txn.commit_event() < safe_horizon)
+            .map(|t| (t.txn.commit_event(), t))
+            .collect();
+        candidates.sort_unstable_by_key(|(commit_ev, _)| *commit_ev);
+        candidates.truncate(self.txns.len().saturating_sub(target));
+        candidates
+            .into_iter()
+            .map(|(_, t)| SpillEntry { txn: t.txn.clone(), write_set: t.write_set.clone() })
+            .collect()
+    }
+
+    /// Spill finalized transactions (oldest first) until at most `target`
+    /// transactions remain resident, or no more can be safely spilled.
+    fn spill_down_to(&mut self, target: usize) {
+        let safe_horizon = self.safe_horizon();
+        // Encode from borrowed state and only evict on success: a failed
+        // write keeps every candidate resident (memory is simply not
+        // reclaimed this pass) and surfaces as a typed event, never a
+        // panic. The clone is dominated by the encoding work either way.
+        let entries = self.spill_candidates(safe_horizon, target);
+        let cts = || entries.iter().map(|e| e.txn.commit_ts);
+        let (Some(min_spilled_cts), Some(max_spilled_cts)) = (cts().min(), cts().max()) else {
+            return; // worst case: asynchrony blocks all recycling
+        };
+        let bytes = match self.spill.spill(&entries) {
+            Ok((_, bytes)) => bytes as u64,
+            Err(e) => {
+                self.stats.spill_errors += 1;
+                let detail = e.to_string();
+                self.emit_event(|| CheckEvent::SpillError { op: SpillOp::Write, detail });
+                return;
+            }
+        };
+        for e in &entries {
+            self.remove_txn(e.txn.tid);
+        }
+        self.stats.gc_spills += 1;
+        self.stats.spilled_txns += entries.len();
+        self.stats.spill_bytes += bytes;
+        let (spilled, resident_after) = (entries.len(), self.txns.len());
+        self.emit_event(|| CheckEvent::SpillPass { spilled, bytes, resident_after });
+        self.gc_horizon_ts =
+            Some(self.gc_horizon_ts.map_or(max_spilled_cts, |h| h.max(max_spilled_cts)));
+        // A reloaded-then-re-spilled transaction can land below the
+        // reload floor; pull the floor back so a later straggler pass
+        // fetches it again.
+        self.reload_floor =
+            self.reload_floor.min(Timestamp(min_spilled_cts.get().saturating_sub(1)));
+        self.prune_versions(safe_horizon);
+    }
+
+    /// Prune versioned state below the oldest event any retained
+    /// transaction can still anchor a query at.
+    fn prune_versions(&mut self, safe_horizon: EventKey) {
+        // Order-insensitive, like `safe_horizon`'s fold.
+        let horizon = self.txns.values().map(OnlineTxn::anchor).fold(safe_horizon, EventKey::min);
+        // The frontier-exact levels only ever query the latest version
+        // below an anchor, which `prune_below` keeps per key. RC's
+        // membership predicate has no such base — *any* committed
+        // version below the anchor can justify a read — but that
+        // question is answered by the committed-membership summaries,
+        // which survive this prune, so the frontier sheds its chains
+        // under RC/mixed policies too.
+        self.frontier.prune_below(horizon);
+        self.ongoing.prune_below(horizon);
+        self.readers.prune_below(horizon);
+        self.writers.prune_below(horizon);
+        // The summaries survive the prune, but shed the events that can
+        // no longer change any membership answer (everything behind a
+        // frozen per-value minimum), so they stay bounded by the live
+        // window plus one entry per distinct (key, value) pair.
+        if self.has_committed_ext {
+            self.membership.compact_below(horizon);
+        }
+    }
+
+    /// Reload every spilled segment that could matter for an arrival whose
+    /// anchor reaches at or below the GC horizon. Conservative: a read may
+    /// need the latest version committed long before its anchor, so all
+    /// segments up to `hi` are brought back.
+    pub(crate) fn reload_below(&mut self, hi: Timestamp) {
+        if hi <= self.reload_floor {
+            return; // everything at or below `hi` is already resident
+        }
+        self.reload_scans += 1;
+        let mut all_loaded = true;
+        for id in self.spill.segments_overlapping(Timestamp::MIN, hi) {
+            // A segment that fails to reload is skipped for this pass —
+            // typed degradation (re-checks against it see less history)
+            // instead of a panic. The segment stays marked unloaded, so
+            // a later pass retries it.
+            match self.spill.reload(id) {
+                Ok(entries) => entries.into_iter().for_each(|e| self.rehydrate(e)),
+                Err(e) => {
+                    self.stats.spill_errors += 1;
+                    all_loaded = false;
+                    let detail = e.to_string();
+                    self.emit_event(|| CheckEvent::SpillError { op: SpillOp::Reload, detail });
+                }
+            }
+        }
+        if all_loaded {
+            // Every overlapping segment is now resident: later passes
+            // bounded by `hi` have nothing to do. A failed segment keeps
+            // the floor down so it is retried.
+            self.reload_floor = self.reload_floor.max(hi);
+        }
+    }
+
+    /// Make one reloaded transaction resident again: its versions, its
+    /// write intervals, and a finalized read-less [`OnlineTxn`].
+    fn rehydrate(&mut self, e: SpillEntry) {
+        let tid = e.txn.tid;
+        if self.txns.contains_key(&tid) {
+            return;
+        }
+        self.stats.reloaded_txns += 1;
+        let commit_ev = e.txn.commit_event();
+        for (key, snap) in &e.write_set {
+            // Re-inserting is safe: reloaded versions are at or below the
+            // retained per-key base, so no live reader's visible version
+            // changes (see DESIGN.md) — and idempotent for the membership
+            // summary, which has carried this version since it was first
+            // published.
+            self.publish(*key, commit_ev, snap, None);
+        }
+        // The policy resolves deterministically, so the reloaded
+        // transaction gets exactly the level it was checked at (its
+        // declaration survives the spill codec).
+        let level = self.cfg.levels.level_for(&e.txn);
+        if self.track_overlaps {
+            let nc = level.checks().noconflict;
+            for (key, _) in &e.write_set {
+                // Conflicts among reloaded transactions were already
+                // reported before they were spilled.
+                self.ongoing.register(*key, tid, nc, e.txn.start_event(), commit_ev, true);
+            }
+        }
+        self.insert_txn(OnlineTxn {
+            txn: e.txn,
+            level,
+            write_set: e.write_set,
+            reads: Vec::new(),
+            anchor_keys: Vec::new(),
+            finalized: true,
+        });
+    }
+}

@@ -58,12 +58,14 @@
 //! ```
 
 use crate::checker::{
-    aion_level_name, anchor_event, AionConfig, ConfigError, GlobalChecks, OnlineChecker,
-    OnlineGcPolicy, OnlineTxn,
+    aion_level_name, anchor_event, record_violation, AionConfig, ConfigError, GlobalChecks,
+    OnlineChecker, OnlineGcPolicy, OnlineTxn,
 };
 use crate::feed::{route_txn, shard_of, RoutedTxn};
 use crate::index::ReadRef;
-use crate::snapshot::{get_config, get_events, get_globals, put_config, put_events, put_globals};
+use crate::snapshot::{
+    config_error, get_config, get_events, get_globals, put_config, put_events, put_globals,
+};
 use crate::transport::{
     ShardCmd, ShardReply, ShardTransport, SimSchedule, SimStats, SimTransport, ThreadTransport,
 };
@@ -74,7 +76,7 @@ use aion_types::snapshot::{
 };
 use aion_types::{
     CheckEvent, CheckReport, Checker, CheckerStats, FlipSummary, FxHashMap, IsolationLevel, Key,
-    Outcome, Snapshot, Timestamp, Transaction, TxnId, Violation,
+    Outcome, Snapshot, Timestamp, Transaction, TxnId,
 };
 use bytes::{BufMut, BytesMut};
 use std::cmp::Reverse;
@@ -133,23 +135,8 @@ impl ShardedChecker {
     /// running an [`OnlineChecker`] with this configuration scoped to
     /// its key partition. Per-shard GC budgets divide
     /// [`OnlineGcPolicy`]'s `max_txns` evenly; a configured spill path
-    /// gets a `.shardK` suffix per worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a worker's spill file cannot be created; use
-    /// [`ShardedChecker::try_new`] to handle that as a typed
-    /// [`ConfigError`] instead.
-    pub fn new(cfg: AionConfig) -> ShardedChecker {
-        // aion-lint: allow(panic-freedom) — documented constructor
-        // contract; `try_new` is the typed-error path
-        ShardedChecker::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ShardedChecker::new`], surfacing configuration problems (an
-    /// uncreatable worker spill file) as a typed [`ConfigError`].
-    /// Every worker checker is constructed *before* any thread spawns,
-    /// so a failure leaves no half-started session behind.
+    /// gets a `.shardK` suffix per worker. An uncreatable worker spill
+    /// file is a typed [`ConfigError`].
     pub fn try_new(cfg: AionConfig) -> Result<ShardedChecker, ConfigError> {
         let checkers = Self::worker_checkers(&cfg)?;
         Ok(Self::fresh(cfg, Box::new(ThreadTransport::spawn(checkers))))
@@ -193,16 +180,6 @@ impl ShardedChecker {
         }
     }
 
-    /// A sharded session with `shards` workers over an otherwise
-    /// default configuration (in-memory spilling: infallible).
-    pub fn with_shards(shards: usize) -> ShardedChecker {
-        let mut cfg = AionConfig::default();
-        cfg.shard.shards = shards.max(1);
-        // aion-lint: allow(panic-freedom) — the only constructor error
-        // is an uncreatable spill file, and this config spills in memory
-        ShardedChecker::try_new(cfg).expect("in-memory sessions cannot fail to open")
-    }
-
     /// The session's configuration.
     pub fn config(&self) -> &AionConfig {
         &self.cfg
@@ -232,104 +209,67 @@ impl ShardedChecker {
         &self.report
     }
 
-    fn emit(&mut self, v: Violation) {
-        if self.cfg.events {
-            self.events.push(CheckEvent::Violation(v.clone()));
-        }
-        self.report.push(v);
-    }
-
-    /// Receive one transaction at (virtual) time `now_ms`: run the
-    /// global checks, route the footprint to its shard(s), and return
-    /// every event that has surfaced so far (coordinator violations
-    /// synchronously; worker events as their replies arrive).
+    /// Receive one transaction at (virtual) time `now_ms`: a
+    /// [`receive_batch`](Self::receive_batch) of one.
     pub fn receive(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
-        self.now_ms = self.now_ms.max(now_ms);
-        self.received += 1;
-
-        // --- global checks: the single checker's `GlobalChecks`, run
-        //     once per whole transaction, at the same resolved level the
-        //     workers will check the footprint at ------------------------
-        let level = self.cfg.levels.level_for(&txn);
-        let mut violations = Vec::new();
-        let admitted = self.globals.admit(&txn, level, |violation| violations.push(violation));
-        for violation in violations {
-            self.emit(violation);
-        }
-        if !admitted {
-            self.dropped += 1;
-            self.pump();
-            return std::mem::take(&mut self.events);
-        }
-
-        // --- route ------------------------------------------------------
-        let tid = txn.tid;
-        let now = self.now_ms;
-        match route_txn(txn, self.shards) {
-            RoutedTxn::Single { shard, txn } => {
-                self.track_pending(tid, &txn, 1);
-                self.send(shard, ShardCmd::Feed { txn: Arc::new(txn), now_ms: now });
-            }
-            RoutedTxn::Split { shards, txn } => {
-                self.track_pending(tid, &txn, shards.len() as u32);
-                let txn = Arc::new(txn);
-                for &shard in &shards {
-                    self.send(shard, ShardCmd::Feed { txn: Arc::clone(&txn), now_ms: now });
-                }
-            }
-        }
-        self.pump();
-        std::mem::take(&mut self.events)
+        self.receive_batch(vec![(txn, now_ms)])
     }
 
-    /// Receive a run of arrivals in order, amortizing the channel
-    /// traffic: global checks, routing and pending-merge registration
-    /// happen per arrival exactly as in [`ShardedChecker::receive`], but
-    /// each shard gets **one** `ShardCmd::FeedBatch` carrying all of
-    /// its parts (in arrival order, so per-worker FIFO — and therefore
-    /// every verdict — is unchanged) instead of one channel send per
-    /// part.
+    /// Receive a run of arrivals in order: run the global checks, route
+    /// each footprint to its shard(s), and return every event that has
+    /// surfaced so far (coordinator violations synchronously; worker
+    /// events as their replies arrive). Each shard gets **one**
+    /// `ShardCmd::FeedBatch` carrying all of its parts in arrival order,
+    /// so per-worker FIFO — and therefore every verdict — does not depend
+    /// on how arrivals are grouped into calls.
     pub fn receive_batch(&mut self, batch: Vec<(Transaction, u64)>) -> Vec<CheckEvent> {
         let mut per_shard: Vec<Vec<(Arc<Transaction>, u64)>> = vec![Vec::new(); self.shards];
         for (txn, now_ms) in batch {
             self.now_ms = self.now_ms.max(now_ms);
             self.received += 1;
 
+            // The single checker's `GlobalChecks`, run once per whole
+            // transaction, at the same resolved level the workers will
+            // check the footprint at.
             let level = self.cfg.levels.level_for(&txn);
-            let mut violations = Vec::new();
-            let admitted = self.globals.admit(&txn, level, |violation| violations.push(violation));
-            for violation in violations {
-                self.emit(violation);
-            }
+            let on = self.cfg.events;
+            let admitted = self.globals.admit(&txn, level, |v| {
+                record_violation(on, &mut self.events, &mut self.report, v)
+            });
             if !admitted {
                 self.dropped += 1;
                 continue;
             }
 
-            let tid = txn.tid;
-            let now = self.now_ms;
+            let (tid, now) = (txn.tid, self.now_ms);
+            // A shard outside the buffer cannot occur: `route_txn` computes
+            // shards modulo `self.shards`, the buffer's exact length.
+            let mut stage = |shard: usize, part: Arc<Transaction>| {
+                if let Some(parts) = per_shard.get_mut(shard) {
+                    parts.push((part, now));
+                }
+            };
             match route_txn(txn, self.shards) {
                 RoutedTxn::Single { shard, txn } => {
                     self.track_pending(tid, &txn, 1);
-                    // aion-lint: allow(panic-freedom) — `route_txn`
-                    // computes shards modulo `self.shards`, the buffer's
-                    // exact length
-                    per_shard[shard].push((Arc::new(txn), now));
+                    stage(shard, Arc::new(txn));
                 }
                 RoutedTxn::Split { shards, txn } => {
                     self.track_pending(tid, &txn, shards.len() as u32);
+                    // Shared, so a split transaction is *not* deep-cloned
+                    // on the coordinator's critical path — the last worker
+                    // to unwrap it takes ownership, the others clone in
+                    // parallel on their own threads.
                     let txn = Arc::new(txn);
                     for &shard in &shards {
-                        // aion-lint: allow(panic-freedom) — same modulo
-                        // bound as the single-shard arm
-                        per_shard[shard].push((Arc::clone(&txn), now));
+                        stage(shard, Arc::clone(&txn));
                     }
                 }
             }
         }
         for (shard, parts) in per_shard.into_iter().enumerate() {
             if !parts.is_empty() {
-                self.send(shard, ShardCmd::FeedBatch { parts });
+                self.transport.send(shard, ShardCmd::FeedBatch { parts });
             }
         }
         self.pump();
@@ -352,10 +292,6 @@ impl ShardedChecker {
                 },
             );
         }
-    }
-
-    fn send(&mut self, shard: usize, cmd: ShardCmd) {
-        self.transport.send(shard, cmd);
     }
 
     /// Schedule/fault counters of the simulated transport (`None` for
@@ -386,7 +322,7 @@ impl ShardedChecker {
     fn broadcast_tick(&mut self, now_ms: u64) {
         self.last_tick_broadcast = now_ms;
         for shard in 0..self.shards {
-            self.send(shard, ShardCmd::Tick { now_ms });
+            self.transport.send(shard, ShardCmd::Tick { now_ms });
         }
     }
 
@@ -394,7 +330,7 @@ impl ShardedChecker {
     /// absorbing their replies.
     fn barrier(&mut self) {
         for shard in 0..self.shards {
-            self.send(shard, ShardCmd::Flush);
+            self.transport.send(shard, ShardCmd::Flush);
         }
         let mut flushed = 0usize;
         while flushed < self.shards {
@@ -495,7 +431,7 @@ impl ShardedChecker {
     /// to whole-transaction counts.
     pub fn finish(mut self) -> Outcome {
         for shard in 0..self.shards {
-            self.send(shard, ShardCmd::Finish);
+            self.transport.send(shard, ShardCmd::Finish);
         }
         let mut outcomes: Vec<(usize, Outcome)> = Vec::with_capacity(self.shards);
         while outcomes.len() < self.shards {
@@ -539,7 +475,7 @@ impl ShardedChecker {
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, SnapshotError> {
         self.barrier();
         for shard in 0..self.shards {
-            self.send(shard, ShardCmd::Checkpoint);
+            self.transport.send(shard, ShardCmd::Checkpoint);
         }
         let mut bodies: Vec<Option<Vec<u8>>> = (0..self.shards).map(|_| None).collect();
         let mut got = 0usize;
@@ -929,11 +865,8 @@ fn resplit_workers(
 
     let mut workers = Vec::with_capacity(new_shards);
     for m in 0..new_shards {
-        let mut w = OnlineChecker::try_new(worker_config(base_cfg, m, new_shards)).map_err(
-            |e| match e {
-                ConfigError::SpillFile { source, .. } => SnapshotError::Io(source),
-            },
-        )?;
+        let mut w =
+            OnlineChecker::try_new(worker_config(base_cfg, m, new_shards)).map_err(config_error)?;
         w.now_ms = now_ms;
         workers.push(w);
     }
@@ -983,8 +916,10 @@ fn resplit_workers(
                 t.anchor_keys.iter().copied().filter(|k| shard_of(*k, new_shards) == m).collect();
             let finalized = reads.iter().all(|r| r.settled);
             if !finalized {
-                let deadline =
-                    deadline_of.get(&tid).copied().unwrap_or(now_ms + base_cfg.ext_timeout_ms);
+                let deadline = deadline_of
+                    .get(&tid)
+                    .copied()
+                    .unwrap_or(now_ms.saturating_add(base_cfg.ext_timeout_ms));
                 w.deadlines.push(Reverse((deadline, tid)));
             }
             for (idx, r) in reads.iter().enumerate() {
@@ -1199,6 +1134,27 @@ mod tests {
         assert_eq!(a.report.violations, b.report.violations);
         assert_eq!(a.flips.total_flips, b.flips.total_flips);
         assert_eq!(a.stats.finalized, b.stats.finalized);
+    }
+
+    /// The single checker's edge arithmetic, through a coordinator and
+    /// two workers — and through a re-shard, whose fallback deadline
+    /// used to be computed (and overflow) even when unused.
+    #[test]
+    fn deadline_and_sno_arithmetic_saturate_at_the_edges() {
+        let mut a = sharded(2);
+        a.tick(u64::MAX);
+        a.receive(t(1, 0, u32::MAX, 1, 2).read(Key(1), Value(9)).read(Key(2), Value(9)).build(), 0);
+        a.receive(t(2, 0, 0, 3, 4).build(), 0);
+        assert_eq!(a.coordinator_report().count(AxiomKind::Session), 2);
+        let snap = a.checkpoint().unwrap();
+        for mut ck in [a, ShardedChecker::restore_resharded(&snap, 3).unwrap()] {
+            let events = ck.tick(u64::MAX);
+            assert!(
+                events.contains(&CheckEvent::ExtFinalized { tid: TxnId(1), violations: 2 }),
+                "{events:?}"
+            );
+            assert_eq!(ck.finish().report.count(AxiomKind::Ext), 2);
+        }
     }
 
     #[test]

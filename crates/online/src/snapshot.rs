@@ -424,7 +424,7 @@ fn get_flips(buf: &mut impl Buf) -> Result<FlipTracker, SnapshotError> {
 
 // --- the single-checker body ---------------------------------------------
 
-fn config_error(e: ConfigError) -> SnapshotError {
+pub(crate) fn config_error(e: ConfigError) -> SnapshotError {
     match e {
         ConfigError::SpillFile { source, .. } => SnapshotError::Io(source),
     }
@@ -505,11 +505,11 @@ impl OnlineChecker {
         put_config(buf, &self.cfg);
         put_globals(buf, &self.globals);
 
-        let mut tids: Vec<TxnId> = self.txns().keys().copied().collect();
-        tids.sort_unstable();
-        put_varint(buf, tids.len() as u64);
-        for tid in tids {
-            put_online_txn(buf, &self.txns()[&tid]);
+        let mut resident: Vec<&OnlineTxn> = self.txns().values().collect();
+        resident.sort_unstable_by_key(|t| t.txn.tid);
+        put_varint(buf, resident.len() as u64);
+        for t in resident {
+            put_online_txn(buf, t);
         }
 
         let mut versions: Vec<(Key, EventKey, &aion_types::Snapshot)> =
@@ -643,8 +643,17 @@ impl OnlineChecker {
             let e = get_event_key(buf)?;
             for _ in 0..get_varint(buf)? {
                 let tid = TxnId(get_varint(buf)?);
-                let read_idx = get_varint(buf)? as u32;
-                ck.readers.insert(k, e, ReadRef { tid, read_idx });
+                let read_idx = get_varint(buf)?;
+                // Step ③ follows a live transaction's references into its
+                // read states. (An entry may outlive its transaction — GC
+                // spills those, and reloads them without reads.)
+                let dangling = |t: &OnlineTxn| !t.finalized && read_idx >= t.reads.len() as u64;
+                if ck.txns().get(&tid).is_some_and(dangling) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "reader index names read {read_idx} of {tid}, which has no such read"
+                    )));
+                }
+                ck.readers.insert(k, e, ReadRef { tid, read_idx: read_idx as u32 });
             }
         }
 
@@ -693,11 +702,11 @@ impl OnlineChecker {
             let txns = get_varint(buf)? as usize;
             let loaded = get_bool(buf)?;
             let len = get_varint(buf)? as usize;
-            if buf.remaining() < len {
+            let Some((bytes, rest)) = buf.split_at_checked(len) else {
                 return Err(SnapshotError::Codec(CodecError::UnexpectedEof));
-            }
-            let bytes = buf[..len].to_vec();
-            *buf = &buf[len..];
+            };
+            let bytes = bytes.to_vec();
+            *buf = rest;
             if !loaded {
                 // Validate now: a straggler reload must never hit corrupt
                 // bytes (it would panic, not error).
@@ -822,6 +831,26 @@ mod tests {
             }
             Err(other) => panic!("expected Corrupt, got {other}"),
             Ok(_) => panic!("a zero flip count must not restore"),
+        }
+    }
+
+    /// A hostile snapshot whose reader index names a read its live
+    /// transaction does not have used to restore, then panic the next
+    /// `feed` that re-evaluated it.
+    #[test]
+    fn dangling_reader_entry_is_rejected_at_restore() {
+        let mut ck = OnlineChecker::builder().build().unwrap();
+        let reader = t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build();
+        let anchor = reader.start_event();
+        ck.feed(reader, 0);
+        assert!(OnlineChecker::restore(&ck.checkpoint().unwrap()).is_ok());
+        ck.readers.insert(Key(1), anchor, ReadRef { tid: TxnId(2), read_idx: 7 });
+        match OnlineChecker::restore(&ck.checkpoint().unwrap()) {
+            Err(SnapshotError::Corrupt(detail)) => {
+                assert!(detail.contains("reader index"), "{detail}")
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a reader entry past its transaction's reads must not restore"),
         }
     }
 

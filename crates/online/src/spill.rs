@@ -221,10 +221,27 @@ impl SpillStore {
             .collect()
     }
 
+    /// The raw encoded bytes of segment `id`; an id this store never
+    /// handed out is [`std::io::ErrorKind::NotFound`].
+    fn read_segment(&mut self, id: SegmentId) -> std::io::Result<Vec<u8>> {
+        let unknown = || std::io::Error::new(std::io::ErrorKind::NotFound, "unknown spill segment");
+        let meta = self.segments.get(id).ok_or_else(unknown)?;
+        match &mut self.backend {
+            Backend::Memory(bufs) => bufs.get(id).cloned().ok_or_else(unknown),
+            Backend::Disk { file, .. } => {
+                let mut buf = vec![0u8; meta.len];
+                file.seek(SeekFrom::Start(meta.offset))?;
+                file.read_exact(&mut buf)?;
+                Ok(buf)
+            }
+        }
+    }
+
     /// Reload a segment, marking it resident. Returns its entries.
     ///
-    /// A failed reload (here mapped to [`CodecError::UnexpectedEof`], as
-    /// the caller distinguishes only success from failure) leaves the
+    /// A failed reload — an unknown id or an IO error (both mapped to
+    /// [`CodecError::UnexpectedEof`], as the caller distinguishes only
+    /// success from failure), or bytes that do not decode — leaves the
     /// segment marked *not* loaded, so a later pass can retry it.
     pub fn reload(&mut self, id: SegmentId) -> Result<Vec<SpillEntry>, CodecError> {
         if let Some(f) = self.faults.as_ref() {
@@ -232,18 +249,12 @@ impl SpillStore {
                 return Err(CodecError::UnexpectedEof);
             }
         }
-        let meta = &mut self.segments[id];
-        let raw: Vec<u8> = match &mut self.backend {
-            Backend::Memory(bufs) => bufs[id].clone(),
-            Backend::Disk { file, .. } => {
-                let mut buf = vec![0u8; meta.len];
-                file.seek(SeekFrom::Start(meta.offset)).map_err(|_| CodecError::UnexpectedEof)?;
-                file.read_exact(&mut buf).map_err(|_| CodecError::UnexpectedEof)?;
-                buf
-            }
-        };
-        meta.loaded = true;
-        decode_segment(&raw)
+        let raw = self.read_segment(id).map_err(|_| CodecError::UnexpectedEof)?;
+        let entries = decode_segment(&raw)?;
+        if let Some(meta) = self.segments.get_mut(id) {
+            meta.loaded = true;
+        }
+        Ok(entries)
     }
 
     /// Total transactions currently spilled out (not reloaded).
@@ -276,24 +287,16 @@ impl SpillStore {
     /// checkpoint codec. `&mut self`: the disk backend re-reads segment
     /// bytes from the file.
     pub(crate) fn export_segments(&mut self) -> std::io::Result<Vec<SegmentExport>> {
-        let mut out = Vec::with_capacity(self.segments.len());
-        for id in 0..self.segments.len() {
-            let (min_ts, max_ts, txns, loaded, offset, len) = {
-                let m = &self.segments[id];
-                (m.min_ts, m.max_ts, m.txns, m.loaded, m.offset, m.len)
-            };
-            let bytes = match &mut self.backend {
-                Backend::Memory(bufs) => bufs[id].clone(),
-                Backend::Disk { file, .. } => {
-                    let mut buf = vec![0u8; len];
-                    file.seek(SeekFrom::Start(offset))?;
-                    file.read_exact(&mut buf)?;
-                    buf
-                }
-            };
-            out.push(SegmentExport { min_ts, max_ts, txns, loaded, bytes });
-        }
-        Ok(out)
+        let raw: Vec<Vec<u8>> =
+            (0..self.segments.len()).map(|id| self.read_segment(id)).collect::<Result<_, _>>()?;
+        let export = |(m, bytes): (&SegmentMeta, Vec<u8>)| SegmentExport {
+            min_ts: m.min_ts,
+            max_ts: m.max_ts,
+            txns: m.txns,
+            loaded: m.loaded,
+            bytes,
+        };
+        Ok(self.segments.iter().zip(raw).map(export).collect())
     }
 
     /// Re-install exported segments into a *fresh* store (restore path),
@@ -402,6 +405,40 @@ mod tests {
         let (ib, _) = store.spill(&b).unwrap();
         assert_eq!(store.reload(ib).unwrap(), b);
         assert_eq!(store.reload(ia).unwrap(), a);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment whose bytes cannot be read back or do not decode used
+    /// to be marked loaded anyway — lost for good. It must stay spilled
+    /// out and be re-read by the next attempt.
+    #[test]
+    fn unreadable_disk_segment_stays_unloaded_and_retryable() {
+        let dir = std::env::temp_dir().join(format!("aion-spill-retry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg.bin");
+        let mut store = SpillStore::on_disk(path.clone()).unwrap();
+        let entries = vec![entry(1, 10, 20), entry(2, 30, 40)];
+        let (id, bytes) = store.spill(&entries).unwrap();
+        let intact = std::fs::read(&path).unwrap();
+        assert_eq!(intact.len(), bytes);
+
+        // Same length, garbage content: the read succeeds, the decode fails.
+        std::fs::write(&path, vec![0xff; bytes]).unwrap();
+        assert_eq!(store.reload(id), Err(CodecError::VarintOverflow));
+        assert_eq!(store.resident_out(), 2, "a failed decode must not mark the segment loaded");
+        // Truncated between spill and reload: the read itself fails.
+        std::fs::write(&path, &intact[..bytes / 2]).unwrap();
+        assert_eq!(store.reload(id), Err(CodecError::UnexpectedEof));
+        assert_eq!(store.resident_out(), 2);
+        assert_eq!(store.segments_overlapping(Timestamp(10), Timestamp(40)), vec![id]);
+        // An id the store never handed out is an error, not an index panic.
+        assert_eq!(store.reload(id + 1), Err(CodecError::UnexpectedEof));
+        assert!(store.export_segments().is_err(), "the checkpoint path reads the same bytes");
+
+        // The file comes back: the next attempt re-reads it.
+        std::fs::write(&path, &intact).unwrap();
+        assert_eq!(store.reload(id).unwrap(), entries);
+        assert_eq!(store.resident_out(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

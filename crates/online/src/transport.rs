@@ -39,17 +39,11 @@ use std::thread::JoinHandle;
 
 /// Commands the coordinator sends to a shard worker.
 pub(crate) enum ShardCmd {
-    /// Process one (sub-)transaction at virtual time `now_ms` (the
-    /// worker ticks its clock up to `now_ms` first). Shared via `Arc`
-    /// so a split transaction is *not* deep-cloned on the coordinator's
-    /// critical path — the last worker to unwrap it takes ownership,
-    /// the others clone in parallel on their own threads.
-    Feed { txn: Arc<Transaction>, now_ms: u64 },
-    /// Process a run of (sub-)transactions in order, exactly as if each
-    /// had been sent as its own [`ShardCmd::Feed`] — one channel send
-    /// amortized over the whole run, one `Fed` reply per part. Never
+    /// Process a run of (sub-)transactions in order, each at its own
+    /// virtual time (the worker ticks its clock up to it first) — one
+    /// channel send for the whole run, one `Fed` reply per part. Never
     /// dropped by the simulator (only finite `Tick`s are droppable), so
-    /// batching cannot change verdicts under any schedule.
+    /// how arrivals are grouped cannot change verdicts under any schedule.
     FeedBatch { parts: Vec<(Arc<Transaction>, u64)> },
     /// Advance the worker's virtual clock, firing EXT timeouts.
     Tick { now_ms: u64 },
@@ -68,7 +62,7 @@ pub(crate) enum ShardCmd {
 
 /// Replies flowing back from workers (per-worker FIFO order).
 pub(crate) enum ShardReply {
-    /// Events produced by a `Feed`, plus whether the fed part still
+    /// Events produced by one fed part, plus whether the fed part still
     /// holds tentative EXT verdicts on this shard (an `ExtFinalized`
     /// follows from this worker eventually iff `pending`). Only sent
     /// when events are on.
@@ -109,12 +103,22 @@ pub(crate) fn worker_step(
     // misbehaves) is ignored rather than panicking the worker thread.
     let Some(ck) = checker.as_mut() else { return out };
     match cmd {
-        ShardCmd::Feed { txn, now_ms } => {
-            feed_one(ck, txn, now_ms, events_on, &mut out.replies);
-        }
         ShardCmd::FeedBatch { parts } => {
             for (txn, now_ms) in parts {
-                feed_one(ck, txn, now_ms, events_on, &mut out.replies);
+                let tid = txn.tid;
+                // Last holder takes ownership; other shards of a split
+                // transaction deep-clone here, off the coordinator's
+                // critical path.
+                let txn = Arc::try_unwrap(txn).unwrap_or_else(|shared| (*shared).clone());
+                let mut events = ck.tick(now_ms);
+                events.extend(ck.receive(txn, now_ms));
+                if events_on {
+                    // Whether this shard still holds tentative reads for the
+                    // transaction — the single source of truth the
+                    // coordinator's ExtFinalized merge is driven by.
+                    let pending = ck.is_pending(tid);
+                    out.replies.push(ShardReply::Fed { tid, pending, events });
+                }
             }
         }
         ShardCmd::Tick { now_ms } => {
@@ -139,31 +143,6 @@ pub(crate) fn worker_step(
         }
     }
     out
-}
-
-/// Process one arrival — the shared body of [`ShardCmd::Feed`] and each
-/// element of [`ShardCmd::FeedBatch`], so batched delivery is
-/// event-for-event identical to unbatched by construction.
-fn feed_one(
-    ck: &mut OnlineChecker,
-    txn: Arc<Transaction>,
-    now_ms: u64,
-    events_on: bool,
-    replies: &mut Vec<ShardReply>,
-) {
-    let tid = txn.tid;
-    // Last holder takes ownership; other shards of a split transaction
-    // deep-clone here, off the coordinator's critical path.
-    let txn = Arc::try_unwrap(txn).unwrap_or_else(|shared| (*shared).clone());
-    let mut events = ck.tick(now_ms);
-    events.extend(ck.receive(txn, now_ms));
-    if events_on {
-        // Whether this shard still holds tentative reads for the
-        // transaction — the single source of truth the coordinator's
-        // ExtFinalized merge is driven by.
-        let pending = ck.is_pending(tid);
-        replies.push(ShardReply::Fed { tid, pending, events });
-    }
 }
 
 /// How the coordinator reaches its shard workers. See the module docs;

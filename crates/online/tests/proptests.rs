@@ -165,7 +165,7 @@ fn session_respecting_shuffle(h: &History, seed: u64) -> Vec<Transaction> {
 }
 
 fn run_online(arrivals: &[Transaction], cfg: AionConfig) -> aion_online::AionOutcome {
-    let mut ck = OnlineChecker::new(cfg);
+    let mut ck = OnlineChecker::try_new(cfg).unwrap();
     for (i, txn) in arrivals.iter().enumerate() {
         ck.tick(i as u64);
         ck.receive(txn.clone(), i as u64);

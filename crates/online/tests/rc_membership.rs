@@ -12,7 +12,7 @@
 //!   checker, and `receive_batch` outcome-equivalent on the sharded one.
 
 use aion_core::{check_ra_report, check_rc_report, check_ser_report, check_si_report};
-use aion_online::{AionConfig, MembershipIndex, OnlineChecker, OnlineGcPolicy, ShardedChecker};
+use aion_online::{AionConfig, MembershipIndex, OnlineChecker, OnlineGcPolicy};
 use aion_types::{
     AxiomKind, CheckReport, Checker, EventKey, History, Key, Outcome, SessionId, Snapshot,
     SplitMix64, Timestamp, Transaction, TxnId, Value,
@@ -69,7 +69,7 @@ fn flip_one_read(h: &mut History) {
 }
 
 fn run_online(arrivals: &[Transaction], cfg: AionConfig) -> Outcome {
-    let mut ck = OnlineChecker::new(cfg);
+    let mut ck = OnlineChecker::try_new(cfg).unwrap();
     for (i, txn) in arrivals.iter().enumerate() {
         ck.tick(i as u64);
         ck.receive(txn.clone(), i as u64);
@@ -331,7 +331,7 @@ proptest! {
                 .ext_timeout_ms(3)
         };
         let single = {
-            let mut ck = OnlineChecker::new(cfg().config());
+            let mut ck = cfg().build().unwrap();
             for (i, txn) in arrivals.iter().enumerate() {
                 ck.tick(i as u64);
                 ck.receive(txn.clone(), i as u64);
@@ -340,7 +340,7 @@ proptest! {
             ck.finish()
         };
         for shards in [2usize, 3] {
-            let mut per_arrival = ShardedChecker::new(cfg().shards(shards).config());
+            let mut per_arrival = cfg().shards(shards).build_sharded().unwrap();
             for (i, txn) in arrivals.iter().enumerate() {
                 per_arrival.tick(i as u64);
                 per_arrival.receive(txn.clone(), i as u64);
@@ -348,7 +348,7 @@ proptest! {
             per_arrival.tick(u64::MAX);
             let pa = per_arrival.finish();
 
-            let mut batched = ShardedChecker::new(cfg().shards(shards).config());
+            let mut batched = cfg().shards(shards).build_sharded().unwrap();
             for (ci, part) in arrivals.chunks(chunk).enumerate() {
                 let base = (ci * chunk) as u64;
                 batched.tick(base);

@@ -8,9 +8,10 @@
 //! checks (SESSION, integrity, Eq. (1)) run once in the coordinator, so
 //! nothing may differ but event timing and work distribution.
 
-use aion_online::{AionConfig, OnlineChecker, ShardedChecker};
+use aion_online::{AionConfig, OnlineChecker, SimSchedule};
 use aion_types::{
-    AxiomKind, Checker, History, Outcome, SessionId, Snapshot, SplitMix64, Transaction, Value,
+    AxiomKind, CheckEvent, Checker, History, Outcome, SessionId, Snapshot, SplitMix64, Transaction,
+    Value,
 };
 use aion_workload::{generate_history, IsolationLevel, KeyDist, WorkloadSpec};
 use proptest::prelude::*;
@@ -175,14 +176,12 @@ proptest! {
         corrupt(&mut h, corruption);
         let arrivals = session_respecting_shuffle(&h, shuffle_seed);
         let single = drive(
-            OnlineChecker::new(AionConfig::builder().kind(h.kind).config()),
+            AionConfig::builder().kind(h.kind).build().unwrap(),
             &arrivals,
         );
         for shards in 1..=4usize {
             let sharded = drive(
-                ShardedChecker::new(
-                    AionConfig::builder().kind(h.kind).shards(shards).config(),
-                ),
+                AionConfig::builder().kind(h.kind).shards(shards).build_sharded().unwrap(),
                 &arrivals,
             );
             assert_equivalent(&single, &sharded, shards)?;
@@ -201,10 +200,10 @@ proptest! {
         corrupt(&mut h, corruption);
         let arrivals = session_respecting_shuffle(&h, shuffle_seed);
         let cfg = || AionConfig::builder().kind(h.kind).level(IsolationLevel::Ser);
-        let single = drive(OnlineChecker::new(cfg().config()), &arrivals);
+        let single = drive(cfg().build().unwrap(), &arrivals);
         for shards in [2usize, 4] {
             let sharded =
-                drive(ShardedChecker::new(cfg().shards(shards).config()), &arrivals);
+                drive(cfg().shards(shards).build_sharded().unwrap(), &arrivals);
             assert_equivalent(&single, &sharded, shards)?;
         }
     }
@@ -219,12 +218,64 @@ proptest! {
         let h = generate_history(&spec, IsolationLevel::Si);
         let arrivals = session_respecting_shuffle(&h, shuffle_seed);
         let cfg = || AionConfig::builder().kind(h.kind).ext_timeout_ms(3);
-        let single = drive(OnlineChecker::new(cfg().config()), &arrivals);
+        let single = drive(cfg().build().unwrap(), &arrivals);
         for shards in [2usize, 3] {
             let sharded =
-                drive(ShardedChecker::new(cfg().shards(shards).config()), &arrivals);
+                drive(cfg().shards(shards).build_sharded().unwrap(), &arrivals);
             assert_equivalent(&single, &sharded, shards)?;
         }
+    }
+
+    /// `feed` is a `feed_batch` of one, so under the simulated transport
+    /// the two spell the same schedule: call for call the same events and
+    /// the same scheduler counters. Larger batches regroup the calls,
+    /// which moves event *timing* but not the events themselves.
+    #[test]
+    fn feed_and_feed_batch_agree_under_simulated_transport(
+        spec in arb_spec(),
+        corruption in arb_corruption(),
+        shuffle_seed in 0u64..1000,
+        chunk in 2usize..40,
+    ) {
+        let mut h = generate_history(&spec, IsolationLevel::Si);
+        corrupt(&mut h, corruption);
+        let arrivals = session_respecting_shuffle(&h, shuffle_seed);
+        let run = |size: usize, batched: bool| {
+            let mut ck = AionConfig::builder()
+                .kind(h.kind)
+                .ext_timeout_ms(3)
+                .shards(2)
+                .build_sharded_sim(SimSchedule::random(shuffle_seed))
+                .unwrap();
+            let mut calls: Vec<Vec<CheckEvent>> = Vec::new();
+            for (ci, part) in arrivals.chunks(size).enumerate() {
+                let at = (ci * size) as u64;
+                let mut events = ck.tick(at);
+                events.extend(match part {
+                    [txn] if !batched => ck.feed(txn.clone(), at),
+                    _ => ck.feed_batch(
+                        part.iter().enumerate().map(|(i, t)| (t.clone(), at + i as u64)).collect(),
+                    ),
+                });
+                calls.push(events);
+            }
+            calls.push(ck.tick(u64::MAX));
+            (calls, ck.sim_stats(), ck.finish())
+        };
+        let (one_by_one, stats, outcome) = run(1, false);
+        let (batches_of_one, batch_stats, batch_outcome) = run(1, true);
+        prop_assert_eq!(&one_by_one, &batches_of_one, "per-call event streams differ");
+        prop_assert_eq!(stats, batch_stats, "the two spent the schedule differently");
+        prop_assert_eq!(&outcome.report.violations, &batch_outcome.report.violations);
+
+        let (chunked, _, chunked_outcome) = run(chunk, true);
+        let multiset = |calls: &[Vec<CheckEvent>]| {
+            let mut all: Vec<String> = calls.iter().flatten().map(|e| format!("{e:?}")).collect();
+            all.sort_unstable();
+            all
+        };
+        prop_assert_eq!(multiset(&one_by_one), multiset(&chunked), "chunking changed the events");
+        assert_equivalent(&outcome, &chunked_outcome, 2)?;
     }
 }
 
