@@ -124,7 +124,7 @@ impl<R: BufRead> BinaryReader<R> {
     }
 
     fn read_op(&mut self) -> Result<Op, IoFormatError> {
-        // Tag space mirrors `codec::get_op` (pinned by test against it).
+        // Tag space mirrors `Op`'s `Wire` impl (pinned by test against it).
         let tag = self.read_u8()?;
         let key = Key(self.read_varint()?);
         match tag {
@@ -208,15 +208,77 @@ mod tests {
         h
     }
 
+    /// Both decoders of the one layout on one input: the history when both
+    /// accept (and agree on it), `None` when both reject. Anything else is
+    /// the drift this test exists to catch.
+    fn both(bytes: &[u8]) -> Option<History> {
+        let via_codec = codec::decode_history(bytes);
+        let via_stream = BinaryReader::new(bytes, ReaderOptions::default())
+            .and_then(|r| read_history_from(Box::new(r)));
+        match (via_codec, via_stream) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b);
+                Some(a)
+            }
+            (Err(_), Err(_)) => None,
+            (a, b) => panic!("decoders disagree: codec {a:?}, stream {b:?}"),
+        }
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec::put_varint(&mut out, v);
+        out
+    }
+
+    /// `bytes` decodes; every truncation of it, and each hostile edit of
+    /// its count and of its first transaction, is rejected by both.
+    fn both_reject_every_corruption_of(bytes: &[u8]) -> History {
+        let h = both(bytes).expect("the intact input decodes");
+        for cut in 0..bytes.len() {
+            assert!(both(&bytes[..cut]).is_none(), "truncation at {cut} of {}", bytes.len());
+        }
+        let splice = |at: usize, old: usize, new: &[u8]| {
+            let edited = [&bytes[..at], new, &bytes[at + old..]].concat();
+            assert!(both(&edited).is_none(), "edit at {at} ({old} → {} bytes)", new.len());
+        };
+        let t = &h.txns[0];
+        let ext = bytes[..6] == MAGIC_V2[..];
+        let count_len = varint(h.len() as u64).len();
+        splice(7, count_len, &varint(1 << 40));
+        let sid_at = 7 + count_len + varint(t.tid.0).len();
+        let sid_len = varint(u64::from(t.sid.0)).len();
+        splice(sid_at, sid_len, &varint((1 << 32) + u64::from(t.sid.0)));
+        let sno_len = varint(u64::from(t.sno)).len();
+        splice(sid_at + sid_len, sno_len, &varint((1 << 32) + u64::from(t.sno)));
+        let level_at =
+            sid_at + sid_len + sno_len + varint(t.start_ts.0).len() + varint(t.commit_ts.0).len();
+        if ext {
+            splice(level_at, 1, &[99]);
+        }
+        assert!(!t.ops.is_empty(), "the first transaction needs an op to corrupt");
+        splice(level_at + usize::from(ext) + varint(t.ops.len() as u64).len(), 1, &[0x77]);
+        h
+    }
+
     #[test]
     fn binary_stream_decodes_exactly_like_codec() {
         let h = sample();
-        let bytes = codec::encode_history(&h);
-        let via_codec = codec::decode_history(&bytes).unwrap();
-        let r = BinaryReader::new(&bytes[..], ReaderOptions::default()).unwrap();
-        let via_stream = read_history_from(Box::new(r)).unwrap();
-        assert_eq!(via_stream, via_codec);
-        assert_eq!(via_stream, h);
+        assert_eq!(both_reject_every_corruption_of(&codec::encode_history(&h)), h);
+        let mut mixed = sample();
+        mixed.txns[0].level = Some(aion_types::IsolationLevel::ReadAtomic);
+        assert_eq!(both_reject_every_corruption_of(&codec::encode_history(&mixed)), mixed);
+
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+        let mut fixtures = 0;
+        for entry in std::fs::read_dir(corpus).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "bin") {
+                both_reject_every_corruption_of(&std::fs::read(&path).unwrap());
+                fixtures += 1;
+            }
+        }
+        assert!(fixtures >= 19, "the .bin corpus went missing ({fixtures} found)");
     }
 
     #[test]

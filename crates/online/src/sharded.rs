@@ -63,22 +63,19 @@ use crate::checker::{
 };
 use crate::feed::{route_txn, shard_of, RoutedTxn};
 use crate::index::ReadRef;
-use crate::snapshot::{
-    config_error, get_config, get_events, get_globals, put_config, put_events, put_globals,
-};
+use crate::snapshot::config_error;
 use crate::transport::{
     ShardCmd, ShardReply, ShardTransport, SimSchedule, SimStats, SimTransport, ThreadTransport,
 };
-use aion_types::codec::{get_varint, put_varint, CodecError};
+use aion_types::codec::Wire;
 use aion_types::snapshot::{
-    get_report, get_snapshot_header, put_report, put_snapshot_header, SnapshotError,
-    SNAPSHOT_KIND_SHARDED,
+    get_snapshot_header, put_snapshot_header, SnapshotError, SNAPSHOT_KIND_SHARDED,
 };
 use aion_types::{
-    CheckEvent, CheckReport, Checker, CheckerStats, FlipSummary, FxHashMap, IsolationLevel, Key,
-    Outcome, Snapshot, Timestamp, Transaction, TxnId,
+    wire_struct, CheckEvent, CheckReport, Checker, CheckerStats, FlipSummary, FxHashMap,
+    IsolationLevel, Key, Outcome, Snapshot, Timestamp, Transaction, TxnId,
 };
-use bytes::{BufMut, BytesMut};
+use bytes::BytesMut;
 use std::cmp::Reverse;
 use std::path::Path;
 use std::sync::Arc;
@@ -100,6 +97,8 @@ struct PendingFinalize {
     /// EXT violations summed across the shards' finalizations.
     violations: u32,
 }
+
+wire_struct!(PendingFinalize { awaiting_fed, pending_reads, finalized_shards, violations });
 
 /// The sharded parallel online checker (see the module docs).
 ///
@@ -498,36 +497,24 @@ impl ShardedChecker {
                 }
             }
         }
+        let bodies: Vec<Vec<u8>> = bodies
+            .into_iter()
+            .collect::<Option<_>>()
+            .ok_or_else(|| SnapshotError::Corrupt("a shard checkpoint body went missing".into()))?;
 
+        // `SharedParse::read` is the mirror of this list.
         let mut buf = BytesMut::with_capacity(4096);
         put_snapshot_header(&mut buf, SNAPSHOT_KIND_SHARDED);
-        put_config(&mut buf, &self.cfg);
-        put_varint(&mut buf, self.shards as u64);
-        for body in bodies {
-            let Some(body) = body else {
-                return Err(SnapshotError::Corrupt("a shard checkpoint body went missing".into()));
-            };
-            put_varint(&mut buf, body.len() as u64);
-            buf.put_slice(&body);
-        }
-        put_globals(&mut buf, &self.globals);
-        put_report(&mut buf, &self.report);
-        let mut pend: Vec<(u64, &PendingFinalize)> =
-            self.pending.iter().map(|(t, p)| (t.0, p)).collect();
-        pend.sort_unstable_by_key(|(t, _)| *t);
-        put_varint(&mut buf, pend.len() as u64);
-        for (tid, p) in pend {
-            put_varint(&mut buf, tid);
-            put_varint(&mut buf, u64::from(p.awaiting_fed));
-            put_varint(&mut buf, u64::from(p.pending_reads));
-            put_varint(&mut buf, u64::from(p.finalized_shards));
-            put_varint(&mut buf, u64::from(p.violations));
-        }
-        put_varint(&mut buf, self.received as u64);
-        put_varint(&mut buf, self.dropped as u64);
-        put_varint(&mut buf, self.now_ms);
-        put_varint(&mut buf, self.last_tick_broadcast);
-        put_events(&mut buf, &self.events);
+        self.cfg.put(&mut buf);
+        bodies.put(&mut buf);
+        self.globals.put(&mut buf);
+        self.report.put(&mut buf);
+        self.pending.put(&mut buf);
+        self.received.put(&mut buf);
+        self.dropped.put(&mut buf);
+        self.now_ms.put(&mut buf);
+        self.last_tick_broadcast.put(&mut buf);
+        self.events.put(&mut buf);
         Ok(buf.to_vec())
     }
 
@@ -652,48 +639,30 @@ impl SharedParse {
         if kind != SNAPSHOT_KIND_SHARDED {
             return Err(SnapshotError::WrongKind { expected: SNAPSHOT_KIND_SHARDED, found: kind });
         }
-        let cfg = get_config(&mut slice)?;
-        let shards = get_varint(&mut slice)? as usize;
+        let cfg = AionConfig::get(&mut slice)?;
+        let bodies = Vec::<Vec<u8>>::get(&mut slice)?;
+        let shards = bodies.len();
         if shards == 0 || shards > u16::MAX as usize {
             return Err(SnapshotError::Corrupt(format!("implausible shard count {shards}")));
         }
         let mut workers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let len = get_varint(&mut slice)? as usize;
-            if slice.len() < len {
-                return Err(SnapshotError::Codec(CodecError::UnexpectedEof));
-            }
-            let (body, rest) = slice.split_at(len);
-            let mut body_slice = body;
-            let ck = OnlineChecker::read_snapshot_body(&mut body_slice, None)?;
-            if !body_slice.is_empty() {
+        for body in &bodies {
+            let mut body = body.as_slice();
+            workers.push(OnlineChecker::read_snapshot_body(&mut body, None)?);
+            if !body.is_empty() {
                 return Err(SnapshotError::Corrupt(
                     "trailing bytes after a worker snapshot body".into(),
                 ));
             }
-            workers.push(ck);
-            slice = rest;
         }
-        let globals = get_globals(&mut slice)?;
-        let report = get_report(&mut slice)?;
-        let mut pending = FxHashMap::default();
-        for _ in 0..get_varint(&mut slice)? {
-            let tid = TxnId(get_varint(&mut slice)?);
-            pending.insert(
-                tid,
-                PendingFinalize {
-                    awaiting_fed: get_varint(&mut slice)? as u32,
-                    pending_reads: get_varint(&mut slice)? as u32,
-                    finalized_shards: get_varint(&mut slice)? as u32,
-                    violations: get_varint(&mut slice)? as u32,
-                },
-            );
-        }
-        let received = get_varint(&mut slice)? as usize;
-        let dropped = get_varint(&mut slice)? as usize;
-        let now_ms = get_varint(&mut slice)?;
-        let last_tick_broadcast = get_varint(&mut slice)?;
-        let events = get_events(&mut slice)?;
+        let globals = Wire::get(&mut slice)?;
+        let report = Wire::get(&mut slice)?;
+        let pending = Wire::get(&mut slice)?;
+        let received = Wire::get(&mut slice)?;
+        let dropped = Wire::get(&mut slice)?;
+        let now_ms = Wire::get(&mut slice)?;
+        let last_tick_broadcast = Wire::get(&mut slice)?;
+        let events = Wire::get(&mut slice)?;
         if !slice.is_empty() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after checkpoint body",

@@ -28,398 +28,137 @@
 //!   observable behaviour because each is consulted through
 //!   order-independent queries.
 //!
+//! Every record is laid out by one [`Wire`] description (the "records"
+//! section below, plus the shared ones in [`aion_types::snapshot`]);
+//! `docs/formats.md` tabulates them and the two bodies.
+//!
 //! [`aion-serve`]: ../../aion_serve/index.html
 
 use crate::checker::{
     AionConfig, ConfigError, GlobalChecks, OnlineChecker, OnlineGcPolicy, OnlineTxn, ReadState,
 };
-use crate::index::{OngoingWriter, ReadRef};
+use crate::index::{KeyEventIndex, OngoingWriter, ReadRef};
+use crate::membership::MembershipIndex;
 use crate::spill::{decode_segment, SegmentExport};
 use crate::stats::FlipTracker;
-use aion_types::codec::{self, get_varint, put_varint, CodecError};
+use crate::versioned::VersionedMap;
+use aion_types::codec::{put_varint, write_seq, CodecError, Wire};
 use aion_types::snapshot::{
-    get_bool, get_check_event, get_opt_varint, get_report, get_snapshot_header, get_stats,
-    get_string, put_bool, put_check_event, put_opt_varint, put_report, put_snapshot_header,
-    put_stats, put_string, SnapshotError, SNAPSHOT_KIND_SINGLE,
+    get_snapshot_header, put_snapshot_header, SnapshotError, SNAPSHOT_KIND_SINGLE,
 };
-use aion_types::{
-    CheckEvent, DataKind, EventKey, EventKind, IsolationLevel, Key, LevelPolicy, Mutation,
-    SessionId, Timestamp, TxnId,
-};
+use aion_types::{wire_enum, wire_struct, EventKey, Key, Snapshot, TxnId};
 use bytes::{Buf, BufMut, BytesMut};
 use std::cmp::Reverse;
 use std::path::{Path, PathBuf};
 
-// --- primitive helpers ----------------------------------------------------
+// --- records ----------------------------------------------------------------
 
-fn get_u8(buf: &mut impl Buf) -> Result<u8, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::UnexpectedEof);
+wire_enum!(OnlineGcPolicy { 0 => None, 1 => Checking { max_txns }, 2 => Full { max_txns } });
+
+/// Every field but `spill_faults` (a testing hook, never persisted), the
+/// spill path as a (lossy) string.
+impl Wire for AionConfig {
+    fn put(&self, buf: &mut impl BufMut) {
+        self.kind.put(buf);
+        self.levels.put(buf);
+        self.ext_timeout_ms.put(buf);
+        self.gc.put(buf);
+        self.track_flip_details.put(buf);
+        self.naive_recheck.put(buf);
+        self.spill_path.as_ref().map(|p| p.to_string_lossy().into_owned()).put(buf);
+        self.events.put(buf);
+        self.shard.put(buf);
+        self.coordinated.put(buf);
+        self.shard_filter.put(buf);
     }
-    Ok(buf.get_u8())
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        Ok(AionConfig {
+            kind: Wire::get(buf)?,
+            levels: Wire::get(buf)?,
+            ext_timeout_ms: Wire::get(buf)?,
+            gc: Wire::get(buf)?,
+            track_flip_details: Wire::get(buf)?,
+            naive_recheck: Wire::get(buf)?,
+            spill_path: Option::<String>::get(buf)?.map(PathBuf::from),
+            events: Wire::get(buf)?,
+            shard: Wire::get(buf)?,
+            coordinated: Wire::get(buf)?,
+            shard_filter: Wire::get(buf)?,
+            spill_faults: None,
+        })
+    }
 }
 
-fn put_event_key(buf: &mut impl BufMut, e: EventKey) {
-    put_varint(buf, e.ts.0);
-    buf.put_u8(match e.kind {
-        EventKind::Start => 0,
-        EventKind::Commit => 1,
-    });
-    put_varint(buf, e.tid.0);
-}
+wire_struct!(GlobalChecks { all_tids, ts_owner, next_sno, last_cts });
+wire_struct!(ReadState { op_index, key, observed, muts_before, ok, settled, wrong_since });
+wire_struct!(OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
+wire_struct!(ReadRef { tid, read_idx });
+wire_struct!(OngoingWriter { tid, noconflict });
+wire_struct!(FlipTracker { detail, total_flips, flips_per_pair, txns_with_flips, rectify_ms });
 
-fn get_event_key(buf: &mut impl Buf) -> Result<EventKey, CodecError> {
-    let ts = Timestamp(get_varint(buf)?);
-    let kind = match get_u8(buf)? {
-        0 => EventKind::Start,
-        1 => EventKind::Commit,
-        t => return Err(CodecError::BadTag(t)),
-    };
-    let tid = TxnId(get_varint(buf)?);
-    Ok(EventKey { ts, kind, tid })
-}
-
-fn put_mutation(buf: &mut impl BufMut, m: Mutation) {
-    match m {
-        Mutation::Put(v) => {
-            buf.put_u8(0);
-            put_varint(buf, v.0);
+/// A count, then `(key, event, value)` triples in `(key, event)` order.
+impl<V: Wire> Wire for VersionedMap<V> {
+    fn put(&self, buf: &mut impl BufMut) {
+        let mut versions: Vec<(Key, EventKey, &V)> = self.iter().collect();
+        versions.sort_unstable_by_key(|(k, e, _)| (*k, *e));
+        put_varint(buf, versions.len() as u64);
+        for (k, e, v) in versions {
+            k.put(buf);
+            e.put(buf);
+            v.put(buf);
         }
-        Mutation::Append(v) => {
-            buf.put_u8(1);
-            put_varint(buf, v.0);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        let mut map = VersionedMap::new();
+        for (k, e, v) in Vec::<(Key, EventKey, V)>::get(buf)? {
+            map.insert(k, e, v);
         }
+        Ok(map)
     }
 }
 
-fn get_mutation(buf: &mut impl Buf) -> Result<Mutation, CodecError> {
-    match get_u8(buf)? {
-        0 => Ok(Mutation::Put(aion_types::Value(get_varint(buf)?))),
-        1 => Ok(Mutation::Append(aion_types::Value(get_varint(buf)?))),
-        t => Err(CodecError::BadTag(t)),
-    }
-}
-
-fn put_level(buf: &mut impl BufMut, level: IsolationLevel) {
-    buf.put_u8(codec::level_to_byte(Some(level)));
-}
-
-fn get_level(buf: &mut impl Buf) -> Result<IsolationLevel, CodecError> {
-    match codec::level_from_byte(get_u8(buf)?)? {
-        Some(l) => Ok(l),
-        None => Err(CodecError::BadLevel(0)),
-    }
-}
-
-// --- configuration --------------------------------------------------------
-
-pub(crate) fn put_config(buf: &mut impl BufMut, cfg: &AionConfig) {
-    buf.put_u8(match cfg.kind {
-        DataKind::Kv => 0,
-        DataKind::List => 1,
-    });
-    match &cfg.levels {
-        LevelPolicy::Uniform(l) => {
-            buf.put_u8(0);
-            put_level(buf, *l);
-        }
-        LevelPolicy::PerSession { map, default } => {
-            buf.put_u8(1);
-            let mut pairs: Vec<(SessionId, IsolationLevel)> =
-                map.iter().map(|(s, l)| (*s, *l)).collect();
-            pairs.sort_unstable_by_key(|(s, _)| s.0);
-            put_varint(buf, pairs.len() as u64);
-            for (s, l) in pairs {
-                put_varint(buf, u64::from(s.0));
-                put_level(buf, l);
+/// A count of `(key, event)` entries, then per entry (in `(key, event)`
+/// order) the key, the event and its items in their exact in-memory
+/// order — insertion order matters for the step-③ sweep (see the module
+/// docs).
+impl<T: Wire + Clone + PartialEq> Wire for KeyEventIndex<T> {
+    fn put(&self, buf: &mut impl BufMut) {
+        let mut chains: Vec<_> = self.chains().iter().collect();
+        chains.sort_unstable_by_key(|(k, _)| **k);
+        put_varint(buf, chains.iter().map(|(_, c)| c.len() as u64).sum());
+        for (key, chain) in chains {
+            for (event, items) in chain {
+                key.put(buf);
+                event.put(buf);
+                items.put(buf);
             }
-            put_level(buf, *default);
-        }
-        LevelPolicy::PerTxn { default } => {
-            buf.put_u8(2);
-            put_level(buf, *default);
-        }
-        // `LevelPolicy` is non_exhaustive; a variant this codec does not
-        // know cannot be checkpointed faithfully, and silently degrading
-        // it would break the restore byte-identity guarantee.
-        other => unreachable!("checkpoint codec does not know LevelPolicy {other:?}"),
-    }
-    put_varint(buf, cfg.ext_timeout_ms);
-    match cfg.gc {
-        OnlineGcPolicy::None => buf.put_u8(0),
-        OnlineGcPolicy::Checking { max_txns } => {
-            buf.put_u8(1);
-            put_varint(buf, max_txns as u64);
-        }
-        OnlineGcPolicy::Full { max_txns } => {
-            buf.put_u8(2);
-            put_varint(buf, max_txns as u64);
         }
     }
-    put_bool(buf, cfg.track_flip_details);
-    put_bool(buf, cfg.naive_recheck);
-    match &cfg.spill_path {
-        None => put_bool(buf, false),
-        Some(p) => {
-            put_bool(buf, true);
-            put_string(buf, &p.to_string_lossy());
-        }
-    }
-    put_bool(buf, cfg.events);
-    put_varint(buf, cfg.shard.shards as u64);
-    put_varint(buf, cfg.shard.tick_broadcast_ms);
-    put_bool(buf, cfg.coordinated);
-    match cfg.shard_filter {
-        None => put_bool(buf, false),
-        Some((mine, shards)) => {
-            put_bool(buf, true);
-            put_varint(buf, mine as u64);
-            put_varint(buf, shards as u64);
-        }
-    }
-}
-
-// Sequential assignment keeps the decode in wire-field order, mirroring
-// `put_config` line for line.
-#[allow(clippy::field_reassign_with_default)]
-pub(crate) fn get_config(buf: &mut impl Buf) -> Result<AionConfig, CodecError> {
-    let mut cfg = AionConfig::default();
-    cfg.kind = match get_u8(buf)? {
-        0 => DataKind::Kv,
-        1 => DataKind::List,
-        t => return Err(CodecError::BadTag(t)),
-    };
-    cfg.levels = match get_u8(buf)? {
-        0 => LevelPolicy::Uniform(get_level(buf)?),
-        1 => {
-            let n = get_varint(buf)? as usize;
-            let mut map = aion_types::FxHashMap::default();
-            for _ in 0..n {
-                let sid = SessionId(get_varint(buf)? as u32);
-                map.insert(sid, get_level(buf)?);
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        let mut index = KeyEventIndex::new();
+        for (k, e, items) in Vec::<(Key, EventKey, Vec<T>)>::get(buf)? {
+            for item in items {
+                index.insert(k, e, item);
             }
-            LevelPolicy::PerSession { map, default: get_level(buf)? }
         }
-        2 => LevelPolicy::PerTxn { default: get_level(buf)? },
-        t => return Err(CodecError::BadTag(t)),
-    };
-    cfg.ext_timeout_ms = get_varint(buf)?;
-    cfg.gc = match get_u8(buf)? {
-        0 => OnlineGcPolicy::None,
-        1 => OnlineGcPolicy::Checking { max_txns: get_varint(buf)? as usize },
-        2 => OnlineGcPolicy::Full { max_txns: get_varint(buf)? as usize },
-        t => return Err(CodecError::BadTag(t)),
-    };
-    cfg.track_flip_details = get_bool(buf)?;
-    cfg.naive_recheck = get_bool(buf)?;
-    cfg.spill_path = if get_bool(buf)? { Some(PathBuf::from(get_string(buf)?)) } else { None };
-    cfg.events = get_bool(buf)?;
-    cfg.shard.shards = get_varint(buf)? as usize;
-    cfg.shard.tick_broadcast_ms = get_varint(buf)?;
-    cfg.coordinated = get_bool(buf)?;
-    cfg.shard_filter = if get_bool(buf)? {
-        Some((get_varint(buf)? as usize, get_varint(buf)? as usize))
-    } else {
-        None
-    };
-    Ok(cfg)
-}
-
-// --- global checks --------------------------------------------------------
-
-pub(crate) fn put_globals(buf: &mut impl BufMut, g: &GlobalChecks) {
-    let mut tids: Vec<u64> = g.all_tids.iter().map(|t| t.0).collect();
-    tids.sort_unstable();
-    put_varint(buf, tids.len() as u64);
-    for t in tids {
-        put_varint(buf, t);
-    }
-    let mut owners: Vec<(u64, u64)> = g.ts_owner.iter().map(|(ts, t)| (ts.0, t.0)).collect();
-    owners.sort_unstable();
-    put_varint(buf, owners.len() as u64);
-    for (ts, t) in owners {
-        put_varint(buf, ts);
-        put_varint(buf, t);
-    }
-    let mut snos: Vec<(u32, u32)> = g.next_sno.iter().map(|(s, n)| (s.0, *n)).collect();
-    snos.sort_unstable();
-    put_varint(buf, snos.len() as u64);
-    for (s, n) in snos {
-        put_varint(buf, u64::from(s));
-        put_varint(buf, u64::from(n));
-    }
-    let mut cts: Vec<(u32, u64)> = g.last_cts.iter().map(|(s, t)| (s.0, t.0)).collect();
-    cts.sort_unstable();
-    put_varint(buf, cts.len() as u64);
-    for (s, t) in cts {
-        put_varint(buf, u64::from(s));
-        put_varint(buf, t);
+        Ok(index)
     }
 }
 
-pub(crate) fn get_globals(buf: &mut impl Buf) -> Result<GlobalChecks, CodecError> {
-    let mut g = GlobalChecks::default();
-    for _ in 0..get_varint(buf)? {
-        g.all_tids.insert(TxnId(get_varint(buf)?));
+/// The committed-membership summaries, laid out like a [`VersionedMap`]
+/// of snapshots (which clone in O(1)).
+impl Wire for MembershipIndex {
+    fn put(&self, buf: &mut impl BufMut) {
+        let entries = self.sorted_entries().into_iter().map(|(k, e, s)| (k, e, s.clone()));
+        entries.collect::<Vec<(Key, EventKey, Snapshot)>>().put(buf);
     }
-    for _ in 0..get_varint(buf)? {
-        let ts = Timestamp(get_varint(buf)?);
-        g.ts_owner.insert(ts, TxnId(get_varint(buf)?));
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        let mut index = MembershipIndex::new();
+        for (k, e, s) in Vec::<(Key, EventKey, Snapshot)>::get(buf)? {
+            index.record(k, e, &s, None);
+        }
+        Ok(index)
     }
-    for _ in 0..get_varint(buf)? {
-        let sid = SessionId(get_varint(buf)? as u32);
-        g.next_sno.insert(sid, get_varint(buf)? as u32);
-    }
-    for _ in 0..get_varint(buf)? {
-        let sid = SessionId(get_varint(buf)? as u32);
-        g.last_cts.insert(sid, Timestamp(get_varint(buf)?));
-    }
-    Ok(g)
-}
-
-// --- per-transaction state ------------------------------------------------
-
-fn put_read_state(buf: &mut impl BufMut, r: &ReadState) {
-    put_varint(buf, u64::from(r.op_index));
-    put_varint(buf, r.key.0);
-    codec::put_snapshot(buf, &r.observed);
-    put_varint(buf, r.muts_before.len() as u64);
-    for m in &r.muts_before {
-        put_mutation(buf, *m);
-    }
-    put_bool(buf, r.ok);
-    put_bool(buf, r.settled);
-    put_opt_varint(buf, r.wrong_since);
-}
-
-fn get_read_state(buf: &mut impl Buf) -> Result<ReadState, CodecError> {
-    let op_index = get_varint(buf)? as u32;
-    let key = Key(get_varint(buf)?);
-    let observed = codec::get_snapshot(buf)?;
-    let n = get_varint(buf)? as usize;
-    let mut muts_before = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        muts_before.push(get_mutation(buf)?);
-    }
-    Ok(ReadState {
-        op_index,
-        key,
-        observed,
-        muts_before,
-        ok: get_bool(buf)?,
-        settled: get_bool(buf)?,
-        wrong_since: get_opt_varint(buf)?,
-    })
-}
-
-fn put_online_txn(buf: &mut impl BufMut, t: &OnlineTxn) {
-    codec::put_txn_ext(buf, &t.txn);
-    put_level(buf, t.level);
-    put_varint(buf, t.write_set.len() as u64);
-    for (k, s) in &t.write_set {
-        put_varint(buf, k.0);
-        codec::put_snapshot(buf, s);
-    }
-    put_varint(buf, t.reads.len() as u64);
-    for r in &t.reads {
-        put_read_state(buf, r);
-    }
-    put_varint(buf, t.anchor_keys.len() as u64);
-    for k in &t.anchor_keys {
-        put_varint(buf, k.0);
-    }
-    put_bool(buf, t.finalized);
-}
-
-fn get_online_txn(buf: &mut impl Buf) -> Result<OnlineTxn, CodecError> {
-    let txn = codec::get_txn_ext(buf)?;
-    let level = get_level(buf)?;
-    let n = get_varint(buf)? as usize;
-    let mut write_set = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let k = Key(get_varint(buf)?);
-        write_set.push((k, codec::get_snapshot(buf)?));
-    }
-    let n = get_varint(buf)? as usize;
-    let mut reads = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        reads.push(get_read_state(buf)?);
-    }
-    let n = get_varint(buf)? as usize;
-    let mut anchor_keys = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        anchor_keys.push(Key(get_varint(buf)?));
-    }
-    Ok(OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized: get_bool(buf)? })
-}
-
-// --- event lists ----------------------------------------------------------
-
-pub(crate) fn put_events(buf: &mut impl BufMut, events: &[CheckEvent]) {
-    put_varint(buf, events.len() as u64);
-    for e in events {
-        put_check_event(buf, e);
-    }
-}
-
-pub(crate) fn get_events(buf: &mut impl Buf) -> Result<Vec<CheckEvent>, CodecError> {
-    let n = get_varint(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_check_event(buf)?);
-    }
-    Ok(out)
-}
-
-// --- flip tracker ---------------------------------------------------------
-
-fn put_flips(buf: &mut impl BufMut, f: &FlipTracker) {
-    put_bool(buf, f.detail);
-    put_varint(buf, f.total_flips);
-    let mut pairs: Vec<((u64, u64), u32)> =
-        f.flips_per_pair.iter().map(|((t, k), n)| ((t.0, k.0), *n)).collect();
-    pairs.sort_unstable();
-    put_varint(buf, pairs.len() as u64);
-    for ((t, k), n) in pairs {
-        put_varint(buf, t);
-        put_varint(buf, k);
-        put_varint(buf, u64::from(n));
-    }
-    let mut tids: Vec<u64> = f.txns_with_flips.iter().map(|t| t.0).collect();
-    tids.sort_unstable();
-    put_varint(buf, tids.len() as u64);
-    for t in tids {
-        put_varint(buf, t);
-    }
-    put_varint(buf, f.rectify_ms.len() as u64);
-    for &ms in &f.rectify_ms {
-        put_varint(buf, ms);
-    }
-}
-
-fn get_flips(buf: &mut impl Buf) -> Result<FlipTracker, SnapshotError> {
-    let mut f = FlipTracker::new(get_bool(buf)?);
-    f.total_flips = get_varint(buf)?;
-    for _ in 0..get_varint(buf)? {
-        let t = TxnId(get_varint(buf)?);
-        let k = Key(get_varint(buf)?);
-        // A pair is only recorded by flipping, so a count of zero (or
-        // one that does not fit the counter) is not a state any run
-        // can checkpoint.
-        let n = u32::try_from(get_varint(buf)?).ok().filter(|n| *n > 0).ok_or_else(|| {
-            SnapshotError::Corrupt(format!("flip count of ({t}, {k}) outside 1..=u32::MAX"))
-        })?;
-        f.flips_per_pair.insert((t, k), n);
-    }
-    for _ in 0..get_varint(buf)? {
-        f.txns_with_flips.insert(TxnId(get_varint(buf)?));
-    }
-    let n = get_varint(buf)? as usize;
-    f.rectify_ms.reserve(n.min(1024));
-    for _ in 0..n {
-        f.rectify_ms.push(get_varint(buf)?);
-    }
-    Ok(f)
 }
 
 // --- the single-checker body ---------------------------------------------
@@ -502,233 +241,103 @@ impl OnlineChecker {
     /// Body writer shared by the single and the sharded checkpoint (the
     /// sharded one embeds a full single-checker snapshot per worker).
     pub(crate) fn write_snapshot_body(&mut self, buf: &mut BytesMut) -> Result<(), SnapshotError> {
-        put_config(buf, &self.cfg);
-        put_globals(buf, &self.globals);
+        self.cfg.put(buf);
+        self.globals.put(buf);
 
         let mut resident: Vec<&OnlineTxn> = self.txns().values().collect();
         resident.sort_unstable_by_key(|t| t.txn.tid);
-        put_varint(buf, resident.len() as u64);
-        for t in resident {
-            put_online_txn(buf, t);
-        }
+        write_seq(buf, resident.into_iter());
 
-        let mut versions: Vec<(Key, EventKey, &aion_types::Snapshot)> =
-            self.frontier.iter().collect();
-        versions.sort_unstable_by_key(|(k, e, _)| (k.0, *e));
-        put_varint(buf, versions.len() as u64);
-        for (k, e, s) in versions {
-            put_varint(buf, k.0);
-            put_event_key(buf, e);
-            codec::put_snapshot(buf, s);
-        }
+        self.frontier.put(buf);
+        self.readers.put(buf);
+        self.writers.put(buf);
+        self.ongoing.map.put(buf);
 
-        // Readers/writers: per-(key, event) item vectors, serialized in
-        // their exact in-memory order (insertion order matters for the
-        // step-③ sweep; see the module docs).
-        let mut reader_chains: Vec<(Key, &std::collections::BTreeMap<EventKey, Vec<ReadRef>>)> =
-            self.readers.chains().iter().map(|(k, c)| (*k, c)).collect();
-        reader_chains.sort_unstable_by_key(|(k, _)| k.0);
-        put_varint(buf, reader_chains.iter().map(|(_, c)| c.len() as u64).sum());
-        for (key, chain) in reader_chains {
-            for (event, items) in chain {
-                put_varint(buf, key.0);
-                put_event_key(buf, *event);
-                put_varint(buf, items.len() as u64);
-                for r in items {
-                    put_varint(buf, r.tid.0);
-                    put_varint(buf, u64::from(r.read_idx));
-                }
-            }
-        }
-
-        let mut writer_chains: Vec<(Key, &std::collections::BTreeMap<EventKey, Vec<TxnId>>)> =
-            self.writers.chains().iter().map(|(k, c)| (*k, c)).collect();
-        writer_chains.sort_unstable_by_key(|(k, _)| k.0);
-        put_varint(buf, writer_chains.iter().map(|(_, c)| c.len() as u64).sum());
-        for (key, chain) in writer_chains {
-            for (event, items) in chain {
-                put_varint(buf, key.0);
-                put_event_key(buf, *event);
-                put_varint(buf, items.len() as u64);
-                for t in items {
-                    put_varint(buf, t.0);
-                }
-            }
-        }
-
-        let mut intervals: Vec<(Key, EventKey, &Vec<OngoingWriter>)> =
-            self.ongoing.map.iter().collect();
-        intervals.sort_unstable_by_key(|(k, e, _)| (k.0, *e));
-        put_varint(buf, intervals.len() as u64);
-        for (k, e, writers) in intervals {
-            put_varint(buf, k.0);
-            put_event_key(buf, e);
-            put_varint(buf, writers.len() as u64);
-            for w in writers {
-                put_varint(buf, w.tid.0);
-                put_bool(buf, w.noconflict);
-            }
-        }
-
-        let mut deadlines: Vec<(u64, u64)> =
-            self.deadlines.iter().map(|Reverse((d, t))| (*d, t.0)).collect();
+        let mut deadlines: Vec<(u64, TxnId)> = self.deadlines.iter().map(|Reverse(d)| *d).collect();
         deadlines.sort_unstable();
-        put_varint(buf, deadlines.len() as u64);
-        for (d, t) in deadlines {
-            put_varint(buf, d);
-            put_varint(buf, t);
-        }
+        deadlines.put(buf);
+        write_seq(buf, self.triggers.iter());
 
-        put_varint(buf, self.triggers.len() as u64);
-        for (k, e) in &self.triggers {
-            put_varint(buf, k.0);
-            put_event_key(buf, *e);
-        }
+        self.gc_horizon_ts.put(buf);
+        self.now_ms.put(buf);
+        self.report.put(buf);
+        self.flips.put(buf);
+        self.stats.put(buf);
+        self.events.put(buf);
+        self.spill.export_segments()?.put(buf);
 
-        put_opt_varint(buf, self.gc_horizon_ts.map(|t| t.0));
-        put_varint(buf, self.now_ms);
-        put_report(buf, &self.report);
-        put_flips(buf, &self.flips);
-        put_stats(buf, &self.stats);
-        put_events(buf, &self.events);
-
-        let segments = self.spill.export_segments()?;
-        put_varint(buf, segments.len() as u64);
-        for seg in segments {
-            put_varint(buf, seg.min_ts.0);
-            put_varint(buf, seg.max_ts.0);
-            put_varint(buf, seg.txns as u64);
-            put_bool(buf, seg.loaded);
-            put_varint(buf, seg.bytes.len() as u64);
-            buf.put_slice(&seg.bytes);
-        }
-
-        // v3: committed-membership summaries (already canonically sorted)
-        // and the reload floor.
-        let entries = self.membership.sorted_entries();
-        put_varint(buf, entries.len() as u64);
-        for (k, e, s) in entries {
-            put_varint(buf, k.0);
-            put_event_key(buf, e);
-            codec::put_snapshot(buf, s);
-        }
-        put_varint(buf, self.reload_floor.0);
+        // v3: committed-membership summaries and the reload floor.
+        self.membership.put(buf);
+        self.reload_floor.put(buf);
         Ok(())
     }
 
-    /// Body reader shared by the single and the sharded restore.
+    /// Body reader shared by the single and the sharded restore; mirrors
+    /// [`write_snapshot_body`](Self::write_snapshot_body) line for line.
     pub(crate) fn read_snapshot_body(
         buf: &mut &[u8],
         spill_override: Option<Option<PathBuf>>,
     ) -> Result<OnlineChecker, SnapshotError> {
-        let mut cfg = get_config(buf)?;
+        let mut cfg = AionConfig::get(buf)?;
         if let Some(path) = spill_override {
             cfg.spill_path = path;
         }
         let mut ck = OnlineChecker::try_new(cfg).map_err(config_error)?;
-        ck.globals = get_globals(buf)?;
+        ck.globals = Wire::get(buf)?;
 
-        for _ in 0..get_varint(buf)? {
-            ck.insert_txn(get_online_txn(buf)?);
+        for t in Vec::<OnlineTxn>::get(buf)? {
+            ck.insert_txn(t);
         }
 
-        for _ in 0..get_varint(buf)? {
-            let k = Key(get_varint(buf)?);
-            let e = get_event_key(buf)?;
-            ck.frontier.insert(k, e, codec::get_snapshot(buf)?);
-        }
-
-        for _ in 0..get_varint(buf)? {
-            let k = Key(get_varint(buf)?);
-            let e = get_event_key(buf)?;
-            for _ in 0..get_varint(buf)? {
-                let tid = TxnId(get_varint(buf)?);
-                let read_idx = get_varint(buf)?;
-                // Step ③ follows a live transaction's references into its
-                // read states. (An entry may outlive its transaction — GC
-                // spills those, and reloads them without reads.)
-                let dangling = |t: &OnlineTxn| !t.finalized && read_idx >= t.reads.len() as u64;
-                if ck.txns().get(&tid).is_some_and(dangling) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "reader index names read {read_idx} of {tid}, which has no such read"
-                    )));
-                }
-                ck.readers.insert(k, e, ReadRef { tid, read_idx: read_idx as u32 });
+        ck.frontier = Wire::get(buf)?;
+        ck.readers = Wire::get(buf)?;
+        // Step ③ follows a live transaction's references into its read
+        // states. (An entry may outlive its transaction — GC spills
+        // those, and reloads them without reads.)
+        for r in ck.readers.chains().values().flat_map(|c| c.values()).flatten() {
+            let dangling = |t: &OnlineTxn| !t.finalized && r.read_idx as usize >= t.reads.len();
+            if ck.txns().get(&r.tid).is_some_and(dangling) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "reader index names read {} of {}, which has no such read",
+                    r.read_idx, r.tid
+                )));
             }
         }
+        ck.writers = Wire::get(buf)?;
+        ck.ongoing.map = Wire::get(buf)?;
 
-        for _ in 0..get_varint(buf)? {
-            let k = Key(get_varint(buf)?);
-            let e = get_event_key(buf)?;
-            for _ in 0..get_varint(buf)? {
-                ck.writers.insert(k, e, TxnId(get_varint(buf)?));
+        ck.deadlines = Vec::<(u64, TxnId)>::get(buf)?.into_iter().map(Reverse).collect();
+        ck.triggers = Vec::<(Key, EventKey)>::get(buf)?.into();
+
+        ck.gc_horizon_ts = Wire::get(buf)?;
+        ck.now_ms = Wire::get(buf)?;
+        ck.report = Wire::get(buf)?;
+        ck.flips = Wire::get(buf)?;
+        // A pair is only recorded by flipping, so a count of zero is not
+        // a state any run can checkpoint.
+        if ck.flips.flips_per_pair.values().any(|n| *n == 0) {
+            return Err(SnapshotError::Corrupt("a flip count of zero".into()));
+        }
+        ck.stats = Wire::get(buf)?;
+        ck.events = Wire::get(buf)?;
+
+        let segments = Vec::<SegmentExport>::get(buf)?;
+        for seg in segments.iter().filter(|seg| !seg.loaded) {
+            // Validate now: a straggler reload must never hit corrupt
+            // bytes (it would panic, not error).
+            let entries = decode_segment(&seg.bytes)?;
+            if entries.len() != seg.txns {
+                return Err(SnapshotError::Corrupt(format!(
+                    "spill segment claims {} transactions, decodes {}",
+                    seg.txns,
+                    entries.len()
+                )));
             }
-        }
-
-        for _ in 0..get_varint(buf)? {
-            let k = Key(get_varint(buf)?);
-            let e = get_event_key(buf)?;
-            let n = get_varint(buf)? as usize;
-            let mut writers = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let tid = TxnId(get_varint(buf)?);
-                writers.push(OngoingWriter { tid, noconflict: get_bool(buf)? });
-            }
-            ck.ongoing.map.insert(k, e, writers);
-        }
-
-        for _ in 0..get_varint(buf)? {
-            let d = get_varint(buf)?;
-            ck.deadlines.push(Reverse((d, TxnId(get_varint(buf)?))));
-        }
-
-        for _ in 0..get_varint(buf)? {
-            let k = Key(get_varint(buf)?);
-            ck.triggers.push_back((k, get_event_key(buf)?));
-        }
-
-        ck.gc_horizon_ts = get_opt_varint(buf)?.map(Timestamp);
-        ck.now_ms = get_varint(buf)?;
-        ck.report = get_report(buf)?;
-        ck.flips = get_flips(buf)?;
-        ck.stats = get_stats(buf)?;
-        ck.events = get_events(buf)?;
-
-        let nsegs = get_varint(buf)? as usize;
-        let mut segments = Vec::with_capacity(nsegs.min(1024));
-        for _ in 0..nsegs {
-            let min_ts = Timestamp(get_varint(buf)?);
-            let max_ts = Timestamp(get_varint(buf)?);
-            let txns = get_varint(buf)? as usize;
-            let loaded = get_bool(buf)?;
-            let len = get_varint(buf)? as usize;
-            let Some((bytes, rest)) = buf.split_at_checked(len) else {
-                return Err(SnapshotError::Codec(CodecError::UnexpectedEof));
-            };
-            let bytes = bytes.to_vec();
-            *buf = rest;
-            if !loaded {
-                // Validate now: a straggler reload must never hit corrupt
-                // bytes (it would panic, not error).
-                let entries = decode_segment(&bytes)?;
-                if entries.len() != txns {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "spill segment claims {txns} transactions, decodes {}",
-                        entries.len()
-                    )));
-                }
-            }
-            segments.push(SegmentExport { min_ts, max_ts, txns, loaded, bytes });
         }
         ck.spill.import_segments(segments)?;
 
-        for _ in 0..get_varint(buf)? {
-            let k = Key(get_varint(buf)?);
-            let e = get_event_key(buf)?;
-            let s = codec::get_snapshot(buf)?;
-            ck.membership.record(k, e, &s, None);
-        }
-        ck.reload_floor = Timestamp(get_varint(buf)?);
+        ck.membership = Wire::get(buf)?;
+        ck.reload_floor = Wire::get(buf)?;
         Ok(ck)
     }
 }
@@ -736,7 +345,7 @@ impl OnlineChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aion_types::{Checker, TxnBuilder, Value};
+    use aion_types::{Checker, IsolationLevel, LevelPolicy, SessionId, TxnBuilder, Value};
 
     fn t(tid: u64, sid: u32, sno: u32, s: u64, c: u64) -> TxnBuilder {
         TxnBuilder::new(tid).session(sid, sno).interval(s, c)
@@ -881,12 +490,61 @@ mod tests {
         };
         cfg.shard.shards = 3;
         let mut buf = BytesMut::new();
-        put_config(&mut buf, &cfg);
-        let back = get_config(&mut &buf[..]).unwrap();
+        cfg.put(&mut buf);
+        let back = AionConfig::get(&mut &buf[..]).unwrap();
         assert_eq!(back.levels.level_for(&t(1, 3, 0, 1, 2).build()), IsolationLevel::Ser);
         assert_eq!(back.levels.level_for(&t(1, 9, 0, 1, 2).build()), IsolationLevel::Si);
         assert_eq!(back.gc, OnlineGcPolicy::Full { max_txns: 77 });
         assert_eq!(back.shard_filter, Some((1, 3)));
         assert!(back.coordinated);
+    }
+
+    /// `bytes` with its one occurrence of `old` replaced by `new`.
+    fn splice(bytes: &[u8], old: &[u8], new: &[u8]) -> Vec<u8> {
+        let hits: Vec<usize> =
+            (0..=bytes.len() - old.len()).filter(|&i| bytes[i..].starts_with(old)).collect();
+        assert_eq!(hits.len(), 1, "pattern {old:02x?} must occur exactly once");
+        [&bytes[..hits[0]], new, &bytes[hits[0] + old.len()..]].concat()
+    }
+
+    /// A `sid`, `sno` or reader `read_idx` beyond `u32` used to be
+    /// narrowed with `as`: the snapshot restored `Ok` as another session,
+    /// or pointing at another read.
+    #[test]
+    fn oversized_narrow_fields_are_rejected_at_restore() {
+        let mut ck = OnlineChecker::builder().build().unwrap();
+        ck.feed(t(300, 0x55, 0, 0x33, 0x34).read(Key(0x44), Value(0)).build(), 0);
+        let snap = ck.checkpoint().unwrap();
+        let wide = [0x80, 0x80, 0x80, 0x80, 0x10]; // 2^32
+        let out_of_range = |bytes: Vec<u8>| {
+            assert!(matches!(
+                OnlineChecker::restore(&bytes),
+                Err(SnapshotError::Codec(CodecError::OutOfRange))
+            ));
+        };
+        // The resident transaction: tid 300, sid, sno, start, commit.
+        let txn = [0xac, 0x02, 0x55, 0x00, 0x33, 0x34];
+        out_of_range(splice(&snap, &txn, &[&txn[..2], &wide, &txn[3..]].concat()));
+        out_of_range(splice(&snap, &txn, &[&txn[..3], &wide, &txn[4..]].concat()));
+        // Its reader entry: key, start event (ts, kind, tid), one ReadRef
+        // (tid, read_idx) — renamed to absent t301, which skips the
+        // dangling check that would otherwise catch the index.
+        let entry = [0x44, 0x33, 0x00, 0xac, 0x02, 0x01, 0xac, 0x02, 0x00];
+        let renamed = [&entry[..6], &[0xad, 0x02, 0x00]].concat();
+        assert!(OnlineChecker::restore(&splice(&snap, &entry, &renamed)).is_ok());
+        out_of_range(splice(&snap, &entry, &[&entry[..6], &[0xad, 0x02], &wide].concat()));
+    }
+
+    #[test]
+    fn hostile_count_is_refused_at_restore() {
+        let mut buf = BytesMut::new();
+        put_snapshot_header(&mut buf, SNAPSHOT_KIND_SINGLE);
+        AionConfig::default().put(&mut buf);
+        put_varint(&mut buf, 1 << 40); // the tid set claims 2^40 members
+        buf.put_slice(&[1, 2, 3]);
+        assert!(matches!(
+            OnlineChecker::restore(&buf),
+            Err(SnapshotError::Codec(CodecError::UnexpectedEof))
+        ));
     }
 }

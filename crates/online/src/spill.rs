@@ -10,9 +10,9 @@
 //! Segments can live in real files or in memory (same encode/decode cost,
 //! no filesystem dependency — useful for tests and deterministic benches).
 
-use aion_types::codec::{self, CodecError};
+use aion_types::codec::{write_seq, CodecError, Wire};
 use aion_types::rng::SplitMix64;
-use aion_types::{Key, Snapshot, Timestamp, Transaction};
+use aion_types::{wire_struct, Key, Snapshot, Timestamp, Transaction};
 use bytes::BytesMut;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -86,11 +86,15 @@ impl std::fmt::Debug for SpillFaultPlan {
 /// One spilled transaction with its derived write set.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SpillEntry {
-    /// The original transaction.
+    /// The original transaction. Its wire layout carries the declared
+    /// isolation level, so a reloaded transaction resolves to the level it
+    /// was checked at under a per-transaction policy.
     pub txn: Transaction,
     /// Final written snapshot per key (as computed at first processing).
     pub write_set: Vec<(Key, Snapshot)>,
 }
+
+wire_struct!(SpillEntry { txn, write_set });
 
 /// Identifier of a spill segment.
 pub type SegmentId = usize;
@@ -169,22 +173,11 @@ impl SpillStore {
             return Err(e);
         }
         let mut buf = BytesMut::with_capacity(entries.len() * 64);
-        codec::put_varint(&mut buf, entries.len() as u64);
-        let mut min_ts = Timestamp::MAX;
-        let mut max_ts = Timestamp::MIN;
-        for e in entries {
-            min_ts = min_ts.min(e.txn.start_ts);
-            max_ts = max_ts.max(e.txn.commit_ts);
-            // The ext layout carries the declared isolation level, so a
-            // reloaded transaction resolves to the level it was checked
-            // at under a per-transaction policy.
-            codec::put_txn_ext(&mut buf, &e.txn);
-            codec::put_varint(&mut buf, e.write_set.len() as u64);
-            for (k, s) in &e.write_set {
-                codec::put_varint(&mut buf, k.0);
-                codec::put_snapshot(&mut buf, s);
-            }
-        }
+        write_seq(&mut buf, entries.iter());
+        let (min_ts, max_ts) =
+            entries.iter().fold((Timestamp::MAX, Timestamp::MIN), |(lo, hi), e| {
+                (lo.min(e.txn.start_ts), hi.max(e.txn.commit_ts))
+            });
         let bytes = buf.len();
         let (offset, len) = match &mut self.backend {
             Backend::Memory(bufs) => {
@@ -335,22 +328,8 @@ impl SpillStore {
 /// [`SpillStore::reload`] and the checkpoint codec, which validates
 /// imported segments eagerly so a corrupt checkpoint surfaces as a typed
 /// error at restore time instead of a panic at the next straggler reload.
-pub(crate) fn decode_segment(raw: &[u8]) -> Result<Vec<SpillEntry>, CodecError> {
-    let mut slice = raw;
-    let count = codec::get_varint(&mut slice)? as usize;
-    let mut out = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let txn = codec::get_txn_ext(&mut slice)?;
-        let n = codec::get_varint(&mut slice)? as usize;
-        let mut write_set = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let k = Key(codec::get_varint(&mut slice)?);
-            let s = codec::get_snapshot(&mut slice)?;
-            write_set.push((k, s));
-        }
-        out.push(SpillEntry { txn, write_set });
-    }
-    Ok(out)
+pub(crate) fn decode_segment(mut raw: &[u8]) -> Result<Vec<SpillEntry>, CodecError> {
+    Wire::get(&mut raw)
 }
 
 /// One exported spill segment: the raw encoded bytes plus the metadata
@@ -363,6 +342,8 @@ pub(crate) struct SegmentExport {
     pub(crate) loaded: bool,
     pub(crate) bytes: Vec<u8>,
 }
+
+wire_struct!(SegmentExport { min_ts, max_ts, txns, loaded, bytes });
 
 #[cfg(test)]
 mod tests {
@@ -487,5 +468,28 @@ mod tests {
         assert_eq!(store.segments_overlapping(Timestamp(10), Timestamp(20)), vec![id]);
         store.set_faults(None);
         assert_eq!(store.reload(id).unwrap().len(), 1);
+    }
+
+    /// A segment whose `sid`/`sno` varint exceeds `u32` used to reload as
+    /// a different session; a count beyond the bytes left used to size an
+    /// allocation.
+    #[test]
+    fn hostile_segments_are_rejected() {
+        let txn = TxnBuilder::new(300).session(0x55, 0x66).interval(0x33, 0x34).build();
+        let mut store = SpillStore::in_memory();
+        let (id, _) = store.spill(&[SpillEntry { txn, write_set: Vec::new() }]).unwrap();
+        let raw = store.read_segment(id).unwrap();
+        assert_eq!(raw[..5], [1, 0xac, 0x02, 0x55, 0x66], "count, tid 300, sid, sno");
+        assert_eq!(decode_segment(&raw).unwrap().len(), 1);
+        let wide = [0x80, 0x80, 0x80, 0x80, 0x10]; // 2^32
+        let big_sid = [&raw[..3], &wide, &raw[4..]].concat();
+        assert_eq!(decode_segment(&big_sid), Err(CodecError::OutOfRange));
+        let big_sno = [&raw[..4], &wide, &raw[5..]].concat();
+        assert_eq!(decode_segment(&big_sno), Err(CodecError::OutOfRange));
+
+        let mut hostile = Vec::new();
+        aion_types::codec::put_varint(&mut hostile, 1 << 40);
+        hostile.extend([1, 2, 3]);
+        assert_eq!(decode_segment(&hostile), Err(CodecError::UnexpectedEof));
     }
 }

@@ -84,19 +84,6 @@ impl<V> VersionedMap<V> {
         self.keys.get(&key)?.range((Bound::Excluded(at), Bound::Unbounded)).next().map(|(e, _)| *e)
     }
 
-    /// Iterate versions of `key` strictly before `at`, newest first —
-    /// the candidate bases of the read-committed EXT predicate ("some
-    /// committed version at the anchor"). Newest-first so the common
-    /// case (the observation *is* the frontier) matches on the first
-    /// candidate.
-    pub fn iter_before(&self, key: Key, at: EventKey) -> impl Iterator<Item = &V> + '_ {
-        self.keys
-            .get(&key)
-            .into_iter()
-            .flat_map(move |chain| chain.range((Bound::Unbounded, Bound::Excluded(at))).rev())
-            .map(|(_, v)| v)
-    }
-
     /// Iterate versions of `key` within `(lo, hi)` exclusive on both ends.
     pub fn range(
         &self,

@@ -387,3 +387,288 @@ proptest! {
         }
     }
 }
+
+// --- golden checkpoint bytes ----------------------------------------------
+//
+// Three fixed sessions whose `AIONCKPT` bytes are checked in under
+// `tests/golden/`. The files were written by the hand-paired
+// `put_x`/`get_x` encoder of commit ec23bfe, before the `Wire` codec
+// replaced it, so "the bytes on disk did not change" is a test and not a
+// scratch probe. Between them the sessions hold GC spills, a straggler
+// reload, verdict flips, every `Violation` and `CheckEvent` variant, a
+// per-session and a per-transaction mixed policy, and pending EXT windows.
+//
+// `UPDATE_CORPUS=1 cargo test -p aion-online --test snapshot_differential golden`
+// rewrites the files; that is only legitimate together with a
+// `SNAPSHOT_VERSION` bump.
+
+use aion_online::{feed_plan, FeedConfig, OnlineGcPolicy, SpillFaultPlan};
+use aion_types::{CheckEvent, DataKind, Key, SpillOp, TxnBuilder, Value, Violation};
+
+/// A valid serial history drawn from nothing but `SplitMix64`, so the
+/// golden bytes do not move when the workload generators do: transaction
+/// `i` runs over `[10i + 1, 10i + 5]` in a random session and reads
+/// exactly the latest committed state.
+fn serial_history(kind: DataKind, txns: u64, sessions: u32, keys: u64, seed: u64) -> History {
+    let mut rng = SplitMix64::new(seed);
+    let mut h = History::new(kind);
+    let mut state: Vec<Vec<Value>> = vec![Vec::new(); keys as usize];
+    let mut next_sno = vec![0u32; sessions as usize];
+    for i in 0..txns {
+        let sid = rng.below(u64::from(sessions)) as usize;
+        let mut b = TxnBuilder::new(i + 1)
+            .session(sid as u32, next_sno[sid])
+            .interval(10 * i + 1, 10 * i + 5);
+        next_sno[sid] += 1;
+        for j in 0..1 + rng.below(3) {
+            let k = rng.below(keys) as usize;
+            let (key, fresh) = (Key(k as u64), Value(100 * (i + 1) + j));
+            b = match (kind, rng.chance(0.5)) {
+                (DataKind::Kv, true) => {
+                    b.read(key, state[k].last().copied().unwrap_or(Value::INIT))
+                }
+                (DataKind::Kv, false) => {
+                    state[k] = vec![fresh];
+                    b.put(key, fresh)
+                }
+                (DataKind::List, true) => b.read_list(key, state[k].clone()),
+                (DataKind::List, false) => {
+                    state[k].push(fresh);
+                    b.append(key, fresh)
+                }
+            };
+        }
+        h.push(b.build());
+    }
+    h
+}
+
+/// One arrival per `Violation` variant (in sessions 20.., above the
+/// serial history's), over timestamps from `ts` up. `dup` is a tid the
+/// session has already seen.
+fn one_of_each_violation(kind: DataKind, tid: u64, ts: u64, dup: u64) -> Vec<Transaction> {
+    let t = |i: u64, sid: u32, sno: u32, s: u64, c: u64| {
+        TxnBuilder::new(tid + i).session(sid, sno).interval(ts + s, ts + c)
+    };
+    let write = |b: TxnBuilder, k: u64, v: u64| match kind {
+        DataKind::Kv => b.put(Key(k), Value(v)),
+        DataKind::List => b.append(Key(k), Value(v)),
+    };
+    let read = |b: TxnBuilder, k: u64, v: u64| match kind {
+        DataKind::Kv => b.read(Key(k), Value(v)),
+        DataKind::List => b.read_list(Key(k), vec![Value(v)]),
+    };
+    vec![
+        write(t(1, 20, 0, 1, 9), 0, 7001).build(), // NOCONFLICT with the next
+        write(t(2, 21, 0, 3, 7), 0, 7002).build(),
+        read(write(t(3, 22, 0, 11, 12), 1, 7003), 1, 7004).build(), // INT
+        read(t(4, 23, 0, 13, 14), 2, 7999).build(),                 // EXT, once finalized
+        t(5, 20, 5, 15, 16).build(),                                // SESSION: sno 5, expected 1
+        t(6, 24, 0, 20, 18).build(),                                // Eq. (1): start > commit
+        t(7, 25, 0, 12, 21).build(),                                // timestamp of tid + 3
+        TxnBuilder::new(dup).session(26, 0).interval(ts + 22, ts + 23).build(),
+    ]
+}
+
+/// Compare against (or, under `UPDATE_CORPUS`, rewrite) one golden file.
+fn golden(name: &str, bytes: &[u8]) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+    if std::env::var_os("UPDATE_CORPUS").is_some() {
+        std::fs::write(&path, bytes).expect("write golden checkpoint");
+    }
+    let want = std::fs::read(&path).expect("read golden checkpoint");
+    assert!(
+        want == bytes,
+        "{name}: checkpoint() wrote {} bytes that differ from the {} checked in",
+        bytes.len(),
+        want.len()
+    );
+    want
+}
+
+fn violation_variants(vs: &[Violation]) -> std::collections::BTreeSet<u8> {
+    vs.iter()
+        .map(|v| match v {
+            Violation::Session { .. } => 0,
+            Violation::Int { .. } => 1,
+            Violation::Ext { .. } => 2,
+            Violation::NoConflict { .. } => 3,
+            Violation::TimestampOrder { .. } => 4,
+            Violation::DuplicateTimestamp { .. } => 5,
+            Violation::DuplicateTid { .. } => 6,
+        })
+        .collect()
+}
+
+/// Feed `plan`, with `extra` spliced in after arrival `at`.
+fn feed_with(
+    ck: &mut OnlineChecker,
+    plan: &[(u64, Transaction)],
+    at: usize,
+    extra: &[Transaction],
+) {
+    for (i, (now, txn)) in plan.iter().enumerate() {
+        ck.tick(*now);
+        ck.feed(txn.clone(), *now);
+        if i == at {
+            for x in extra {
+                ck.feed(x.clone(), *now);
+            }
+        }
+    }
+}
+
+#[test]
+fn golden_single_kv_checkpoint_is_byte_stable() {
+    let h = serial_history(DataKind::Kv, 80, 5, 6, 0xA10);
+    let plan: Vec<(u64, Transaction)> =
+        session_respecting_shuffle(&h, 7).into_iter().zip(0u64..).map(|(t, i)| (i, t)).collect();
+    let mut ck = OnlineChecker::builder()
+        .kind(DataKind::Kv)
+        .level(IsolationLevel::Si)
+        .track_flip_details(true)
+        .ext_timeout_ms(30)
+        .build()
+        .expect("open session");
+    feed_with(&mut ck, &plan, 30, &one_of_each_violation(DataKind::Kv, 1000, 5000, 1));
+
+    assert_eq!(violation_variants(&ck.report().violations).len(), 7, "every Violation variant");
+    let file = golden("single_kv.ckpt", &ck.checkpoint().expect("checkpoint"));
+    let mut back = OnlineChecker::restore(&file).expect("restore golden");
+    assert!(
+        back.checkpoint().expect("re-checkpoint") == file,
+        "restore → checkpoint is the identity"
+    );
+    assert!(back.resident_txns() > 0);
+    assert!(back.finish().flips.pairs_with_flips > 0, "the shuffle must have flipped verdicts");
+}
+
+#[test]
+fn golden_single_list_mixed_gc_checkpoint_is_byte_stable() {
+    let h = serial_history(DataKind::List, 120, 6, 5, 0xB20);
+    let cfg = FeedConfig {
+        batch_size: 6,
+        batch_interval_ms: 10,
+        delay_mean_ms: 20.0,
+        delay_std_ms: 25.0,
+        seed: 9,
+    };
+    let plan = feed_plan(&h, &cfg);
+    let levels = LevelPolicy::per_session(
+        [
+            (SessionId(0), IsolationLevel::ReadCommitted),
+            (SessionId(1), IsolationLevel::ReadAtomic),
+            (SessionId(2), IsolationLevel::Ser),
+            (SessionId(3), IsolationLevel::ReadCommitted),
+        ],
+        IsolationLevel::Si,
+    );
+    let mut ck = OnlineChecker::builder()
+        .kind(DataKind::List)
+        .levels(levels)
+        .gc(OnlineGcPolicy::Checking { max_txns: 16 })
+        .track_flip_details(true)
+        .ext_timeout_ms(15)
+        .build()
+        .expect("open session");
+    feed_with(&mut ck, &plan, 60, &one_of_each_violation(DataKind::List, 1000, 5000, 1));
+    // A deep straggler: anchored below everything spilled so far, it
+    // forces a reload.
+    let late = plan.last().map_or(0, |(now, _)| *now);
+    ck.feed(
+        TxnBuilder::new(2000).session(30, 0).interval(2, 3).read_list(Key(0), vec![]).build(),
+        late,
+    );
+
+    let stats = ck.stats();
+    assert!(stats.gc_spills > 1 && stats.reloaded_txns > 0, "spills and a reload: {stats:?}");
+    assert_eq!(violation_variants(&ck.report().violations).len(), 7, "every Violation variant");
+    let file = golden("single_list_mixed_gc.ckpt", &ck.checkpoint().expect("checkpoint"));
+    let mut back = OnlineChecker::restore(&file).expect("restore golden");
+    assert!(
+        back.checkpoint().expect("re-checkpoint") == file,
+        "restore → checkpoint is the identity"
+    );
+    assert!(back.finish().flips.total_flips > 0);
+}
+
+#[test]
+fn golden_sharded2_checkpoint_is_byte_stable() {
+    let mut h = serial_history(DataKind::Kv, 120, 6, 8, 0xC30);
+    let mut rng = SplitMix64::new(0xC31);
+    for t in &mut h.txns {
+        t.level = IsolationLevel::ALL.get(rng.below(5) as usize).copied(); // a fifth undeclared
+    }
+    let cfg = FeedConfig {
+        batch_size: 6,
+        batch_interval_ms: 10,
+        delay_mean_ms: 20.0,
+        delay_std_ms: 25.0,
+        seed: 4,
+    };
+    let plan = feed_plan(&h, &cfg);
+    // Workers sit on their mailboxes, so nearly all checking happens
+    // inside the checkpoint's own barrier and its events are still
+    // staged on the coordinator when the bytes are cut.
+    let lazy = SimSchedule {
+        seed: 0xC32,
+        process_p: 0.05,
+        deliver_p: 0.05,
+        drop_tick_p: 0.5,
+        stall_p: 0.1,
+        stall_len: 32,
+        steps_per_call: 2,
+    };
+    let mut ck = OnlineChecker::builder()
+        .kind(DataKind::Kv)
+        .levels(LevelPolicy::per_txn(IsolationLevel::Si))
+        .shards(2)
+        .gc(OnlineGcPolicy::Checking { max_txns: 12 })
+        .track_flip_details(true)
+        .ext_timeout_ms(15)
+        .spill_faults(SpillFaultPlan::new(5, 0.3, 0.5))
+        .build_sharded_sim(lazy)
+        .expect("open sim session");
+    let (head, tail) = plan.split_at(80);
+    for (now, txn) in head {
+        ck.tick(*now);
+        ck.feed(txn.clone(), *now);
+    }
+    let late = plan.last().map_or(0, |(now, _)| *now);
+    let mut batch: Vec<(Transaction, u64)> =
+        tail.iter().map(|(now, t)| (t.clone(), *now)).collect();
+    batch.extend(one_of_each_violation(DataKind::Kv, 1000, 5000, 1).into_iter().map(|t| (t, late)));
+    // A justified read, then the late writer that slides in under it: the
+    // one way a verdict flips ok → wrong.
+    let t =
+        |tid: u64, sid: u32, s: u64, c: u64| TxnBuilder::new(tid).session(sid, 0).interval(s, c);
+    batch.push((t(1100, 40, 5031, 5032).put(Key(5), Value(8001)).build(), late));
+    batch.push((t(1101, 41, 5041, 5042).read(Key(5), Value(8001)).build(), late));
+    batch.push((t(1102, 42, 5035, 5036).put(Key(5), Value(8002)).build(), late));
+    for (i, k) in (0..4u64).enumerate() {
+        // Deep stragglers on both shards: reloads, some of them failing.
+        let t =
+            TxnBuilder::new(2000 + k).session(30 + i as u32, 0).interval(2 + 10 * k, 3 + 10 * k);
+        batch.push((t.read(Key(k), Value::INIT).build(), late + 40));
+    }
+    ck.receive_batch(batch);
+
+    let file = golden("sharded2.ckpt", &ck.checkpoint().expect("checkpoint"));
+    let mut back = ShardedChecker::restore(&file).expect("restore golden");
+    assert!(
+        back.checkpoint().expect("re-checkpoint") == file,
+        "restore → checkpoint is the identity"
+    );
+    let staged = back.tick(0);
+    let has = |f: fn(&CheckEvent) -> bool| staged.iter().any(f);
+    assert!(has(|e| matches!(e, CheckEvent::Violation(_))), "{staged:?}");
+    assert!(has(|e| matches!(e, CheckEvent::VerdictFlip { rectified_after_ms: Some(_), .. })));
+    assert!(has(|e| matches!(e, CheckEvent::VerdictFlip { rectified_after_ms: None, .. })));
+    assert!(has(|e| matches!(e, CheckEvent::ExtFinalized { .. })));
+    assert!(has(|e| matches!(e, CheckEvent::SpillPass { .. })));
+    assert!(has(|e| matches!(e, CheckEvent::SpillError { op: SpillOp::Write, .. })));
+    assert!(has(|e| matches!(e, CheckEvent::SpillError { op: SpillOp::Reload, .. })));
+    let out = back.finish();
+    assert_eq!(violation_variants(&out.report.violations).len(), 7, "every Violation variant");
+    assert!(out.stats.reloaded_txns > 0, "a reload succeeded too: {:?}", out.stats);
+}

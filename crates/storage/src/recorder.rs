@@ -12,7 +12,7 @@
 //! against other checkers, or handed to external tools speaking the
 //! dbcop format.
 
-use aion_types::codec;
+use aion_types::codec::Wire;
 use aion_types::{DataKind, History, Transaction};
 // aion-lint: allow(transport-seam) — the recorder's lock-free capture
 // queue carries workload-side commits, not checker delivery; replay
@@ -74,7 +74,7 @@ impl Recorder {
     pub fn record_ref(&self, txn: &Transaction) {
         if self.simulate_wire {
             let mut buf = bytes::BytesMut::with_capacity(16 + txn.ops.len() * 8);
-            codec::put_txn(&mut buf, txn);
+            txn.put(&mut buf);
             self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
         }
         if let Some(tx) = self.sender.read().as_ref() {
@@ -86,7 +86,7 @@ impl Recorder {
     pub fn record(&self, txn: Transaction) {
         if self.simulate_wire {
             let mut buf = bytes::BytesMut::with_capacity(16 + txn.ops.len() * 8);
-            codec::put_txn(&mut buf, &txn);
+            txn.put(&mut buf);
             self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
         }
         if let Some(tx) = self.sender.read().as_ref() {

@@ -1,11 +1,18 @@
-//! Compact binary and human-readable text codecs for histories.
+//! The binary wire codec: one [`Wire`] description per persisted record.
 //!
-//! The binary format is what the online checker's spill-to-disk GC and the
-//! experiment harness's history cache use; it is a simple length-prefixed
-//! LEB128 varint format with a magic header. The text format exists for
-//! examples, golden tests, and eyeballing histories.
+//! Everything AION persists — `AIONH` history files, the online checker's
+//! spill segments, `AIONCKPT` checkpoints — is LEB128 varints, one-byte
+//! tags and counted sequences, and every byte of it arrives from outside
+//! the process. A record says how it is laid out exactly once, with
+//! [`wire_struct!`](crate::wire_struct) or [`wire_enum!`](crate::wire_enum)
+//! (or, where the layout is not a plain field list, one hand-written
+//! `impl Wire` with `put` and `get` adjacent); its encoder, its decoder
+//! and every bounds check come from that one description and the
+//! primitive impls in this module: a narrow integer is range-checked, a
+//! count is checked against the bytes that are left before anything is
+//! allocated for it. `docs/formats.md` tabulates the records.
 //!
-//! Binary layout:
+//! History layout:
 //!
 //! ```text
 //! magic  b"AIONH1"                (6 bytes)
@@ -24,15 +31,19 @@
 //! one *level byte* between `commit` and `nops` (`0` = none, `1` = RC,
 //! `2` = RA, `3` = SI, `4` = SER). Level-free histories keep emitting
 //! byte-identical `AIONH1`, so pre-lattice files and fixtures never
-//! change; [`decode_history`] reads both generations.
+//! change; [`decode_history`] reads both generations. A transaction on
+//! its own ([`Transaction`]'s `Wire` impl: spill segments, checkpoints)
+//! is always in the `AIONH2` layout.
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{Key, SessionId, Timestamp, TxnId, Value};
 use crate::level::IsolationLevel;
-use crate::op::{DataKind, Mutation, Op, Snapshot};
+use crate::op::{DataKind, ListValue, Mutation, Op, Snapshot};
 use crate::txn::Transaction;
 use crate::History;
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
+use std::hash::Hash;
 
 const MAGIC: &[u8; 6] = b"AIONH1";
 const MAGIC_V2: &[u8; 6] = b"AIONH2";
@@ -40,20 +51,22 @@ const MAGIC_V2: &[u8; 6] = b"AIONH2";
 /// Errors produced while decoding.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CodecError {
-    /// Input ended before a complete value was read.
+    /// Input ended before a complete value was read — or a count claimed
+    /// more elements than there are bytes left.
     UnexpectedEof,
     /// The magic header did not match.
     BadMagic,
-    /// An unknown data-kind byte.
-    BadKind(u8),
-    /// An unknown operation tag.
+    /// An unknown data-kind, operation, variant or `bool` tag.
     BadTag(u8),
     /// A varint longer than 10 bytes (corrupt input).
     VarintOverflow,
     /// An unknown isolation-level byte in an `AIONH2` stream.
     BadLevel(u8),
-    /// Text parse error with line number and message.
-    Text(usize, String),
+    /// A varint that does not fit its field (`u32`, or `usize` on a
+    /// narrow host).
+    OutOfRange,
+    /// A string that is not UTF-8.
+    BadUtf8,
 }
 
 impl fmt::Display for CodecError {
@@ -61,16 +74,78 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::UnexpectedEof => write!(f, "unexpected end of input"),
             CodecError::BadMagic => write!(f, "bad magic header"),
-            CodecError::BadKind(k) => write!(f, "unknown data kind byte {k}"),
-            CodecError::BadTag(t) => write!(f, "unknown op tag {t}"),
+            CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
             CodecError::VarintOverflow => write!(f, "varint longer than 10 bytes"),
             CodecError::BadLevel(b) => write!(f, "unknown isolation-level byte {b}"),
-            CodecError::Text(line, msg) => write!(f, "text parse error on line {line}: {msg}"),
+            CodecError::OutOfRange => write!(f, "varint out of range for its field"),
+            CodecError::BadUtf8 => write!(f, "string is not valid utf-8"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+/// A value with one binary layout.
+///
+/// `put` cannot fail; `get` must turn *any* input into a value or a
+/// [`CodecError`], never a panic, and every impl encodes to at least one
+/// byte (which is what lets a sequence bound its count by the input
+/// left). Dispatch is static; nothing is buffered in between.
+pub trait Wire: Sized {
+    /// Append this value's encoding to `buf`.
+    fn put(&self, buf: &mut impl BufMut);
+    /// Decode one value from the front of `buf`.
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError>;
+}
+
+/// Describe a struct's wire layout: its fields, in wire order.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:tt),+ $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn put(&self, buf: &mut impl ::bytes::BufMut) {
+                $( $crate::codec::Wire::put(&self.$field, buf); )+
+            }
+            fn get(buf: &mut impl ::bytes::Buf) -> Result<Self, $crate::codec::CodecError> {
+                Ok($ty { $( $field: $crate::codec::Wire::get(buf)?, )+ })
+            }
+        }
+    };
+}
+
+/// Describe an enum's wire layout: a one-byte tag per variant, then the
+/// variant's fields in wire order. An unlisted tag decodes to
+/// [`CodecError::BadTag`].
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $(
+        $tag:literal => $variant:ident $( { $($field:ident),* } )? $( ( $($elem:ident),* ) )?
+    ),+ $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn put(&self, buf: &mut impl ::bytes::BufMut) {
+                match self { $(
+                    $ty::$variant $( { $($field),* } )? $( ( $($elem),* ) )? => {
+                        ::bytes::BufMut::put_u8(buf, $tag);
+                        $( $( $crate::codec::Wire::put($field, buf); )* )?
+                        $( $( $crate::codec::Wire::put($elem, buf); )* )?
+                    }
+                )+ }
+            }
+            fn get(buf: &mut impl ::bytes::Buf) -> Result<Self, $crate::codec::CodecError> {
+                if !::bytes::Buf::has_remaining(&*buf) {
+                    return Err($crate::codec::CodecError::UnexpectedEof);
+                }
+                match ::bytes::Buf::get_u8(buf) {
+                    $( $tag => Ok($ty::$variant
+                        $( { $( $field: $crate::codec::Wire::get(buf)? ),* } )?
+                        $( ( $( { let $elem = $crate::codec::Wire::get(buf)?; $elem } ),* ) )?
+                    ), )+
+                    t => Err($crate::codec::CodecError::BadTag(t)),
+                }
+            }
+        }
+    };
+}
 
 /// Append a LEB128 varint to `buf`.
 pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
@@ -90,116 +165,252 @@ pub fn get_varint(buf: &mut impl Buf) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let byte = buf.get_u8();
+        let b = byte(buf)?;
         if shift >= 64 {
             return Err(CodecError::VarintOverflow);
         }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
             return Ok(v);
         }
         shift += 7;
     }
 }
 
-/// Encode a snapshot (used by the online checker's spill files).
-pub fn put_snapshot(buf: &mut impl BufMut, s: &Snapshot) {
-    match s {
-        Snapshot::Scalar(v) => {
-            buf.put_u8(0);
-            put_varint(buf, v.0);
-        }
-        Snapshot::List(l) => {
-            buf.put_u8(1);
-            put_varint(buf, l.len() as u64);
-            for e in l.elems() {
-                put_varint(buf, e.0);
-            }
-        }
-    }
-}
-
-/// Decode a snapshot (used by the online checker's spill files).
-pub fn get_snapshot(buf: &mut impl Buf) -> Result<Snapshot, CodecError> {
+fn byte(buf: &mut impl Buf) -> Result<u8, CodecError> {
     if !buf.has_remaining() {
         return Err(CodecError::UnexpectedEof);
     }
-    match buf.get_u8() {
-        0 => Ok(Snapshot::Scalar(Value(get_varint(buf)?))),
-        1 => {
-            let n = get_varint(buf)? as usize;
-            let mut elems = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                elems.push(Value(get_varint(buf)?));
-            }
-            Ok(Snapshot::List(elems.into()))
+    Ok(buf.get_u8())
+}
+
+// --- primitives -------------------------------------------------------------
+
+impl Wire for u64 {
+    fn put(&self, buf: &mut impl BufMut) {
+        put_varint(buf, *self);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        get_varint(buf)
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, buf: &mut impl BufMut) {
+        put_varint(buf, u64::from(*self));
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        u32::try_from(get_varint(buf)?).map_err(|_| CodecError::OutOfRange)
+    }
+}
+
+impl Wire for usize {
+    fn put(&self, buf: &mut impl BufMut) {
+        put_varint(buf, *self as u64);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        usize::try_from(get_varint(buf)?).map_err(|_| CodecError::OutOfRange)
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, buf: &mut impl BufMut) {
+        buf.put_u8(u8::from(*self));
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        match byte(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(CodecError::BadTag(t)),
         }
-        t => Err(CodecError::BadTag(t)),
     }
 }
 
-/// Encode one operation.
-pub fn put_op(buf: &mut impl BufMut, op: &Op) {
-    match op {
-        Op::Read { key, value } => match value {
-            Snapshot::Scalar(v) => {
-                buf.put_u8(0);
-                put_varint(buf, key.0);
-                put_varint(buf, v.0);
-            }
-            Snapshot::List(l) => {
-                buf.put_u8(1);
-                put_varint(buf, key.0);
-                put_varint(buf, l.len() as u64);
-                for e in l.elems() {
-                    put_varint(buf, e.0);
-                }
-            }
-        },
-        Op::Write { key, mutation } => match mutation {
-            Mutation::Put(v) => {
-                buf.put_u8(2);
-                put_varint(buf, key.0);
-                put_varint(buf, v.0);
-            }
-            Mutation::Append(v) => {
-                buf.put_u8(3);
-                put_varint(buf, key.0);
-                put_varint(buf, v.0);
-            }
-        },
+/// A presence byte, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut impl BufMut) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        Ok(if bool::get(buf)? { Some(T::get(buf)?) } else { None })
     }
 }
 
-/// Decode one operation.
-pub fn get_op(buf: &mut impl Buf) -> Result<Op, CodecError> {
-    if !buf.has_remaining() {
+/// A byte run: its length, then the bytes.
+impl Wire for Vec<u8> {
+    fn put(&self, buf: &mut impl BufMut) {
+        put_varint(buf, self.len() as u64);
+        buf.put_slice(self);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        let n = usize::get(buf)?;
+        if n > buf.remaining() {
+            return Err(CodecError::UnexpectedEof);
+        }
+        let mut bytes = vec![0u8; n];
+        buf.copy_to_slice(&mut bytes);
+        Ok(bytes)
+    }
+}
+
+/// A UTF-8 byte run.
+impl Wire for String {
+    fn put(&self, buf: &mut impl BufMut) {
+        put_varint(buf, self.len() as u64);
+        buf.put_slice(self.as_bytes());
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        String::from_utf8(Vec::get(buf)?).map_err(|_| CodecError::BadUtf8)
+    }
+}
+
+/// Write `items` as the counted sequence [`Vec<T>`] decodes — for
+/// canonical (sorted) views that only borrow their elements.
+pub fn write_seq<'a, T: Wire + 'a>(
+    buf: &mut impl BufMut,
+    items: impl ExactSizeIterator<Item = &'a T>,
+) {
+    put_varint(buf, items.len() as u64);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+/// The one counted-sequence decoder. Every element takes at least one
+/// byte, so a count beyond the bytes left cannot be honest: it is refused
+/// before anything is allocated for it.
+fn read_seq<B: Buf, T>(
+    buf: &mut B,
+    mut elem: impl FnMut(&mut B) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = usize::get(buf)?;
+    if n > buf.remaining() {
         return Err(CodecError::UnexpectedEof);
     }
-    let tag = buf.get_u8();
-    let key = Key(get_varint(buf)?);
-    match tag {
-        0 => Ok(Op::read(key, Value(get_varint(buf)?))),
-        1 => {
-            let n = get_varint(buf)? as usize;
-            let mut elems = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                elems.push(Value(get_varint(buf)?));
-            }
-            Ok(Op::read_list(key, elems))
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(elem(buf)?);
+    }
+    Ok(out)
+}
+
+/// A count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut impl BufMut) {
+        write_seq(buf, self.iter());
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        read_seq(buf, T::get)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut impl BufMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        Ok((A::get(buf)?, B::get(buf)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, buf: &mut impl BufMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+        self.2.put(buf);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        Ok((A::get(buf)?, B::get(buf)?, C::get(buf)?))
+    }
+}
+
+/// A count, then `(key, value)` pairs in key order: hash order is an
+/// insertion-history artifact and must not reach the bytes.
+impl<K: Wire + Ord + Hash, V: Wire> Wire for FxHashMap<K, V> {
+    fn put(&self, buf: &mut impl BufMut) {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        put_varint(buf, pairs.len() as u64);
+        for (k, v) in pairs {
+            k.put(buf);
+            v.put(buf);
         }
-        2 => Ok(Op::put(key, Value(get_varint(buf)?))),
-        3 => Ok(Op::append(key, Value(get_varint(buf)?))),
-        t => Err(CodecError::BadTag(t)),
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        Ok(Vec::<(K, V)>::get(buf)?.into_iter().collect())
+    }
+}
+
+/// A count, then the members in order.
+impl<K: Wire + Ord + Hash> Wire for FxHashSet<K> {
+    fn put(&self, buf: &mut impl BufMut) {
+        let mut members: Vec<&K> = self.iter().collect();
+        members.sort_unstable();
+        write_seq(buf, members.into_iter());
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        Ok(Vec::<K>::get(buf)?.into_iter().collect())
+    }
+}
+
+// --- history records --------------------------------------------------------
+
+wire_struct!(TxnId { 0 });
+wire_struct!(SessionId { 0 });
+wire_struct!(Timestamp { 0 });
+wire_struct!(Key { 0 });
+wire_struct!(Value { 0 });
+wire_enum!(DataKind { 0 => Kv, 1 => List });
+wire_enum!(Snapshot { 0 => Scalar(v), 1 => List(l) });
+wire_enum!(Mutation { 0 => Put(v), 1 => Append(v) });
+
+impl Wire for ListValue {
+    fn put(&self, buf: &mut impl BufMut) {
+        write_seq(buf, self.elems().iter());
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        Ok(Vec::<Value>::get(buf)?.into())
+    }
+}
+
+/// One tag for the operation kind *and* the shape of its value (see the
+/// module docs), then the key, then the value.
+impl Wire for Op {
+    fn put(&self, buf: &mut impl BufMut) {
+        let (tag, key) = match self {
+            Op::Read { key, value: Snapshot::Scalar(_) } => (0, key),
+            Op::Read { key, value: Snapshot::List(_) } => (1, key),
+            Op::Write { key, mutation: Mutation::Put(_) } => (2, key),
+            Op::Write { key, mutation: Mutation::Append(_) } => (3, key),
+        };
+        buf.put_u8(tag);
+        key.put(buf);
+        match self {
+            Op::Read { value: Snapshot::List(l), .. } => l.put(buf),
+            Op::Read { value: Snapshot::Scalar(v), .. }
+            | Op::Write { mutation: Mutation::Put(v) | Mutation::Append(v), .. } => v.put(buf),
+        }
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        let tag = byte(buf)?;
+        let key = Key::get(buf)?;
+        match tag {
+            0 => Ok(Op::read(key, Value::get(buf)?)),
+            1 => Ok(Op::Read { key, value: Snapshot::List(ListValue::get(buf)?) }),
+            2 => Ok(Op::put(key, Value::get(buf)?)),
+            3 => Ok(Op::append(key, Value::get(buf)?)),
+            t => Err(CodecError::BadTag(t)),
+        }
     }
 }
 
 /// Encode an optional declared isolation level as one byte (the
 /// `AIONH2` level byte).
-pub fn level_to_byte(level: Option<IsolationLevel>) -> u8 {
+fn level_to_byte(level: Option<IsolationLevel>) -> u8 {
     match level {
         None => 0,
         Some(IsolationLevel::ReadCommitted) => 1,
@@ -222,65 +433,51 @@ pub fn level_from_byte(b: u8) -> Result<Option<IsolationLevel>, CodecError> {
     }
 }
 
-/// Encode a transaction in the level-free `AIONH1` layout. Any declared
-/// level is dropped; use [`put_txn_ext`] where levels must survive.
-pub fn put_txn(buf: &mut impl BufMut, t: &Transaction) {
-    put_txn_prefix(buf, t);
-    put_txn_ops(buf, t);
-}
-
-/// Encode a transaction in the `AIONH2` layout (level byte included).
-pub fn put_txn_ext(buf: &mut impl BufMut, t: &Transaction) {
-    put_txn_prefix(buf, t);
-    buf.put_u8(level_to_byte(t.level));
-    put_txn_ops(buf, t);
-}
-
-fn put_txn_prefix(buf: &mut impl BufMut, t: &Transaction) {
-    put_varint(buf, t.tid.0);
-    put_varint(buf, u64::from(t.sid.0));
-    put_varint(buf, u64::from(t.sno));
-    put_varint(buf, t.start_ts.0);
-    put_varint(buf, t.commit_ts.0);
-}
-
-fn put_txn_ops(buf: &mut impl BufMut, t: &Transaction) {
-    put_varint(buf, t.ops.len() as u64);
-    for op in &t.ops {
-        put_op(buf, op);
+/// A *resolved* level: the level byte, where "none" (0) is not a value.
+impl Wire for IsolationLevel {
+    fn put(&self, buf: &mut impl BufMut) {
+        buf.put_u8(level_to_byte(Some(*self)));
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        level_from_byte(byte(buf)?)?.ok_or(CodecError::BadLevel(0))
     }
 }
 
-/// Decode an `AIONH1`-layout transaction (no level byte).
-pub fn get_txn(buf: &mut impl Buf) -> Result<Transaction, CodecError> {
-    get_txn_inner(buf, false)
-}
-
-/// Decode an `AIONH2`-layout transaction (level byte present).
-pub fn get_txn_ext(buf: &mut impl Buf) -> Result<Transaction, CodecError> {
-    get_txn_inner(buf, true)
-}
-
-fn get_txn_inner(buf: &mut impl Buf, ext: bool) -> Result<Transaction, CodecError> {
-    let tid = TxnId(get_varint(buf)?);
-    let sid = SessionId(get_varint(buf)? as u32);
-    let sno = get_varint(buf)? as u32;
-    let start_ts = Timestamp(get_varint(buf)?);
-    let commit_ts = Timestamp(get_varint(buf)?);
-    let level = if ext {
-        if !buf.has_remaining() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        level_from_byte(buf.get_u8())?
-    } else {
-        None
-    };
-    let nops = get_varint(buf)? as usize;
-    let mut ops = Vec::with_capacity(nops.min(1 << 20));
-    for _ in 0..nops {
-        ops.push(get_op(buf)?);
+/// A transaction in the `AIONH2` layout (`ext`, level byte present) or
+/// the level-free `AIONH1` one, which drops any declared level.
+fn encode_txn(buf: &mut impl BufMut, t: &Transaction, ext: bool) {
+    t.tid.put(buf);
+    t.sid.put(buf);
+    t.sno.put(buf);
+    t.start_ts.put(buf);
+    t.commit_ts.put(buf);
+    if ext {
+        buf.put_u8(level_to_byte(t.level));
     }
-    Ok(Transaction { tid, sid, sno, start_ts, commit_ts, ops, level })
+    t.ops.put(buf);
+}
+
+fn decode_txn(buf: &mut impl Buf, ext: bool) -> Result<Transaction, CodecError> {
+    Ok(Transaction {
+        tid: Wire::get(buf)?,
+        sid: Wire::get(buf)?,
+        sno: Wire::get(buf)?,
+        start_ts: Wire::get(buf)?,
+        commit_ts: Wire::get(buf)?,
+        level: if ext { level_from_byte(byte(buf)?)? } else { None },
+        ops: Wire::get(buf)?,
+    })
+}
+
+/// The `AIONH2` layout: the declared level survives, so a spilled or
+/// checkpointed transaction resolves to the level it was checked at.
+impl Wire for Transaction {
+    fn put(&self, buf: &mut impl BufMut) {
+        encode_txn(buf, self, true);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        decode_txn(buf, true)
+    }
 }
 
 /// Encode a whole history to bytes: level-free histories emit the
@@ -290,24 +487,17 @@ pub fn encode_history(h: &History) -> Vec<u8> {
     let ext = h.txns.iter().any(|t| t.level.is_some());
     let mut buf = BytesMut::with_capacity(64 + h.txns.len() * 32);
     buf.put_slice(if ext { MAGIC_V2 } else { MAGIC });
-    buf.put_u8(match h.kind {
-        DataKind::Kv => 0,
-        DataKind::List => 1,
-    });
+    h.kind.put(&mut buf);
     put_varint(&mut buf, h.txns.len() as u64);
     for t in &h.txns {
-        if ext {
-            put_txn_ext(&mut buf, t);
-        } else {
-            put_txn(&mut buf, t);
-        }
+        encode_txn(&mut buf, t, ext);
     }
     buf.to_vec()
 }
 
 /// Decode a history from bytes (either `AIONH1` or `AIONH2`).
 pub fn decode_history(mut data: &[u8]) -> Result<History, CodecError> {
-    if data.remaining() < MAGIC.len() + 1 {
+    if data.remaining() < MAGIC.len() {
         return Err(CodecError::UnexpectedEof);
     }
     let mut magic = [0u8; 6];
@@ -317,152 +507,8 @@ pub fn decode_history(mut data: &[u8]) -> Result<History, CodecError> {
         m if m == MAGIC_V2 => true,
         _ => return Err(CodecError::BadMagic),
     };
-    let kind = match data.get_u8() {
-        0 => DataKind::Kv,
-        1 => DataKind::List,
-        k => return Err(CodecError::BadKind(k)),
-    };
-    let count = get_varint(&mut data)? as usize;
-    let mut h = History::new(kind);
-    h.txns.reserve(count.min(1 << 24));
-    for _ in 0..count {
-        h.push(get_txn_inner(&mut data, ext)?);
-    }
-    Ok(h)
-}
-
-/// Render a history in the line-oriented text format.
-///
-/// ```text
-/// # aion-history kind=kv
-/// T t1 s0 n0 [10,20] w(k1)=5 r(k2)=0
-/// ```
-pub fn emit_text(h: &History) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let kind = match h.kind {
-        DataKind::Kv => "kv",
-        DataKind::List => "list",
-    };
-    let _ = writeln!(out, "# aion-history kind={kind}");
-    for t in &h.txns {
-        let _ =
-            write!(out, "T t{} s{} n{} [{},{}]", t.tid.0, t.sid.0, t.sno, t.start_ts, t.commit_ts);
-        if let Some(level) = t.level {
-            let _ = write!(out, " @{}", level.label());
-        }
-        for op in &t.ops {
-            let _ = write!(out, " {op:?}");
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-/// Parse the text format produced by [`emit_text`].
-pub fn parse_text(input: &str) -> Result<History, CodecError> {
-    let mut kind = DataKind::Kv;
-    let mut h: Option<History> = None;
-    for (ln, raw) in input.lines().enumerate() {
-        let line = raw.trim();
-        let lineno = ln + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            if let Some(k) = rest.split("kind=").nth(1) {
-                kind = match k.trim() {
-                    "kv" => DataKind::Kv,
-                    "list" => DataKind::List,
-                    other => {
-                        return Err(CodecError::Text(lineno, format!("unknown kind '{other}'")))
-                    }
-                };
-            }
-            continue;
-        }
-        let h = h.get_or_insert_with(|| History::new(kind));
-        h.kind = kind;
-        let mut parts = line.split_whitespace();
-        let tag = parts.next().unwrap_or("");
-        if tag != "T" {
-            return Err(CodecError::Text(lineno, format!("expected 'T', got '{tag}'")));
-        }
-        let err = |m: &str| CodecError::Text(lineno, m.to_string());
-        let tid = parts
-            .next()
-            .and_then(|s| s.strip_prefix('t'))
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| err("bad tid"))?;
-        let sid = parts
-            .next()
-            .and_then(|s| s.strip_prefix('s'))
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| err("bad sid"))?;
-        let sno = parts
-            .next()
-            .and_then(|s| s.strip_prefix('n'))
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| err("bad sno"))?;
-        let interval = parts.next().ok_or_else(|| err("missing interval"))?;
-        let inner = interval
-            .strip_prefix('[')
-            .and_then(|s| s.strip_suffix(']'))
-            .ok_or_else(|| err("bad interval"))?;
-        let (s, c) = inner.split_once(',').ok_or_else(|| err("bad interval"))?;
-        let start = s.parse::<u64>().map_err(|_| err("bad start ts"))?;
-        let commit = c.parse::<u64>().map_err(|_| err("bad commit ts"))?;
-        let mut level = None;
-        let mut ops = Vec::new();
-        for tok in parts {
-            if let Some(label) = tok.strip_prefix('@') {
-                level = Some(IsolationLevel::parse(label).ok_or_else(|| {
-                    CodecError::Text(lineno, format!("unknown level '@{label}'"))
-                })?);
-                continue;
-            }
-            ops.push(parse_op(tok).map_err(|m| CodecError::Text(lineno, m))?);
-        }
-        h.push(Transaction {
-            tid: TxnId(tid),
-            sid: SessionId(sid),
-            sno,
-            start_ts: Timestamp(start),
-            commit_ts: Timestamp(commit),
-            ops,
-            level,
-        });
-    }
-    Ok(h.unwrap_or_else(|| History::new(kind)))
-}
-
-fn parse_op(tok: &str) -> Result<Op, String> {
-    // Forms: r(k1)=5, r(k1)=[1,2], w(k1)=5, a(k1)+=5
-    let bad = || format!("bad op '{tok}'");
-    if let Some(rest) = tok.strip_prefix("r(") {
-        let (k, v) = rest.split_once(")=").ok_or_else(bad)?;
-        let key = Key(k.strip_prefix('k').ok_or_else(bad)?.parse().map_err(|_| bad())?);
-        if let Some(list) = v.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            let elems: Result<Vec<Value>, _> = if list.is_empty() {
-                Ok(Vec::new())
-            } else {
-                list.split(',').map(|e| e.parse::<u64>().map(Value)).collect()
-            };
-            Ok(Op::read_list(key, elems.map_err(|_| bad())?))
-        } else {
-            Ok(Op::read(key, Value(v.parse().map_err(|_| bad())?)))
-        }
-    } else if let Some(rest) = tok.strip_prefix("w(") {
-        let (k, v) = rest.split_once(")=").ok_or_else(bad)?;
-        let key = Key(k.strip_prefix('k').ok_or_else(bad)?.parse().map_err(|_| bad())?);
-        Ok(Op::put(key, Value(v.parse().map_err(|_| bad())?)))
-    } else if let Some(rest) = tok.strip_prefix("a(") {
-        let (k, v) = rest.split_once(")+=").ok_or_else(bad)?;
-        let key = Key(k.strip_prefix('k').ok_or_else(bad)?.parse().map_err(|_| bad())?);
-        Ok(Op::append(key, Value(v.parse().map_err(|_| bad())?)))
-    } else {
-        Err(bad())
-    }
+    let kind = DataKind::get(&mut data)?;
+    Ok(History { kind, txns: read_seq(&mut data, |buf| decode_txn(buf, ext))? })
 }
 
 #[cfg(test)]
@@ -547,42 +593,13 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip_kv() {
-        let h = sample_kv();
-        let text = emit_text(&h);
-        assert_eq!(parse_text(&text).unwrap(), h);
-    }
-
-    #[test]
-    fn text_roundtrip_list() {
-        let h = sample_list();
-        let text = emit_text(&h);
-        assert!(text.contains("kind=list"));
-        assert_eq!(parse_text(&text).unwrap(), h);
-    }
-
-    #[test]
-    fn text_reports_line_numbers() {
-        let bad = "# aion-history kind=kv\nT t1 sX n0 [1,2]";
-        match parse_text(bad) {
-            Err(CodecError::Text(2, _)) => {}
-            other => panic!("expected line-2 error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn text_empty_input_is_empty_history() {
-        let h = parse_text("").unwrap();
-        assert!(h.is_empty());
-    }
-
-    #[test]
     fn standalone_txn_roundtrip() {
         let t = TxnBuilder::new(9).session(2, 4).interval(7, 7).read(Key(3), Value(1)).build();
         let mut buf = BytesMut::new();
-        put_txn(&mut buf, &t);
+        t.put(&mut buf);
         let mut slice = &buf[..];
-        assert_eq!(get_txn(&mut slice).unwrap(), t);
+        assert_eq!(Transaction::get(&mut slice).unwrap(), t);
+        assert!(slice.is_empty());
     }
 
     fn mixed_level_history() -> History {
@@ -609,16 +626,14 @@ mod tests {
         assert_eq!(back, h);
         assert_eq!(back.txns[0].level, Some(IsolationLevel::ReadCommitted));
         assert_eq!(back.txns[2].level, None);
-        // Standalone ext txn encode (the spill-store path).
+        // Standalone txn encode (the spill-store path) keeps the level.
         let mut buf = BytesMut::new();
-        put_txn_ext(&mut buf, &h.txns[0]);
-        let mut slice = &buf[..];
-        assert_eq!(get_txn_ext(&mut slice).unwrap(), h.txns[0]);
-        // The v1 txn codec drops the declaration by design.
+        h.txns[0].put(&mut buf);
+        assert_eq!(Transaction::get(&mut &buf[..]).unwrap(), h.txns[0]);
+        // The v1 layout drops the declaration by design.
         let mut buf = BytesMut::new();
-        put_txn(&mut buf, &h.txns[0]);
-        let mut slice = &buf[..];
-        assert_eq!(get_txn(&mut slice).unwrap().level, None);
+        encode_txn(&mut buf, &h.txns[0], false);
+        assert_eq!(decode_txn(&mut &buf[..], false).unwrap().level, None);
     }
 
     #[test]
@@ -646,15 +661,60 @@ mod tests {
         assert_eq!(level_from_byte(0).unwrap(), None);
     }
 
+    /// One `AIONH2` transaction with the given `sid`/`sno` varints.
+    fn aionh2_with(sid: u64, sno: u64) -> Vec<u8> {
+        let mut buf = MAGIC_V2.to_vec();
+        buf.put_u8(0); // kv
+        for v in [1, 9, sid, sno, 10, 20] {
+            put_varint(&mut buf, v); // count, tid, sid, sno, start, commit
+        }
+        buf.put_slice(&[3, 0]); // level SI, no ops
+        buf
+    }
+
+    /// A `sid`/`sno` beyond `u32` used to be narrowed with `as` and come
+    /// back as a different session; `aion_io::BinaryReader` rejects it.
     #[test]
-    fn text_roundtrips_levels() {
-        let h = mixed_level_history();
-        let text = emit_text(&h);
-        assert!(text.contains("@rc") && text.contains("@ser"), "{text}");
-        assert_eq!(parse_text(&text).unwrap(), h);
-        assert!(matches!(
-            parse_text("# aion-history kind=kv\nT t1 s0 n0 [1,2] @weird"),
-            Err(CodecError::Text(2, _))
-        ));
+    fn narrow_fields_are_range_checked_not_truncated() {
+        let h = decode_history(&aionh2_with(3, 4)).unwrap();
+        assert_eq!((h.txns[0].sid, h.txns[0].sno), (SessionId(3), 4));
+        assert_eq!(decode_history(&aionh2_with((1 << 32) + 3, 4)), Err(CodecError::OutOfRange));
+        assert_eq!(decode_history(&aionh2_with(3, (1 << 32) + 4)), Err(CodecError::OutOfRange));
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, u64::from(u32::MAX) + 1);
+        assert_eq!(u32::get(&mut &buf[..]), Err(CodecError::OutOfRange));
+        assert_eq!(u64::get(&mut &buf[..]), Ok(1 << 32));
+    }
+
+    /// A count is checked against the bytes left before anything is
+    /// allocated or decoded for it.
+    #[test]
+    fn hostile_count_is_refused_before_any_element_is_decoded() {
+        use std::cell::Cell;
+        thread_local!(static DECODES: Cell<usize> = const { Cell::new(0) });
+        struct Counted;
+        impl Wire for Counted {
+            fn put(&self, buf: &mut impl BufMut) {
+                buf.put_u8(0);
+            }
+            fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+                DECODES.with(|d| d.set(d.get() + 1));
+                byte(buf).map(|_| Counted)
+            }
+        }
+        let mut hostile = BytesMut::new();
+        put_varint(&mut hostile, 1 << 40);
+        hostile.put_slice(&[1, 2, 3]);
+        assert_eq!(Vec::<Counted>::get(&mut &hostile[..]).err(), Some(CodecError::UnexpectedEof));
+        assert_eq!(DECODES.with(Cell::get), 0);
+        assert_eq!(Vec::<u8>::get(&mut &hostile[..]), Err(CodecError::UnexpectedEof));
+        // An honest count still decodes, one element per byte at the least.
+        assert_eq!(Vec::<Counted>::get(&mut &[3u8, 0, 0, 0][..]).unwrap().len(), 3);
+        assert_eq!(DECODES.with(Cell::get), 3);
+
+        let mut history = MAGIC.to_vec();
+        history.put_u8(0);
+        history.put_slice(&hostile);
+        assert_eq!(decode_history(&history), Err(CodecError::UnexpectedEof));
     }
 }

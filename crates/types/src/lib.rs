@@ -4,7 +4,7 @@
 //! reproduction of *"Online Timestamp-based Transactional Isolation Checking
 //! of Database Systems"* (ICDE 2025): timestamps and identifiers, the
 //! generalized key-value/list data model, transactions and histories,
-//! violation reports, binary/text codecs, and a fast hasher for the
+//! violation reports, the binary wire codec, and a fast hasher for the
 //! integer-keyed maps that dominate the checkers' hot paths.
 //!
 //! Everything here is deliberately dependency-light so that every other

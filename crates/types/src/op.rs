@@ -116,14 +116,6 @@ impl Snapshot {
             Snapshot::List(_) => None,
         }
     }
-
-    /// List accessor; `None` for scalars.
-    pub fn as_list(&self) -> Option<&ListValue> {
-        match self {
-            Snapshot::Scalar(_) => None,
-            Snapshot::List(l) => Some(l),
-        }
-    }
 }
 
 impl fmt::Debug for Snapshot {

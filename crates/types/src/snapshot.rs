@@ -4,9 +4,10 @@
 //! and restore it later ("serializable checker state"); `aion-serve`
 //! persists those bytes across daemon restarts. This module owns the
 //! *envelope* of that format — magic, version, payload kind — plus the
-//! codec fragments for the report-level types (violations, events,
-//! stats) that both the single-threaded and the sharded snapshot need.
-//! The per-checker body layouts live next to the checkers themselves.
+//! [`Wire`] descriptions of the report-level records (violations, events,
+//! stats, policies) that both the single-threaded and the sharded
+//! snapshot need. The per-checker body layouts live next to the checkers
+//! themselves; `docs/formats.md` tabulates all of them.
 //!
 //! Envelope layout:
 //!
@@ -22,22 +23,24 @@
 //! The version byte covers the *whole* body: any change to a body field
 //! — adding one, reordering, widening — bumps `SNAPSHOT_VERSION`, and
 //! readers reject versions outside
-//! [`SNAPSHOT_VERSION_MIN`]`..=`[`SNAPSHOT_VERSION`] with
+//! `SNAPSHOT_VERSION_MIN..=`[`SNAPSHOT_VERSION`] with
 //! [`SnapshotError::UnsupportedVersion`] instead of misparsing. Writers
 //! always emit the current version. Older versions age out of the range
 //! instead of being migrated in place — today the range is the current
 //! version alone: checkpoints are operational artifacts with the lifetime
 //! of one stream, not archival data.
 
-use crate::check::{CheckEvent, CheckerStats};
-use crate::codec::{get_varint, put_varint, CodecError};
-use crate::ids::{Key, SessionId, Timestamp, TxnId};
+use crate::check::{CheckEvent, CheckerStats, ShardConfig, SpillOp};
+use crate::codec::{CodecError, Wire};
+use crate::ids::{EventKey, EventKind};
+use crate::level::LevelPolicy;
 use crate::violation::{CheckReport, Violation};
+use crate::{wire_enum, wire_struct};
 use bytes::{Buf, BufMut};
 use std::fmt;
 
 /// Magic prefix of every checkpoint file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
 
 /// Current checkpoint schema version (see the module docs for the
 /// versioning policy).
@@ -50,7 +53,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
 pub const SNAPSHOT_VERSION: u8 = 3;
 
 /// Oldest checkpoint schema version this build still restores.
-pub const SNAPSHOT_VERSION_MIN: u8 = 3;
+const SNAPSHOT_VERSION_MIN: u8 = 3;
 
 /// Payload-kind byte: the body is a single `OnlineChecker`.
 pub const SNAPSHOT_KIND_SINGLE: u8 = 0;
@@ -69,7 +72,7 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The body bytes did not decode (truncation, bit rot, wrong file).
     Codec(CodecError),
-    /// The file does not start with [`SNAPSHOT_MAGIC`].
+    /// The file does not start with the `AIONCKPT` magic.
     BadMagic,
     /// The file's schema version is not one this build can read.
     UnsupportedVersion {
@@ -141,7 +144,7 @@ pub fn put_snapshot_header(buf: &mut impl BufMut, kind: u8) {
 }
 
 /// Validate the checkpoint envelope — magic, and a version in
-/// [`SNAPSHOT_VERSION_MIN`]`..=`[`SNAPSHOT_VERSION`] — and return the
+/// `SNAPSHOT_VERSION_MIN..=`[`SNAPSHOT_VERSION`] — and return the
 /// payload-kind byte.
 pub fn get_snapshot_header(buf: &mut impl Buf) -> Result<u8, SnapshotError> {
     if buf.remaining() < SNAPSHOT_MAGIC.len() + 2 {
@@ -159,290 +162,67 @@ pub fn get_snapshot_header(buf: &mut impl Buf) -> Result<u8, SnapshotError> {
     Ok(buf.get_u8())
 }
 
-/// Encode a `bool` as one byte.
-pub fn put_bool(buf: &mut impl BufMut, b: bool) {
-    buf.put_u8(u8::from(b));
-}
+// --- checkpoint records ----------------------------------------------------
 
-/// Decode a [`put_bool`] byte; any value other than 0/1 is corrupt.
-pub fn get_bool(buf: &mut impl Buf) -> Result<bool, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    match buf.get_u8() {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(CodecError::BadTag(t)),
-    }
-}
+wire_enum!(EventKind { 0 => Start, 1 => Commit });
+wire_struct!(EventKey { ts, kind, tid });
+wire_struct!(ShardConfig { shards, tick_broadcast_ms });
+wire_enum!(LevelPolicy {
+    0 => Uniform(level),
+    1 => PerSession { map, default },
+    2 => PerTxn { default },
+});
+wire_enum!(SpillOp { 0 => Write, 1 => Reload });
 
-/// Encode an optional `u64` as a presence byte plus varint.
-pub fn put_opt_varint(buf: &mut impl BufMut, v: Option<u64>) {
-    match v {
-        None => buf.put_u8(0),
-        Some(v) => {
-            buf.put_u8(1);
-            put_varint(buf, v);
-        }
-    }
-}
+wire_enum!(Violation {
+    0 => Session { tid, sid, expected_sno, found_sno, start_ts, last_commit_ts },
+    1 => Int { tid, key, op_index, expected, observed },
+    2 => Ext { tid, key, op_index, expected, observed },
+    3 => NoConflict { key, t1, t2 },
+    4 => TimestampOrder { tid, start_ts, commit_ts },
+    5 => DuplicateTimestamp { ts, t1, t2 },
+    6 => DuplicateTid { tid },
+});
 
-/// Decode a [`put_opt_varint`] value.
-pub fn get_opt_varint(buf: &mut impl Buf) -> Result<Option<u64>, CodecError> {
-    if get_bool(buf)? {
-        Ok(Some(get_varint(buf)?))
-    } else {
-        Ok(None)
-    }
-}
+// A new variant must claim a tag here before it can be checkpointed.
+wire_enum!(CheckEvent {
+    0 => Violation(v),
+    1 => VerdictFlip { tid, key, rectified_after_ms },
+    2 => ExtFinalized { tid, violations },
+    3 => SpillPass { spilled, bytes, resident_after },
+    4 => SpillError { op, detail },
+});
 
-/// Encode a UTF-8 string as a length-prefixed byte run.
-pub fn put_string(buf: &mut impl BufMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
+wire_struct!(CheckerStats {
+    received,
+    finalized,
+    peak_resident_txns,
+    gc_spills,
+    spilled_txns,
+    reloaded_txns,
+    spill_bytes,
+    reevaluations,
+    spill_errors,
+});
 
-/// Decode a [`put_string`] value.
-pub fn get_string(buf: &mut impl Buf) -> Result<String, CodecError> {
-    let n = get_varint(buf)? as usize;
-    if buf.remaining() < n {
-        return Err(CodecError::UnexpectedEof);
+/// Violations only: the per-axiom counters are derived, and rebuilt on
+/// decode.
+impl Wire for CheckReport {
+    fn put(&self, buf: &mut impl BufMut) {
+        self.violations.put(buf);
     }
-    let mut bytes = vec![0u8; n];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| CodecError::Text(0, "invalid utf-8 string".to_string()))
-}
-
-/// Encode one [`Violation`].
-pub fn put_violation(buf: &mut impl BufMut, v: &Violation) {
-    use crate::codec::put_snapshot;
-    match v {
-        Violation::Session { tid, sid, expected_sno, found_sno, start_ts, last_commit_ts } => {
-            buf.put_u8(0);
-            put_varint(buf, tid.0);
-            put_varint(buf, u64::from(sid.0));
-            put_varint(buf, u64::from(*expected_sno));
-            put_varint(buf, u64::from(*found_sno));
-            put_varint(buf, start_ts.0);
-            put_varint(buf, last_commit_ts.0);
-        }
-        Violation::Int { tid, key, op_index, expected, observed } => {
-            buf.put_u8(1);
-            put_varint(buf, tid.0);
-            put_varint(buf, key.0);
-            put_varint(buf, *op_index as u64);
-            put_snapshot(buf, expected);
-            put_snapshot(buf, observed);
-        }
-        Violation::Ext { tid, key, op_index, expected, observed } => {
-            buf.put_u8(2);
-            put_varint(buf, tid.0);
-            put_varint(buf, key.0);
-            put_varint(buf, *op_index as u64);
-            put_snapshot(buf, expected);
-            put_snapshot(buf, observed);
-        }
-        Violation::NoConflict { key, t1, t2 } => {
-            buf.put_u8(3);
-            put_varint(buf, key.0);
-            put_varint(buf, t1.0);
-            put_varint(buf, t2.0);
-        }
-        Violation::TimestampOrder { tid, start_ts, commit_ts } => {
-            buf.put_u8(4);
-            put_varint(buf, tid.0);
-            put_varint(buf, start_ts.0);
-            put_varint(buf, commit_ts.0);
-        }
-        Violation::DuplicateTimestamp { ts, t1, t2 } => {
-            buf.put_u8(5);
-            put_varint(buf, ts.0);
-            put_varint(buf, t1.0);
-            put_varint(buf, t2.0);
-        }
-        Violation::DuplicateTid { tid } => {
-            buf.put_u8(6);
-            put_varint(buf, tid.0);
-        }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        let mut r = CheckReport::new();
+        Vec::<Violation>::get(buf)?.into_iter().for_each(|v| r.push(v));
+        Ok(r)
     }
-}
-
-/// Decode one [`Violation`].
-pub fn get_violation(buf: &mut impl Buf) -> Result<Violation, CodecError> {
-    use crate::codec::get_snapshot;
-    if !buf.has_remaining() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    match buf.get_u8() {
-        0 => Ok(Violation::Session {
-            tid: TxnId(get_varint(buf)?),
-            sid: SessionId(get_varint(buf)? as u32),
-            expected_sno: get_varint(buf)? as u32,
-            found_sno: get_varint(buf)? as u32,
-            start_ts: Timestamp(get_varint(buf)?),
-            last_commit_ts: Timestamp(get_varint(buf)?),
-        }),
-        1 => Ok(Violation::Int {
-            tid: TxnId(get_varint(buf)?),
-            key: Key(get_varint(buf)?),
-            op_index: get_varint(buf)? as usize,
-            expected: get_snapshot(buf)?,
-            observed: get_snapshot(buf)?,
-        }),
-        2 => Ok(Violation::Ext {
-            tid: TxnId(get_varint(buf)?),
-            key: Key(get_varint(buf)?),
-            op_index: get_varint(buf)? as usize,
-            expected: get_snapshot(buf)?,
-            observed: get_snapshot(buf)?,
-        }),
-        3 => Ok(Violation::NoConflict {
-            key: Key(get_varint(buf)?),
-            t1: TxnId(get_varint(buf)?),
-            t2: TxnId(get_varint(buf)?),
-        }),
-        4 => Ok(Violation::TimestampOrder {
-            tid: TxnId(get_varint(buf)?),
-            start_ts: Timestamp(get_varint(buf)?),
-            commit_ts: Timestamp(get_varint(buf)?),
-        }),
-        5 => Ok(Violation::DuplicateTimestamp {
-            ts: Timestamp(get_varint(buf)?),
-            t1: TxnId(get_varint(buf)?),
-            t2: TxnId(get_varint(buf)?),
-        }),
-        6 => Ok(Violation::DuplicateTid { tid: TxnId(get_varint(buf)?) }),
-        t => Err(CodecError::BadTag(t)),
-    }
-}
-
-/// Encode one [`CheckEvent`].
-pub fn put_check_event(buf: &mut impl BufMut, e: &CheckEvent) {
-    match e {
-        CheckEvent::Violation(v) => {
-            buf.put_u8(0);
-            put_violation(buf, v);
-        }
-        CheckEvent::VerdictFlip { tid, key, rectified_after_ms } => {
-            buf.put_u8(1);
-            put_varint(buf, tid.0);
-            put_varint(buf, key.0);
-            put_opt_varint(buf, *rectified_after_ms);
-        }
-        CheckEvent::ExtFinalized { tid, violations } => {
-            buf.put_u8(2);
-            put_varint(buf, tid.0);
-            put_varint(buf, u64::from(*violations));
-        }
-        CheckEvent::SpillPass { spilled, bytes, resident_after } => {
-            buf.put_u8(3);
-            put_varint(buf, *spilled as u64);
-            put_varint(buf, *bytes);
-            put_varint(buf, *resident_after as u64);
-        }
-        CheckEvent::SpillError { op, detail } => {
-            buf.put_u8(4);
-            buf.put_u8(match op {
-                crate::check::SpillOp::Write => 0,
-                crate::check::SpillOp::Reload => 1,
-            });
-            put_string(buf, detail);
-        }
-        // `CheckEvent` is non_exhaustive upstream of us only in name: a
-        // new variant added here must claim a tag before being written.
-        #[allow(unreachable_patterns)]
-        other => unreachable!("unserializable CheckEvent variant {other:?}"),
-    }
-}
-
-/// Decode one [`CheckEvent`].
-pub fn get_check_event(buf: &mut impl Buf) -> Result<CheckEvent, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    match buf.get_u8() {
-        0 => Ok(CheckEvent::Violation(get_violation(buf)?)),
-        1 => Ok(CheckEvent::VerdictFlip {
-            tid: TxnId(get_varint(buf)?),
-            key: Key(get_varint(buf)?),
-            rectified_after_ms: get_opt_varint(buf)?,
-        }),
-        2 => Ok(CheckEvent::ExtFinalized {
-            tid: TxnId(get_varint(buf)?),
-            violations: get_varint(buf)? as u32,
-        }),
-        3 => Ok(CheckEvent::SpillPass {
-            spilled: get_varint(buf)? as usize,
-            bytes: get_varint(buf)?,
-            resident_after: get_varint(buf)? as usize,
-        }),
-        4 => {
-            if !buf.has_remaining() {
-                return Err(CodecError::UnexpectedEof);
-            }
-            let op = match buf.get_u8() {
-                0 => crate::check::SpillOp::Write,
-                1 => crate::check::SpillOp::Reload,
-                t => return Err(CodecError::BadTag(t)),
-            };
-            Ok(CheckEvent::SpillError { op, detail: get_string(buf)? })
-        }
-        t => Err(CodecError::BadTag(t)),
-    }
-}
-
-/// Encode a [`CheckReport`] (violations only; the per-axiom counters are
-/// derived and rebuilt on decode).
-pub fn put_report(buf: &mut impl BufMut, r: &CheckReport) {
-    put_varint(buf, r.violations.len() as u64);
-    for v in &r.violations {
-        put_violation(buf, v);
-    }
-}
-
-/// Decode a [`put_report`] payload, rebuilding the counters.
-pub fn get_report(buf: &mut impl Buf) -> Result<CheckReport, CodecError> {
-    let n = get_varint(buf)? as usize;
-    let mut r = CheckReport::new();
-    for _ in 0..n {
-        r.push(get_violation(buf)?);
-    }
-    Ok(r)
-}
-
-/// Encode [`CheckerStats`].
-pub fn put_stats(buf: &mut impl BufMut, s: &CheckerStats) {
-    put_varint(buf, s.received as u64);
-    put_varint(buf, s.finalized as u64);
-    put_varint(buf, s.peak_resident_txns as u64);
-    put_varint(buf, s.gc_spills as u64);
-    put_varint(buf, s.spilled_txns as u64);
-    put_varint(buf, s.reloaded_txns as u64);
-    put_varint(buf, s.spill_bytes);
-    put_varint(buf, s.reevaluations);
-    put_varint(buf, s.spill_errors);
-}
-
-/// Decode [`CheckerStats`].
-pub fn get_stats(buf: &mut impl Buf) -> Result<CheckerStats, CodecError> {
-    Ok(CheckerStats {
-        received: get_varint(buf)? as usize,
-        finalized: get_varint(buf)? as usize,
-        peak_resident_txns: get_varint(buf)? as usize,
-        gc_spills: get_varint(buf)? as usize,
-        spilled_txns: get_varint(buf)? as usize,
-        reloaded_txns: get_varint(buf)? as usize,
-        spill_bytes: get_varint(buf)?,
-        reevaluations: get_varint(buf)?,
-        spill_errors: get_varint(buf)?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::Snapshot;
-    use crate::Value;
+    use crate::{Key, SessionId, Timestamp, TxnId, Value};
     use bytes::BytesMut;
 
     fn all_violations() -> Vec<Violation> {
@@ -484,9 +264,9 @@ mod tests {
     fn violation_roundtrip_all_variants() {
         for v in all_violations() {
             let mut buf = BytesMut::new();
-            put_violation(&mut buf, &v);
+            v.put(&mut buf);
             let mut slice = &buf[..];
-            assert_eq!(get_violation(&mut slice).unwrap(), v);
+            assert_eq!(Violation::get(&mut slice).unwrap(), v);
             assert!(slice.is_empty());
         }
     }
@@ -510,9 +290,9 @@ mod tests {
         ];
         for e in events {
             let mut buf = BytesMut::new();
-            put_check_event(&mut buf, &e);
+            e.put(&mut buf);
             let mut slice = &buf[..];
-            assert_eq!(get_check_event(&mut slice).unwrap(), e);
+            assert_eq!(CheckEvent::get(&mut slice).unwrap(), e);
         }
     }
 
@@ -523,8 +303,8 @@ mod tests {
             r.push(v);
         }
         let mut buf = BytesMut::new();
-        put_report(&mut buf, &r);
-        let back = get_report(&mut &buf[..]).unwrap();
+        r.put(&mut buf);
+        let back = CheckReport::get(&mut &buf[..]).unwrap();
         assert_eq!(back.violations, r.violations);
         for kind in [
             crate::AxiomKind::Session,
@@ -551,8 +331,8 @@ mod tests {
             spill_errors: 9,
         };
         let mut buf = BytesMut::new();
-        put_stats(&mut buf, &s);
-        let back = get_stats(&mut &buf[..]).unwrap();
+        s.put(&mut buf);
+        let back = CheckerStats::get(&mut &buf[..]).unwrap();
         assert_eq!(back.received, 1);
         assert_eq!(back.reevaluations, 8);
         assert_eq!(back.spill_errors, 9);
@@ -602,22 +382,22 @@ mod tests {
     #[test]
     fn helper_roundtrips_and_corruption() {
         let mut buf = BytesMut::new();
-        put_bool(&mut buf, true);
-        put_opt_varint(&mut buf, Some(700));
-        put_opt_varint(&mut buf, None);
-        put_string(&mut buf, "sess-1");
+        true.put(&mut buf);
+        Some(700u64).put(&mut buf);
+        None::<u64>.put(&mut buf);
+        "sess-1".to_string().put(&mut buf);
         let mut slice = &buf[..];
-        assert!(get_bool(&mut slice).unwrap());
-        assert_eq!(get_opt_varint(&mut slice).unwrap(), Some(700));
-        assert_eq!(get_opt_varint(&mut slice).unwrap(), None);
-        assert_eq!(get_string(&mut slice).unwrap(), "sess-1");
+        assert!(bool::get(&mut slice).unwrap());
+        assert_eq!(Option::<u64>::get(&mut slice).unwrap(), Some(700));
+        assert_eq!(Option::<u64>::get(&mut slice).unwrap(), None);
+        assert_eq!(String::get(&mut slice).unwrap(), "sess-1");
 
         let mut bad: &[u8] = &[7];
-        assert_eq!(get_bool(&mut bad), Err(CodecError::BadTag(7)));
+        assert_eq!(bool::get(&mut bad), Err(CodecError::BadTag(7)));
         let mut trunc: &[u8] = &[5, b'a'];
-        assert_eq!(get_string(&mut trunc), Err(CodecError::UnexpectedEof));
+        assert_eq!(String::get(&mut trunc), Err(CodecError::UnexpectedEof));
         let mut nonutf: &[u8] = &[2, 0xff, 0xfe];
-        assert!(matches!(get_string(&mut nonutf), Err(CodecError::Text(_, _))));
+        assert_eq!(String::get(&mut nonutf), Err(CodecError::BadUtf8));
     }
 
     #[test]
