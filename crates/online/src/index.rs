@@ -6,6 +6,57 @@ use aion_types::{EventKey, FxHashMap, FxHashSet, Key, TxnId};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+/// The items one index entry holds, in insertion order — which step ③
+/// and the checkpoint codec both depend on. Almost every entry holds at
+/// most two, so those live inline and dropping an index frees no heap
+/// object per entry.
+#[derive(Clone, Debug, Default)]
+pub(crate) enum SmallSeq<T> {
+    #[default]
+    Empty,
+    One([T; 1]),
+    Two([T; 2]),
+    Heap(Vec<T>),
+}
+
+impl<T: Copy> SmallSeq<T> {
+    pub(crate) fn as_slice(&self) -> &[T] {
+        match self {
+            SmallSeq::Empty => &[],
+            SmallSeq::One(a) => a,
+            SmallSeq::Two(a) => a,
+            SmallSeq::Heap(v) => v,
+        }
+    }
+
+    pub(crate) fn push(&mut self, item: T) {
+        match self {
+            SmallSeq::Empty => *self = SmallSeq::One([item]),
+            SmallSeq::One([a]) => *self = SmallSeq::Two([*a, item]),
+            SmallSeq::Two([a, b]) => *self = SmallSeq::Heap(vec![*a, *b, item]),
+            SmallSeq::Heap(v) => v.push(item),
+        }
+    }
+
+    /// Keep the items `keep` accepts, moving back inline when they fit.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut kept = SmallSeq::Empty;
+        self.as_slice().iter().filter(|item| keep(item)).for_each(|item| kept.push(*item));
+        *self = kept;
+    }
+}
+
+impl<T: Copy> From<&[T]> for SmallSeq<T> {
+    fn from(items: &[T]) -> Self {
+        match *items {
+            [] => SmallSeq::Empty,
+            [a] => SmallSeq::One([a]),
+            [a, b] => SmallSeq::Two([a, b]),
+            _ => SmallSeq::Heap(items.to_vec()),
+        }
+    }
+}
+
 /// Reference to one read inside a transaction (index into its read states).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReadRef {
@@ -25,7 +76,7 @@ pub struct ReadRef {
 /// is what keeps `items` equal to its contents.
 #[derive(Clone, Debug)]
 pub struct KeyEventIndex<T> {
-    keys: FxHashMap<Key, BTreeMap<EventKey, Vec<T>>>,
+    keys: FxHashMap<Key, BTreeMap<EventKey, SmallSeq<T>>>,
     /// Total items across every chain, so `len` never walks the maps.
     items: usize,
 }
@@ -36,7 +87,7 @@ impl<T> Default for KeyEventIndex<T> {
     }
 }
 
-impl<T: Clone + PartialEq> KeyEventIndex<T> {
+impl<T: Copy> KeyEventIndex<T> {
     /// An empty index.
     pub fn new() -> Self {
         Self::default()
@@ -58,9 +109,7 @@ impl<T: Clone + PartialEq> KeyEventIndex<T> {
         let mut out = Vec::new();
         if let Some(chain) = self.keys.get(&key) {
             for (e, items) in chain.range((Bound::Excluded(lo), Bound::Included(hi))) {
-                for item in items {
-                    out.push((*e, item.clone()));
-                }
+                out.extend(items.as_slice().iter().map(|item| (*e, *item)));
             }
         }
         out
@@ -76,7 +125,7 @@ impl<T: Clone + PartialEq> KeyEventIndex<T> {
                 .collect();
             for e in old {
                 if let Some(items) = chain.remove(&e) {
-                    dropped += items.len();
+                    dropped += items.as_slice().len();
                 }
             }
             !chain.is_empty()
@@ -85,8 +134,8 @@ impl<T: Clone + PartialEq> KeyEventIndex<T> {
         dropped
     }
 
-    /// Every key's event-ordered chain of item vectors, read-only.
-    pub(crate) fn chains(&self) -> &FxHashMap<Key, BTreeMap<EventKey, Vec<T>>> {
+    /// Every key's event-ordered chain of item sequences, read-only.
+    pub(crate) fn chains(&self) -> &FxHashMap<Key, BTreeMap<EventKey, SmallSeq<T>>> {
         &self.keys
     }
 
@@ -102,7 +151,7 @@ impl<T: Clone + PartialEq> KeyEventIndex<T> {
     pub(crate) fn recount_len(&self) -> usize {
         // aion-lint: allow(determinism) — commutative sum; visit order
         // cannot affect the count
-        self.keys.values().flat_map(|c| c.values()).map(Vec::len).sum()
+        self.keys.values().flat_map(|c| c.values()).map(|items| items.as_slice().len()).sum()
     }
 
     /// True when nothing is indexed.
@@ -132,7 +181,7 @@ pub struct OngoingWriter {
 /// arrives).
 #[derive(Clone, Debug, Default)]
 pub struct OngoingIndex {
-    pub(crate) map: VersionedMap<Vec<OngoingWriter>>,
+    pub(crate) map: VersionedMap<SmallSeq<OngoingWriter>>,
 }
 
 impl OngoingIndex {
@@ -157,20 +206,19 @@ impl OngoingIndex {
         silent: bool,
     ) -> Vec<OngoingWriter> {
         let me = OngoingWriter { tid, noconflict };
-        let base: Vec<OngoingWriter> =
-            self.map.get_before(key, start).map(|(_, v)| v.clone()).unwrap_or_default();
+        let base = self.map.get_before(key, start).map(|(_, v)| v.clone()).unwrap_or_default();
 
         let mut overlap: FxHashSet<OngoingWriter> = FxHashSet::default();
         if !silent {
-            overlap.extend(base.iter().copied());
+            overlap.extend(base.as_slice().iter().copied());
         }
         // Existing versions inside the interval: everyone there overlaps us,
         // and each of those snapshots must now include us.
         for (_, set) in self.map.range_mut(key, start, commit) {
             if !silent {
-                overlap.extend(set.iter().copied());
+                overlap.extend(set.as_slice().iter().copied());
             }
-            if !set.iter().any(|w| w.tid == tid) {
+            if !set.as_slice().iter().any(|w| w.tid == tid) {
                 set.push(me);
             }
         }
@@ -179,7 +227,7 @@ impl OngoingIndex {
         at_start.push(me);
         self.map.insert(key, start, at_start);
         // Version at our commit: ongoing just before commit, minus us.
-        let mut at_commit: Vec<OngoingWriter> =
+        let mut at_commit =
             self.map.get_before(key, commit).map(|(_, v)| v.clone()).unwrap_or_default();
         at_commit.retain(|w| w.tid != tid);
         self.map.insert(key, commit, at_commit);

@@ -62,7 +62,7 @@ use crate::checker::{
     OnlineChecker, OnlineGcPolicy, OnlineTxn,
 };
 use crate::feed::{route_txn, shard_of, RoutedTxn};
-use crate::index::ReadRef;
+use crate::index::{OngoingWriter, ReadRef, SmallSeq};
 use crate::snapshot::config_error;
 use crate::transport::{
     ShardCmd, ShardReply, ShardTransport, SimSchedule, SimStats, SimTransport, ThreadTransport,
@@ -758,9 +758,8 @@ fn resplit_workers(
     let mut merged: BTreeMap<u64, MergedTxn> = BTreeMap::new();
     let mut frontier: Vec<(Key, aion_types::EventKey, Snapshot)> = Vec::new();
     let mut membership: Vec<(Key, aion_types::EventKey, Snapshot)> = Vec::new();
-    let mut ongoing: Vec<(Key, aion_types::EventKey, Vec<crate::index::OngoingWriter>)> =
-        Vec::new();
-    let mut writer_entries: Vec<(Key, aion_types::EventKey, Vec<TxnId>)> = Vec::new();
+    let mut ongoing: Vec<(Key, aion_types::EventKey, SmallSeq<OngoingWriter>)> = Vec::new();
+    let mut writer_entries: Vec<(Key, aion_types::EventKey, SmallSeq<TxnId>)> = Vec::new();
     let mut stats = CheckerStats::default();
     let mut report = CheckReport::new();
     let mut flips = crate::stats::FlipTracker::default();
@@ -858,8 +857,8 @@ fn resplit_workers(
     for (key, event, items) in writer_entries {
         // aion-lint: allow(panic-freedom) — same modulo bound
         let w = &mut workers[shard_of(key, new_shards)];
-        for item in items {
-            w.writers.insert(key, event, item);
+        for item in items.as_slice() {
+            w.writers.insert(key, event, *item);
         }
     }
 

@@ -37,7 +37,7 @@
 use crate::checker::{
     AionConfig, ConfigError, GlobalChecks, OnlineChecker, OnlineGcPolicy, OnlineTxn, ReadState,
 };
-use crate::index::{KeyEventIndex, OngoingWriter, ReadRef};
+use crate::index::{KeyEventIndex, OngoingWriter, ReadRef, SmallSeq};
 use crate::membership::MembershipIndex;
 use crate::spill::{decode_segment, SegmentExport};
 use crate::stats::FlipTracker;
@@ -96,6 +96,16 @@ wire_struct!(ReadRef { tid, read_idx });
 wire_struct!(OngoingWriter { tid, noconflict });
 wire_struct!(FlipTracker { detail, total_flips, flips_per_pair, txns_with_flips, rectify_ms });
 
+/// The bytes `Vec<T>` writes: a count, then the items in order.
+impl<T: Wire + Copy> Wire for SmallSeq<T> {
+    fn put(&self, buf: &mut impl BufMut) {
+        write_seq(buf, self.as_slice().iter());
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        Ok(SmallSeq::from(Vec::get(buf)?.as_slice()))
+    }
+}
+
 /// A count, then `(key, event, value)` triples in `(key, event)` order.
 impl<V: Wire> Wire for VersionedMap<V> {
     fn put(&self, buf: &mut impl BufMut) {
@@ -121,7 +131,7 @@ impl<V: Wire> Wire for VersionedMap<V> {
 /// order) the key, the event and its items in their exact in-memory
 /// order — insertion order matters for the step-③ sweep (see the module
 /// docs).
-impl<T: Wire + Clone + PartialEq> Wire for KeyEventIndex<T> {
+impl<T: Wire + Copy> Wire for KeyEventIndex<T> {
     fn put(&self, buf: &mut impl BufMut) {
         let mut chains: Vec<_> = self.chains().iter().collect();
         chains.sort_unstable_by_key(|(k, _)| **k);
@@ -294,7 +304,8 @@ impl OnlineChecker {
         // Step ③ follows a live transaction's references into its read
         // states. (An entry may outlive its transaction — GC spills
         // those, and reloads them without reads.)
-        for r in ck.readers.chains().values().flat_map(|c| c.values()).flatten() {
+        for r in ck.readers.chains().values().flat_map(|c| c.values()).flat_map(SmallSeq::as_slice)
+        {
             let dangling = |t: &OnlineTxn| !t.finalized && r.read_idx as usize >= t.reads.len();
             if ck.txns().get(&r.tid).is_some_and(dangling) {
                 return Err(SnapshotError::Corrupt(format!(
