@@ -466,6 +466,7 @@ pub struct OnlineChecker {
     pub(crate) stats: CheckerStats,
     /// Events produced since the last `receive`/`tick` returned.
     pub(crate) events: Vec<CheckEvent>,
+    scratch: arrival::Scratch,
 }
 
 impl OnlineChecker {
@@ -505,6 +506,7 @@ impl OnlineChecker {
             flips,
             stats: CheckerStats::default(),
             events: Vec::new(),
+            scratch: arrival::Scratch::default(),
         })
     }
 

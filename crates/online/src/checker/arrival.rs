@@ -6,8 +6,8 @@ use super::{anchor_event, OnlineChecker, OnlineTxn, ReadState};
 use crate::feed::shard_of;
 use crate::index::ReadRef;
 use aion_types::{
-    base_independent, classify_mismatch, expected_read, CheckEvent, DataKind, EventKey,
-    ExtPredicate, FxHashMap, IsolationLevel, Key, MismatchAxiom, Mutation, Op, Snapshot, Timestamp,
+    apply, base_independent, classify_mismatch, expected_read, CheckEvent, DataKind, EventKey,
+    ExtPredicate, IsolationLevel, Key, MismatchAxiom, Mutation, Op, Snapshot, Timestamp,
     Transaction, TxnId, Violation,
 };
 use std::cmp::Reverse;
@@ -23,6 +23,21 @@ struct Footprint {
     /// Published value per written key, sorted by key.
     write_set: Vec<(Key, Snapshot)>,
     anchor_keys: Vec<Key>,
+}
+
+/// Buffers the stages fill and empty within one arrival, kept so that
+/// no arrival allocates them afresh. They never hold more than one
+/// transaction's mutations and first reads, or one trigger window's
+/// entries — not resident state, so outside the memory estimate and the
+/// checkpoint.
+#[derive(Default)]
+pub(super) struct Scratch {
+    /// The arrival's mutations, in program order.
+    muts: Vec<(Key, Mutation)>,
+    /// Keys whose first access was a read, with that observation.
+    anchored: Vec<(Key, Snapshot)>,
+    readers: Vec<(EventKey, ReadRef)>,
+    writers: Vec<(EventKey, TxnId)>,
 }
 
 /// The violation a mismatching read amounts to under `axiom`.
@@ -91,31 +106,32 @@ impl OnlineChecker {
     /// append chains) are frontier-dependent and tentative.
     fn derive_footprint(&mut self, txn: Transaction, level: IsolationLevel) -> Footprint {
         let anchor = anchor_event(&txn, level);
-        let mut muts_so_far: FxHashMap<Key, Vec<Mutation>> = FxHashMap::default();
-        let mut anchored: FxHashMap<Key, Snapshot> = FxHashMap::default();
-        let mut reads: Vec<ReadState> = Vec::new();
-        for (op_index, op) in txn.ops.iter().enumerate() {
-            // Foreign keys belong to another shard worker; skipping them
-            // (rather than re-numbering a filtered ops vector) keeps
-            // `op_index` anchored to program order.
-            if self.cfg.shard_filter.is_some_and(|(mine, n)| shard_of(op.key(), n) != mine) {
-                continue;
-            }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch { muts, anchored, .. } = &mut scratch;
+        muts.clear();
+        anchored.clear();
+        // Foreign keys belong to another shard worker; skipping them
+        // (rather than re-numbering a filtered ops vector) keeps
+        // `op_index` anchored to program order.
+        let filter = self.cfg.shard_filter;
+        let mine = |op: &Op| filter.is_none_or(|(mine, n)| shard_of(op.key(), n) == mine);
+        let is_read = |op: &&Op| matches!(op, Op::Read { .. }) && mine(op);
+        let mut reads = Vec::with_capacity(txn.ops.iter().filter(is_read).count());
+        for (op_index, op) in txn.ops.iter().enumerate().filter(|(_, op)| mine(op)) {
             match op {
-                Op::Write { key, mutation } => {
-                    muts_so_far.entry(*key).or_default().push(*mutation);
-                }
+                Op::Write { key, mutation } => muts.push((*key, *mutation)),
                 Op::Read { key, value } => {
+                    let earlier = muts.iter().filter(|(k, _)| k == key);
                     let mut r = ReadState {
                         op_index: op_index as u32,
                         key: *key,
                         observed: value.clone(),
-                        muts_before: muts_so_far.get(key).cloned().unwrap_or_default(),
+                        muts_before: earlier.map(|(_, m)| *m).collect(),
                         ok: true,
                         settled: false,
                         wrong_since: None,
                     };
-                    if let Some(base) = anchored.get(key) {
+                    if let Some((_, base)) = anchored.iter().find(|(k, _)| k == key) {
                         // Internal consistency vs. the anchored
                         // observation: stable — verdict final now.
                         let expected = expected_read(base, &r.muts_before);
@@ -126,7 +142,7 @@ impl OnlineChecker {
                         r.settled = true;
                     } else if r.muts_before.is_empty() {
                         // First access to the key is this read: anchor it.
-                        anchored.insert(*key, value.clone());
+                        anchored.push((*key, value.clone()));
                     }
                     reads.push(r);
                 }
@@ -134,18 +150,19 @@ impl OnlineChecker {
         }
         // Published value per key: fold over the anchored observation when
         // the key was read first (CHRONOS's int_val chain), else over the
-        // frontier snapshot at the anchor event.
-        let mut write_set: Vec<(Key, Snapshot)> = muts_so_far
-            .iter()
-            .map(|(key, muts)| {
-                let base =
-                    anchored.get(key).cloned().unwrap_or_else(|| self.frontier_at(*key, anchor));
-                (*key, expected_read(&base, muts))
-            })
-            .collect();
-        write_set.sort_unstable_by_key(|(k, _)| *k);
-        let mut anchor_keys: Vec<Key> = anchored.keys().copied().collect();
+        // frontier snapshot at the anchor event. The sort is stable, so
+        // each key's mutations stay in program order.
+        muts.sort_by_key(|(key, _)| *key);
+        let per_key = || muts.chunk_by(|a, b| a.0 == b.0);
+        let mut write_set = Vec::with_capacity(per_key().count());
+        for (key, run) in per_key().filter_map(|run| Some((run.first()?.0, run))) {
+            let first_read = anchored.iter().find(|(k, _)| *k == key);
+            let base = first_read.map_or_else(|| self.frontier_at(key, anchor), |(_, v)| v.clone());
+            write_set.push((key, run.iter().fold(base, |cur, (_, m)| apply(&cur, m))));
+        }
+        let mut anchor_keys: Vec<Key> = anchored.iter().map(|(key, _)| *key).collect();
         anchor_keys.sort_unstable();
+        self.scratch = scratch;
         Footprint { txn, level, anchor, reads, write_set, anchor_keys }
     }
 
@@ -271,28 +288,34 @@ impl OnlineChecker {
     /// so when the policy can produce them, a second sweep re-evaluates
     /// just those readers beyond the bound.
     fn process_triggers(&mut self) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch { readers, writers, .. } = &mut scratch;
         while let Some((key, from)) = self.triggers.pop_front() {
             let bound = if self.cfg.naive_recheck {
                 EventKey::INFINITY
             } else {
                 self.frontier.next_after(key, from).unwrap_or(EventKey::INFINITY)
             };
-            for (anchor_ev, rref) in self.readers.range(key, from, bound) {
+            self.readers.range(key, from, bound, readers);
+            for &(anchor_ev, rref) in readers.iter() {
                 self.re_evaluate(rref, key, anchor_ev, false);
             }
             if self.has_committed_ext && bound != EventKey::INFINITY {
-                for (anchor_ev, rref) in self.readers.range(key, bound, EventKey::INFINITY) {
+                self.readers.range(key, bound, EventKey::INFINITY, readers);
+                for &(anchor_ev, rref) in readers.iter() {
                     self.re_evaluate(rref, key, anchor_ev, true);
                 }
             }
             if self.cfg.kind == DataKind::List {
                 // Append results depend on their base snapshot: writers in
                 // the window must recompute and cascade.
-                for (anchor_ev, wtid) in self.writers.range(key, from, bound) {
+                self.writers.range(key, from, bound, writers);
+                for &(anchor_ev, wtid) in writers.iter() {
                     self.recompute_writer(wtid, key, anchor_ev);
                 }
             }
         }
+        self.scratch = scratch;
     }
 
     /// True when a committed-predicate read that currently holds `ok`

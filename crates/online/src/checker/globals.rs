@@ -37,11 +37,8 @@ impl GlobalChecks {
             emit(Violation::DuplicateTid { tid: txn.tid });
             return false;
         }
-        let mut tss = vec![txn.start_ts];
-        if txn.commit_ts != txn.start_ts {
-            tss.push(txn.commit_ts);
-        }
-        for ts in tss {
+        let commit_ts = (txn.commit_ts != txn.start_ts).then_some(txn.commit_ts);
+        for ts in [Some(txn.start_ts), commit_ts].into_iter().flatten() {
             match self.ts_owner.get(&ts) {
                 Some(&owner) if owner != txn.tid => {
                     emit(Violation::DuplicateTimestamp { ts, t1: owner, t2: txn.tid });

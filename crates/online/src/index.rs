@@ -2,7 +2,7 @@
 //! reader/writer indexes and the versioned `ongoing` conflict index.
 
 use crate::versioned::VersionedMap;
-use aion_types::{EventKey, FxHashMap, FxHashSet, Key, TxnId};
+use aion_types::{EventKey, FxHashMap, Key, TxnId};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -99,20 +99,20 @@ impl<T: Copy> KeyEventIndex<T> {
         self.items += 1;
     }
 
-    /// Items for `key` anchored inside `(lo, hi]`, with their anchor
-    /// events, in event order. The upper bound is inclusive: a reader (or
+    /// Refill `out` with the items for `key` anchored inside `(lo, hi]`
+    /// and their anchor events, in event order (the caller keeps `out`
+    /// across calls). The upper bound is inclusive: a reader (or
     /// writer) anchored exactly at the bounding version's event belongs to
     /// the transaction that *produced* that version, and its own visible
     /// snapshot is strictly before its anchor — so it is affected by an
     /// insertion at `lo` just like anchors strictly inside the window.
-    pub fn range(&self, key: Key, lo: EventKey, hi: EventKey) -> Vec<(EventKey, T)> {
-        let mut out = Vec::new();
+    pub(crate) fn range(&self, key: Key, lo: EventKey, hi: EventKey, out: &mut Vec<(EventKey, T)>) {
+        out.clear();
         if let Some(chain) = self.keys.get(&key) {
             for (e, items) in chain.range((Bound::Excluded(lo), Bound::Included(hi))) {
                 out.extend(items.as_slice().iter().map(|item| (*e, *item)));
             }
         }
-        out
     }
 
     /// Drop every entry anchored strictly below `horizon` (GC).
@@ -206,25 +206,24 @@ impl OngoingIndex {
         silent: bool,
     ) -> Vec<OngoingWriter> {
         let me = OngoingWriter { tid, noconflict };
-        let base = self.map.get_before(key, start).map(|(_, v)| v.clone()).unwrap_or_default();
-
-        let mut overlap: FxHashSet<OngoingWriter> = FxHashSet::default();
+        let mut overlap = Vec::new();
+        // Version at our start: ongoing just before, plus us.
+        let mut at_start =
+            self.map.get_before(key, start).map(|(_, v)| v.clone()).unwrap_or_default();
         if !silent {
-            overlap.extend(base.as_slice().iter().copied());
+            overlap.extend_from_slice(at_start.as_slice());
         }
+        at_start.push(me);
         // Existing versions inside the interval: everyone there overlaps us,
         // and each of those snapshots must now include us.
         for (_, set) in self.map.range_mut(key, start, commit) {
             if !silent {
-                overlap.extend(set.as_slice().iter().copied());
+                overlap.extend_from_slice(set.as_slice());
             }
             if !set.as_slice().iter().any(|w| w.tid == tid) {
                 set.push(me);
             }
         }
-        // Version at our start: ongoing just before, plus us.
-        let mut at_start = base;
-        at_start.push(me);
         self.map.insert(key, start, at_start);
         // Version at our commit: ongoing just before commit, minus us.
         let mut at_commit =
@@ -233,9 +232,9 @@ impl OngoingIndex {
         self.map.insert(key, commit, at_commit);
 
         overlap.retain(|w| w.tid != tid);
-        let mut out: Vec<OngoingWriter> = overlap.into_iter().collect();
-        out.sort_unstable_by_key(|w| w.tid);
-        out
+        overlap.sort_unstable_by_key(|w| (w.tid, w.noconflict));
+        overlap.dedup();
+        overlap
     }
 
     /// Drop versions strictly below `horizon`, keeping per-key bases.
@@ -273,12 +272,14 @@ mod tests {
         idx.insert(Key(1), s(20, 2), 200);
         idx.insert(Key(1), s(20, 2), 201);
         idx.insert(Key(2), s(15, 3), 300);
-        let got = idx.range(Key(1), s(5, 0), s(25, 9));
-        assert_eq!(got.len(), 3);
+        let mut got = Vec::new();
+        idx.range(Key(1), s(5, 0), s(25, 9), &mut got);
+        assert_eq!(got, vec![(s(10, 1), 100), (s(20, 2), 200), (s(20, 2), 201)]);
         assert_eq!(idx.len(), 4);
         let dropped = idx.prune_below(s(20, 2));
         assert_eq!(dropped, 2); // key1@10 and key2@15
-        assert_eq!(idx.range(Key(1), s(5, 0), s(25, 9)).len(), 2);
+        idx.range(Key(1), s(5, 0), s(25, 9), &mut got);
+        assert_eq!(got.len(), 2, "refilled, not appended to");
         assert_eq!((idx.len(), idx.recount_len()), (2, 2), "counter follows the prune");
     }
 
