@@ -1109,6 +1109,32 @@ mod tests {
         assert!(out.is_ok(), "{}", out.report);
     }
 
+    /// Regression: a spilled entry with `start_ts > commit_ts` — `admit`
+    /// lets none in, so only a corrupt spill file or an imported
+    /// checkpoint segment carries one — used to restore `Ok` and then
+    /// panic the overlap index at the next straggler reload.
+    #[test]
+    fn inverted_interval_in_a_spill_segment_is_refused() {
+        use crate::spill::SpillEntry;
+        use aion_types::{codec::CodecError, SnapshotError, SpillOp};
+        let mut a = checker();
+        a.receive(t(1, 0, 0, 10, 50).put(Key(1), Value(1)).build(), 0);
+        let txn = t(2, 1, 0, 90, 30).put(Key(1), Value(2)).build();
+        let write_set = vec![(Key(1), Snapshot::Scalar(Value(2)))];
+        a.spill.spill(&[SpillEntry { txn, write_set }]).unwrap();
+        a.gc_horizon_ts = Some(Timestamp(90));
+
+        let restored = OnlineChecker::restore(&a.checkpoint().unwrap());
+        assert!(matches!(restored, Err(SnapshotError::Codec(CodecError::OutOfRange))));
+        // A straggler anchored below the horizon whose commit reaches the
+        // segment: the reload fails as a typed event, and stays retryable.
+        let events = a.receive(t(3, 2, 0, 20, 95).read(Key(1), Value(0)).build(), 1);
+        let reload_failed =
+            |e: &CheckEvent| matches!(e, CheckEvent::SpillError { op: SpillOp::Reload, .. });
+        assert!(events.iter().any(reload_failed), "{events:?}");
+        assert_eq!((a.stats().spill_errors, a.stats().reloaded_txns), (1, 0));
+    }
+
     #[test]
     fn gc_cannot_spill_while_everything_live() {
         let mut a =

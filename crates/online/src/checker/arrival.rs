@@ -25,11 +25,9 @@ struct Footprint {
     anchor_keys: Vec<Key>,
 }
 
-/// Buffers the stages fill and empty within one arrival, kept so that
-/// no arrival allocates them afresh. They never hold more than one
-/// transaction's mutations and first reads, or one trigger window's
-/// entries — not resident state, so outside the memory estimate and the
-/// checkpoint.
+/// Buffers the stages fill and empty within one arrival, kept so no
+/// arrival allocates them afresh. Bounded by the largest transaction and
+/// the widest trigger window; outside the memory estimate and checkpoint.
 #[derive(Default)]
 pub(super) struct Scratch {
     /// The arrival's mutations, in program order.
@@ -106,10 +104,9 @@ impl OnlineChecker {
     /// append chains) are frontier-dependent and tentative.
     fn derive_footprint(&mut self, txn: Transaction, level: IsolationLevel) -> Footprint {
         let anchor = anchor_event(&txn, level);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Scratch { muts, anchored, .. } = &mut scratch;
-        muts.clear();
-        anchored.clear();
+        let mut s = std::mem::take(&mut self.scratch);
+        s.muts.clear();
+        s.anchored.clear();
         // Foreign keys belong to another shard worker; skipping them
         // (rather than re-numbering a filtered ops vector) keeps
         // `op_index` anchored to program order.
@@ -119,9 +116,9 @@ impl OnlineChecker {
         let mut reads = Vec::with_capacity(txn.ops.iter().filter(is_read).count());
         for (op_index, op) in txn.ops.iter().enumerate().filter(|(_, op)| mine(op)) {
             match op {
-                Op::Write { key, mutation } => muts.push((*key, *mutation)),
+                Op::Write { key, mutation } => s.muts.push((*key, *mutation)),
                 Op::Read { key, value } => {
-                    let earlier = muts.iter().filter(|(k, _)| k == key);
+                    let earlier = s.muts.iter().filter(|(k, _)| k == key);
                     let mut r = ReadState {
                         op_index: op_index as u32,
                         key: *key,
@@ -131,7 +128,7 @@ impl OnlineChecker {
                         settled: false,
                         wrong_since: None,
                     };
-                    if let Some((_, base)) = anchored.iter().find(|(k, _)| k == key) {
+                    if let Some((_, base)) = s.anchored.iter().find(|(k, _)| k == key) {
                         // Internal consistency vs. the anchored
                         // observation: stable — verdict final now.
                         let expected = expected_read(base, &r.muts_before);
@@ -142,7 +139,7 @@ impl OnlineChecker {
                         r.settled = true;
                     } else if r.muts_before.is_empty() {
                         // First access to the key is this read: anchor it.
-                        anchored.push((*key, value.clone()));
+                        s.anchored.push((*key, value.clone()));
                     }
                     reads.push(r);
                 }
@@ -152,17 +149,17 @@ impl OnlineChecker {
         // the key was read first (CHRONOS's int_val chain), else over the
         // frontier snapshot at the anchor event. The sort is stable, so
         // each key's mutations stay in program order.
-        muts.sort_by_key(|(key, _)| *key);
-        let per_key = || muts.chunk_by(|a, b| a.0 == b.0);
+        s.muts.sort_by_key(|(key, _)| *key);
+        let per_key = || s.muts.chunk_by(|a, b| a.0 == b.0);
         let mut write_set = Vec::with_capacity(per_key().count());
         for (key, run) in per_key().filter_map(|run| Some((run.first()?.0, run))) {
-            let first_read = anchored.iter().find(|(k, _)| *k == key);
+            let first_read = s.anchored.iter().find(|(k, _)| *k == key);
             let base = first_read.map_or_else(|| self.frontier_at(key, anchor), |(_, v)| v.clone());
             write_set.push((key, run.iter().fold(base, |cur, (_, m)| apply(&cur, m))));
         }
-        let mut anchor_keys: Vec<Key> = anchored.iter().map(|(key, _)| *key).collect();
+        let mut anchor_keys: Vec<Key> = s.anchored.iter().map(|(key, _)| *key).collect();
         anchor_keys.sort_unstable();
-        self.scratch = scratch;
+        self.scratch = s;
         Footprint { txn, level, anchor, reads, write_set, anchor_keys }
     }
 
@@ -288,34 +285,33 @@ impl OnlineChecker {
     /// so when the policy can produce them, a second sweep re-evaluates
     /// just those readers beyond the bound.
     fn process_triggers(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Scratch { readers, writers, .. } = &mut scratch;
+        let mut s = std::mem::take(&mut self.scratch);
         while let Some((key, from)) = self.triggers.pop_front() {
             let bound = if self.cfg.naive_recheck {
                 EventKey::INFINITY
             } else {
                 self.frontier.next_after(key, from).unwrap_or(EventKey::INFINITY)
             };
-            self.readers.range(key, from, bound, readers);
-            for &(anchor_ev, rref) in readers.iter() {
+            self.readers.range(key, from, bound, &mut s.readers);
+            for &(anchor_ev, rref) in &s.readers {
                 self.re_evaluate(rref, key, anchor_ev, false);
             }
             if self.has_committed_ext && bound != EventKey::INFINITY {
-                self.readers.range(key, bound, EventKey::INFINITY, readers);
-                for &(anchor_ev, rref) in readers.iter() {
+                self.readers.range(key, bound, EventKey::INFINITY, &mut s.readers);
+                for &(anchor_ev, rref) in &s.readers {
                     self.re_evaluate(rref, key, anchor_ev, true);
                 }
             }
             if self.cfg.kind == DataKind::List {
                 // Append results depend on their base snapshot: writers in
                 // the window must recompute and cascade.
-                self.writers.range(key, from, bound, writers);
-                for &(anchor_ev, wtid) in writers.iter() {
+                self.writers.range(key, from, bound, &mut s.writers);
+                for &(anchor_ev, wtid) in &s.writers {
                     self.recompute_writer(wtid, key, anchor_ev);
                 }
             }
         }
-        self.scratch = scratch;
+        self.scratch = s;
     }
 
     /// True when a committed-predicate read that currently holds `ok`

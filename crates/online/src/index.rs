@@ -40,20 +40,15 @@ impl<T: Copy> SmallSeq<T> {
 
     /// Keep the items `keep` accepts, moving back inline when they fit.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let mut kept = SmallSeq::Empty;
-        self.as_slice().iter().filter(|item| keep(item)).for_each(|item| kept.push(*item));
-        *self = kept;
+        *self = self.as_slice().iter().copied().filter(|item| keep(item)).collect();
     }
 }
 
-impl<T: Copy> From<&[T]> for SmallSeq<T> {
-    fn from(items: &[T]) -> Self {
-        match *items {
-            [] => SmallSeq::Empty,
-            [a] => SmallSeq::One([a]),
-            [a, b] => SmallSeq::Two([a, b]),
-            _ => SmallSeq::Heap(items.to_vec()),
-        }
+impl<T: Copy> FromIterator<T> for SmallSeq<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        let mut seq = SmallSeq::Empty;
+        items.into_iter().for_each(|item| seq.push(item));
+        seq
     }
 }
 
@@ -116,18 +111,12 @@ impl<T: Copy> KeyEventIndex<T> {
     }
 
     /// Drop every entry anchored strictly below `horizon` (GC).
-    pub fn prune_below(&mut self, horizon: EventKey) -> usize {
+    pub(crate) fn prune_below(&mut self, horizon: EventKey) -> usize {
         let mut dropped = 0;
         self.keys.retain(|_, chain| {
-            let old: Vec<EventKey> = chain
-                .range((Bound::Unbounded, Bound::Excluded(horizon)))
-                .map(|(e, _)| *e)
-                .collect();
-            for e in old {
-                if let Some(items) = chain.remove(&e) {
-                    dropped += items.as_slice().len();
-                }
-            }
+            let kept = chain.split_off(&horizon);
+            dropped += chain.values().map(|items| items.as_slice().len()).sum::<usize>();
+            *chain = kept;
             !chain.is_empty()
         });
         self.items -= dropped;
@@ -195,7 +184,9 @@ impl OngoingIndex {
     /// distinct registered writers whose intervals on `key` overlap.
     /// With `silent`, versions are updated but no overlaps are returned
     /// (used when re-registering reloaded transactions whose conflicts were
-    /// already reported before they were spilled).
+    /// already reported before they were spilled). An inverted interval
+    /// (`start > commit`) holds no write at any event: nothing is
+    /// registered and nothing overlaps.
     pub fn register(
         &mut self,
         key: Key,
@@ -207,19 +198,18 @@ impl OngoingIndex {
     ) -> Vec<OngoingWriter> {
         let me = OngoingWriter { tid, noconflict };
         let mut overlap = Vec::new();
+        if start > commit {
+            return overlap;
+        }
         // Version at our start: ongoing just before, plus us.
         let mut at_start =
             self.map.get_before(key, start).map(|(_, v)| v.clone()).unwrap_or_default();
-        if !silent {
-            overlap.extend_from_slice(at_start.as_slice());
-        }
+        overlap.extend_from_slice(at_start.as_slice());
         at_start.push(me);
         // Existing versions inside the interval: everyone there overlaps us,
         // and each of those snapshots must now include us.
         for (_, set) in self.map.range_mut(key, start, commit) {
-            if !silent {
-                overlap.extend_from_slice(set.as_slice());
-            }
+            overlap.extend_from_slice(set.as_slice());
             if !set.as_slice().iter().any(|w| w.tid == tid) {
                 set.push(me);
             }
@@ -231,7 +221,7 @@ impl OngoingIndex {
         at_commit.retain(|w| w.tid != tid);
         self.map.insert(key, commit, at_commit);
 
-        overlap.retain(|w| w.tid != tid);
+        overlap.retain(|w| !silent && w.tid != tid);
         overlap.sort_unstable_by_key(|w| (w.tid, w.noconflict));
         overlap.dedup();
         overlap
@@ -256,13 +246,45 @@ impl OngoingIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aion_types::Timestamp;
+    use aion_types::{SplitMix64, Timestamp};
+    use proptest::prelude::*;
 
     fn s(ts: u64, tid: u64) -> EventKey {
         EventKey::start(Timestamp(ts), TxnId(tid))
     }
     fn c(ts: u64, tid: u64) -> EventKey {
         EventKey::commit(Timestamp(ts), TxnId(tid))
+    }
+
+    proptest! {
+        /// `SmallSeq` is a `Vec` that keeps up to two items inline: the
+        /// same sequence after every push, retain, clone and collect,
+        /// and on the heap exactly while it holds more than two.
+        #[test]
+        fn small_seq_matches_a_vec(
+            ops in prop::collection::vec((0u8..4, any::<u64>()), 1..60),
+        ) {
+            let (mut real, mut model) = (SmallSeq::<u64>::default(), Vec::new());
+            for (kind, seed) in ops {
+                let mut rng = SplitMix64::new(seed);
+                match kind {
+                    0 => for _ in 0..=rng.below(3) {
+                        let item = rng.below(8);
+                        real.push(item);
+                        model.push(item);
+                    },
+                    1 => {
+                        let cut = rng.below(9);
+                        real.retain(|item| *item < cut);
+                        model.retain(|item| *item < cut);
+                    }
+                    2 => real = real.clone(),
+                    _ => real = model.iter().copied().collect(),
+                }
+                prop_assert_eq!(real.as_slice(), model.as_slice());
+                prop_assert_eq!(matches!(real, SmallSeq::Heap(_)), model.len() > 2);
+            }
+        }
     }
 
     #[test]
@@ -345,6 +367,20 @@ mod tests {
             ],
             "the silent registration's level flag survives"
         );
+    }
+
+    /// Regression: `start > commit` on a key with a chain used to panic
+    /// in `BTreeMap::range_mut` ("range start is greater than range end").
+    #[test]
+    fn ongoing_inverted_interval_registers_nothing() {
+        let mut idx = OngoingIndex::new();
+        idx.register(Key(1), TxnId(1), true, s(1, 1), c(5, 1), false);
+        let versions = idx.len();
+        assert!(idx.register(Key(1), TxnId(2), true, s(9, 2), c(3, 2), true).is_empty());
+        assert!(idx.register(Key(1), TxnId(2), true, s(9, 2), c(3, 2), false).is_empty());
+        assert_eq!(idx.len(), versions, "no version was added");
+        let later = idx.register(Key(1), TxnId(3), true, s(2, 3), c(10, 3), false);
+        assert_eq!(later, vec![OngoingWriter { tid: TxnId(1), noconflict: true }]);
     }
 
     #[test]

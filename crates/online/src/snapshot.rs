@@ -102,7 +102,7 @@ impl<T: Wire + Copy> Wire for SmallSeq<T> {
         write_seq(buf, self.as_slice().iter());
     }
     fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
-        Ok(SmallSeq::from(Vec::get(buf)?.as_slice()))
+        Ok(Vec::get(buf)?.into_iter().collect())
     }
 }
 

@@ -328,8 +328,14 @@ impl SpillStore {
 /// [`SpillStore::reload`] and the checkpoint codec, which validates
 /// imported segments eagerly so a corrupt checkpoint surfaces as a typed
 /// error at restore time instead of a panic at the next straggler reload.
+/// That includes an entry with `start_ts > commit_ts`: only Eq. (1)-valid
+/// transactions are ever spilled, and nothing after this re-checks it.
 pub(crate) fn decode_segment(mut raw: &[u8]) -> Result<Vec<SpillEntry>, CodecError> {
-    Wire::get(&mut raw)
+    let entries: Vec<SpillEntry> = Wire::get(&mut raw)?;
+    if entries.iter().any(|e| e.txn.start_ts > e.txn.commit_ts) {
+        return Err(CodecError::OutOfRange);
+    }
+    Ok(entries)
 }
 
 /// One exported spill segment: the raw encoded bytes plus the metadata

@@ -119,16 +119,10 @@ impl<V> VersionedMap<V> {
         let mut dropped = 0;
         self.keys.retain(|_, chain| {
             // Find the latest version < horizon; everything older goes.
-            let keep_from = chain
-                .range((Bound::Unbounded, Bound::Excluded(horizon)))
-                .next_back()
-                .map(|(e, _)| *e);
-            if let Some(base) = keep_from {
-                let old: Vec<EventKey> = chain.range(..base).map(|(e, _)| *e).collect();
-                dropped += old.len();
-                for e in old {
-                    chain.remove(&e);
-                }
+            if let Some((&base, _)) = chain.range(..horizon).next_back() {
+                let kept = chain.split_off(&base);
+                dropped += chain.len();
+                *chain = kept;
             }
             !chain.is_empty()
         });

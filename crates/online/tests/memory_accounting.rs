@@ -196,3 +196,28 @@ fn sweep_reaches_spills_reloads_and_restores() {
     assert!(reloaded > 0, "no case reloaded a straggler: the reload site was never exercised");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The estimate is what the daemon's admission control decides on, so a
+/// change to how the indexes are laid out must not move it: pinned to
+/// what the one-`Vec`-per-entry indexes reported for this history.
+#[test]
+fn estimate_for_a_fixed_history_does_not_move() {
+    let spec = WorkloadSpec::default()
+        .with_txns(400)
+        .with_sessions(6)
+        .with_ops_per_txn(8)
+        .with_keys(64)
+        .with_seed(11);
+    let (kind, plan) = plan(&spec, 2, 5);
+    let mut ck = open(kind, policy(2), Gc::Memory(40), Path::new(""));
+    let mut estimates = Vec::new();
+    for (i, (at, txn)) in plan.iter().enumerate() {
+        ck.tick(*at);
+        ck.feed(txn.clone(), *at);
+        if (i + 1) % 100 == 0 {
+            estimates.push(ck.estimated_memory_bytes());
+        }
+    }
+    assert!(ck.stats().spilled_txns > 0 && ck.stats().reevaluations > 0, "{:?}", ck.stats());
+    assert_eq!(estimates, [94_772, 235_074, 353_283], "after each hundred arrivals");
+}

@@ -672,3 +672,57 @@ fn golden_sharded2_checkpoint_is_byte_stable() {
     assert_eq!(violation_variants(&out.report.violations).len(), 7, "every Violation variant");
     assert!(out.stats.reloaded_txns > 0, "a reload succeeded too: {:?}", out.stats);
 }
+
+/// Three tentative reads of one key by one transaction, and five
+/// concurrent writers of another key, put more items at one
+/// `(key, event)` of the reader index and of the overlap index than an
+/// entry holds inline. A checkpoint cut there must keep their order:
+/// restore → checkpoint is the identity, and the resumed session
+/// re-evaluates and reports exactly as the uninterrupted one does.
+#[test]
+fn crowded_index_entries_keep_their_order_across_a_checkpoint() {
+    let (x, y) = (Key(1), Key(2));
+    let t = |tid: u64, s: u64, c: u64| TxnBuilder::new(tid).session(tid as u32, 0).interval(s, c);
+    let list = |elems: &[u64]| elems.iter().map(|e| Value(*e)).collect::<Vec<_>>();
+    // The reader interleaves appends and reads of `x` over a base ([7])
+    // whose writer has not arrived: three wrong-for-now reads at one anchor.
+    let reader = t(10, 100, 110)
+        .append(x, Value(1))
+        .read_list(x, list(&[7, 1]))
+        .append(x, Value(2))
+        .read_list(x, list(&[7, 1, 2]))
+        .append(x, Value(3))
+        .read_list(x, list(&[7, 1, 2, 3]));
+    let mut head = vec![reader.build()];
+    head.extend((1..=4).map(|i| t(i, 50 + i, 90 + i).append(y, Value(i)).build()));
+    let tail =
+        [t(20, 20, 30).append(x, Value(7)).build(), t(5, 60, 99).append(y, Value(5)).build()];
+
+    let open = || OnlineChecker::builder().kind(DataKind::List).track_flip_details(true).build();
+    let mut whole = open().expect("open session");
+    for txn in &head {
+        whole.feed(txn.clone(), 0);
+    }
+    let cut = whole.checkpoint().expect("checkpoint");
+    let mut resumed = OnlineChecker::restore(&cut).expect("restore");
+    assert!(resumed.checkpoint().expect("re-checkpoint") == cut, "restore → checkpoint");
+
+    for txn in &tail {
+        let events = whole.feed(txn.clone(), 40);
+        assert_eq!(events, resumed.feed(txn.clone(), 40), "after {}", txn.tid);
+        let flips = events.iter().filter(|e| matches!(e, CheckEvent::VerdictFlip { .. })).count();
+        let conflicts: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                CheckEvent::Violation(Violation::NoConflict { t1, .. }) => Some(t1.0),
+                _ => None,
+            })
+            .collect();
+        match txn.tid.0 {
+            20 => assert_eq!(flips, 3, "the late base rectifies all three reads: {events:?}"),
+            _ => assert_eq!(conflicts, [1, 2, 3, 4], "overlaps report in tid order: {events:?}"),
+        }
+    }
+    assert!(whole.checkpoint().expect("checkpoint") == resumed.checkpoint().expect("checkpoint"));
+    assert_eq!(whole.finish().report.violations, resumed.finish().report.violations);
+}
