@@ -192,7 +192,6 @@ impl DiGraph {
 /// A dense boolean matrix packed into 64-bit words.
 #[derive(Clone, Debug)]
 pub struct BitMatrix {
-    n: usize,
     words: usize,
     bits: Vec<u64>,
 }
@@ -201,12 +200,7 @@ impl BitMatrix {
     /// An all-false `n × n` matrix.
     pub fn new(n: usize) -> BitMatrix {
         let words = n.div_ceil(64);
-        BitMatrix { n, words, bits: vec![0; n * words] }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
+        BitMatrix { words, bits: vec![0; n * words] }
     }
 
     /// Get cell `(u, v)`.

@@ -440,11 +440,8 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
             // The interrupted process dies here; its outcome is discarded.
             let _ = first.finish();
             let resume_sched = opts.schedule.schedule(seed ^ 0x0C0F_FEE5);
-            let mut resumed = match sc.resharded {
-                Some(n) => ShardedChecker::restore_resharded_sim(&bytes, n, resume_sched)
-                    .map_err(err_str)?,
-                None => ShardedChecker::restore_sim(&bytes, resume_sched).map_err(err_str)?,
-            };
+            let mut resumed =
+                ShardedChecker::restore_sim(&bytes, sc.resharded, resume_sched).map_err(err_str)?;
             drive(&mut resumed, &sc.plan[cut..], sc.feed_batch_chunk, |_, _| {});
             resumed.tick(u64::MAX);
             let sim = resumed.sim_stats();

@@ -140,9 +140,9 @@ pub fn authority_handoff_model(n: usize) -> Result<(), String> {
             }
             let bytes = first.checkpoint().map_err(|e| e.to_string())?;
             let _ = Checker::finish(first); // the interrupted process dies
-            let mut resumed = ShardedChecker::restore_resharded_sim(
+            let mut resumed = ShardedChecker::restore_sim(
                 &bytes,
-                new_shards,
+                Some(new_shards),
                 SimSchedule::random(cut as u64 ^ 0xB0B),
             )
             .map_err(|e| e.to_string())?;

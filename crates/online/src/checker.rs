@@ -179,6 +179,11 @@ pub enum ConfigError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
+    /// More shard workers than [`crate::sharded::MAX_SHARDS`].
+    TooManyShards {
+        /// The count asked for.
+        shards: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -186,6 +191,9 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::SpillFile { path, source } => {
                 write!(f, "cannot create spill file {}: {source}", path.display())
+            }
+            ConfigError::TooManyShards { shards } => {
+                write!(f, "{shards} shards exceed the limit of {}", crate::sharded::MAX_SHARDS)
             }
         }
     }
@@ -195,6 +203,7 @@ impl std::error::Error for ConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ConfigError::SpillFile { source, .. } => Some(source),
+            ConfigError::TooManyShards { .. } => None,
         }
     }
 }
@@ -315,9 +324,10 @@ impl OnlineCheckerBuilder {
 
     /// Finish building and open a sharded (parallel) checking session
     /// over [`AionConfig::shard`] worker threads. Fails with a typed
-    /// [`ConfigError`] when any worker's spill file cannot be created.
+    /// [`ConfigError`] when any worker's spill file cannot be created, or
+    /// for more than [`crate::sharded::MAX_SHARDS`] workers.
     pub fn build_sharded(self) -> Result<crate::sharded::ShardedChecker, ConfigError> {
-        crate::sharded::ShardedChecker::try_new(self.cfg)
+        crate::sharded::ShardedChecker::open(self.cfg, None)
     }
 
     /// Finish building and open a *simulated* sharded session: the
@@ -328,7 +338,7 @@ impl OnlineCheckerBuilder {
         self,
         sched: crate::transport::SimSchedule,
     ) -> Result<crate::sharded::ShardedChecker, ConfigError> {
-        crate::sharded::ShardedChecker::try_new_sim(self.cfg, sched)
+        crate::sharded::ShardedChecker::open(self.cfg, Some(sched))
     }
 }
 
@@ -1262,6 +1272,7 @@ mod tests {
                 assert_eq!(path, &bad);
                 assert_eq!(source.kind(), std::io::ErrorKind::NotFound);
             }
+            other => panic!("expected SpillFile, got {other}"),
         }
         assert!(err.to_string().contains("spill file"), "{err}");
         assert!(std::error::Error::source(&err).is_some());

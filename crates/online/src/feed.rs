@@ -205,19 +205,9 @@ impl OnlineRunReport {
         self.timeline.iter().filter(|(_, e)| e.is_violation()).count()
     }
 
-    /// Tentative-verdict flips observed mid-stream.
-    pub fn flip_events(&self) -> usize {
-        self.timeline.iter().filter(|(_, e)| matches!(e, CheckEvent::VerdictFlip { .. })).count()
-    }
-
     /// EXT finalizations observed, including the end-of-run drain.
     pub fn finalization_events(&self) -> usize {
         self.timeline.iter().filter(|(_, e)| matches!(e, CheckEvent::ExtFinalized { .. })).count()
-    }
-
-    /// GC spill passes observed mid-stream.
-    pub fn spill_events(&self) -> usize {
-        self.timeline.iter().filter(|(_, e)| matches!(e, CheckEvent::SpillPass { .. })).count()
     }
 }
 

@@ -77,7 +77,6 @@ use aion_types::{
 };
 use bytes::BytesMut;
 use std::cmp::Reverse;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Merge state for one read-bearing transaction, driven entirely by
@@ -86,6 +85,7 @@ use std::sync::Arc;
 /// parts hold tentative reads is reported by the workers themselves,
 /// so there is no cross-thread read-ownership predicate to keep in
 /// agreement.
+#[derive(Default)]
 struct PendingFinalize {
     /// Routed parts whose `Fed` reply has not arrived yet.
     awaiting_fed: u32,
@@ -100,23 +100,25 @@ struct PendingFinalize {
 
 wire_struct!(PendingFinalize { awaiting_fed, pending_reads, finalized_shards, violations });
 
-/// The sharded parallel online checker (see the module docs).
-///
-/// Implements the same streaming [`Checker`] session trait as
-/// [`OnlineChecker`], so `run_plan`, the `aion` facade and every
-/// example drive it unchanged. Final verdicts and violation sets are
-/// identical to the single checker's for any shard count (property
-/// tested in `tests/sharded_equivalence.rs`); event *timing* may lag
-/// arrivals, since workers run asynchronously.
-pub struct ShardedChecker {
-    cfg: AionConfig,
-    shards: usize,
-    /// How commands reach the workers and replies come back: real
-    /// threads over channels in production, the deterministic simulator
-    /// under `aion-dst` (see [`crate::transport`]).
-    transport: Box<dyn ShardTransport>,
-    /// Coordinator-owned global checks — the same `GlobalChecks` code
-    /// the single checker runs, executed once per whole transaction.
+/// Most shard workers one session may run: each is an OS thread, and the
+/// count can arrive from a socket or a snapshot.
+pub const MAX_SHARDS: usize = 1024;
+
+/// `shards` clamped to at least 1, or refused beyond [`MAX_SHARDS`].
+fn check_shards(shards: usize) -> Result<usize, ConfigError> {
+    if shards > MAX_SHARDS {
+        return Err(ConfigError::TooManyShards { shards });
+    }
+    Ok(shards.max(1))
+}
+
+/// The coordinator's persistent state: what a checkpoint writes after the
+/// configuration and the worker bodies, in this order. A fresh session
+/// starts from its `Default`.
+#[derive(Default)]
+struct Coordinator {
+    /// The same `GlobalChecks` code the single checker runs, executed
+    /// once per whole transaction.
     globals: GlobalChecks,
     report: CheckReport,
     pending: FxHashMap<TxnId, PendingFinalize>,
@@ -129,54 +131,64 @@ pub struct ShardedChecker {
     events: Vec<CheckEvent>,
 }
 
+wire_struct!(Coordinator {
+    globals,
+    report,
+    pending,
+    received,
+    dropped,
+    now_ms,
+    last_tick_broadcast,
+    events
+});
+
+/// The sharded parallel online checker (see the module docs).
+///
+/// Implements the same streaming [`Checker`] session trait as
+/// [`OnlineChecker`], so `run_plan`, the `aion` facade and every
+/// example drive it unchanged. Final verdicts and violation sets are
+/// identical to the single checker's for any shard count (property
+/// tested in `tests/sharded_equivalence.rs`); event *timing* may lag
+/// arrivals, since workers run asynchronously.
+pub struct ShardedChecker {
+    /// The session's configuration; `shard.shards` is the worker count.
+    cfg: AionConfig,
+    /// How commands reach the workers and replies come back: real
+    /// threads over channels in production, the deterministic simulator
+    /// under `aion-dst` (see [`crate::transport`]).
+    transport: Box<dyn ShardTransport>,
+    co: Coordinator,
+}
+
+/// Start `workers` on threads — or, for `aion-dst`, inline on the calling
+/// thread under the seeded adversarial `sched`: verdicts must be identical
+/// for any schedule, only event *timing* may differ.
+fn start(workers: Vec<OnlineChecker>, sched: Option<SimSchedule>) -> Box<dyn ShardTransport> {
+    match sched {
+        Some(sched) => Box::new(SimTransport::new(workers, sched)),
+        None => Box::new(ThreadTransport::spawn(workers)),
+    }
+}
+
 impl ShardedChecker {
     /// Open a sharded session over `cfg.shard.shards` workers, each
     /// running an [`OnlineChecker`] with this configuration scoped to
     /// its key partition. Per-shard GC budgets divide
     /// [`OnlineGcPolicy`]'s `max_txns` evenly; a configured spill path
     /// gets a `.shardK` suffix per worker. An uncreatable worker spill
-    /// file is a typed [`ConfigError`].
-    pub fn try_new(cfg: AionConfig) -> Result<ShardedChecker, ConfigError> {
-        let checkers = Self::worker_checkers(&cfg)?;
-        Ok(Self::fresh(cfg, Box::new(ThreadTransport::spawn(checkers))))
-    }
-
-    /// [`ShardedChecker::try_new`], but the workers run inline on the
-    /// calling thread under the seeded adversarial [`SimSchedule`] —
-    /// the deterministic simulation entry point used by `aion-dst`.
-    /// Verdicts must be identical to [`ShardedChecker::try_new`]'s for
-    /// any schedule; only event *timing* may differ.
-    pub fn try_new_sim(cfg: AionConfig, sched: SimSchedule) -> Result<ShardedChecker, ConfigError> {
-        let checkers = Self::worker_checkers(&cfg)?;
-        Ok(Self::fresh(cfg, Box::new(SimTransport::new(checkers, sched))))
-    }
-
-    /// Every worker checker is constructed *before* any thread spawns,
-    /// so a failure leaves no half-started session behind.
-    fn worker_checkers(cfg: &AionConfig) -> Result<Vec<OnlineChecker>, ConfigError> {
-        let shards = cfg.shard.shards.max(1);
-        let mut checkers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            checkers.push(OnlineChecker::try_new(worker_config(cfg, shard, shards))?);
-        }
-        Ok(checkers)
-    }
-
-    fn fresh(cfg: AionConfig, transport: Box<dyn ShardTransport>) -> ShardedChecker {
-        let shards = cfg.shard.shards.max(1);
-        ShardedChecker {
-            cfg,
-            shards,
-            transport,
-            globals: GlobalChecks::default(),
-            report: CheckReport::new(),
-            pending: FxHashMap::default(),
-            received: 0,
-            dropped: 0,
-            now_ms: 0,
-            last_tick_broadcast: 0,
-            events: Vec::new(),
-        }
+    /// file is a typed [`ConfigError`]; every worker checker is built
+    /// *before* any thread spawns, so a failure leaves no half-started
+    /// session behind.
+    pub(crate) fn open(
+        mut cfg: AionConfig,
+        sched: Option<SimSchedule>,
+    ) -> Result<ShardedChecker, ConfigError> {
+        let shards = check_shards(cfg.shard.shards)?;
+        cfg.shard.shards = shards;
+        let workers = (0..shards)
+            .map(|shard| OnlineChecker::try_new(worker_config(&cfg, shard, shards)))
+            .collect::<Result<_, _>>()?;
+        Ok(ShardedChecker { cfg, transport: start(workers, sched), co: Coordinator::default() })
     }
 
     /// The session's configuration.
@@ -186,7 +198,7 @@ impl ShardedChecker {
 
     /// Number of shard workers.
     pub fn num_shards(&self) -> usize {
-        self.shards
+        self.cfg.shard.shards
     }
 
     /// Stable checker name, e.g. `"aion-si-sharded"` (or
@@ -205,7 +217,7 @@ impl ShardedChecker {
     /// Coordinator-side violations (integrity + SESSION) reported so
     /// far. Worker-side violations live in the workers until `finish`.
     pub fn coordinator_report(&self) -> &CheckReport {
-        &self.report
+        &self.co.report
     }
 
     /// Receive one transaction at (virtual) time `now_ms`: a
@@ -222,33 +234,35 @@ impl ShardedChecker {
     /// so per-worker FIFO — and therefore every verdict — does not depend
     /// on how arrivals are grouped into calls.
     pub fn receive_batch(&mut self, batch: Vec<(Transaction, u64)>) -> Vec<CheckEvent> {
-        let mut per_shard: Vec<Vec<(Arc<Transaction>, u64)>> = vec![Vec::new(); self.shards];
+        let shards = self.num_shards();
+        let mut per_shard: Vec<Vec<(Arc<Transaction>, u64)>> = vec![Vec::new(); shards];
         for (txn, now_ms) in batch {
-            self.now_ms = self.now_ms.max(now_ms);
-            self.received += 1;
+            let co = &mut self.co;
+            co.now_ms = co.now_ms.max(now_ms);
+            co.received += 1;
 
             // The single checker's `GlobalChecks`, run once per whole
             // transaction, at the same resolved level the workers will
             // check the footprint at.
             let level = self.cfg.levels.level_for(&txn);
             let on = self.cfg.events;
-            let admitted = self.globals.admit(&txn, level, |v| {
-                record_violation(on, &mut self.events, &mut self.report, v)
-            });
+            let admitted = co
+                .globals
+                .admit(&txn, level, |v| record_violation(on, &mut co.events, &mut co.report, v));
             if !admitted {
-                self.dropped += 1;
+                co.dropped += 1;
                 continue;
             }
 
-            let (tid, now) = (txn.tid, self.now_ms);
+            let (tid, now) = (txn.tid, co.now_ms);
             // A shard outside the buffer cannot occur: `route_txn` computes
-            // shards modulo `self.shards`, the buffer's exact length.
+            // shards modulo `shards`, the buffer's exact length.
             let mut stage = |shard: usize, part: Arc<Transaction>| {
                 if let Some(parts) = per_shard.get_mut(shard) {
                     parts.push((part, now));
                 }
             };
-            match route_txn(txn, self.shards) {
+            match route_txn(txn, shards) {
                 RoutedTxn::Single { shard, txn } => {
                     self.track_pending(tid, &txn, 1);
                     stage(shard, Arc::new(txn));
@@ -271,8 +285,7 @@ impl ShardedChecker {
                 self.transport.send(shard, ShardCmd::FeedBatch { parts });
             }
         }
-        self.pump();
-        std::mem::take(&mut self.events)
+        self.pump()
     }
 
     /// Register the number of routed parts whose `Fed` replies will
@@ -281,15 +294,8 @@ impl ShardedChecker {
     /// for them.
     fn track_pending(&mut self, tid: TxnId, txn: &Transaction, parts: u32) {
         if self.cfg.events && txn.ops.iter().any(aion_types::Op::is_read) {
-            self.pending.insert(
-                tid,
-                PendingFinalize {
-                    awaiting_fed: parts,
-                    pending_reads: 0,
-                    finalized_shards: 0,
-                    violations: 0,
-                },
-            );
+            let merge = PendingFinalize { awaiting_fed: parts, ..PendingFinalize::default() };
+            self.co.pending.insert(tid, merge);
         }
     }
 
@@ -305,64 +311,81 @@ impl ShardedChecker {
     /// promptly idle shards surface finalization *events*, never
     /// verdicts. `u64::MAX` drains synchronously (see module docs).
     pub fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
-        self.now_ms = self.now_ms.max(now_ms);
+        self.co.now_ms = self.co.now_ms.max(now_ms);
         if now_ms == u64::MAX {
             self.broadcast_tick(u64::MAX);
             self.barrier();
-        } else if now_ms.saturating_sub(self.last_tick_broadcast)
+        } else if now_ms.saturating_sub(self.co.last_tick_broadcast)
             >= self.cfg.shard.tick_broadcast_ms
         {
             self.broadcast_tick(now_ms);
         }
-        self.pump();
-        std::mem::take(&mut self.events)
+        self.pump()
     }
 
     fn broadcast_tick(&mut self, now_ms: u64) {
-        self.last_tick_broadcast = now_ms;
-        for shard in 0..self.shards {
+        self.co.last_tick_broadcast = now_ms;
+        for shard in 0..self.num_shards() {
             self.transport.send(shard, ShardCmd::Tick { now_ms });
         }
+    }
+
+    /// Send `cmd()` to every worker, then block until each has answered
+    /// it — the replies `pick` accepts — absorbing every other reply on
+    /// the way. Always collects the whole round, so none of its answers
+    /// is left on the reply stream; fewer than one per worker come back
+    /// only if a worker died (`finish` reports that through `join`).
+    fn round<T>(
+        &mut self,
+        cmd: fn() -> ShardCmd,
+        pick: fn(ShardReply) -> Result<T, ShardReply>,
+    ) -> Vec<T> {
+        let shards = self.num_shards();
+        for shard in 0..shards {
+            self.transport.send(shard, cmd());
+        }
+        let mut answers = Vec::with_capacity(shards);
+        while answers.len() < shards {
+            match self.transport.recv().map(pick) {
+                Some(Ok(answer)) => answers.push(answer),
+                Some(Err(other)) => self.absorb(other),
+                None => break,
+            }
+        }
+        answers
     }
 
     /// Block until every worker has processed all commands sent so far,
     /// absorbing their replies.
     fn barrier(&mut self) {
-        for shard in 0..self.shards {
-            self.transport.send(shard, ShardCmd::Flush);
-        }
-        let mut flushed = 0usize;
-        while flushed < self.shards {
-            match self.transport.recv() {
-                Some(ShardReply::Flushed) => flushed += 1,
-                Some(reply) => self.absorb(reply, &mut Vec::new()),
-                None => break, // a worker died; finish() will report via join
-            }
-        }
+        self.round(
+            || ShardCmd::Flush,
+            |reply| match reply {
+                ShardReply::Flushed => Ok(()),
+                other => Err(other),
+            },
+        );
     }
 
-    /// Drain currently-ready worker replies without blocking.
-    fn pump(&mut self) {
+    /// Absorb the currently-ready worker replies without blocking and
+    /// hand over everything staged for the caller.
+    fn pump(&mut self) -> Vec<CheckEvent> {
         while let Some(reply) = self.transport.try_recv() {
-            self.absorb(reply, &mut Vec::new());
+            self.absorb(reply);
         }
+        std::mem::take(&mut self.co.events)
     }
 
-    /// Fold one worker reply into coordinator state; `Done` outcomes are
-    /// pushed onto `outcomes`.
-    fn absorb(&mut self, reply: ShardReply, outcomes: &mut Vec<(usize, Outcome)>) {
+    /// Fold one streaming worker reply into coordinator state.
+    fn absorb(&mut self, reply: ShardReply) {
         match reply {
             ShardReply::Fed { tid, pending, events } => {
                 self.note_fed(tid, pending);
                 self.ingest(events);
             }
             ShardReply::Ticked { events } => self.ingest(events),
-            ShardReply::Flushed => {}
-            // Only produced inside `checkpoint`'s own collection loop; a
-            // stray one (a checkpoint aborted by a worker error) is
-            // dropped here rather than wedging the reply stream.
-            ShardReply::Checkpointed { .. } => {}
-            ShardReply::Done { shard, outcome } => outcomes.push((shard, *outcome)),
+            // Answers to a `round`, which collects all of its own.
+            ShardReply::Flushed | ShardReply::Checkpointed { .. } | ShardReply::Done { .. } => {}
         }
     }
 
@@ -374,7 +397,7 @@ impl ShardedChecker {
                 CheckEvent::ExtFinalized { tid, violations } => {
                     self.note_finalized(tid, violations)
                 }
-                other => self.events.push(other),
+                other => self.co.events.push(other),
             }
         }
     }
@@ -383,7 +406,7 @@ impl ShardedChecker {
     /// whether that part still holds tentative reads (so an
     /// `ExtFinalized` from that shard will follow eventually).
     fn note_fed(&mut self, tid: TxnId, pending: bool) {
-        let Some(p) = self.pending.get_mut(&tid) else { return };
+        let Some(p) = self.co.pending.get_mut(&tid) else { return };
         p.awaiting_fed -= 1;
         if pending {
             p.pending_reads += 1;
@@ -395,9 +418,9 @@ impl ShardedChecker {
     /// guarantees the shard's own `Fed` reply arrived first, so
     /// `pending_reads` is positive here.
     fn note_finalized(&mut self, tid: TxnId, violations: u32) {
-        let Some(p) = self.pending.get_mut(&tid) else {
+        let Some(p) = self.co.pending.get_mut(&tid) else {
             // Unknown tid (e.g. events toggled mid-session): pass through.
-            self.events.push(CheckEvent::ExtFinalized { tid, violations });
+            self.co.events.push(CheckEvent::ExtFinalized { tid, violations });
             return;
         };
         p.pending_reads -= 1;
@@ -407,7 +430,7 @@ impl ShardedChecker {
     }
 
     fn maybe_emit_finalized(&mut self, tid: TxnId) {
-        let Some(p) = self.pending.get(&tid) else { return };
+        let Some(p) = self.co.pending.get(&tid) else { return };
         if p.awaiting_fed > 0 || p.pending_reads > 0 {
             return;
         }
@@ -417,9 +440,9 @@ impl ShardedChecker {
         // only announces transactions that went through its deadline
         // queue.
         let (finalized_shards, violations) = (p.finalized_shards, p.violations);
-        self.pending.remove(&tid);
+        self.co.pending.remove(&tid);
         if finalized_shards > 0 {
-            self.events.push(CheckEvent::ExtFinalized { tid, violations });
+            self.co.events.push(CheckEvent::ExtFinalized { tid, violations });
         }
     }
 
@@ -429,24 +452,18 @@ impl ShardedChecker {
     /// summaries folded shard-aware and `received`/`finalized` fixed up
     /// to whole-transaction counts.
     pub fn finish(mut self) -> Outcome {
-        for shard in 0..self.shards {
-            self.transport.send(shard, ShardCmd::Finish);
-        }
-        let mut outcomes: Vec<(usize, Outcome)> = Vec::with_capacity(self.shards);
-        while outcomes.len() < self.shards {
-            match self.transport.recv() {
-                Some(reply) => {
-                    let mut done = Vec::new();
-                    self.absorb(reply, &mut done);
-                    outcomes.append(&mut done);
-                }
-                None => break, // worker died; join below panics with its message
-            }
-        }
+        let mut outcomes = self.round(
+            || ShardCmd::Finish,
+            |reply| match reply {
+                ShardReply::Done { shard, outcome } => Ok((shard, *outcome)),
+                other => Err(other),
+            },
+        );
+        // A worker that died panics here with its own message.
         self.transport.join();
         outcomes.sort_unstable_by_key(|(shard, _)| *shard);
 
-        let mut report = std::mem::take(&mut self.report);
+        let mut report = std::mem::take(&mut self.co.report);
         let mut stats = CheckerStats::default();
         let mut flips = FlipSummary::default();
         for (_, outcome) in outcomes {
@@ -457,250 +474,154 @@ impl ShardedChecker {
         // Whole-transaction counts: a split transaction was received by
         // several workers but is one transaction; malformed arrivals
         // were never forwarded and never finalize.
-        stats.received = self.received;
-        stats.finalized = self.received - self.dropped;
+        stats.received = self.co.received;
+        stats.finalized = self.co.received - self.co.dropped;
 
-        Outcome::new(self.checker_name(), report, self.received).with_stats(stats).with_flips(flips)
+        Outcome::new(self.checker_name(), report, self.co.received)
+            .with_stats(stats)
+            .with_flips(flips)
     }
 
-    /// Checkpoint the whole sharded session — coordinator state plus one
-    /// embedded [`OnlineChecker`] snapshot body per worker — as a
-    /// `SNAPSHOT_KIND_SHARDED` envelope.
+    /// Checkpoint the whole sharded session as a `SNAPSHOT_KIND_SHARDED`
+    /// envelope: the configuration, one embedded [`OnlineChecker`]
+    /// snapshot body per worker, then the coordinator record.
     ///
     /// Runs a full barrier first, so every in-flight arrival is processed
     /// and every staged worker event has been absorbed: the snapshot cuts
     /// the session between arrivals, the granularity at which
-    /// [`ShardedChecker::restore`] resumes with identical verdicts.
+    /// [`ShardedChecker::restore`] resumes with identical verdicts. A
+    /// worker that cannot serialize itself (its spill file is unreadable)
+    /// fails the checkpoint with its typed error; the session stays
+    /// usable.
     pub fn checkpoint(&mut self) -> Result<Vec<u8>, SnapshotError> {
         self.barrier();
-        for shard in 0..self.shards {
-            self.transport.send(shard, ShardCmd::Checkpoint);
+        let mut bodies = self.round(
+            || ShardCmd::Checkpoint,
+            |reply| match reply {
+                ShardReply::Checkpointed { shard, body } => Ok((shard, body)),
+                other => Err(other),
+            },
+        );
+        if bodies.len() < self.num_shards() {
+            return Err(SnapshotError::Corrupt("a shard worker died during checkpoint".into()));
         }
-        let mut bodies: Vec<Option<Vec<u8>>> = (0..self.shards).map(|_| None).collect();
-        let mut got = 0usize;
-        while got < self.shards {
-            match self.transport.recv() {
-                Some(ShardReply::Checkpointed { shard, body }) => {
-                    let Some(slot) = bodies.get_mut(shard) else {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "checkpoint reply from unknown shard {shard}"
-                        )));
-                    };
-                    *slot = Some(body?);
-                    got += 1;
-                }
-                Some(reply) => self.absorb(reply, &mut Vec::new()),
-                None => {
-                    return Err(SnapshotError::Corrupt(
-                        "a shard worker died during checkpoint".into(),
-                    ))
-                }
-            }
-        }
-        let bodies: Vec<Vec<u8>> = bodies
-            .into_iter()
-            .collect::<Option<_>>()
-            .ok_or_else(|| SnapshotError::Corrupt("a shard checkpoint body went missing".into()))?;
+        bodies.sort_unstable_by_key(|(shard, _)| *shard);
+        let bodies: Vec<Vec<u8>> =
+            bodies.into_iter().map(|(_, body)| body).collect::<Result<_, _>>()?;
 
-        // `SharedParse::read` is the mirror of this list.
         let mut buf = BytesMut::with_capacity(4096);
         put_snapshot_header(&mut buf, SNAPSHOT_KIND_SHARDED);
         self.cfg.put(&mut buf);
         bodies.put(&mut buf);
-        self.globals.put(&mut buf);
-        self.report.put(&mut buf);
-        self.pending.put(&mut buf);
-        self.received.put(&mut buf);
-        self.dropped.put(&mut buf);
-        self.now_ms.put(&mut buf);
-        self.last_tick_broadcast.put(&mut buf);
-        self.events.put(&mut buf);
+        self.co.put(&mut buf);
         Ok(buf.to_vec())
     }
 
-    /// [`checkpoint`](Self::checkpoint) straight to a file.
-    pub fn checkpoint_to(&mut self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let bytes = self.checkpoint()?;
-        std::fs::write(path, bytes)?;
-        Ok(())
-    }
-
     /// Restore a sharded session from [`checkpoint`](Self::checkpoint)
-    /// bytes with the *same* shard count, respawning one worker per
-    /// embedded snapshot. Worker spill files (the configured path with
-    /// its `.shardK` suffix) are re-created and re-populated from the
-    /// snapshot. Verdicts, reports and events continue exactly as the
-    /// interrupted session would have.
-    pub fn restore(bytes: &[u8]) -> Result<ShardedChecker, SnapshotError> {
-        let (parsed, old_workers) = SharedParse::read(bytes)?;
-        Ok(parsed.into_checker(Box::new(ThreadTransport::spawn(old_workers))))
+    /// bytes, respawning the workers.
+    ///
+    /// `shards: None` resumes the checkpoint's own topology, one worker
+    /// per embedded snapshot, byte-identically: worker spill files (the
+    /// configured path with its `.shardK` suffix) are re-created and
+    /// re-populated, and verdicts, reports and events continue exactly as
+    /// the interrupted session would have.
+    ///
+    /// `shards: Some(n)` always re-partitions, also when `n` is the
+    /// checkpoint's own count: every worker's state (including its
+    /// spilled segments) is reloaded, merged per transaction, and split
+    /// again under `n`-way key routing. The resumed session reports the
+    /// same violations and final verdicts as the interrupted one would
+    /// have; runtime counters (spill/GC statistics, re-evaluation counts)
+    /// restart from the merged totals and event *timing* may differ —
+    /// verdict-equivalent, not byte-identical
+    /// (`tests/snapshot_differential.rs` pins both contracts).
+    pub fn restore(bytes: &[u8], shards: Option<usize>) -> Result<ShardedChecker, SnapshotError> {
+        Self::resume(bytes, shards, None)
     }
 
     /// [`ShardedChecker::restore`] onto the deterministic simulated
-    /// transport (see [`ShardedChecker::try_new_sim`]).
-    pub fn restore_sim(bytes: &[u8], sched: SimSchedule) -> Result<ShardedChecker, SnapshotError> {
-        let (parsed, old_workers) = SharedParse::read(bytes)?;
-        Ok(parsed.into_checker(Box::new(SimTransport::new(old_workers, sched))))
-    }
-
-    /// Restore from a checkpoint file written by
-    /// [`checkpoint_to`](Self::checkpoint_to).
-    pub fn restore_from(path: impl AsRef<Path>) -> Result<ShardedChecker, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        Self::restore(&bytes)
-    }
-
-    /// Restore a sharded checkpoint onto a *different* shard count: every
-    /// worker's state (including its spilled segments) is reloaded,
-    /// merged per transaction, and re-partitioned under the new key
-    /// routing.
-    ///
-    /// The resumed session reports the same violations and final verdicts
-    /// as the interrupted one would have; runtime counters (spill/GC
-    /// statistics, re-evaluation counts) restart from the merged totals
-    /// and event *timing* may differ — resharding is verdict-equivalent,
-    /// not byte-identical (`tests/snapshot_differential.rs` pins the
-    /// former for the same-topology paths).
-    pub fn restore_resharded(
+    /// transport.
+    pub fn restore_sim(
         bytes: &[u8],
-        new_shards: usize,
-    ) -> Result<ShardedChecker, SnapshotError> {
-        Self::restore_resharded_with(bytes, new_shards, |w| Box::new(ThreadTransport::spawn(w)))
-    }
-
-    /// [`ShardedChecker::restore_resharded`] onto the deterministic
-    /// simulated transport (see [`ShardedChecker::try_new_sim`]).
-    pub fn restore_resharded_sim(
-        bytes: &[u8],
-        new_shards: usize,
+        shards: Option<usize>,
         sched: SimSchedule,
     ) -> Result<ShardedChecker, SnapshotError> {
-        Self::restore_resharded_with(bytes, new_shards, move |w| {
-            Box::new(SimTransport::new(w, sched))
-        })
+        Self::resume(bytes, shards, Some(sched))
     }
 
-    fn restore_resharded_with(
+    fn resume(
         bytes: &[u8],
-        new_shards: usize,
-        mk: impl FnOnce(Vec<OnlineChecker>) -> Box<dyn ShardTransport>,
+        reshard: Option<usize>,
+        sched: Option<SimSchedule>,
     ) -> Result<ShardedChecker, SnapshotError> {
-        let (mut parsed, old_workers) = SharedParse::read(bytes)?;
-        let new_shards = new_shards.max(1);
-        parsed.cfg.shard.shards = new_shards;
-        parsed.shards = new_shards;
-        let workers = resplit_workers(old_workers, &parsed.cfg, new_shards)?;
-
-        // Re-derive the ExtFinalized merge state for the new topology:
-        // the checkpoint barrier guarantees awaiting_fed reached zero, and
-        // each new worker holding an unfinalized part will emit exactly
-        // one finalization for it.
-        let mut emitted = Vec::new();
-        parsed.pending.retain(|tid, p| {
-            p.awaiting_fed = 0;
-            p.pending_reads = workers.iter().filter(|w| w.is_pending(*tid)).count() as u32;
-            if p.pending_reads == 0 {
-                // Every read settled before the checkpoint: surface the
-                // merged event now iff some shard actually finalized.
-                if p.finalized_shards > 0 {
-                    emitted.push(CheckEvent::ExtFinalized { tid: *tid, violations: p.violations });
-                }
-                false
-            } else {
-                true
-            }
-        });
-        parsed.events.extend(emitted);
-
-        Ok(parsed.into_checker(mk(workers)))
-    }
-}
-
-/// Parsed coordinator section of a sharded checkpoint (everything except
-/// the worker snapshots, which are decoded separately so same-topology
-/// restore and resharding can share this code).
-struct SharedParse {
-    cfg: AionConfig,
-    shards: usize,
-    globals: GlobalChecks,
-    report: CheckReport,
-    pending: FxHashMap<TxnId, PendingFinalize>,
-    received: usize,
-    dropped: usize,
-    now_ms: u64,
-    last_tick_broadcast: u64,
-    events: Vec<CheckEvent>,
-}
-
-impl SharedParse {
-    fn read(bytes: &[u8]) -> Result<(SharedParse, Vec<OnlineChecker>), SnapshotError> {
+        // Refused before anything is parsed, so no worker is ever built.
+        let reshard = reshard.map(check_shards).transpose().map_err(config_error)?;
         let mut slice = bytes;
         let kind = get_snapshot_header(&mut slice)?;
         if kind != SNAPSHOT_KIND_SHARDED {
             return Err(SnapshotError::WrongKind { expected: SNAPSHOT_KIND_SHARDED, found: kind });
         }
-        let cfg = AionConfig::get(&mut slice)?;
+        let mut cfg = AionConfig::get(&mut slice)?;
         let bodies = Vec::<Vec<u8>>::get(&mut slice)?;
         let shards = bodies.len();
-        if shards == 0 || shards > u16::MAX as usize {
-            return Err(SnapshotError::Corrupt(format!("implausible shard count {shards}")));
+        if shards == 0 || shards > MAX_SHARDS || shards != cfg.shard.shards {
+            return Err(SnapshotError::Corrupt(format!(
+                "{shards} worker bodies in a checkpoint configured for {} shards",
+                cfg.shard.shards
+            )));
         }
         let mut workers = Vec::with_capacity(shards);
-        for body in &bodies {
+        for (shard, body) in bodies.iter().enumerate() {
             let mut body = body.as_slice();
-            workers.push(OnlineChecker::read_snapshot_body(&mut body, None)?);
+            let worker = OnlineChecker::read_snapshot_body(&mut body, None)?;
             if !body.is_empty() {
                 return Err(SnapshotError::Corrupt(
                     "trailing bytes after a worker snapshot body".into(),
                 ));
             }
+            // A worker checking another partition than the one routed to
+            // it would silently miss violations.
+            if !worker.cfg.coordinated || worker.cfg.shard_filter != shard_filter(shard, shards) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "worker body {shard} is not the one of shard {shard} of {shards}"
+                )));
+            }
+            workers.push(worker);
         }
-        let globals = Wire::get(&mut slice)?;
-        let report = Wire::get(&mut slice)?;
-        let pending = Wire::get(&mut slice)?;
-        let received = Wire::get(&mut slice)?;
-        let dropped = Wire::get(&mut slice)?;
-        let now_ms = Wire::get(&mut slice)?;
-        let last_tick_broadcast = Wire::get(&mut slice)?;
-        let events = Wire::get(&mut slice)?;
+        let mut co = Coordinator::get(&mut slice)?;
         if !slice.is_empty() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after checkpoint body",
                 slice.len()
             )));
         }
-        Ok((
-            SharedParse {
-                cfg,
-                shards,
-                globals,
-                report,
-                pending,
-                received,
-                dropped,
-                now_ms,
-                last_tick_broadcast,
-                events,
-            },
-            workers,
-        ))
-    }
 
-    fn into_checker(self, transport: Box<dyn ShardTransport>) -> ShardedChecker {
-        ShardedChecker {
-            cfg: self.cfg,
-            shards: self.shards,
-            transport,
-            globals: self.globals,
-            report: self.report,
-            pending: self.pending,
-            received: self.received,
-            dropped: self.dropped,
-            now_ms: self.now_ms,
-            last_tick_broadcast: self.last_tick_broadcast,
-            events: self.events,
+        if let Some(new_shards) = reshard {
+            cfg.shard.shards = new_shards;
+            workers = resplit_workers(workers, &cfg, new_shards)?;
+            // Re-derive the ExtFinalized merge state for the new topology:
+            // the checkpoint barrier guarantees awaiting_fed reached zero,
+            // and each new worker holding an unfinalized part will emit
+            // exactly one finalization for it.
+            let Coordinator { pending, events, .. } = &mut co;
+            pending.retain(|tid, p| {
+                p.awaiting_fed = 0;
+                p.pending_reads = workers.iter().filter(|w| w.is_pending(*tid)).count() as u32;
+                // Every read settled before the checkpoint: surface the
+                // merged event now iff some shard actually finalized.
+                if p.pending_reads == 0 && p.finalized_shards > 0 {
+                    events.push(CheckEvent::ExtFinalized { tid: *tid, violations: p.violations });
+                }
+                p.pending_reads > 0
+            });
         }
+        Ok(ShardedChecker { cfg, transport: start(workers, sched), co })
     }
+}
+
+/// The keys worker `shard` of `shards` checks: all of them when alone.
+fn shard_filter(shard: usize, shards: usize) -> Option<(usize, usize)> {
+    (shards > 1).then_some((shard, shards))
 }
 
 /// The per-worker configuration derived from a session configuration:
@@ -709,7 +630,7 @@ impl SharedParse {
 fn worker_config(cfg: &AionConfig, shard: usize, shards: usize) -> AionConfig {
     let mut worker_cfg = cfg.clone();
     worker_cfg.coordinated = true;
-    worker_cfg.shard_filter = if shards > 1 { Some((shard, shards)) } else { None };
+    worker_cfg.shard_filter = shard_filter(shard, shards);
     worker_cfg.gc = match worker_cfg.gc {
         OnlineGcPolicy::None => OnlineGcPolicy::None,
         OnlineGcPolicy::Checking { max_txns } => {
@@ -728,8 +649,8 @@ fn worker_config(cfg: &AionConfig, shard: usize, shards: usize) -> AionConfig {
 }
 
 /// Merge the decoded workers of a sharded checkpoint and re-partition
-/// their state for `new_shards` workers (see
-/// [`ShardedChecker::restore_resharded`]).
+/// their state for `new_shards` workers (the `Some(n)` mode of
+/// [`ShardedChecker::restore`]).
 ///
 /// All spilled state is reloaded first, so the merge sees every
 /// transaction; the new workers start with fresh (empty) spill stores
@@ -944,8 +865,8 @@ impl Checker for ShardedChecker {
     /// Aggregate of every worker's estimate (queried through the
     /// transport) plus the coordinator's own staged state.
     fn estimated_memory_bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<CheckEvent>()
-            + self.pending.len()
+        self.co.events.capacity() * std::mem::size_of::<CheckEvent>()
+            + self.co.pending.len()
                 * (std::mem::size_of::<TxnId>() + std::mem::size_of::<PendingFinalize>())
             + self.transport.memory_bytes()
     }
@@ -1115,7 +1036,7 @@ mod tests {
         a.receive(t(2, 0, 0, 3, 4).build(), 0);
         assert_eq!(a.coordinator_report().count(AxiomKind::Session), 2);
         let snap = a.checkpoint().unwrap();
-        for mut ck in [a, ShardedChecker::restore_resharded(&snap, 3).unwrap()] {
+        for mut ck in [a, ShardedChecker::restore(&snap, Some(3)).unwrap()] {
             let events = ck.tick(u64::MAX);
             assert!(
                 events.contains(&CheckEvent::ExtFinalized { tid: TxnId(1), violations: 2 }),
@@ -1123,6 +1044,130 @@ mod tests {
             );
             assert_eq!(ck.finish().report.count(AxiomKind::Ext), 2);
         }
+    }
+
+    /// Split a sharded checkpoint into (configuration, worker bodies,
+    /// coordinator tail) and put one back together.
+    fn open_envelope(snap: &[u8]) -> (AionConfig, Vec<Vec<u8>>, Vec<u8>) {
+        let mut slice = snap;
+        assert_eq!(get_snapshot_header(&mut slice).unwrap(), SNAPSHOT_KIND_SHARDED);
+        (Wire::get(&mut slice).unwrap(), Wire::get(&mut slice).unwrap(), slice.to_vec())
+    }
+
+    fn envelope(cfg: &AionConfig, bodies: &[Vec<u8>], tail: &[u8]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        put_snapshot_header(&mut buf, SNAPSHOT_KIND_SHARDED);
+        cfg.put(&mut buf);
+        bodies.to_vec().put(&mut buf);
+        bytes::BufMut::put_slice(&mut buf, tail);
+        buf.to_vec()
+    }
+
+    /// A 4-shard checkpoint re-enveloped with two of its bodies used to
+    /// restore `Ok`: two workers, routed 2-way, each filtering 4-way —
+    /// and 17 of the 32 EXT violations below went unreported.
+    #[test]
+    fn a_checkpoint_whose_topology_disagrees_with_itself_is_refused() {
+        let mut honest = sharded(4);
+        let (cfg, bodies, tail) = open_envelope(&honest.checkpoint().unwrap());
+        assert_eq!((cfg.shard.shards, bodies.len()), (4, 4));
+        let bad_reads = |ck: &mut ShardedChecker| {
+            for k in 0..32u64 {
+                ck.receive(
+                    t(k + 1, k as u32, 0, 10 * k + 1, 10 * k + 2).read(Key(k), Value(9)).build(),
+                    0,
+                );
+            }
+        };
+        bad_reads(&mut honest);
+        assert_eq!(honest.finish().report.count(AxiomKind::Ext), 32);
+
+        let mut swapped = bodies.clone();
+        swapped.swap(0, 1);
+        let mut two_way = cfg.clone();
+        two_way.shard.shards = 2;
+        for (what, hostile) in [
+            ("two of four bodies", envelope(&cfg, &bodies[..2], &tail)),
+            (
+                "two 4-way workers under a 2-shard configuration",
+                envelope(&two_way, &bodies[..2], &tail),
+            ),
+            ("bodies out of position", envelope(&cfg, &swapped, &tail)),
+        ] {
+            match ShardedChecker::restore(&hostile, None) {
+                Err(SnapshotError::Corrupt(_)) => {}
+                Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+                Ok(mut wrong) => {
+                    bad_reads(&mut wrong);
+                    let found = wrong.finish().report.count(AxiomKind::Ext);
+                    panic!("{what}: restored, then reported {found} of 32 EXT violations");
+                }
+            }
+        }
+        assert!(ShardedChecker::restore(&envelope(&cfg, &bodies, &tail), None).is_ok());
+    }
+
+    #[test]
+    fn the_shard_count_is_bounded_where_sessions_open_and_resume() {
+        let dir = std::env::temp_dir().join(format!("aion-max-shards-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spill = dir.join("spill.bin");
+        let open = |n: usize| OnlineChecker::builder().shards(n).spill_path(&spill).build_sharded();
+        match open(MAX_SHARDS + 1) {
+            Err(ConfigError::TooManyShards { shards }) => assert_eq!(shards, MAX_SHARDS + 1),
+            Err(other) => panic!("expected TooManyShards, got {other}"),
+            Ok(_) => panic!("{} workers must not open", MAX_SHARDS + 1),
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no worker was built");
+
+        let mut ck = open(2).unwrap();
+        let snap = ck.checkpoint().unwrap();
+        drop(ck.finish());
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        match ShardedChecker::restore(&snap, Some(1_000_000)) {
+            Err(SnapshotError::Corrupt(detail)) => assert!(detail.contains("limit"), "{detail}"),
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a million workers must not resume"),
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no worker was built");
+        assert!(matches!(check_shards(MAX_SHARDS), Ok(MAX_SHARDS)), "the bound is inclusive");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A worker that cannot serialize itself fails the checkpoint with
+    /// its typed error — after the whole round was collected, so the
+    /// same session goes on to drain, checkpoint and finish.
+    #[test]
+    fn a_failed_worker_checkpoint_leaves_the_session_usable() {
+        let dir = std::env::temp_dir().join(format!("aion-ckpt-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut ck = OnlineChecker::builder()
+            .shards(2)
+            .gc(OnlineGcPolicy::Checking { max_txns: 4 })
+            .spill_path(dir.join("spill.bin"))
+            .build_sharded()
+            .unwrap();
+        for i in 0..40u64 {
+            let txn = t(i + 1, 0, i as u32, 10 * i + 1, 10 * i + 2).put(Key(i % 6), Value(i));
+            ck.receive(txn.read(Key((i + 1) % 6), Value(999)).build(), 1000 * i);
+        }
+        ck.checkpoint().expect("a healthy checkpoint, which also flushes the workers");
+        let shard1 = dir.join("spill.bin.shard1");
+        let segments = std::fs::read(&shard1).unwrap();
+        assert!(!segments.is_empty(), "worker 1 spilled");
+        std::fs::write(&shard1, b"").unwrap();
+        assert!(matches!(ck.checkpoint(), Err(SnapshotError::Io(_))));
+        std::fs::write(&shard1, &segments).unwrap();
+
+        ck.tick(u64::MAX);
+        let snap = ck.checkpoint().expect("the next checkpoint succeeds");
+        let out = ck.finish();
+        assert_eq!(out.txns, 40);
+        let mut back = ShardedChecker::restore(&snap, None).unwrap();
+        back.tick(u64::MAX);
+        assert_eq!(back.finish().report.violations, out.report.violations);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -49,7 +49,7 @@ use aion_types::snapshot::{
 use aion_types::{wire_enum, wire_struct, EventKey, Key, Snapshot, TxnId};
 use bytes::{Buf, BufMut, BytesMut};
 use std::cmp::Reverse;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 // --- records ----------------------------------------------------------------
 
@@ -176,6 +176,7 @@ impl Wire for MembershipIndex {
 pub(crate) fn config_error(e: ConfigError) -> SnapshotError {
     match e {
         ConfigError::SpillFile { source, .. } => SnapshotError::Io(source),
+        e @ ConfigError::TooManyShards { .. } => SnapshotError::Corrupt(e.to_string()),
     }
 }
 
@@ -192,13 +193,6 @@ impl OnlineChecker {
         put_snapshot_header(&mut buf, SNAPSHOT_KIND_SINGLE);
         self.write_snapshot_body(&mut buf)?;
         Ok(buf.to_vec())
-    }
-
-    /// [`checkpoint`](Self::checkpoint) straight to a file.
-    pub fn checkpoint_to(&mut self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let bytes = self.checkpoint()?;
-        std::fs::write(path, bytes)?;
-        Ok(())
     }
 
     /// Restore a checker from [`checkpoint`](Self::checkpoint) bytes.
@@ -222,13 +216,6 @@ impl OnlineChecker {
         Self::restore_inner(bytes, Some(spill_path))
     }
 
-    /// Restore from a checkpoint file written by
-    /// [`checkpoint_to`](Self::checkpoint_to).
-    pub fn restore_from(path: impl AsRef<Path>) -> Result<OnlineChecker, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        Self::restore(&bytes)
-    }
-
     fn restore_inner(
         bytes: &[u8],
         spill_override: Option<Option<PathBuf>>,
@@ -239,6 +226,13 @@ impl OnlineChecker {
             return Err(SnapshotError::WrongKind { expected: SNAPSHOT_KIND_SINGLE, found: kind });
         }
         let ck = Self::read_snapshot_body(&mut slice, spill_override)?;
+        // A shard worker's body: it leaves the global checks to a
+        // coordinator and skips the keys it does not own.
+        if ck.cfg.coordinated || ck.cfg.shard_filter.is_some() {
+            return Err(SnapshotError::Corrupt(
+                "a shard worker's body under a single-checker header".into(),
+            ));
+        }
         if !slice.is_empty() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after checkpoint body",
@@ -471,6 +465,33 @@ mod tests {
             }
             Err(other) => panic!("expected Corrupt, got {other}"),
             Ok(_) => panic!("a reader entry past its transaction's reads must not restore"),
+        }
+    }
+
+    /// A shard worker's body under a single-checker header used to
+    /// restore `Ok` — as a checker that skips every global check (0 of
+    /// the 3 violations below) or every key it does not own.
+    #[test]
+    fn a_worker_body_under_a_single_header_is_refused() {
+        let coordinated = AionConfig { coordinated: true, ..AionConfig::default() };
+        let filtered = AionConfig { shard_filter: Some((0, 2)), ..AionConfig::default() };
+        for cfg in [coordinated, filtered] {
+            let what = format!("coordinated {} filter {:?}", cfg.coordinated, cfg.shard_filter);
+            let hostile = OnlineChecker::try_new(cfg).unwrap().checkpoint().unwrap();
+            match OnlineChecker::restore(&hostile) {
+                Err(SnapshotError::Corrupt(detail)) => {
+                    assert!(detail.contains("worker"), "{detail}")
+                }
+                Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+                Ok(mut wrong) => {
+                    wrong.feed(t(1, 0, 0, 1, 2).build(), 0);
+                    wrong.feed(t(1, 1, 0, 3, 4).build(), 0); // duplicate tid
+                    wrong.feed(t(2, 0, 5, 5, 6).build(), 0); // SESSION gap
+                    wrong.feed(t(3, 2, 0, 9, 8).build(), 0); // Eq. (1)
+                    let found = wrong.finish().report.violations.len();
+                    panic!("{what}: restored, then reported {found} of 3 violations");
+                }
+            }
         }
     }
 

@@ -87,21 +87,20 @@ pub(crate) struct StepOutput {
     pub(crate) replies: Vec<ShardReply>,
     /// Memory estimate (for `ShardCmd::Memory` under `ThreadTransport`).
     pub(crate) mem: Option<usize>,
-    /// The worker finished (its checker is consumed).
-    pub(crate) done: bool,
 }
 
-/// Execute one command against a worker's checker.
+/// Execute one command against a worker's checker, which `Finish`
+/// consumes (leaving `None`: the worker is done).
 pub(crate) fn worker_step(
     shard: usize,
     checker: &mut Option<OnlineChecker>,
     cmd: ShardCmd,
-    events_on: bool,
 ) -> StepOutput {
-    let mut out = StepOutput { replies: Vec::new(), mem: None, done: false };
+    let mut out = StepOutput { replies: Vec::new(), mem: None };
     // A command after `Finish` (only possible if the coordinator
     // misbehaves) is ignored rather than panicking the worker thread.
     let Some(ck) = checker.as_mut() else { return out };
+    let events_on = ck.config().events;
     match cmd {
         ShardCmd::FeedBatch { parts } => {
             for (txn, now_ms) in parts {
@@ -139,7 +138,6 @@ pub(crate) fn worker_step(
                 let outcome = Box::new(ck.finish());
                 out.replies.push(ShardReply::Done { shard, outcome });
             }
-            out.done = true;
         }
     }
     out
@@ -182,8 +180,7 @@ pub(crate) struct ThreadTransport {
 }
 
 impl ThreadTransport {
-    /// Spawn one worker thread per prepared checker (fresh sessions and
-    /// both restore paths share this).
+    /// Spawn one worker thread per prepared checker (opened or resumed).
     pub(crate) fn spawn(checkers: Vec<OnlineChecker>) -> ThreadTransport {
         let (reply_tx, reply_rx) = unbounded::<ShardReply>();
         let (mem_tx, mem_rx) = unbounded::<usize>();
@@ -192,13 +189,12 @@ impl ThreadTransport {
         for (shard, checker) in checkers.into_iter().enumerate() {
             let (tx, rx) = unbounded::<ShardCmd>();
             cmd_tx.push(tx);
-            let events_on = checker.config().events;
             let reply_tx = reply_tx.clone();
             let mem_tx = mem_tx.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("aion-shard-{shard}"))
-                    .spawn(move || worker_loop(shard, checker, rx, reply_tx, mem_tx, events_on))
+                    .spawn(move || worker_loop(shard, checker, rx, reply_tx, mem_tx))
                     // aion-lint: allow(panic-freedom) — OS thread-spawn
                     // failure is unrecoverable resource exhaustion; there
                     // is no session to degrade to
@@ -262,18 +258,17 @@ fn worker_loop(
     rx: Receiver<ShardCmd>,
     tx: Sender<ShardReply>,
     mem_tx: Sender<usize>,
-    events_on: bool,
 ) {
     let mut checker = Some(checker);
     while let Ok(cmd) = rx.recv() {
-        let out = worker_step(shard, &mut checker, cmd, events_on);
+        let out = worker_step(shard, &mut checker, cmd);
         for reply in out.replies {
             let _ = tx.send(reply);
         }
         if let Some(bytes) = out.mem {
             let _ = mem_tx.send(bytes);
         }
-        if out.done {
+        if checker.is_none() {
             return;
         }
     }
@@ -362,7 +357,6 @@ pub struct SimStats {
 
 struct SimWorker {
     checker: Option<OnlineChecker>,
-    events_on: bool,
     mailbox: VecDeque<ShardCmd>,
     outbox: VecDeque<ShardReply>,
     stalled: u32,
@@ -394,7 +388,6 @@ impl SimTransport {
         let workers = checkers
             .into_iter()
             .map(|checker| SimWorker {
-                events_on: checker.config().events,
                 checker: Some(checker),
                 mailbox: VecDeque::new(),
                 outbox: VecDeque::new(),
@@ -431,7 +424,7 @@ impl SimTransport {
             Unit::Process(i) => {
                 let Some(w) = self.workers.get_mut(i) else { return };
                 let Some(cmd) = w.mailbox.pop_front() else { return };
-                let out = worker_step(i, &mut w.checker, cmd, w.events_on);
+                let out = worker_step(i, &mut w.checker, cmd);
                 w.outbox.extend(out.replies);
                 self.stats.processed += 1;
             }

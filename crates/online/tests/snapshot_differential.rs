@@ -6,7 +6,7 @@
 //! the uninterrupted session's. For the sharded checker (whose event
 //! interleaving is scheduling-dependent) the guarantee is the final
 //! outcome and violation multiset, including across a shard-count
-//! change (`restore_resharded`).
+//! change (`restore(bytes, Some(n))`).
 //!
 //! This is the differential argument behind aion-serve's
 //! checkpoint-survives-a-daemon-restart cycle, run as a property over
@@ -194,16 +194,12 @@ fn drive_sharded(
         .build_sharded()
         .expect("open session");
     for (i, txn) in arrivals.iter().enumerate() {
-        if restore_shards == Some(shards) && i == cut {
+        if let Some(n) = restore_shards.filter(|_| i == cut) {
             let snap = ck.checkpoint().expect("checkpoint");
             drop(ck);
-            ck = ShardedChecker::restore(&snap).expect("restore");
-        } else if let Some(n) = restore_shards.filter(|&n| n != shards) {
-            if i == cut {
-                let snap = ck.checkpoint().expect("checkpoint");
-                drop(ck);
-                ck = ShardedChecker::restore_resharded(&snap, n).expect("restore resharded");
-            }
+            // Its own count resumes as it is; any other re-partitions.
+            let reshard = Some(n).filter(|&n| n != shards);
+            ck = ShardedChecker::restore(&snap, reshard).expect("restore");
         }
         let now = i as u64;
         ck.tick(now);
@@ -321,9 +317,9 @@ proptest! {
             if i == cut {
                 let snap = ck.checkpoint().expect("checkpoint under schedule");
                 let _ = ck.finish(); // the interrupted process dies here
-                ck = ShardedChecker::restore_resharded_sim(
+                ck = ShardedChecker::restore_sim(
                     &snap,
-                    reshard,
+                    Some(reshard),
                     SimSchedule::random(sched_seed ^ 0x5A5A),
                 )
                 .expect("restore resharded under schedule");
@@ -654,7 +650,7 @@ fn golden_sharded2_checkpoint_is_byte_stable() {
     ck.receive_batch(batch);
 
     let file = golden("sharded2.ckpt", &ck.checkpoint().expect("checkpoint"));
-    let mut back = ShardedChecker::restore(&file).expect("restore golden");
+    let mut back = ShardedChecker::restore(&file, None).expect("restore golden");
     assert!(
         back.checkpoint().expect("re-checkpoint") == file,
         "restore → checkpoint is the identity"
@@ -671,6 +667,58 @@ fn golden_sharded2_checkpoint_is_byte_stable() {
     let out = back.finish();
     assert_eq!(violation_variants(&out.report.violations).len(), 7, "every Violation variant");
     assert!(out.stats.reloaded_txns > 0, "a reload succeeded too: {:?}", out.stats);
+}
+
+/// The two modes of `ShardedChecker::restore`, which two names used to
+/// carry: `None` resumes byte-identically; `Some(n)` re-partitions, also
+/// when `n` is the checkpoint's own count.
+#[test]
+fn the_two_restore_modes_keep_their_contracts() {
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sharded2.ckpt");
+    let golden = std::fs::read(golden).expect("read golden checkpoint");
+
+    let mut arrivals = serial_history(DataKind::Kv, 90, 5, 9, 0xD40).txns;
+    arrivals.extend(one_of_each_violation(DataKind::Kv, 1000, 5000, 1));
+    let cut = 60;
+    let drive = |ck: &mut ShardedChecker, from: usize, to: usize| {
+        for (i, txn) in arrivals.iter().enumerate().take(to).skip(from) {
+            ck.tick(i as u64);
+            ck.feed(txn.clone(), i as u64);
+        }
+    };
+    let mut whole = OnlineChecker::builder()
+        .shards(3)
+        .gc(OnlineGcPolicy::Checking { max_txns: 12 })
+        .ext_timeout_ms(15)
+        .build_sharded()
+        .expect("open session");
+    drive(&mut whole, 0, cut);
+    let snap = whole.checkpoint().expect("checkpoint");
+    drive(&mut whole, cut, arrivals.len());
+    whole.tick(u64::MAX);
+    let whole = whole.finish();
+    assert_eq!(violation_variants(&whole.report.violations).len(), 7, "every Violation variant");
+
+    for bytes in [&golden, &snap] {
+        let mut same = ShardedChecker::restore(bytes, None).expect("restore");
+        assert!(same.checkpoint().expect("re-checkpoint") == *bytes, "None: the identity");
+    }
+    let mut split = ShardedChecker::restore(&snap, Some(3)).expect("re-partition");
+    assert_eq!(split.num_shards(), 3);
+    // Re-partitioning merges the workers' counters onto worker 0 and
+    // starts every spill store afresh, so the bytes move.
+    assert!(split.checkpoint().expect("checkpoint") != snap, "Some(3) of 3: not the identity");
+    for mut resumed in [split, ShardedChecker::restore(&snap, None).expect("restore")] {
+        drive(&mut resumed, cut, arrivals.len());
+        resumed.tick(u64::MAX);
+        let out = resumed.finish();
+        assert_eq!(violation_set(&whole), violation_set(&out));
+        assert_eq!(
+            (whole.txns, whole.stats.finalized, whole.flips.total_flips),
+            (out.txns, out.stats.finalized, out.flips.total_flips)
+        );
+    }
 }
 
 /// Three tentative reads of one key by one transaction, and five

@@ -477,10 +477,9 @@ impl Registry {
                 }
                 SessionChecker::Single(OnlineChecker::restore(bytes)?)
             }
-            SNAPSHOT_KIND_SHARDED => SessionChecker::Sharded(match shards {
-                Some(n) => ShardedChecker::restore_resharded(bytes, n)?,
-                None => ShardedChecker::restore(bytes)?,
-            }),
+            SNAPSHOT_KIND_SHARDED => {
+                SessionChecker::Sharded(ShardedChecker::restore(bytes, shards)?)
+            }
             other => {
                 return Err(ServeError::Snapshot(SnapshotError::WrongKind {
                     expected: SNAPSHOT_KIND_SINGLE,
@@ -743,6 +742,38 @@ mod tests {
         let (orig, _) = reg.finish("s").unwrap();
         assert_eq!(reshard.is_ok(), orig.is_ok());
         assert_eq!(reshard.report.violations.len(), orig.report.violations.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `{"cmd":"open","shards":1000000}` and `restore … shards=1000000`
+    /// used to reach a thread-spawn `expect` and kill the pool worker.
+    #[test]
+    fn a_shard_count_from_the_socket_is_bounded() {
+        let dir = std::env::temp_dir().join(format!("aion-serve-maxsh-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let files = || std::fs::read_dir(&dir).unwrap().count();
+        let spilling = |shards: usize| OpenParams {
+            shards: Some(shards),
+            spill_path: Some(dir.join("spill.bin").to_str().unwrap().to_owned()),
+            ..OpenParams::default()
+        };
+        let reg = Registry::new(usize::MAX, usize::MAX);
+        assert!(matches!(reg.open("big", &spilling(1_000_000)), Err(ServeError::Config(_))));
+        assert_eq!(files(), 0, "no worker was built");
+
+        reg.open("s", &spilling(2)).unwrap();
+        let snap = dir.join("s.ckpt");
+        reg.checkpoint("s", snap.to_str().unwrap()).unwrap();
+        reg.finish("s").unwrap();
+        for shard in 0..2 {
+            std::fs::remove_file(dir.join(format!("spill.bin.shard{shard}"))).unwrap();
+        }
+        assert!(matches!(
+            reg.restore("big", snap.to_str().unwrap(), Some(1_000_000)),
+            Err(ServeError::Snapshot(SnapshotError::Corrupt(_)))
+        ));
+        assert_eq!(files(), 1, "only the snapshot: no worker was built");
+        assert!(reg.list().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -81,11 +81,6 @@ impl KeySampler {
             }
         }
     }
-
-    /// Size of the key space.
-    pub fn key_space(&self) -> u64 {
-        self.n
-    }
 }
 
 /// YCSB-style Zipfian generator over ranks `0..n`.
