@@ -24,12 +24,11 @@
 //! Every checker — online AION, offline CHRONOS, and the baseline
 //! adapters — implements one trait, [`prelude::Checker`]:
 //!
-//! * `feed(txn, now_ms)` ingests one transaction and returns the typed
-//!   [`prelude::CheckEvent`]s it produced (definitive violations,
-//!   tentative-verdict flip-flops, EXT finalizations, GC spill passes);
-//! * `tick(now_ms)` advances the virtual clock, firing EXT timeouts;
-//! * `finish()` closes the session into the uniform
-//!   [`prelude::Outcome`].
+//! * `feed(txn, now_ms)` advances the clock to `now_ms`, then ingests one
+//!   transaction, returning the typed [`prelude::CheckEvent`]s both produced
+//!   (EXT finalizations, definitive violations, verdict flip-flops, GC passes);
+//! * `tick(now_ms)` is for idle time and `tick(u64::MAX)` at end of stream;
+//! * `finish()` closes the session into the uniform [`prelude::Outcome`].
 //!
 //! Offline checkers buffer in `feed` and do all work in `finish`; the
 //! online checker emits verdicts *while* the history streams in, which
@@ -51,7 +50,7 @@
 //! let outcome = check_si(&history, &ChronosOptions::default());
 //! assert!(outcome.is_ok());
 //!
-//! // ...and online with AION, streaming events as arrivals come in.
+//! // ...and online with AION: `feed` carries the clock, so events stream as arrivals come in.
 //! let mut checker = OnlineChecker::builder()
 //!     .level(IsolationLevel::Si)
 //!     .ext_timeout_ms(5_000)
@@ -75,6 +74,7 @@
 //! `list_histories`, and `twitter_audit`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 
@@ -111,9 +111,9 @@ pub mod prelude {
     };
 
     pub use aion_online::{
-        feed_plan, route_txn, run_plan, shard_of, AionConfig, AionOutcome, Arrival, ConfigError,
-        FeedConfig, OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy, OnlineRunReport,
-        RoutedTxn, ShardConfig, ShardedChecker, TimedEvent,
+        feed_plan, route_txn, run_plan, AionConfig, Arrival, ConfigError, FeedConfig,
+        OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy, OnlineRunReport, RoutedTxn,
+        ShardConfig, ShardedChecker,
     };
 
     pub use aion_storage::{
@@ -137,5 +137,5 @@ pub mod prelude {
         StreamReport,
     };
 
-    pub use aion_serve::{Registry, ServeConfig, ServeError, Server, SessionChecker};
+    pub use aion_serve::{Registry, ServeConfig, ServeError, Server};
 }

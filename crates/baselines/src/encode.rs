@@ -16,7 +16,7 @@ use aion_types::{FxHashMap, History, Key, Op, Snapshot, Value};
 
 /// An encoded constraint problem plus inference anomalies.
 #[derive(Debug, Default)]
-pub struct Encoding {
+pub(crate) struct Encoding {
     /// The constraint problem (empty when `n == 0`).
     pub problem: ChoiceProblem,
     /// Reads that could not be matched to any writer, and similar.
@@ -93,7 +93,7 @@ fn so_pairs(history: &History) -> Vec<(u32, u32)> {
 
 /// Encode SI as a begin/commit polygraph: node `2i` is `begin(i)`, node
 /// `2i + 1` is `commit(i)`.
-pub fn encode_si_bc(history: &History) -> Encoding {
+pub(crate) fn encode_si_bc(history: &History) -> Encoding {
     let n = history.txns.len();
     let b = |i: u32| 2 * i;
     let c = |i: u32| 2 * i + 1;
@@ -156,7 +156,11 @@ pub fn encode_si_bc(history: &History) -> Encoding {
 /// `active` (Cobra processes rounds over a sliding window). `allow_unknown`
 /// suppresses anomalies for reads whose writer lies outside the window
 /// (already garbage-collected — Cobra's fences guarantee their order).
-pub fn encode_ser_polygraph(history: &History, active: &[u32], allow_unknown: bool) -> Encoding {
+pub(crate) fn encode_ser_polygraph(
+    history: &History,
+    active: &[u32],
+    allow_unknown: bool,
+) -> Encoding {
     let pos: FxHashMap<u32, u32> = active.iter().enumerate().map(|(p, &i)| (i, p as u32)).collect();
     let mut anomalies = Vec::new();
     let mut problem = ChoiceProblem::new(active.len());

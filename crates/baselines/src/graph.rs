@@ -17,12 +17,12 @@ impl DiGraph {
     }
 
     /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.adj.len()
     }
 
     /// Number of edges (duplicates counted).
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges
     }
 
@@ -39,7 +39,7 @@ impl DiGraph {
 
     /// Strongly connected components (iterative Tarjan), in reverse
     /// topological order of the condensation.
-    pub fn tarjan_scc(&self) -> Vec<Vec<u32>> {
+    pub(crate) fn tarjan_scc(&self) -> Vec<Vec<u32>> {
         let n = self.adj.len();
         let mut index = vec![u32::MAX; n];
         let mut low = vec![0u32; n];
@@ -198,7 +198,7 @@ pub struct BitMatrix {
 
 impl BitMatrix {
     /// An all-false `n × n` matrix.
-    pub fn new(n: usize) -> BitMatrix {
+    pub(crate) fn new(n: usize) -> BitMatrix {
         let words = n.div_ceil(64);
         BitMatrix { words, bits: vec![0; n * words] }
     }
@@ -207,12 +207,6 @@ impl BitMatrix {
     #[inline]
     pub fn get(&self, u: u32, v: u32) -> bool {
         self.bits[u as usize * self.words + v as usize / 64] >> (v % 64) & 1 == 1
-    }
-
-    /// Set cell `(u, v)`.
-    #[inline]
-    pub fn set(&mut self, u: u32, v: u32) {
-        self.bits[u as usize * self.words + v as usize / 64] |= 1 << (v % 64);
     }
 }
 
@@ -294,7 +288,7 @@ impl IncrementalDag {
     }
 
     /// Remove a previously added edge `u → v` (most-recent occurrence).
-    pub fn remove_edge(&mut self, u: u32, v: u32) {
+    pub(crate) fn remove_edge(&mut self, u: u32, v: u32) {
         if let Some(p) = self.adj[u as usize].iter().rposition(|&x| x == v) {
             self.adj[u as usize].remove(p);
         }

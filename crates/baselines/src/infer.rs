@@ -39,15 +39,10 @@ impl Dependencies {
     pub fn d_edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.so.iter().chain(&self.wr).chain(&self.ww).copied()
     }
-
-    /// Total edge count.
-    pub fn num_edges(&self) -> usize {
-        self.so.len() + self.wr.len() + self.ww.len() + self.rw.len()
-    }
 }
 
 /// Session-order edges: consecutive transactions of each session.
-pub fn session_edges(history: &History) -> Vec<(u32, u32)> {
+pub(crate) fn session_edges(history: &History) -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
     for (_, idxs) in history.sessions() {
         for w in idxs.windows(2) {
@@ -161,7 +156,7 @@ pub fn infer_white_box(history: &History) -> Dependencies {
 /// Black-box register inference (Elle/Cobra style): unique values give
 /// `wr`; read-modify-write gives partial `ww`/`rw`; two RMWs from the same
 /// version expose a lost update directly.
-pub fn infer_black_box_kv(history: &History) -> Dependencies {
+pub(crate) fn infer_black_box_kv(history: &History) -> Dependencies {
     let n = history.txns.len();
     let mut deps = Dependencies { n, so: session_edges(history), ..Dependencies::default() };
 
@@ -260,7 +255,7 @@ pub fn infer_black_box_kv(history: &History) -> Dependencies {
 
 /// Black-box list inference (ElleList): observed lists are prefixes of the
 /// per-key append order, which recovers the version order exactly.
-pub fn infer_black_box_list(history: &History) -> Dependencies {
+pub(crate) fn infer_black_box_list(history: &History) -> Dependencies {
     let n = history.txns.len();
     let mut deps = Dependencies { n, so: session_edges(history), ..Dependencies::default() };
 

@@ -13,11 +13,12 @@
 //! | [`viper`] | SI | offline, black-box | BC-polygraph + constraint search |
 //! | [`cobra`] | SER | **online**, black-box | rounds + fences + polygraph search |
 //!
-//! Substrates: [`graph`] (Tarjan SCC, incremental cycle detection, bitset
-//! closure), [`infer`] (dependency extraction), [`solver`] (the MonoSAT
-//! stand-in), [`encode`] (polygraph encodings).
+//! Substrates: `graph` (Tarjan SCC, incremental cycle detection, bitset
+//! closure), `infer` (dependency extraction), `solver` (the MonoSAT
+//! stand-in), `encode` (polygraph encodings).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 
@@ -25,11 +26,11 @@ pub mod adapter;
 pub mod cobra;
 pub mod elle;
 pub mod emme;
-pub mod encode;
-pub mod graph;
-pub mod infer;
+mod encode;
+mod graph;
+mod infer;
 pub mod polysi;
-pub mod solver;
+mod solver;
 pub mod verdict;
 pub mod viper;
 
@@ -39,4 +40,12 @@ pub use elle::{check_elle, check_elle_kv, check_elle_list, Level};
 pub use emme::{check_emme_ser, check_emme_si};
 pub use polysi::{check_polysi, check_polysi_budget};
 pub use verdict::BaselineOutcome;
-pub use viper::{check_viper, check_viper_budget};
+pub use viper::check_viper_budget;
+
+// The substrates `tests/proptests.rs` compares with naive models; nothing
+// else outside the crate names them.
+#[doc(hidden)]
+pub use {
+    graph::DiGraph, graph::IncrementalDag, infer::infer_white_box, solver::ChoiceProblem,
+    solver::SolveOutcome,
+};

@@ -1,7 +1,7 @@
 //! PolySI reconstruction (Huang et al., VLDB '23): black-box SI checking
 //! by encoding the history as a generalized polygraph and solving the
 //! acyclicity constraints — here over the begin/commit encoding of
-//! [`crate::encode::encode_si_bc`], with PolySI's signature *pruning*
+//! `crate::encode::encode_si_bc`, with PolySI's signature *pruning*
 //! (iterated unit propagation from the known-edge transitive closure)
 //! before the search that stands in for MonoSAT.
 
@@ -12,7 +12,7 @@ use aion_types::History;
 use aion_types::Stopwatch;
 
 /// Default backtracking budget (steps) before reporting DNF.
-pub const DEFAULT_BUDGET: u64 = 2_000_000;
+const DEFAULT_BUDGET: u64 = 2_000_000;
 
 /// Check snapshot isolation, black-box.
 pub fn check_polysi(history: &History) -> BaselineOutcome {

@@ -22,7 +22,7 @@ use crate::graph::{DiGraph, IncrementalDag};
 
 /// One binary decision between two induced edge sets.
 #[derive(Clone, Debug)]
-pub struct Choice {
+pub(crate) struct Choice {
     /// Edges if option A is taken.
     pub a: Vec<(u32, u32)>,
     /// Edges if option B is taken.
@@ -57,11 +57,11 @@ pub struct SolveStats {
 #[derive(Clone, Debug, Default)]
 pub struct ChoiceProblem {
     /// Number of graph nodes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Unconditional edges.
-    pub known: Vec<(u32, u32)>,
+    pub(crate) known: Vec<(u32, u32)>,
     /// Binary choices.
-    pub choices: Vec<Choice>,
+    pub(crate) choices: Vec<Choice>,
 }
 
 /// Above this node count the quadratic closure for propagation is skipped
@@ -93,7 +93,7 @@ impl ChoiceProblem {
 
     /// Solve with an explicit propagation-round limit (0 = search only;
     /// the Viper reconstruction uses fewer rounds than PolySI).
-    pub fn solve_opts(&self, budget: u64, max_rounds: usize) -> (SolveOutcome, SolveStats) {
+    pub(crate) fn solve_opts(&self, budget: u64, max_rounds: usize) -> (SolveOutcome, SolveStats) {
         let mut stats = SolveStats::default();
         let mut known = self.known.clone();
         let mut open: Vec<Choice> = self.choices.clone();

@@ -10,15 +10,8 @@ use crate::verdict::BaselineOutcome;
 use aion_types::History;
 use aion_types::Stopwatch;
 
-/// Default backtracking budget (steps) before reporting DNF.
-pub const DEFAULT_BUDGET: u64 = 2_000_000;
-
-/// Check snapshot isolation, black-box (BC-polygraph).
-pub fn check_viper(history: &History) -> BaselineOutcome {
-    check_viper_budget(history, DEFAULT_BUDGET)
-}
-
-/// Check with an explicit search budget.
+/// Check snapshot isolation, black-box (BC-polygraph), giving up (DNF)
+/// after `budget` backtracking steps.
 pub fn check_viper_budget(history: &History, budget: u64) -> BaselineOutcome {
     let start = Stopwatch::start();
     let enc = encode_si_bc(history);
@@ -56,7 +49,7 @@ mod tests {
             TxnBuilder::new(1).session(1, 0).interval(3, 6).put(Key(1), Value(2)).build(),
             TxnBuilder::new(2).session(2, 0).interval(4, 5).read(Key(1), Value(1)).build(),
         ]);
-        assert!(check_viper(&h).is_ok());
+        assert!(check_viper_budget(&h, 2_000_000).is_ok());
         assert!(crate::polysi::check_polysi(&h).is_ok());
     }
 
@@ -76,7 +69,7 @@ mod tests {
                 .put(Key(1), Value(2))
                 .build(),
         ]);
-        assert!(!check_viper(&h).accepted);
+        assert!(!check_viper_budget(&h, 2_000_000).accepted);
     }
 
     #[test]
@@ -85,6 +78,6 @@ mod tests {
             TxnBuilder::new(0).session(0, 0).interval(1, 2).read(Key(1), Value(0)).build(),
             TxnBuilder::new(1).session(1, 0).interval(3, 4).read(Key(2), Value(0)).build(),
         ]);
-        assert!(check_viper(&h).is_ok());
+        assert!(check_viper_budget(&h, 2_000_000).is_ok());
     }
 }

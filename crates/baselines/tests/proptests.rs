@@ -2,9 +2,7 @@
 //! naive models, the constraint solver against exhaustive enumeration, and
 //! inference consistency on engine-generated histories.
 
-use aion_baselines::graph::{DiGraph, IncrementalDag};
-use aion_baselines::infer::infer_white_box;
-use aion_baselines::solver::{ChoiceProblem, SolveOutcome};
+use aion_baselines::{infer_white_box, ChoiceProblem, DiGraph, IncrementalDag, SolveOutcome};
 use aion_storage::MvccStore;
 use aion_types::DataKind;
 use aion_workload::{generate_templates, run_interleaved, WorkloadSpec};

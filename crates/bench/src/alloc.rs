@@ -49,12 +49,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 }
 
 /// Live heap bytes right now.
-pub fn live_bytes() -> usize {
+pub(crate) fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
 /// Peak live bytes since the last [`reset_peak`].
-pub fn peak_bytes() -> usize {
+pub(crate) fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
 
@@ -69,6 +69,6 @@ pub fn free_count() -> usize {
 }
 
 /// Reset the peak to the current live value.
-pub fn reset_peak() {
+pub(crate) fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }

@@ -11,7 +11,7 @@ use aion_workload::{run_interleaved, IsolationLevel, TxnTemplate, WorkloadSpec};
 use std::path::PathBuf;
 
 /// Where cached histories live.
-pub fn cache_dir() -> PathBuf {
+pub(crate) fn cache_dir() -> PathBuf {
     PathBuf::from("results").join("cache")
 }
 
@@ -31,7 +31,7 @@ fn cached(key: &str, build: impl FnOnce() -> History) -> History {
 }
 
 /// A default-workload history at the given isolation level (cached).
-pub fn default_history(spec: &WorkloadSpec, level: IsolationLevel) -> History {
+pub(crate) fn default_history(spec: &WorkloadSpec, level: IsolationLevel) -> History {
     let key = format!(
         "def-{:?}-{}s{}o{}r{}k{}d{}-{:?}-{}",
         level,
@@ -50,7 +50,7 @@ pub fn default_history(spec: &WorkloadSpec, level: IsolationLevel) -> History {
 
 /// Which application workload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum App {
+pub(crate) enum App {
     /// Twitter clone (growing key space).
     Twitter,
     /// RUBiS auction site.
@@ -61,7 +61,7 @@ pub enum App {
 
 impl App {
     /// Label used in tables.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             App::Twitter => "Twitter",
             App::Rubis => "RUBiS",
@@ -71,7 +71,7 @@ impl App {
 }
 
 /// Generate (cached) an application history.
-pub fn app_history(app: App, txns: usize, level: IsolationLevel, seed: u64) -> History {
+pub(crate) fn app_history(app: App, txns: usize, level: IsolationLevel, seed: u64) -> History {
     let key = format!("app-{}-{txns}-{level:?}-{seed}", app.label());
     cached(&key, || {
         let templates: Vec<TxnTemplate> = match app {
@@ -103,7 +103,7 @@ pub fn app_history(app: App, txns: usize, level: IsolationLevel, seed: u64) -> H
 
 /// The throughput-experiment spec of §VI-A: #sess=24, #ops/txn=8, and 90 %
 /// reads for SER checking (50 % for SI).
-pub fn throughput_spec(txns: usize, ser: bool) -> WorkloadSpec {
+pub(crate) fn throughput_spec(txns: usize, ser: bool) -> WorkloadSpec {
     WorkloadSpec::default()
         .with_txns(txns)
         .with_sessions(24)
@@ -112,13 +112,13 @@ pub fn throughput_spec(txns: usize, ser: bool) -> WorkloadSpec {
 }
 
 /// The key Cobra's fence transactions read-modify-write.
-pub const FENCE_KEY: aion_types::Key = aion_types::Key(1 << 60);
+pub(crate) const FENCE_KEY: aion_types::Key = aion_types::Key(1 << 60);
 
 /// A serializable history with a fence transaction woven in every
 /// `fence_every` transactions (Cobra requires fences in the client
 /// workload — the intrusiveness the paper criticizes). Returns the history
 /// and the fence key.
-pub fn cobra_history(txns: usize, fence_every: usize) -> (History, aion_types::Key) {
+pub(crate) fn cobra_history(txns: usize, fence_every: usize) -> (History, aion_types::Key) {
     let key = format!("cobra-{txns}-f{fence_every}");
     let h = cached(&key, || {
         let spec = throughput_spec(txns, true);

@@ -34,7 +34,7 @@
 //! regenerates `docs/conformance.md` (the expectation matrix, identical
 //! bytes for `--fast` and full runs).
 
-use super::Ctx;
+use super::{Ctx, Family};
 use aion_baselines::{ElleChecker, EmmeChecker};
 use aion_core::{ChronosChecker, ChronosOptions};
 use aion_online::{feed_plan, run_plan, FeedConfig, OnlineChecker};
@@ -76,15 +76,6 @@ impl std::fmt::Display for CellExpect {
 }
 
 /// The checker families of the matrix, in column order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Family {
-    Aion,
-    Sharded(usize),
-    Chronos,
-    Elle,
-    Emme,
-}
-
 const FAMILIES: &[Family] = &[
     Family::Aion,
     Family::Sharded(1),
@@ -95,22 +86,6 @@ const FAMILIES: &[Family] = &[
     Family::Elle,
     Family::Emme,
 ];
-
-impl Family {
-    fn label(self) -> String {
-        match self {
-            Family::Aion => "aion".into(),
-            Family::Sharded(n) => format!("sharded-{n}"),
-            Family::Chronos => "chronos".into(),
-            Family::Elle => "elle".into(),
-            Family::Emme => "emme".into(),
-        }
-    }
-
-    fn is_timestamp_based(self) -> bool {
-        matches!(self, Family::Aion | Family::Sharded(_) | Family::Chronos)
-    }
-}
 
 /// Per-anomaly injection rate: enough instances for a deterministic
 /// signal without drowning the history.
@@ -337,7 +312,7 @@ fn run_cell(
 /// merely this seed) hold; the baseline columns are seed-pinned and
 /// only asserted on the primary seed. `--level <l>` restricts the level
 /// axis to one column; `--level mixed` runs only the differential pass.
-pub fn conformance(ctx: &Ctx) {
+pub(super) fn conformance(ctx: &Ctx) {
     let level_filter = match ctx.level.as_deref() {
         None => None,
         Some("mixed") => {

@@ -60,7 +60,7 @@ const FLIP_HEADERS: [&str; 7] =
 const RECTIFY_HEADERS: [&str; 6] = ["delays", "0-1ms", "1-2ms", "2-10ms", "10-99ms", "100+ms"];
 
 /// Fig. 13: flip-flop counts and rectification latency under N(100, 10²).
-pub fn fig13(ctx: &Ctx) {
+pub(super) fn fig13(ctx: &Ctx) {
     let h = flip_history(ctx);
     let s = run_flips(&h, 100.0, 10.0);
     let mut ta = Table::new("Fig. 13a: flip-flops under N(100,10^2)", &FLIP_HEADERS);
@@ -74,7 +74,7 @@ pub fn fig13(ctx: &Ctx) {
 }
 
 /// Fig. 14: flip-flops vs delay mean (a) and standard deviation (b).
-pub fn fig14(ctx: &Ctx) {
+pub(super) fn fig14(ctx: &Ctx) {
     let h = flip_history(ctx);
     let mut ta = Table::new("Fig. 14a: (txn,key) flip counts vs mean, N(mu,10^2)", &FLIP_HEADERS);
     for mu in [50.0, 100.0, 200.0, 300.0, 400.0, 500.0] {
@@ -92,7 +92,7 @@ pub fn fig14(ctx: &Ctx) {
 }
 
 /// Figs. 17 & 18 (appendix): full flip histograms across µ and σ.
-pub fn fig17_18(ctx: &Ctx) {
+pub(super) fn fig17_18(ctx: &Ctx) {
     let h = flip_history(ctx);
     let mut t = Table::new("Figs. 17/18: flip-flop histograms across delays", &FLIP_HEADERS);
     for mu in [50.0, 100.0, 200.0, 300.0, 400.0, 500.0] {
@@ -107,7 +107,7 @@ pub fn fig17_18(ctx: &Ctx) {
 }
 
 /// Fig. 19 (appendix): unique transactions involved in flip-flops.
-pub fn fig19(ctx: &Ctx) {
+pub(super) fn fig19(ctx: &Ctx) {
     let h = flip_history(ctx);
     let mut t = Table::new(
         "Fig. 19: unique transactions in flip-flops",
@@ -133,7 +133,7 @@ pub fn fig19(ctx: &Ctx) {
 }
 
 /// Figs. 20 & 21 (appendix): EXT finalization latency across delays.
-pub fn fig20_21(ctx: &Ctx) {
+pub(super) fn fig20_21(ctx: &Ctx) {
     let h = flip_history(ctx);
     let mut t = Table::new("Figs. 20/21: time to rectify across delays", &RECTIFY_HEADERS);
     for mu in [50.0, 100.0, 200.0, 300.0, 400.0, 500.0] {

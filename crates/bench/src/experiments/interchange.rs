@@ -34,6 +34,7 @@
 //! aion-written dbcop files convert back losslessly via their `"aion"`
 //! extension.
 
+use super::{Family, CHECKER_FLAGS};
 use aion_baselines::{ElleChecker, EmmeChecker};
 use aion_core::{ChronosChecker, ChronosOptions};
 use aion_io::{
@@ -46,36 +47,6 @@ use std::path::PathBuf;
 
 /// The level labels `--level` accepts, for error messages.
 const LEVEL_FLAGS: &str = "rc|ra|si|ser|both|all|mixed";
-/// The checker labels `--checker` accepts, for error messages.
-const CHECKER_FLAGS: &str = "aion|sharded-N|chronos|elle|emme";
-
-/// Which checker family `--checker` selected.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Family {
-    Aion,
-    Sharded(usize),
-    Chronos,
-    Elle,
-    Emme,
-}
-
-impl Family {
-    /// Parse a `--checker` value; the error lists every valid label.
-    fn parse(s: &str) -> Result<Family, String> {
-        match s {
-            "aion" => Ok(Family::Aion),
-            "chronos" => Ok(Family::Chronos),
-            "elle" => Ok(Family::Elle),
-            "emme" => Ok(Family::Emme),
-            _ => s
-                .strip_prefix("sharded-")
-                .and_then(|n| n.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .map(Family::Sharded)
-                .ok_or_else(|| format!("unknown checker '{s}' (valid: {CHECKER_FLAGS}, N ≥ 1)")),
-        }
-    }
-}
 
 /// Parse a `--level` value into the checking sessions to open; the
 /// error lists every valid label.

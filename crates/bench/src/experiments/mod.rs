@@ -5,13 +5,13 @@
 //! so the whole suite runs on a laptop in minutes; `--scale 1` reproduces
 //! paper-scale inputs.
 
-pub mod conformance;
+mod conformance;
 pub mod dst;
-pub mod flipflops;
+mod flipflops;
 pub mod interchange;
 pub mod lint;
-pub mod offline;
-pub mod online;
+mod offline;
+mod online;
 pub mod serve;
 
 use std::path::PathBuf;
@@ -40,6 +40,52 @@ impl Ctx {
     /// Scale a paper-sized transaction count (with a sane floor).
     pub fn n(&self, paper: usize) -> usize {
         (paper / self.scale).clamp(100.min(paper), paper)
+    }
+}
+
+/// The checker labels `--checker` accepts, for error messages.
+const CHECKER_FLAGS: &str = "aion|sharded-N|chronos|elle|emme";
+
+/// A checker family: a column of the conformance matrix, a `--checker`
+/// value of `experiments check`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Family {
+    Aion,
+    Sharded(usize),
+    Chronos,
+    Elle,
+    Emme,
+}
+
+impl Family {
+    fn label(self) -> String {
+        match self {
+            Family::Aion => "aion".into(),
+            Family::Sharded(n) => format!("sharded-{n}"),
+            Family::Chronos => "chronos".into(),
+            Family::Elle => "elle".into(),
+            Family::Emme => "emme".into(),
+        }
+    }
+
+    /// Parse a `--checker` value; the error lists every valid label.
+    fn parse(s: &str) -> Result<Family, String> {
+        match s {
+            "aion" => Ok(Family::Aion),
+            "chronos" => Ok(Family::Chronos),
+            "elle" => Ok(Family::Elle),
+            "emme" => Ok(Family::Emme),
+            _ => s
+                .strip_prefix("sharded-")
+                .and_then(|n| n.parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+                .map(Family::Sharded)
+                .ok_or_else(|| format!("unknown checker '{s}' (valid: {CHECKER_FLAGS}, N ≥ 1)")),
+        }
+    }
+
+    fn is_timestamp_based(self) -> bool {
+        matches!(self, Family::Aion | Family::Sharded(_) | Family::Chronos)
     }
 }
 

@@ -17,7 +17,7 @@ fn chronos_time(h: &History, gc: GcPolicy) -> (Duration, usize) {
 }
 
 /// Table I: the default workload parameter grid.
-pub fn table1(ctx: &Ctx) {
+pub(super) fn table1(ctx: &Ctx) {
     let mut t = Table::new(
         "Table I: parameters of the default workload",
         &["parameter", "values", "default"],
@@ -36,7 +36,7 @@ pub fn table1(ctx: &Ctx) {
 }
 
 /// Fig. 4: runtime of all five checkers on small KV histories.
-pub fn fig4(ctx: &Ctx) {
+pub(super) fn fig4(ctx: &Ctx) {
     let mut t = Table::new(
         "Fig. 4: runtime (s) on key-value histories, all checkers",
         &["#txns", "PolySI", "Viper", "ElleKV", "Emme-SI", "Chronos"],
@@ -74,7 +74,7 @@ pub fn fig4(ctx: &Ctx) {
 }
 
 /// Fig. 5a: CHRONOS vs ElleKV vs Emme-SI on larger KV histories.
-pub fn fig5a(ctx: &Ctx) {
+pub(super) fn fig5a(ctx: &Ctx) {
     let mut t = Table::new(
         "Fig. 5a: runtime (s) on key-value histories",
         &["#txns", "ElleKV", "Emme-SI", "Chronos"],
@@ -92,7 +92,7 @@ pub fn fig5a(ctx: &Ctx) {
 }
 
 /// Fig. 5b: CHRONOS vs ElleList on list histories.
-pub fn fig5b(ctx: &Ctx) {
+pub(super) fn fig5b(ctx: &Ctx) {
     let mut t =
         Table::new("Fig. 5b: runtime (s) on list histories", &["#txns", "ElleList", "Chronos"]);
     for &paper_n in &[2_000usize, 4_000, 6_000, 8_000, 10_000] {
@@ -107,7 +107,7 @@ pub fn fig5b(ctx: &Ctx) {
 }
 
 /// Fig. 6: CHRONOS runtime under GC strategies, varying workload params.
-pub fn fig6(ctx: &Ctx) {
+pub(super) fn fig6(ctx: &Ctx) {
     let gcs: Vec<(String, GcPolicy)> = [10_000usize, 20_000, 50_000]
         .iter()
         .map(|&n| {
@@ -169,7 +169,7 @@ pub fn fig6(ctx: &Ctx) {
 }
 
 /// Fig. 7: peak memory of all checkers.
-pub fn fig7(ctx: &Ctx) {
+pub(super) fn fig7(ctx: &Ctx) {
     let mut ta = Table::new(
         "Fig. 7a: peak memory (MiB) vs #txns",
         &["#txns", "PolySI", "Viper", "ElleKV", "Emme-SI", "Chronos"],
@@ -236,7 +236,7 @@ pub fn fig7(ctx: &Ctx) {
 }
 
 /// Fig. 8: stage decomposition (loading / sorting / checking), no GC.
-pub fn fig8(ctx: &Ctx) {
+pub(super) fn fig8(ctx: &Ctx) {
     let run = |h: &History| -> (Duration, Duration, Duration) {
         let bytes = codec::encode_history(h);
         let (loading, decoded) = time_it(|| codec::decode_history(&bytes).expect("cache decodes"));
@@ -269,7 +269,7 @@ pub fn fig8(ctx: &Ctx) {
 }
 
 /// Fig. 9: stage decomposition under varying GC frequencies.
-pub fn fig9(ctx: &Ctx) {
+pub(super) fn fig9(ctx: &Ctx) {
     let n = ctx.n(1_000_000);
     let h = default_history(&WorkloadSpec::default().with_txns(n), IsolationLevel::Si);
     let bytes = codec::encode_history(&h);
@@ -297,7 +297,7 @@ pub fn fig9(ctx: &Ctx) {
 }
 
 /// Fig. 10: CHRONOS memory over time under GC strategies.
-pub fn fig10(ctx: &Ctx) {
+pub(super) fn fig10(ctx: &Ctx) {
     let n = ctx.n(100_000).max(20_000);
     let h = default_history(&WorkloadSpec::default().with_txns(n), IsolationLevel::Si);
     let mut t = Table::new(
@@ -341,7 +341,7 @@ pub fn fig10(ctx: &Ctx) {
 }
 
 /// Fig. 11 + §V-D: timestamp-based checking catches what black-box misses.
-pub fn fig11(ctx: &Ctx) {
+pub(super) fn fig11(ctx: &Ctx) {
     let h = History {
         kind: DataKind::Kv,
         txns: vec![
@@ -376,7 +376,7 @@ pub fn fig11(ctx: &Ctx) {
 }
 
 /// §V-D: fault-injection study — CHRONOS detects every injected class.
-pub fn sec5d(ctx: &Ctx) {
+pub(super) fn sec5d(ctx: &Ctx) {
     let n = ctx.n(20_000);
     let base = WorkloadSpec::default().with_txns(n);
     let mut t = Table::new(
@@ -429,7 +429,7 @@ pub fn sec5d(ctx: &Ctx) {
 }
 
 /// Fig. 22: CHRONOS runtime vs #sessions and read proportion.
-pub fn fig22(ctx: &Ctx) {
+pub(super) fn fig22(ctx: &Ctx) {
     let mut ta = Table::new("Fig. 22a: runtime (s) vs #sessions", &["#sess", "Chronos"]);
     for &s in grid::SESSIONS {
         let spec = WorkloadSpec::default().with_txns(ctx.n(100_000)).with_sessions(s);
@@ -448,7 +448,7 @@ pub fn fig22(ctx: &Ctx) {
 }
 
 /// Fig. 24: offline decomposition for TPCC / RUBiS / Twitter.
-pub fn fig24(ctx: &Ctx) {
+pub(super) fn fig24(ctx: &Ctx) {
     let n = ctx.n(100_000);
     let mut t = Table::new(
         format!("Fig. 24: offline checking decomposition (s), {n} txns/app"),

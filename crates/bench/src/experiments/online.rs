@@ -6,7 +6,7 @@ use crate::tables::{mib, Table};
 use aion_baselines::{run_cobra_online, CobraConfig};
 use aion_core::check_ser_report;
 use aion_online::{feed_plan, run_plan, FeedConfig, OnlineChecker, OnlineGcPolicy};
-use aion_types::{AxiomKind, DataKind, History};
+use aion_types::{AxiomKind, Checker, DataKind, History};
 use aion_workload::IsolationLevel;
 
 /// GC configurations evaluated in Fig. 12, derived from the history size.
@@ -68,7 +68,7 @@ fn emit_throughput(
 
 /// Fig. 12a: online SER checking throughput — AION-SER (3 GC modes) vs
 /// Cobra (fence frequency × round size).
-pub fn fig12a(ctx: &Ctx) {
+pub(super) fn fig12a(ctx: &Ctx) {
     let n = ctx.n(500_000);
     let h = default_history(&throughput_spec(n, true), IsolationLevel::Ser);
     let mut runs = Vec::new();
@@ -102,7 +102,7 @@ pub fn fig12a(ctx: &Ctx) {
 }
 
 /// Fig. 12b: online SI checking throughput, three GC modes.
-pub fn fig12b(ctx: &Ctx) {
+pub(super) fn fig12b(ctx: &Ctx) {
     let n = ctx.n(500_000);
     let h = default_history(&throughput_spec(n, false), IsolationLevel::Si);
     let mut runs = Vec::new();
@@ -114,7 +114,7 @@ pub fn fig12b(ctx: &Ctx) {
 }
 
 /// Fig. 12c,d: online SER checking on RUBiS and Twitter.
-pub fn fig12cd(ctx: &Ctx) {
+pub(super) fn fig12cd(ctx: &Ctx) {
     let n = ctx.n(500_000);
     let mut runs = Vec::new();
     for app in [App::Rubis, App::Twitter] {
@@ -133,7 +133,7 @@ pub fn fig12cd(ctx: &Ctx) {
 }
 
 /// Fig. 23: online SI checking on RUBiS and Twitter.
-pub fn fig23(ctx: &Ctx) {
+pub(super) fn fig23(ctx: &Ctx) {
     let n = ctx.n(500_000);
     let mut runs = Vec::new();
     for app in [App::Rubis, App::Twitter] {
@@ -149,7 +149,7 @@ pub fn fig23(ctx: &Ctx) {
 /// Fig. 15: database throughput with / without history collection,
 /// measured on the deterministic single-threaded driver (thread-scheduling
 /// noise would otherwise swamp the few-percent effect).
-pub fn fig15(ctx: &Ctx) {
+pub(super) fn fig15(ctx: &Ctx) {
     use aion_storage::{MvccStore, Recorder};
     use aion_workload::{generate_templates, run_interleaved_with_recorder, WorkloadSpec};
     let n = ctx.n(50_000);
@@ -184,7 +184,7 @@ pub fn fig15(ctx: &Ctx) {
 }
 
 /// Fig. 16: AION memory over time under a hard resident cap.
-pub fn fig16(ctx: &Ctx) {
+pub(super) fn fig16(ctx: &Ctx) {
     let n = ctx.n(100_000);
     let h = default_history(&throughput_spec(n, false), IsolationLevel::Si);
     let plan = throughput_feed(&h);
@@ -200,8 +200,7 @@ pub fn fig16(ctx: &Ctx) {
         &["t(ms)", "est MiB", "resident txns", "spilled"],
     );
     for (i, (at, txn)) in plan.iter().enumerate() {
-        checker.tick(*at);
-        checker.receive(txn.clone(), *at);
+        checker.feed(txn.clone(), *at);
         if i % (plan.len() / 40).max(1) == 0 {
             t.row(vec![
                 at.to_string(),
@@ -223,7 +222,7 @@ pub fn fig16(ctx: &Ctx) {
 
 /// Fig. 25: AION-SER on a *violating* (SI-level) history — finds all
 /// violations and keeps going; Cobra stops at the first.
-pub fn fig25(ctx: &Ctx) {
+pub(super) fn fig25(ctx: &Ctx) {
     let n = ctx.n(500_000);
     let h = default_history(&throughput_spec(n, true), IsolationLevel::Si);
     let mut t = Table::new(

@@ -14,18 +14,19 @@
 //! results.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 
 pub mod alloc;
-pub mod datasets;
+mod datasets;
 pub mod experiments;
-pub mod tables;
+mod tables;
 
 use std::time::{Duration, Instant};
 
 /// Time a closure, returning `(elapsed, result)`.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+pub(crate) fn time_it<T>(f: impl FnOnce() -> T) -> (Duration, T) {
     let start = Instant::now();
     let out = f();
     (start.elapsed(), out)

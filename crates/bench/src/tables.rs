@@ -6,7 +6,7 @@ use std::path::Path;
 
 /// A rendered experiment result: header row plus data rows.
 #[derive(Clone, Debug, Default)]
-pub struct Table {
+pub(crate) struct Table {
     /// Table caption (figure/table id and description).
     pub title: String,
     /// Column headers.
@@ -17,7 +17,7 @@ pub struct Table {
 
 impl Table {
     /// A new table with a title and headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Table {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -26,12 +26,12 @@ impl Table {
     }
 
     /// Append a row.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
     }
 
     /// Render as an aligned text table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -62,7 +62,7 @@ impl Table {
     }
 
     /// Render as CSV.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let esc = |s: &str| {
             if s.contains(',') || s.contains('"') {
@@ -80,7 +80,7 @@ impl Table {
     }
 
     /// Print to stdout and persist a CSV under `dir` named by `slug`.
-    pub fn emit(&self, dir: &Path, slug: &str) {
+    pub(crate) fn emit(&self, dir: &Path, slug: &str) {
         println!("{}", self.render());
         if fs::create_dir_all(dir).is_ok() {
             let _ = fs::write(dir.join(format!("{slug}.csv")), self.to_csv());
@@ -89,12 +89,12 @@ impl Table {
 }
 
 /// Format a duration in seconds with millisecond precision.
-pub fn secs(d: std::time::Duration) -> String {
+pub(crate) fn secs(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
 /// Format bytes as mebibytes.
-pub fn mib(bytes: usize) -> String {
+pub(crate) fn mib(bytes: usize) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
 }
 

@@ -14,7 +14,7 @@ use aion_types::{
 /// One sortable event: the key plus the index of the owning transaction in
 /// the history's transaction vector.
 #[derive(Clone, Copy, Debug)]
-pub struct Event {
+pub(crate) struct Event {
     /// Ordering key (timestamp, kind, tid).
     pub key: EventKey,
     /// Index into `History::txns`.
@@ -23,7 +23,7 @@ pub struct Event {
 
 /// Build and sort the event list, reporting integrity violations into
 /// `report`. Returns events in ascending `EventKey` order.
-pub fn build_events(history: &History, report: &mut CheckReport) -> Vec<Event> {
+pub(crate) fn build_events(history: &History, report: &mut CheckReport) -> Vec<Event> {
     let mut events = Vec::with_capacity(history.txns.len() * 2);
     let mut seen_tids: FxHashMap<TxnId, u32> = FxHashMap::default();
     for (i, t) in history.txns.iter().enumerate() {
@@ -66,7 +66,7 @@ fn report_timestamp_collisions(events: &[Event], report: &mut CheckReport) {
 impl Event {
     /// True for start events.
     #[inline]
-    pub fn is_start(&self) -> bool {
+    pub(crate) fn is_start(&self) -> bool {
         self.key.kind == EventKind::Start
     }
 }

@@ -31,14 +31,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 
 pub mod chronos;
-pub mod event;
-pub mod gc;
-pub mod report;
-pub mod session;
+mod event;
+mod gc;
+mod report;
+mod session;
 
 pub use chronos::{
     check, check_consuming, check_ra, check_ra_consuming, check_ra_report, check_rc,

@@ -65,11 +65,6 @@ impl ChronosChecker {
     pub fn ser(kind: DataKind) -> ChronosChecker {
         ChronosChecker::new(IsolationLevel::Ser, kind, ChronosOptions::default())
     }
-
-    /// Transactions buffered so far.
-    pub fn buffered(&self) -> usize {
-        self.history.len()
-    }
 }
 
 impl Checker for ChronosChecker {
@@ -116,7 +111,7 @@ mod tests {
         assert_eq!(ck.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 0), vec![]);
         assert_eq!(ck.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(9)).build(), 1), vec![]);
         assert_eq!(ck.tick(10_000), vec![], "offline: the clock is meaningless");
-        assert_eq!(ck.buffered(), 2);
+        assert_eq!(ck.history.len(), 2);
         let out = ck.finish();
         assert_eq!(out.checker, "chronos-si");
         assert_eq!(out.txns, 2);

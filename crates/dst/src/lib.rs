@@ -29,13 +29,14 @@
 //!   `stats.spill_errors` — never a panic.
 //!
 //! A failing seed reports a one-line repro command
-//! ([`repro_command`]); re-running it replays the identical schedule.
+//! (`repro_command`); re-running it replays the identical schedule.
 //! The `experiments dst` subcommand in `aion-bench` is the CLI
 //! entrypoint; [`permute`] holds the loom-style exhaustive
 //! interleaving models (deepened under `--cfg dst_loom`). See
 //! `docs/testing.md`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 
@@ -84,7 +85,7 @@ impl ScheduleKind {
     }
 
     /// The concrete schedule for `seed`.
-    pub fn schedule(self, seed: u64) -> SimSchedule {
+    fn schedule(self, seed: u64) -> SimSchedule {
         match self {
             ScheduleKind::Random => SimSchedule::random(seed),
             ScheduleKind::Pathological => SimSchedule::pathological(seed),
@@ -162,7 +163,7 @@ pub struct DstSummary {
 }
 
 /// The one-line command that replays `seed` deterministically.
-pub fn repro_command(seed: u64, opts: &DstOptions) -> String {
+fn repro_command(seed: u64, opts: &DstOptions) -> String {
     format!(
         "cargo run --release -p aion-bench --bin experiments -- dst --seed {seed} --schedule {}{}",
         opts.schedule.label(),
@@ -358,15 +359,12 @@ fn compare_outcomes(single: &Outcome, sharded: &Outcome, what: &str) -> Result<(
     Ok(())
 }
 
-fn err_str(e: impl std::fmt::Display) -> String {
-    e.to_string()
-}
-
 /// Drive `plan` into a sharded checker, per arrival (`chunk == None`)
-/// or through [`Checker::feed_batch`] in chunks. Batched chunks tick
-/// once at the chunk's first arrival time — workers self-tick before
-/// each part at that part's own virtual time, so verdicts must not
-/// care — and hand each arrival its own timestamp.
+/// or through [`Checker::feed_batch`] in chunks. The coordinator `tick`s
+/// are not there to move the clock — each worker's `feed` does that, at
+/// the part's own virtual time — but to put the rate-limited, droppable
+/// clock broadcast under the schedule: verdicts must not care whether
+/// one is sent per arrival, once per chunk, or lost.
 fn drive(
     sh: &mut ShardedChecker,
     plan: &[Arrival],
@@ -397,7 +395,7 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
 
     // Reference: the single checker, in arrival order.
     let single_faults = sc.fault_plan();
-    let single = sc.builder(single_faults.clone()).build().map_err(err_str)?;
+    let single = sc.builder(single_faults.clone()).build().map_err(|e| e.to_string())?;
     let single_report = run_plan(single, &sc.plan);
     if let Some(plan) = &single_faults {
         if single_report.outcome.stats.spill_errors != plan.fired() {
@@ -417,7 +415,7 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
         .builder(sharded_faults.clone())
         .shard_config(sc.shard_config())
         .build_sharded_sim(sched)
-        .map_err(err_str)?;
+        .map_err(|e| e.to_string())?;
 
     let (sharded_outcome, sim, finalized_comparable) = match sc.checkpoint_cut {
         None => {
@@ -436,12 +434,12 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
         Some(cut) => {
             let mut first = sharded;
             drive(&mut first, &sc.plan[..cut], sc.feed_batch_chunk, |_, _| {});
-            let bytes = first.checkpoint().map_err(err_str)?;
+            let bytes = first.checkpoint().map_err(|e| e.to_string())?;
             // The interrupted process dies here; its outcome is discarded.
             let _ = first.finish();
             let resume_sched = opts.schedule.schedule(seed ^ 0x0C0F_FEE5);
-            let mut resumed =
-                ShardedChecker::restore_sim(&bytes, sc.resharded, resume_sched).map_err(err_str)?;
+            let mut resumed = ShardedChecker::restore_sim(&bytes, sc.resharded, resume_sched)
+                .map_err(|e| e.to_string())?;
             drive(&mut resumed, &sc.plan[cut..], sc.feed_batch_chunk, |_, _| {});
             resumed.tick(u64::MAX);
             let sim = resumed.sim_stats();

@@ -9,8 +9,8 @@
 //! 1. **Tick-broadcast rate limiter** — the coordinator forwards clock
 //!    ticks to worker shards at most once per `tick_broadcast_ms` of
 //!    virtual time, and the simulated transport may drop finite ticks
-//!    outright. The safety argument is that workers self-tick before
-//!    every arrival, so verdicts cannot depend on which broadcasts got
+//!    outright. The safety argument is that a worker's `feed` advances
+//!    its own clock, so verdicts cannot depend on which broadcasts got
 //!    through. [`tick_limiter_model`] runs every subset of tick
 //!    deliveries (2^k masks) under multiple broadcast granularities and
 //!    requires identical outcomes.
@@ -33,14 +33,11 @@ use aion_types::{
     Value,
 };
 
-/// Depth knob: deeper under `--cfg dst_loom`.
-pub const LOOM: bool = cfg!(dst_loom);
-
 /// A small deterministic history that exercises both authority domains:
 /// per-key checks (a bogus read that no write justifies) inside the
 /// owning shard, and the coordinator-owned global checks (a duplicate
 /// tid and a session-order gap). `n` ≥ 6.
-pub fn model_history(n: usize) -> History {
+fn model_history(n: usize) -> History {
     assert!(n >= 6, "the model needs room for its three planted defects");
     let mut h = History::new(DataKind::Kv);
     for i in 0..n as u64 {
@@ -67,11 +64,10 @@ fn builder() -> aion_online::OnlineCheckerBuilder {
     OnlineChecker::builder().level(IsolationLevel::Si).ext_timeout_ms(5_000).events(true)
 }
 
-/// Single-checker reference outcome, ticking at every arrival.
+/// Single-checker reference outcome (`feed` carries the clock).
 fn reference(arrivals: &[Transaction]) -> Outcome {
     let mut ck = builder().build().expect("model config is valid");
     for (i, txn) in arrivals.iter().enumerate() {
-        ck.tick(i as u64 * 7);
         ck.feed(txn.clone(), i as u64 * 7);
     }
     ck.tick(u64::MAX);
@@ -173,11 +169,11 @@ mod tests {
     #[test]
     fn tick_broadcasts_never_change_verdicts() {
         // 2^6 masks normally; 2^10 under `--cfg dst_loom`.
-        tick_limiter_model(if LOOM { 10 } else { 6 }).unwrap();
+        tick_limiter_model(if cfg!(dst_loom) { 10 } else { 6 }).unwrap();
     }
 
     #[test]
     fn global_check_authority_survives_any_cut_onto_any_width() {
-        authority_handoff_model(if LOOM { 14 } else { 8 }).unwrap();
+        authority_handoff_model(if cfg!(dst_loom) { 14 } else { 8 }).unwrap();
     }
 }

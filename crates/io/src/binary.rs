@@ -20,19 +20,19 @@ use aion_types::{
 use std::io::{BufRead, Write};
 
 /// The level-free magic header bytes (`b"AIONH1"`).
-pub const MAGIC: &[u8; 6] = b"AIONH1";
+pub(crate) const MAGIC: &[u8; 6] = b"AIONH1";
 /// The level-carrying magic header bytes (`b"AIONH2"`).
-pub const MAGIC_V2: &[u8; 6] = b"AIONH2";
+pub(crate) const MAGIC_V2: &[u8; 6] = b"AIONH2";
 
 /// Write a whole history in the binary format.
-pub fn write_binary(h: &History, w: &mut dyn Write) -> Result<(), IoFormatError> {
+pub(crate) fn write_binary(h: &History, w: &mut dyn Write) -> Result<(), IoFormatError> {
     w.write_all(&codec::encode_history(h))?;
     Ok(())
 }
 
 /// Streaming binary reader: decodes the header eagerly, then one
 /// transaction per [`HistoryReader::next_txn`].
-pub struct BinaryReader<R: BufRead> {
+pub(crate) struct BinaryReader<R: BufRead> {
     r: R,
     kind: DataKind,
     /// True for `AIONH2` streams (each transaction carries a level byte).
@@ -47,7 +47,7 @@ pub struct BinaryReader<R: BufRead> {
 
 impl<R: BufRead> BinaryReader<R> {
     /// Open a binary stream: reads and validates magic, kind and count.
-    pub fn new(mut r: R, opts: ReaderOptions) -> Result<BinaryReader<R>, IoFormatError> {
+    pub(crate) fn new(mut r: R, opts: ReaderOptions) -> Result<BinaryReader<R>, IoFormatError> {
         let mut magic = [0u8; 6];
         r.read_exact(&mut magic).map_err(|_| IoFormatError::BadHeader {
             format: Format::Binary,

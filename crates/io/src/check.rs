@@ -4,9 +4,9 @@
 //! the golden-corpus differential tests and the recorder export smoke
 //! all replay files through it, so "the corpus-recorded verdict" means
 //! exactly "what [`stream_check`] produces". Transactions are fed in
-//! stream order with the virtual clock advancing one millisecond per
-//! arrival, then the clock jumps to the end of time so every EXT
-//! deadline fires before [`Checker::finish`].
+//! stream order, each `feed` advancing the virtual clock one millisecond,
+//! then the clock jumps to the end of time so every EXT deadline fires
+//! before [`Checker::finish`].
 
 use crate::{HistoryReader, IoFormatError};
 use aion_types::{AxiomKind, CheckEvent, Checker, Outcome};
@@ -39,7 +39,6 @@ pub fn stream_check<C: Checker>(
         violation_events += evs.iter().filter(|e| e.is_violation()).count();
     };
     while let Some(txn) = reader.next_txn()? {
-        count(checker.tick(txns as u64));
         count(checker.feed(txn, txns as u64));
         txns += 1;
     }

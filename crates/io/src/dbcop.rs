@@ -43,7 +43,7 @@ use std::io::{BufRead, Write};
 
 /// Write a key-value history as a dbcop session-list document (with the
 /// `"aion"` extension for lossless round-trips).
-pub fn write_dbcop(h: &History, w: &mut dyn Write) -> Result<(), IoFormatError> {
+pub(crate) fn write_dbcop(h: &History, w: &mut dyn Write) -> Result<(), IoFormatError> {
     if h.kind != DataKind::Kv {
         return Err(IoFormatError::Unsupported {
             format: Format::Dbcop,
@@ -147,7 +147,7 @@ enum State {
 
 /// Streaming dbcop reader: walks the token stream and yields one
 /// transaction per [`HistoryReader::next_txn`], in session-major order.
-pub struct DbcopReader<R: BufRead> {
+pub(crate) struct DbcopReader<R: BufRead> {
     lx: JsonLexer<R>,
     state: State,
     opts: ReaderOptions,
@@ -168,7 +168,7 @@ pub struct DbcopReader<R: BufRead> {
 impl<R: BufRead> DbcopReader<R> {
     /// Open a dbcop document: consumes metadata keys up to the `"data"`
     /// array.
-    pub fn new(r: R, opts: ReaderOptions) -> Result<DbcopReader<R>, IoFormatError> {
+    pub(crate) fn new(r: R, opts: ReaderOptions) -> Result<DbcopReader<R>, IoFormatError> {
         let mut lx = JsonLexer::new(r, Format::Dbcop);
         lx.expect(&JsonToken::LBrace).map_err(header_err)?;
         // Scan keys until "data"; metadata values are small, parse and drop.

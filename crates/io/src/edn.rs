@@ -283,7 +283,7 @@ fn parse_edn<R: BufRead>(lx: &mut EdnLexer<R>, first: EdnToken) -> Result<Edn, I
 
 /// Streaming Elle-EDN reader: one `:ok` entry per
 /// [`HistoryReader::next_txn`].
-pub struct EdnReader<R: BufRead> {
+pub(crate) struct EdnReader<R: BufRead> {
     lx: EdnLexer<R>,
     kind: DataKind,
     opts: ReaderOptions,
@@ -301,7 +301,7 @@ pub struct EdnReader<R: BufRead> {
 impl<R: BufRead> EdnReader<R> {
     /// Open an EDN op log; sniffs the data kind from the first `:ok`
     /// entry unless `opts.kind_hint` decides it.
-    pub fn new(r: R, opts: ReaderOptions) -> Result<EdnReader<R>, IoFormatError> {
+    pub(crate) fn new(r: R, opts: ReaderOptions) -> Result<EdnReader<R>, IoFormatError> {
         let mut me = EdnReader {
             lx: EdnLexer::new(r),
             kind: opts.kind_hint.unwrap_or(DataKind::Kv),
@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn kind_hint_overrides_sniff() {
         let log = "{:type :ok, :process 0, :value [[:w :x 1]]}";
-        let opts = ReaderOptions::default().with_kind_hint(DataKind::List);
+        let opts = ReaderOptions { kind_hint: Some(DataKind::List), ..ReaderOptions::default() };
         let r = EdnReader::new(log.as_bytes(), opts).unwrap();
         assert_eq!(r.kind(), DataKind::List);
     }

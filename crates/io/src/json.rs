@@ -4,11 +4,11 @@
 //! so there is no serde; this module provides the small JSON subset the
 //! interchange formats need, in two layers:
 //!
-//! * [`JsonLexer`] — a pull tokenizer over any [`BufRead`] with line
+//! * `JsonLexer` — a pull tokenizer over any [`BufRead`] with line
 //!   tracking and one-token lookahead. The dbcop reader walks it
 //!   directly so a multi-megabyte document streams one transaction at a
 //!   time.
-//! * [`JsonValue`] — a tree built by [`parse_value`] (or
+//! * [`JsonValue`] — a tree built by `parse_value` (or
 //!   [`JsonValue::parse_str`] for whole strings), used for bounded
 //!   pieces: one JSONL line, one dbcop transaction object, the corpus
 //!   manifest.
@@ -23,7 +23,7 @@ use std::io::BufRead;
 
 /// One JSON token.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum JsonToken {
+pub(crate) enum JsonToken {
     /// `{`
     LBrace,
     /// `}`
@@ -64,7 +64,7 @@ impl JsonToken {
 }
 
 /// Streaming JSON tokenizer with line tracking and one-token lookahead.
-pub struct JsonLexer<R: BufRead> {
+pub(crate) struct JsonLexer<R: BufRead> {
     r: R,
     /// Which format's errors this lexer reports (dbcop or jsonl).
     format: Format,
@@ -75,17 +75,17 @@ pub struct JsonLexer<R: BufRead> {
 
 impl<R: BufRead> JsonLexer<R> {
     /// A lexer over `r`, attributing errors to `format`.
-    pub fn new(r: R, format: Format) -> JsonLexer<R> {
+    pub(crate) fn new(r: R, format: Format) -> JsonLexer<R> {
         JsonLexer { r, format, line: 1, peeked_byte: None, peeked_token: None }
     }
 
     /// Current 1-based line number (for error reporting).
-    pub fn line(&self) -> usize {
+    pub(crate) fn line(&self) -> usize {
         self.line
     }
 
     /// Build a syntax error at the current line.
-    pub fn err(&self, msg: impl Into<String>) -> IoFormatError {
+    pub(crate) fn err(&self, msg: impl Into<String>) -> IoFormatError {
         IoFormatError::Syntax { format: self.format, line: self.line, msg: msg.into() }
     }
 
@@ -112,7 +112,7 @@ impl<R: BufRead> JsonLexer<R> {
     }
 
     /// Peek the next token without consuming it.
-    pub fn peek_token(&mut self) -> Result<Option<&JsonToken>, IoFormatError> {
+    pub(crate) fn peek_token(&mut self) -> Result<Option<&JsonToken>, IoFormatError> {
         if self.peeked_token.is_none() {
             self.peeked_token = self.lex_token()?;
         }
@@ -120,7 +120,7 @@ impl<R: BufRead> JsonLexer<R> {
     }
 
     /// Consume and return the next token (`None` at end of input).
-    pub fn next_token(&mut self) -> Result<Option<JsonToken>, IoFormatError> {
+    pub(crate) fn next_token(&mut self) -> Result<Option<JsonToken>, IoFormatError> {
         if let Some(t) = self.peeked_token.take() {
             return Ok(Some(t));
         }
@@ -128,12 +128,12 @@ impl<R: BufRead> JsonLexer<R> {
     }
 
     /// Consume the next token, failing on end of input.
-    pub fn expect_some(&mut self) -> Result<JsonToken, IoFormatError> {
+    pub(crate) fn expect_some(&mut self) -> Result<JsonToken, IoFormatError> {
         self.next_token()?.ok_or_else(|| self.err("unexpected end of input"))
     }
 
     /// Consume the next token and require it to equal `want`.
-    pub fn expect(&mut self, want: &JsonToken) -> Result<(), IoFormatError> {
+    pub(crate) fn expect(&mut self, want: &JsonToken) -> Result<(), IoFormatError> {
         let got = self.expect_some()?;
         if &got == want {
             Ok(())
@@ -370,13 +370,13 @@ impl JsonValue {
 
 /// Parse one complete value from the lexer (used mid-stream by the dbcop
 /// reader: one transaction object at a time, never the whole document).
-pub fn parse_value<R: BufRead>(lx: &mut JsonLexer<R>) -> Result<JsonValue, IoFormatError> {
+pub(crate) fn parse_value<R: BufRead>(lx: &mut JsonLexer<R>) -> Result<JsonValue, IoFormatError> {
     let tok = lx.expect_some()?;
     parse_value_from(lx, tok)
 }
 
 /// Parse the value whose first token has already been consumed.
-pub fn parse_value_from<R: BufRead>(
+pub(crate) fn parse_value_from<R: BufRead>(
     lx: &mut JsonLexer<R>,
     first: JsonToken,
 ) -> Result<JsonValue, IoFormatError> {

@@ -30,9 +30,9 @@ use aion_types::{
 use std::io::{BufRead, Write};
 
 /// The `format` field every header must carry.
-pub const FORMAT_TAG: &str = "aion-history";
+pub(crate) const FORMAT_TAG: &str = "aion-history";
 /// The header version this build writes and reads.
-pub const VERSION: u64 = 1;
+pub(crate) const VERSION: u64 = 1;
 
 fn kind_label(kind: DataKind) -> &'static str {
     match kind {
@@ -42,12 +42,12 @@ fn kind_label(kind: DataKind) -> &'static str {
 }
 
 /// Render the header line for `kind`.
-pub fn header_line(kind: DataKind) -> String {
+pub(crate) fn header_line(kind: DataKind) -> String {
     format!(r#"{{"format":"{FORMAT_TAG}","version":{VERSION},"kind":"{}"}}"#, kind_label(kind))
 }
 
 /// Render one transaction as a single JSONL line (no trailing newline).
-pub fn txn_line(t: &Transaction) -> String {
+pub(crate) fn txn_line(t: &Transaction) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(64 + t.ops.len() * 12);
     let _ = write!(
@@ -94,7 +94,7 @@ pub fn txn_line(t: &Transaction) -> String {
 }
 
 /// Write a whole history in JSONL (header + one line per transaction).
-pub fn write_jsonl(h: &History, w: &mut dyn Write) -> Result<(), IoFormatError> {
+pub(crate) fn write_jsonl(h: &History, w: &mut dyn Write) -> Result<(), IoFormatError> {
     writeln!(w, "{}", header_line(h.kind))?;
     for t in &h.txns {
         writeln!(w, "{}", txn_line(t))?;
@@ -103,7 +103,7 @@ pub fn write_jsonl(h: &History, w: &mut dyn Write) -> Result<(), IoFormatError> 
 }
 
 /// Streaming JSONL reader: one transaction per [`HistoryReader::next_txn`].
-pub struct JsonlReader<R: BufRead> {
+pub(crate) struct JsonlReader<R: BufRead> {
     r: R,
     kind: DataKind,
     line_no: usize,
@@ -113,7 +113,7 @@ pub struct JsonlReader<R: BufRead> {
 
 impl<R: BufRead> JsonlReader<R> {
     /// Open a JSONL stream: reads and validates the header line.
-    pub fn new(r: R, opts: ReaderOptions) -> Result<JsonlReader<R>, IoFormatError> {
+    pub(crate) fn new(r: R, opts: ReaderOptions) -> Result<JsonlReader<R>, IoFormatError> {
         let mut me = JsonlReader {
             r,
             kind: DataKind::Kv,

@@ -6,10 +6,10 @@
 //!
 //! | format | module | read | write | layout |
 //! |--------|--------|------|-------|--------|
-//! | native JSONL | [`jsonl`] | ✓ | ✓ | one self-describing JSON object per transaction, versioned header line |
-//! | AIONH1 binary | [`binary`] | ✓ | ✓ | the length-prefixed varint codec of [`aion_types::codec`] |
-//! | dbcop | [`dbcop`] | ✓ | ✓ (kv) | dbcop's session-list JSON document (Biswas & Enea) |
-//! | Elle EDN | [`edn`] | ✓ | — | Elle/Jepsen-style EDN op-log entries |
+//! | native JSONL | `jsonl` | ✓ | ✓ | one self-describing JSON object per transaction, versioned header line |
+//! | AIONH1 binary | `binary` | ✓ | ✓ | the length-prefixed varint codec of [`aion_types::codec`] |
+//! | dbcop | `dbcop` | ✓ | ✓ (kv) | dbcop's session-list JSON document (Biswas & Enea) |
+//! | Elle EDN | `edn` | ✓ | — | Elle/Jepsen-style EDN op-log entries |
 //!
 //! All readers implement the streaming [`HistoryReader`] trait: they
 //! yield one [`Transaction`](aion_types::Transaction) at a time with
@@ -33,16 +33,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 
-pub mod binary;
-pub mod check;
-pub mod dbcop;
-pub mod edn;
+mod binary;
+mod check;
+mod dbcop;
+mod edn;
 pub mod json;
-pub mod jsonl;
-pub mod reader;
+mod jsonl;
+mod reader;
 
 pub use check::{stream_check, verdict_of, StreamReport};
 pub use reader::{

@@ -10,13 +10,13 @@ use std::path::Path;
 /// One of the interchange formats this crate speaks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Format {
-    /// Native self-describing JSONL ([`crate::jsonl`]).
+    /// Native self-describing JSONL (`crate::jsonl`).
     Jsonl,
-    /// Compact AIONH1 binary ([`crate::binary`]).
+    /// Compact AIONH1 binary (`crate::binary`).
     Binary,
-    /// dbcop session-list JSON ([`crate::dbcop`]).
+    /// dbcop session-list JSON (`crate::dbcop`).
     Dbcop,
-    /// Elle-style EDN op log ([`crate::edn`], read-only).
+    /// Elle-style EDN op log (`crate::edn`, read-only).
     Edn,
 }
 
@@ -108,12 +108,6 @@ impl ReaderOptions {
     /// Lenient defaults with strict id validation enabled.
     pub fn strict() -> ReaderOptions {
         ReaderOptions { strict: true, kind_hint: None }
-    }
-
-    /// Set the data-kind hint.
-    pub fn with_kind_hint(mut self, kind: DataKind) -> ReaderOptions {
-        self.kind_hint = Some(kind);
-        self
     }
 }
 

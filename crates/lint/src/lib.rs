@@ -7,18 +7,20 @@
 //! `aion_types::clock::Clock` seam, delivery behind `ShardTransport`,
 //! no hash-order dependence in verdict paths, no panics in daemon code,
 //! no silent `_ =>` over the isolation lattice. This crate makes the
-//! machine check them: a hand-rolled Rust [`lexer`], five [`rules`] and a
+//! machine check them: a hand-rolled Rust `lexer`, five `rules` and a
 //! justified-suppression syntax. Every finding fails the run; a reasoned
 //! suppression comment is the only way past a rule.
 //!
 //! Run it as `experiments lint` or the `workspace_is_clean_modulo_baseline`
 //! self-test. See `docs/lint.md` for the rule catalog.
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod lexer;
-pub mod rules;
+mod lexer;
+mod rules;
 
-use rules::{Finding, NameTable};
+pub use lexer::{lex, Tok, TokKind};
+pub use rules::{collect_names, lint_file, Finding, NameTable, RULES};
 use std::path::{Path, PathBuf};
 
 /// Everything one lint run produced.
@@ -125,12 +127,10 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     }
     let mut table = NameTable::default();
     for (rel, text) in &sources {
-        rules::collect_names(rel, text, &mut table);
+        collect_names(rel, text, &mut table);
     }
-    let mut findings = Vec::new();
-    for (rel, text) in &sources {
-        findings.extend(rules::lint_file(rel, text, &table));
-    }
+    let mut findings: Vec<Finding> =
+        sources.iter().flat_map(|(rel, text)| lint_file(rel, text, &table)).collect();
     findings.sort();
     Ok(LintReport { findings, files: sources.len() })
 }

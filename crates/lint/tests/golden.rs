@@ -9,7 +9,7 @@
 //! `.expected` files after an intentional diagnostic change, run with
 //! `LINT_GOLDEN_REGEN=1` and review the diff.
 
-use aion_lint::rules::{collect_names, lint_file, NameTable};
+use aion_lint::{collect_names, lint_file, NameTable};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {
@@ -103,7 +103,7 @@ fn every_rule_fires_somewhere_in_the_corpus() {
     ] {
         all.push_str(&findings_of(fixture));
     }
-    for rule in aion_lint::rules::RULES {
+    for rule in aion_lint::RULES {
         assert!(all.contains(&format!("[{rule}]")), "rule `{rule}` never fired in the corpus");
     }
 }

@@ -3,8 +3,7 @@
 //! The lint runs over every workspace file on every CI run; a panic on
 //! weird-but-valid source would take CI down with it.
 
-use aion_lint::lexer::{lex, TokKind};
-use aion_lint::rules::{collect_names, lint_file, NameTable};
+use aion_lint::{collect_names, lex, lint_file, NameTable, TokKind};
 use proptest::prelude::*;
 
 /// Real source with every token class the lexer distinguishes.

@@ -15,8 +15,8 @@
 //!
 //! EXT verdicts are *tentative* until a per-transaction timeout expires
 //! (paper §IV-A, default 5 s); verdict switches in the meantime are the
-//! "flip-flops" of §VI-C, tracked by [`crate::stats::FlipTracker`]. Memory
-//! is bounded by spill-to-disk GC ([`crate::spill`]).
+//! "flip-flops" of §VI-C, tracked by `crate::stats::FlipTracker`. Memory
+//! is bounded by spill-to-disk GC (`crate::spill`).
 //!
 //! One implementation serves the whole isolation-level lattice: every
 //! arrival is checked against *its* resolved [`IsolationLevel`] (the
@@ -48,9 +48,9 @@ use crate::spill::SpillStore;
 use crate::stats::FlipTracker;
 use crate::versioned::VersionedMap;
 use aion_types::{
-    base_independent, expected_read, CheckEvent, CheckReport, Checker, CheckerStats, DataKind,
-    EventKey, ExtPredicate, FxHashMap, IsolationLevel, Key, LevelPolicy, Mutation, Outcome,
-    ReadAnchor, ShardConfig, Snapshot, Timestamp, Transaction, TxnId, Violation,
+    base_independent, expected_read, CheckEvent, CheckReport, CheckerStats, DataKind, EventKey,
+    ExtPredicate, FxHashMap, IsolationLevel, Key, LevelPolicy, Mutation, ReadAnchor, ShardConfig,
+    Snapshot, Timestamp, Transaction, TxnId, Violation,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -104,7 +104,7 @@ pub struct AionConfig {
     pub naive_recheck: bool,
     /// Spill segments to this file instead of in-memory buffers.
     pub spill_path: Option<PathBuf>,
-    /// Materialize [`CheckEvent`]s from `receive`/`tick` (default: on).
+    /// Materialize [`CheckEvent`]s from `feed`/`tick` (default: on).
     /// Turn off for pure-throughput runs that discard the returned
     /// events: verdicts and the report are unaffected, but the per-event
     /// clones and allocations on the hot path are skipped.
@@ -401,11 +401,6 @@ pub(crate) fn anchor_event(txn: &Transaction, level: IsolationLevel) -> EventKey
     }
 }
 
-/// The outcome of an online checking session — the workspace-uniform
-/// [`Outcome`], carrying the report plus [`CheckerStats`] and flip-flop
-/// statistics (§VI-C).
-pub type AionOutcome = Outcome;
-
 /// Stable `"aion-…"` checker name for a level policy (interned: the
 /// `Checker` trait hands out `&'static str`).
 pub(crate) fn aion_level_name(levels: &LevelPolicy) -> &'static str {
@@ -419,12 +414,13 @@ pub(crate) fn aion_level_name(levels: &LevelPolicy) -> &'static str {
     }
 }
 
-/// The online checker. Drive it with [`receive`](Self::receive) and
-/// [`tick`](Self::tick), then [`finish`](Self::finish) — or through the
-/// polymorphic [`Checker`] trait, whose `feed`/`tick` delegate here.
-/// Every call returns the typed [`CheckEvent`]s it produced, so
-/// violations, verdict flips, finalizations and GC passes are visible
-/// *while* the history streams in.
+/// The online checker, driven through the [`Checker`](aion_types::Checker)
+/// session trait:
+/// `feed` (which advances the clock first), `tick` for idle time and end
+/// of stream, then `finish`. Every call returns the typed
+/// [`CheckEvent`]s it produced, so violations, verdict flips,
+/// finalizations and GC passes are visible *while* the history streams
+/// in.
 pub struct OnlineChecker {
     pub(crate) cfg: AionConfig,
     /// Whether any level the policy can produce activates NOCONFLICT —
@@ -474,7 +470,7 @@ pub struct OnlineChecker {
     pub(crate) report: CheckReport,
     pub(crate) flips: FlipTracker,
     pub(crate) stats: CheckerStats,
-    /// Events produced since the last `receive`/`tick` returned.
+    /// Events produced since the last `feed`/`tick` returned.
     pub(crate) events: Vec<CheckEvent>,
     scratch: arrival::Scratch,
 }
@@ -528,12 +524,6 @@ impl OnlineChecker {
     /// The session's configuration.
     pub fn config(&self) -> &AionConfig {
         &self.cfg
-    }
-
-    /// Stable checker name: `"aion-<level>"` for uniform sessions,
-    /// `"aion-mixed"` for per-session/per-transaction policies.
-    pub fn checker_name(&self) -> &'static str {
-        aion_level_name(&self.cfg.levels)
     }
 
     /// Commit a violation to the report and the event stream.
@@ -650,28 +640,7 @@ impl OnlineChecker {
         self.txns.get(&tid).is_some_and(|t| !t.finalized)
     }
 
-    /// Rough estimate of live checker memory, for the constrained-memory
-    /// experiment (Fig. 16) and the daemon's admission control.
-    ///
-    /// Covers the resident transactions and versioned indexes, the
-    /// spill store's buffered segments (the in-memory backend *retains*
-    /// every spilled byte, so spilling without a disk path does not
-    /// reduce process memory), and the transient event/deadline/trigger
-    /// buffers. The `memory_estimate_*` test pins this arithmetic
-    /// against the component accessors.
-    ///
-    /// O(1): every term is a length or a counter maintained where state
-    /// enters or leaves, so the cost does not grow with the history.
-    /// Tests and debug builds check the figure against a full recount
-    /// on every call.
-    pub fn estimated_memory_bytes(&self) -> usize {
-        let bytes = self.state_bytes_estimate() + self.spill.buffered_bytes() + self.buffer_bytes();
-        #[cfg(any(test, debug_assertions))]
-        debug_assert_eq!(bytes, self.recount_memory_bytes(), "resident-byte counters drifted");
-        bytes
-    }
-
-    /// The resident-state share of [`Self::estimated_memory_bytes`]:
+    /// The resident-state share of [`Checker::estimated_memory_bytes`](aion_types::Checker::estimated_memory_bytes):
     /// transactions, frontier versions and the read/write/overlap
     /// indexes (no spill-store or buffer overhead).
     fn state_bytes_estimate(&self) -> usize {
@@ -691,7 +660,7 @@ impl OnlineChecker {
             + self.events.capacity() * std::mem::size_of::<CheckEvent>()
     }
 
-    /// [`Self::estimated_memory_bytes`] recomputed by walking the
+    /// [`Checker::estimated_memory_bytes`](aion_types::Checker::estimated_memory_bytes) recomputed by walking the
     /// resident state — the oracle the maintained counters must equal.
     /// Exists only in tests and debug builds; a release build cannot
     /// reach an O(resident state) loop from the estimate.
@@ -711,42 +680,12 @@ impl OnlineChecker {
         bytes += self.spill.recount_buffered_bytes();
         bytes + self.buffer_bytes()
     }
-
-    /// Drain and produce the outcome.
-    pub fn finish(mut self) -> AionOutcome {
-        self.drain();
-        Outcome::new(self.checker_name(), self.report, self.stats.received)
-            .with_stats(self.stats)
-            .with_flips(self.flips.summary())
-    }
-}
-
-impl Checker for OnlineChecker {
-    fn name(&self) -> &'static str {
-        self.checker_name()
-    }
-
-    fn feed(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
-        self.receive(txn, now_ms)
-    }
-
-    fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
-        OnlineChecker::tick(self, now_ms)
-    }
-
-    fn finish(self) -> Outcome {
-        OnlineChecker::finish(self)
-    }
-
-    fn estimated_memory_bytes(&self) -> usize {
-        OnlineChecker::estimated_memory_bytes(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aion_types::{AxiomKind, TxnBuilder, Value};
+    use aion_types::{AxiomKind, Checker, TxnBuilder, Value};
 
     fn checker() -> OnlineChecker {
         OnlineChecker::builder().build().unwrap()
@@ -759,8 +698,8 @@ mod tests {
     #[test]
     fn in_order_valid_history_passes() {
         let mut a = checker();
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 0);
-        a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 1);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 1);
         let out = a.finish();
         assert!(out.is_ok(), "{}", out.report);
         assert_eq!(out.stats.received, 2);
@@ -773,15 +712,15 @@ mod tests {
         let x = Key(1);
         let y = Key(2);
         let mut a = checker();
-        a.receive(t(1, 0, 0, 1, 2).put(x, Value(1)).build(), 0);
-        a.receive(t(2, 1, 0, 3, 5).put(x, Value(2)).build(), 0);
-        a.receive(t(3, 2, 0, 6, 9).read(x, Value(2)).put(y, Value(2)).build(), 0);
-        a.receive(t(4, 3, 0, 8, 10).read(y, Value(1)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(x, Value(1)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 5).put(x, Value(2)).build(), 0);
+        a.feed(t(3, 2, 0, 6, 9).read(x, Value(2)).put(y, Value(2)).build(), 0);
+        a.feed(t(4, 3, 0, 8, 10).read(y, Value(1)).build(), 0);
         // At this point T4's read of y=1 is tentatively wrong (no writer of
         // value 1 known), but nothing is reported yet.
         assert_eq!(a.report().count(AxiomKind::Ext), 0);
         // T5 arrives late: justifies T4's read, conflicts with T3 on y.
-        a.receive(t(5, 4, 0, 4, 7).read(x, Value(1)).put(y, Value(1)).build(), 100);
+        a.feed(t(5, 4, 0, 4, 7).read(x, Value(1)).put(y, Value(1)).build(), 100);
         let out = a.finish();
         assert_eq!(out.report.count(AxiomKind::Ext), 0, "{}", out.report);
         assert_eq!(out.report.count(AxiomKind::NoConflict), 1, "{}", out.report);
@@ -808,14 +747,14 @@ mod tests {
         // 40 sequential writers of one key; ticks finalize and GC spills.
         for i in 1..=40u64 {
             let txn = t(i, 0, (i - 1) as u32, i * 10, i * 10 + 5).put(Key(1), Value(i)).build();
-            a.receive(txn, i * 100);
+            a.feed(txn, i * 100);
             a.tick(i * 100);
         }
         assert!(a.stats().spilled_txns > 0, "GC must have spilled");
         // An RC reader anchored at the end of the stream observing the
         // *first* version: stale but committed — RC must accept, which
         // requires the whole version chain to still be queryable.
-        a.receive(t(1000, 1, 0, 900, 901).read(Key(1), Value(1)).build(), 5000);
+        a.feed(t(1000, 1, 0, 900, 901).read(Key(1), Value(1)).build(), 5000);
         let out = a.finish();
         assert!(out.is_ok(), "stale committed read is RC-legal: {}", out.report);
     }
@@ -845,7 +784,7 @@ mod tests {
                 let txn = t(i + 1, 0, i as u32, i * 10 + 1, i * 10 + 5)
                     .put(Key(i % 4), Value(i % 8))
                     .build();
-                a.receive(txn, i * 100);
+                a.feed(txn, i * 100);
                 a.tick(i * 100);
             }
         };
@@ -883,7 +822,7 @@ mod tests {
             .unwrap();
         for i in 1..=40u64 {
             let txn = t(i, 0, (i - 1) as u32, i * 10 + 1, i * 10 + 5).put(Key(1), Value(i)).build();
-            a.receive(txn, i * 100);
+            a.feed(txn, i * 100);
             a.tick(i * 100);
         }
         assert!(a.stats().spilled_txns > 0, "GC must have spilled");
@@ -895,12 +834,12 @@ mod tests {
         // First deep straggler: one reload pass. (It anchors before the
         // first commit at ts 15, so the initial value is all it can
         // legally read.)
-        a.receive(t(1001, 1, 0, 4, 5).read(Key(1), Value(0)).build(), 5000);
+        a.feed(t(1001, 1, 0, 4, 5).read(Key(1), Value(0)).build(), 5000);
         let after_first = a.reload_scans;
         assert!(after_first >= 1, "the deep straggler must trigger a reload pass");
         // A second straggler at or below the loaded watermark: no new
         // scan — the floor remembers what is already resident.
-        a.receive(t(1002, 2, 0, 2, 3).read(Key(1), Value(0)).build(), 5001);
+        a.feed(t(1002, 2, 0, 2, 3).read(Key(1), Value(0)).build(), 5001);
         assert_eq!(a.reload_scans, after_first, "repeated passes must not rescan");
         let out = a.finish();
         assert!(out.is_ok(), "stale committed reads are RC-legal: {}", out.report);
@@ -925,13 +864,13 @@ mod tests {
             // survives pruning) while its huge commit keeps it off the
             // oldest-commit-first spill list; the tick finalizes it so
             // it never blocks spilling.
-            a.receive(
+            a.feed(
                 t(50, 0, 0, 5, 5000).read(Key(9), Value(0)).level(IsolationLevel::Si).build(),
                 0,
             );
             a.tick(100);
             // The RA-declared writer that will be spilled.
-            a.receive(
+            a.feed(
                 t(1, 1, 0, 10, 30).put(Key(1), Value(1)).level(IsolationLevel::ReadAtomic).build(),
                 100,
             );
@@ -942,7 +881,7 @@ mod tests {
                     .put(Key(i + 100), Value(i))
                     .level(IsolationLevel::ReadAtomic)
                     .build();
-                a.receive(txn, i * 100);
+                a.feed(txn, i * 100);
                 a.tick(i * 100);
             }
             assert!(a.stats().spilled_txns > 0, "GC must have spilled");
@@ -950,7 +889,7 @@ mod tests {
             // A second writer of the same key overlapping [10, 30]. The
             // RC variant anchors at its commit (above the GC horizon),
             // so no straggler reload brings the partner back.
-            a.receive(
+            a.feed(
                 t(99, 20, 0, 20, 2000).put(Key(1), Value(99)).level(partner_level).build(),
                 2000,
             );
@@ -975,8 +914,8 @@ mod tests {
     #[test]
     fn ext_violation_reported_after_timeout() {
         let mut a = checker();
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 0);
-        a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(9)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(9)).build(), 0);
         // Before the timeout nothing is reported.
         a.tick(4999);
         assert_eq!(a.report().count(AxiomKind::Ext), 0);
@@ -989,11 +928,11 @@ mod tests {
     #[test]
     fn late_arrival_after_timeout_does_not_unreport() {
         let mut a = checker();
-        a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
         a.tick(6000); // finalized: EXT violation reported
         assert_eq!(a.report().count(AxiomKind::Ext), 1);
         // The justifying writer arrives far too late; verdict stays.
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 7000);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 7000);
         let out = a.finish();
         assert_eq!(out.report.count(AxiomKind::Ext), 1);
     }
@@ -1001,15 +940,15 @@ mod tests {
     #[test]
     fn int_violation_reported_immediately() {
         let mut a = checker();
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).read(Key(1), Value(6)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).read(Key(1), Value(6)).build(), 0);
         assert_eq!(a.report().count(AxiomKind::Int), 1, "INT is stable, no waiting");
     }
 
     #[test]
     fn session_violation_detected_online() {
         let mut a = checker();
-        a.receive(t(1, 0, 0, 1, 10).put(Key(1), Value(1)).build(), 0);
-        a.receive(t(2, 0, 1, 5, 12).build(), 0); // starts before predecessor commits
+        a.feed(t(1, 0, 0, 1, 10).put(Key(1), Value(1)).build(), 0);
+        a.feed(t(2, 0, 1, 5, 12).build(), 0); // starts before predecessor commits
         assert_eq!(a.report().count(AxiomKind::Session), 1);
     }
 
@@ -1018,9 +957,9 @@ mod tests {
         let mut a = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
         // Overlapping under SI but reads the pre-commit value: an EXT
         // violation under SER.
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).build(), 0);
-        a.receive(t(2, 1, 0, 3, 6).put(Key(1), Value(2)).build(), 0);
-        a.receive(t(3, 2, 0, 4, 7).read(Key(1), Value(1)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 6).put(Key(1), Value(2)).build(), 0);
+        a.feed(t(3, 2, 0, 4, 7).read(Key(1), Value(1)).build(), 0);
         let out = a.finish();
         assert_eq!(out.report.count(AxiomKind::Ext), 1, "{}", out.report);
         assert_eq!(out.report.count(AxiomKind::NoConflict), 0, "SER skips NOCONFLICT");
@@ -1031,8 +970,8 @@ mod tests {
         let mut a = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
         // Reader arrives before the writer it read from (commit order:
         // writer at 2, reader at 4).
-        a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 10);
+        a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 10);
         let out = a.finish();
         assert!(out.is_ok(), "{}", out.report);
         assert!(out.flips.total_flips >= 1, "verdict must have flipped");
@@ -1041,10 +980,10 @@ mod tests {
     #[test]
     fn duplicate_tid_and_timestamp_reported() {
         let mut a = checker();
-        a.receive(t(1, 0, 0, 1, 2).build(), 0);
-        a.receive(t(1, 1, 0, 3, 4).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).build(), 0);
+        a.feed(t(1, 1, 0, 3, 4).build(), 0);
         assert!(a.report().violations.iter().any(|v| matches!(v, Violation::DuplicateTid { .. })));
-        a.receive(t(3, 2, 0, 2, 5).build(), 0); // start ts collides with t1's commit
+        a.feed(t(3, 2, 0, 2, 5).build(), 0); // start ts collides with t1's commit
         assert!(a
             .report()
             .violations
@@ -1055,11 +994,11 @@ mod tests {
     #[test]
     fn eq1_malformed_rejected() {
         let mut a = checker();
-        a.receive(t(1, 0, 0, 9, 3).put(Key(1), Value(1)).build(), 0);
+        a.feed(t(1, 0, 0, 9, 3).put(Key(1), Value(1)).build(), 0);
         assert_eq!(a.report().count(AxiomKind::Integrity), 1);
         // Later writers on the same key are unaffected.
-        a.receive(t(2, 1, 0, 10, 11).put(Key(1), Value(2)).build(), 0);
-        a.receive(t(3, 2, 0, 12, 13).read(Key(1), Value(2)).build(), 0);
+        a.feed(t(2, 1, 0, 10, 11).put(Key(1), Value(2)).build(), 0);
+        a.feed(t(3, 2, 0, 12, 13).read(Key(1), Value(2)).build(), 0);
         let out = a.finish();
         assert_eq!(out.report.count(AxiomKind::NoConflict), 0);
         assert_eq!(out.report.count(AxiomKind::Ext), 0, "{}", out.report);
@@ -1068,8 +1007,8 @@ mod tests {
     #[test]
     fn read_only_txn_same_start_commit() {
         let mut a = checker();
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).build(), 0);
-        a.receive(t(2, 1, 0, 5, 5).read(Key(1), Value(1)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).build(), 0);
+        a.feed(t(2, 1, 0, 5, 5).read(Key(1), Value(1)).build(), 0);
         assert!(a.finish().is_ok());
     }
 
@@ -1081,9 +1020,9 @@ mod tests {
         let mut a = OnlineChecker::builder().kind(DataKind::List).build().unwrap();
         // Arrive out of order: W2 (interval [3,4]) first, then reader,
         // then W1 ([1,2]).
-        a.receive(t(2, 1, 0, 3, 4).append(k, Value(20)).build(), 0);
-        a.receive(t(3, 2, 0, 5, 6).read_list(k, vec![Value(10), Value(20)]).build(), 0);
-        a.receive(t(1, 0, 0, 1, 2).append(k, Value(10)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 4).append(k, Value(20)).build(), 0);
+        a.feed(t(3, 2, 0, 5, 6).read_list(k, vec![Value(10), Value(20)]).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).append(k, Value(10)).build(), 0);
         let out = a.finish();
         assert!(out.is_ok(), "cascade should rejustify the reader: {}", out.report);
     }
@@ -1102,7 +1041,7 @@ mod tests {
                 .put(Key(i % 4), Value(i))
                 .read(Key(i % 4), Value(i))
                 .build();
-            a.receive(txn, i * 100);
+            a.feed(txn, i * 100);
             a.tick(i * 100);
         }
         assert!(a.stats().spilled_txns > 0, "GC must have spilled");
@@ -1110,7 +1049,7 @@ mod tests {
         // A deep straggler overlapping spilled territory: a reader whose
         // snapshot is ancient. k=1 last written by txn 37 at ts 375; a read
         // at ts 56 must see txn 5's value (w(k1)=5 committed at ts 55).
-        a.receive(
+        a.feed(
             TxnBuilder::new(1000).session(1, 0).interval(56, 57).read(Key(1), Value(5)).build(),
             5000,
         );
@@ -1128,7 +1067,7 @@ mod tests {
         use crate::spill::SpillEntry;
         use aion_types::{codec::CodecError, SnapshotError, SpillOp};
         let mut a = checker();
-        a.receive(t(1, 0, 0, 10, 50).put(Key(1), Value(1)).build(), 0);
+        a.feed(t(1, 0, 0, 10, 50).put(Key(1), Value(1)).build(), 0);
         let txn = t(2, 1, 0, 90, 30).put(Key(1), Value(2)).build();
         let write_set = vec![(Key(1), Snapshot::Scalar(Value(2)))];
         a.spill.spill(&[SpillEntry { txn, write_set }]).unwrap();
@@ -1138,7 +1077,7 @@ mod tests {
         assert!(matches!(restored, Err(SnapshotError::Codec(CodecError::OutOfRange))));
         // A straggler anchored below the horizon whose commit reaches the
         // segment: the reload fails as a typed event, and stays retryable.
-        let events = a.receive(t(3, 2, 0, 20, 95).read(Key(1), Value(0)).build(), 1);
+        let events = a.feed(t(3, 2, 0, 20, 95).read(Key(1), Value(0)).build(), 1);
         let reload_failed =
             |e: &CheckEvent| matches!(e, CheckEvent::SpillError { op: SpillOp::Reload, .. });
         assert!(events.iter().any(reload_failed), "{events:?}");
@@ -1152,7 +1091,7 @@ mod tests {
         // No ticks: nothing finalizes, so nothing may be spilled (the
         // paper's worst case).
         for i in 1..=10u64 {
-            a.receive(t(i, i as u32 - 1, 0, i * 10, i * 10 + 5).read(Key(1), Value(0)).build(), 0);
+            a.feed(t(i, i as u32 - 1, 0, i * 10, i * 10 + 5).read(Key(1), Value(0)).build(), 0);
         }
         assert_eq!(a.stats().spilled_txns, 0);
         assert_eq!(a.resident_txns(), 10);
@@ -1161,8 +1100,8 @@ mod tests {
     #[test]
     fn flip_details_track_wrong_then_right() {
         let mut a = OnlineChecker::builder().track_flip_details(true).build().unwrap();
-        a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 7);
+        a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 7);
         let out = a.finish();
         assert!(out.is_ok());
         assert_eq!(out.flips.pairs_with_flips, 1);
@@ -1174,17 +1113,16 @@ mod tests {
     fn events_stream_incrementally() {
         let mut a = checker();
         // A stable INT violation is emitted as an event at arrival.
-        let evs =
-            a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).read(Key(1), Value(6)).build(), 0);
+        let evs = a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).read(Key(1), Value(6)).build(), 0);
         assert!(
             evs.iter().any(|e| matches!(e, CheckEvent::Violation(Violation::Int { .. }))),
             "{evs:?}"
         );
         // A tentatively-wrong read flips at arrival...
-        let evs = a.receive(t(2, 1, 0, 3, 4).read(Key(2), Value(7)).build(), 0);
+        let evs = a.feed(t(2, 1, 0, 3, 4).read(Key(2), Value(7)).build(), 0);
         assert!(evs.iter().all(|e| !e.is_violation()), "EXT must stay tentative: {evs:?}");
         // ...and flips back when the justifying writer shows up late.
-        let evs = a.receive(t(3, 2, 0, 1, 2).put(Key(2), Value(7)).build(), 9);
+        let evs = a.feed(t(3, 2, 0, 1, 2).put(Key(2), Value(7)).build(), 9);
         assert!(
             evs.iter().any(|e| matches!(
                 e,
@@ -1206,7 +1144,7 @@ mod tests {
     #[test]
     fn ext_violation_event_carries_finalization() {
         let mut a = checker();
-        a.receive(t(1, 0, 0, 3, 4).read(Key(1), Value(9)).build(), 0);
+        a.feed(t(1, 0, 0, 3, 4).read(Key(1), Value(9)).build(), 0);
         let evs = a.tick(6_000);
         let viols = evs.iter().filter(|e| e.is_violation()).count();
         assert_eq!(viols, 1, "{evs:?}");
@@ -1223,7 +1161,7 @@ mod tests {
         let mut saw_spill = false;
         for i in 1..=40u64 {
             let txn = t(i, 0, (i - 1) as u32, i * 10, i * 10 + 5).put(Key(i % 4), Value(i)).build();
-            let mut evs = a.receive(txn, i * 100);
+            let mut evs = a.feed(txn, i * 100);
             evs.extend(a.tick(i * 100));
             saw_spill |= evs.iter().any(|e| matches!(e, CheckEvent::SpillPass { .. }));
         }
@@ -1233,8 +1171,7 @@ mod tests {
     #[test]
     fn events_off_keeps_verdicts_but_streams_nothing() {
         let mut a = OnlineChecker::builder().events(false).build().unwrap();
-        let evs =
-            a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).read(Key(1), Value(6)).build(), 0);
+        let evs = a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).read(Key(1), Value(6)).build(), 0);
         assert!(evs.is_empty(), "events disabled: {evs:?}");
         assert!(a.tick(10_000).is_empty());
         let out = a.finish();
@@ -1257,7 +1194,7 @@ mod tests {
         assert_eq!(cfg.gc, OnlineGcPolicy::Full { max_txns: 7 });
         assert!(cfg.track_flip_details && cfg.naive_recheck);
         let ck = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
-        assert_eq!(ck.checker_name(), "aion-ser");
+        assert_eq!(ck.name(), "aion-ser");
         assert_eq!(Checker::name(&ck), "aion-ser");
     }
 
@@ -1290,7 +1227,7 @@ mod tests {
             for i in 1..=40u64 {
                 let txn =
                     t(i, 0, (i - 1) as u32, i * 10, i * 10 + 5).put(Key(i % 4), Value(i)).build();
-                a.receive(txn, i * 100);
+                a.feed(txn, i * 100);
                 a.tick(i * 100);
             }
             a
@@ -1347,13 +1284,14 @@ mod tests {
     fn deadline_and_sno_arithmetic_saturate_at_the_edges() {
         let mut a = checker();
         a.tick(u64::MAX);
-        a.receive(t(1, 0, u32::MAX, 1, 2).read(Key(1), Value(9)).build(), 0);
+        a.feed(t(1, 0, u32::MAX, 1, 2).read(Key(1), Value(9)).build(), 0);
         assert_eq!(a.deadlines.peek(), Some(&Reverse((u64::MAX, TxnId(1)))));
         assert_eq!(a.report().count(AxiomKind::Session), 1, "the session must start at sno 0");
         // The successor of u32::MAX is not 0: a restarted session is flagged.
-        a.receive(t(2, 0, 0, 3, 4).build(), 0);
+        // The clock already stands at the end of time, so this `feed` is
+        // also what finalizes txn 1 (deadline `u64::MAX`, due now).
+        let events = a.feed(t(2, 0, 0, 3, 4).build(), 0);
         assert_eq!(a.report().count(AxiomKind::Session), 2, "{}", a.report());
-        let events = a.tick(u64::MAX);
         assert!(events.contains(&CheckEvent::ExtFinalized { tid: TxnId(1), violations: 1 }));
     }
 
@@ -1363,8 +1301,8 @@ mod tests {
         // (smaller commit ts), matching CHRONOS.
         let y = Key(2);
         let mut a = checker();
-        a.receive(t(3, 0, 0, 6, 9).put(y, Value(2)).build(), 0);
-        a.receive(t(5, 1, 0, 4, 7).put(y, Value(1)).build(), 0);
+        a.feed(t(3, 0, 0, 6, 9).put(y, Value(2)).build(), 0);
+        a.feed(t(5, 1, 0, 4, 7).put(y, Value(1)).build(), 0);
         let out = a.finish();
         assert_eq!(
             out.report.violations,

@@ -1,14 +1,15 @@
-//! Algorithm 3 on one arrival: [`OnlineChecker::receive`] names its
-//! stages in the paper's order, each a plain function over the
-//! per-arrival [`Footprint`], followed by the `TIMEOUT` procedure.
+//! Algorithm 3 as the session surface: [`OnlineChecker`]'s [`Checker`]
+//! impl — `feed` names an arrival's stages in the paper's order, each a
+//! plain function over the per-arrival [`Footprint`]; `tick` is the
+//! `TIMEOUT` procedure `feed` runs first.
 
-use super::{anchor_event, OnlineChecker, OnlineTxn, ReadState};
+use super::{aion_level_name, anchor_event, OnlineChecker, OnlineTxn, ReadState};
 use crate::feed::shard_of;
 use crate::index::ReadRef;
 use aion_types::{
-    apply, base_independent, classify_mismatch, expected_read, CheckEvent, DataKind, EventKey,
-    ExtPredicate, IsolationLevel, Key, MismatchAxiom, Mutation, Op, Snapshot, Timestamp,
-    Transaction, TxnId, Violation,
+    apply, base_independent, classify_mismatch, expected_read, CheckEvent, Checker, DataKind,
+    EventKey, ExtPredicate, IsolationLevel, Key, MismatchAxiom, Mutation, Op, Outcome, Snapshot,
+    Timestamp, Transaction, TxnId, Violation,
 };
 use std::cmp::Reverse;
 
@@ -52,12 +53,20 @@ fn mismatch_violation(
     }
 }
 
-impl OnlineChecker {
-    /// Receive one transaction at (virtual) time `now_ms`, returning the
-    /// events this arrival produced: definitive violations, tentative
-    /// verdict flips of earlier transactions, and GC spill passes.
-    pub fn receive(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
-        self.now_ms = self.now_ms.max(now_ms);
+impl Checker for OnlineChecker {
+    /// `"aion-<level>"` for uniform sessions, `"aion-mixed"` for
+    /// per-session/per-transaction policies.
+    fn name(&self) -> &'static str {
+        aion_level_name(&self.cfg.levels)
+    }
+
+    /// Advance the clock to `now_ms` — finalizing every transaction whose
+    /// EXT timeout that expires, exactly as [`Checker::tick`] would — then
+    /// admit `txn`. Returns the finalizations and their EXT violations
+    /// first, then what the arrival produced: definitive violations,
+    /// tentative verdict flips of earlier transactions, GC spill passes.
+    fn feed(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
+        self.expire_until(now_ms);
         self.stats.received += 1;
         let level = self.cfg.levels.level_for(&txn);
         if self.admit(&txn, level) {
@@ -74,6 +83,48 @@ impl OnlineChecker {
         self.take_events()
     }
 
+    /// The paper's `TIMEOUT` procedure for idle time and end of stream:
+    /// advance the (virtual) clock and finalize every transaction whose
+    /// EXT timeout has expired.
+    fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
+        self.expire_until(now_ms);
+        self.take_events()
+    }
+
+    /// Finalize everything regardless of deadlines and produce the
+    /// outcome.
+    fn finish(mut self) -> Outcome {
+        while let Some(Reverse((_, tid))) = self.deadlines.pop() {
+            self.finalize_txn(tid);
+        }
+        Outcome::new(self.name(), self.report, self.stats.received)
+            .with_stats(self.stats)
+            .with_flips(self.flips.summary())
+    }
+
+    /// Rough estimate of live checker memory, for the constrained-memory
+    /// experiment (Fig. 16) and the daemon's admission control.
+    ///
+    /// Covers the resident transactions and versioned indexes, the
+    /// spill store's buffered segments (the in-memory backend *retains*
+    /// every spilled byte, so spilling without a disk path does not
+    /// reduce process memory), and the transient event/deadline/trigger
+    /// buffers. The `memory_estimate_*` test pins this arithmetic
+    /// against the component accessors.
+    ///
+    /// O(1): every term is a length or a counter maintained where state
+    /// enters or leaves, so the cost does not grow with the history.
+    /// Tests and debug builds check the figure against a full recount
+    /// on every call.
+    fn estimated_memory_bytes(&self) -> usize {
+        let bytes = self.state_bytes_estimate() + self.spill.buffered_bytes() + self.buffer_bytes();
+        #[cfg(any(test, debug_assertions))]
+        debug_assert_eq!(bytes, self.recount_memory_bytes(), "resident-byte counters drifted");
+        bytes
+    }
+}
+
+impl OnlineChecker {
     /// SESSION and integrity. Under a sharding coordinator these already
     /// ran exactly once for the whole transaction (through the same
     /// [`super::GlobalChecks`]); a worker only sees well-formed,
@@ -390,10 +441,10 @@ impl OnlineChecker {
 
     // --- TIMEOUT -------------------------------------------------------------
 
-    /// Advance the (virtual) clock and finalize every transaction whose
-    /// EXT timeout has expired (paper's `TIMEOUT` procedure), returning
-    /// the finalizations and EXT violations that produced.
-    pub fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
+    /// Move the clock to `now_ms` (never backwards) and finalize every
+    /// transaction whose EXT deadline is due — what `feed` and `tick`
+    /// both start with.
+    fn expire_until(&mut self, now_ms: u64) {
         self.now_ms = self.now_ms.max(now_ms);
         while let Some(&Reverse((deadline, tid))) = self.deadlines.peek() {
             if deadline > self.now_ms {
@@ -402,15 +453,6 @@ impl OnlineChecker {
             self.deadlines.pop();
             self.finalize_txn(tid);
         }
-        self.take_events()
-    }
-
-    /// Finalize everything regardless of deadlines (end of stream).
-    pub fn drain(&mut self) -> Vec<CheckEvent> {
-        while let Some(Reverse((_, tid))) = self.deadlines.pop() {
-            self.finalize_txn(tid);
-        }
-        self.take_events()
     }
 
     /// Finalize the EXT verdicts of one transaction (paper `TIMEOUT`).

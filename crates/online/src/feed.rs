@@ -113,7 +113,7 @@ fn enforce_session_order(arrivals: Vec<Arrival>) -> Vec<Arrival> {
 /// same key, so key partitioning is a sound unit of parallelism; see
 /// `docs/architecture.md`.
 #[inline]
-pub fn shard_of(key: Key, shards: usize) -> usize {
+pub(crate) fn shard_of(key: Key, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
     }
@@ -171,9 +171,6 @@ pub fn route_txn(txn: Transaction, shards: usize) -> RoutedTxn {
     RoutedTxn::Split { shards: touched, txn }
 }
 
-/// One event with the virtual arrival time at which it surfaced.
-pub type TimedEvent = (u64, CheckEvent);
-
 /// Result of driving a checker through an arrival plan.
 #[derive(Debug)]
 pub struct OnlineRunReport {
@@ -182,7 +179,7 @@ pub struct OnlineRunReport {
     /// Every [`CheckEvent`] the checker emitted, stamped with the
     /// virtual time of the `feed`/`tick` call that produced it — the
     /// per-event timeline of the session.
-    pub timeline: Vec<TimedEvent>,
+    pub timeline: Vec<(u64, CheckEvent)>,
     /// Transactions processed per wall-clock second, in order.
     pub throughput: Vec<u32>,
     /// Total wall-clock processing time.
@@ -200,11 +197,6 @@ impl OnlineRunReport {
         self.processed as f64 / self.wall.as_secs_f64()
     }
 
-    /// Timeline events that committed a violation mid-stream.
-    pub fn violation_events(&self) -> usize {
-        self.timeline.iter().filter(|(_, e)| e.is_violation()).count()
-    }
-
     /// EXT finalizations observed, including the end-of-run drain.
     pub fn finalization_events(&self) -> usize {
         self.timeline.iter().filter(|(_, e)| matches!(e, CheckEvent::ExtFinalized { .. })).count()
@@ -213,7 +205,8 @@ impl OnlineRunReport {
 
 /// Drive any [`Checker`] through `plan` as fast as possible (arrival
 /// rate exceeding checking speed, as in the paper's throughput
-/// experiments): virtual time advances with each arrival's timestamp,
+/// experiments): virtual time advances with each arrival's timestamp
+/// (`feed` carries the clock, so deadlines expire as the plan plays),
 /// wall-clock throughput is bucketed per second, and every emitted
 /// event is collected into a timeline. Before `finish`, one final
 /// `tick` at the end of time expires every outstanding EXT deadline,
@@ -223,9 +216,8 @@ impl OnlineRunReport {
 pub fn run_plan<C: Checker>(mut checker: C, plan: &[Arrival]) -> OnlineRunReport {
     let start = Stopwatch::start();
     let mut throughput: Vec<u32> = Vec::new();
-    let mut timeline: Vec<TimedEvent> = Vec::new();
+    let mut timeline = Vec::new();
     for (at, txn) in plan {
-        timeline.extend(checker.tick(*at).into_iter().map(|e| (*at, e)));
         timeline.extend(checker.feed(txn.clone(), *at).into_iter().map(|e| (*at, e)));
         let sec = start.elapsed().as_secs() as usize;
         if throughput.len() <= sec {
@@ -351,7 +343,7 @@ mod tests {
             "streaming finalizations expected, timeline: {} events",
             r.timeline.len()
         );
-        assert_eq!(r.violation_events(), 0);
+        assert!(!r.timeline.iter().any(|(_, e)| e.is_violation()));
         // Timestamps on the timeline are the virtual feed times.
         assert!(r.timeline.iter().all(|(at, _)| *at <= plan.last().unwrap().0));
     }
@@ -359,7 +351,7 @@ mod tests {
     #[test]
     fn end_of_stream_violations_reach_the_timeline() {
         // The bad read's EXT deadline lies beyond the last arrival, so
-        // no in-loop tick can fire it: the end-of-run drain must still
+        // no `feed` can fire it: the end-of-run drain must still
         // surface the violation as a timeline event, not only in the
         // terminal report.
         let mut h = History::new(DataKind::Kv);
@@ -367,7 +359,8 @@ mod tests {
         let plan: Vec<Arrival> = h.txns.iter().map(|t| (0u64, t.clone())).collect();
         let r = run_plan(OnlineChecker::builder().build().unwrap(), &plan);
         assert_eq!(r.outcome.report.len(), 1);
-        assert_eq!(r.violation_events(), 1, "timeline must carry the drained violation");
+        let violations = r.timeline.iter().filter(|(_, e)| e.is_violation()).count();
+        assert_eq!(violations, 1, "timeline must carry the drained violation");
         assert_eq!(r.finalization_events(), 1);
     }
 }

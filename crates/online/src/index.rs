@@ -54,7 +54,7 @@ impl<T: Copy> FromIterator<T> for SmallSeq<T> {
 
 /// Reference to one read inside a transaction (index into its read states).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ReadRef {
+pub(crate) struct ReadRef {
     /// The reading transaction.
     pub tid: TxnId,
     /// Index into the transaction's read-state vector.
@@ -70,7 +70,7 @@ pub struct ReadRef {
 /// spill-reloaded — but only `insert` and `prune_below` change it, which
 /// is what keeps `items` equal to its contents.
 #[derive(Clone, Debug)]
-pub struct KeyEventIndex<T> {
+pub(crate) struct KeyEventIndex<T> {
     keys: FxHashMap<Key, BTreeMap<EventKey, SmallSeq<T>>>,
     /// Total items across every chain, so `len` never walks the maps.
     items: usize,
@@ -84,12 +84,12 @@ impl<T> Default for KeyEventIndex<T> {
 
 impl<T: Copy> KeyEventIndex<T> {
     /// An empty index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register `item` for `key` at `at`.
-    pub fn insert(&mut self, key: Key, at: EventKey, item: T) {
+    pub(crate) fn insert(&mut self, key: Key, at: EventKey, item: T) {
         self.keys.entry(key).or_default().entry(at).or_default().push(item);
         self.items += 1;
     }
@@ -129,7 +129,7 @@ impl<T: Copy> KeyEventIndex<T> {
     }
 
     /// Total anchored items (for stats and the memory estimate).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items
     }
 
@@ -141,11 +141,6 @@ impl<T: Copy> KeyEventIndex<T> {
         // aion-lint: allow(determinism) — commutative sum; visit order
         // cannot affect the count
         self.keys.values().flat_map(|c| c.values()).map(|items| items.as_slice().len()).sum()
-    }
-
-    /// True when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 }
 
@@ -228,18 +223,13 @@ impl OngoingIndex {
     }
 
     /// Drop versions strictly below `horizon`, keeping per-key bases.
-    pub fn prune_below(&mut self, horizon: EventKey) -> usize {
+    pub(crate) fn prune_below(&mut self, horizon: EventKey) -> usize {
         self.map.prune_below(horizon)
     }
 
     /// Number of stored versions (for stats).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// True when no interval is registered.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 

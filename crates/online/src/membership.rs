@@ -155,7 +155,7 @@ impl MembershipIndex {
 
     /// Every `(key, event, snapshot)` triple, sorted by `(key, event)` —
     /// the canonical order the checkpoint codec serializes.
-    pub fn sorted_entries(&self) -> Vec<(Key, EventKey, &Snapshot)> {
+    pub(crate) fn sorted_entries(&self) -> Vec<(Key, EventKey, &Snapshot)> {
         let mut out: Vec<(Key, EventKey, &Snapshot)> = Vec::with_capacity(self.versions);
         // aion-lint: allow(determinism) — collected and sorted below
         // before the order can escape
@@ -206,7 +206,7 @@ impl MembershipIndex {
     /// Rough resident-byte estimate, mirroring the frontier's per-entry
     /// accounting in `state_bytes_estimate`: each recorded version costs
     /// an event entry, each distinct value a stored snapshot.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.versions * 24 + self.values * 72
     }
 

@@ -5,14 +5,14 @@
 //! single-threaded `OnlineChecker` each, fed over crossbeam channels)
 //! while a coordinator owns everything that is *not* per-key:
 //!
-//! * **Routing** — each arrival is routed by [`crate::feed::shard_of`];
+//! * **Routing** — each arrival is routed by `crate::feed::shard_of`;
 //!   a transaction touching several shards is split by
 //!   [`crate::feed::route_txn`] into per-shard *sub-footprints* (same
 //!   tid/sid/sno/timestamps, only the owned keys' operations).
 //! * **Global checks** — duplicate tid/timestamp detection, SESSION,
 //!   and Eq. (1) well-formedness need the whole transaction and the
 //!   whole session stream, so the coordinator performs them exactly
-//!   once, byte-for-byte like `OnlineChecker::receive`; workers run in
+//!   once, byte-for-byte like `OnlineChecker`'s `feed`; workers run in
 //!   *coordinated* mode and skip them.
 //! * **Verdict-state ownership** — per-key state (frontier versions,
 //!   readers/writers indexes, NOCONFLICT intervals, tentative EXT
@@ -32,7 +32,7 @@
 //!   deterministically) into one uniform [`Outcome`], fixing up
 //!   `received`/`finalized` to whole-transaction counts.
 //!
-//! Workers catch their virtual clock up before processing each arrival,
+//! A worker's `feed` advances its virtual clock before admitting the part,
 //! so EXT finalization *verdicts* are identical to the single checker's
 //! regardless of when `tick`s are forwarded; the coordinator therefore
 //! rate-limits clock broadcasts to
@@ -191,101 +191,9 @@ impl ShardedChecker {
         Ok(ShardedChecker { cfg, transport: start(workers, sched), co: Coordinator::default() })
     }
 
-    /// The session's configuration.
-    pub fn config(&self) -> &AionConfig {
-        &self.cfg
-    }
-
     /// Number of shard workers.
     pub fn num_shards(&self) -> usize {
         self.cfg.shard.shards
-    }
-
-    /// Stable checker name, e.g. `"aion-si-sharded"` (or
-    /// `"aion-mixed-sharded"` for per-session/per-txn policies).
-    pub fn checker_name(&self) -> &'static str {
-        match aion_level_name(&self.cfg.levels) {
-            "aion-rc" => "aion-rc-sharded",
-            "aion-ra" => "aion-ra-sharded",
-            "aion-si" => "aion-si-sharded",
-            "aion-ser" => "aion-ser-sharded",
-            "aion-mixed" => "aion-mixed-sharded",
-            _ => "aion-sharded",
-        }
-    }
-
-    /// Coordinator-side violations (integrity + SESSION) reported so
-    /// far. Worker-side violations live in the workers until `finish`.
-    pub fn coordinator_report(&self) -> &CheckReport {
-        &self.co.report
-    }
-
-    /// Receive one transaction at (virtual) time `now_ms`: a
-    /// [`receive_batch`](Self::receive_batch) of one.
-    pub fn receive(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
-        self.receive_batch(vec![(txn, now_ms)])
-    }
-
-    /// Receive a run of arrivals in order: run the global checks, route
-    /// each footprint to its shard(s), and return every event that has
-    /// surfaced so far (coordinator violations synchronously; worker
-    /// events as their replies arrive). Each shard gets **one**
-    /// `ShardCmd::FeedBatch` carrying all of its parts in arrival order,
-    /// so per-worker FIFO — and therefore every verdict — does not depend
-    /// on how arrivals are grouped into calls.
-    pub fn receive_batch(&mut self, batch: Vec<(Transaction, u64)>) -> Vec<CheckEvent> {
-        let shards = self.num_shards();
-        let mut per_shard: Vec<Vec<(Arc<Transaction>, u64)>> = vec![Vec::new(); shards];
-        for (txn, now_ms) in batch {
-            let co = &mut self.co;
-            co.now_ms = co.now_ms.max(now_ms);
-            co.received += 1;
-
-            // The single checker's `GlobalChecks`, run once per whole
-            // transaction, at the same resolved level the workers will
-            // check the footprint at.
-            let level = self.cfg.levels.level_for(&txn);
-            let on = self.cfg.events;
-            let admitted = co
-                .globals
-                .admit(&txn, level, |v| record_violation(on, &mut co.events, &mut co.report, v));
-            if !admitted {
-                co.dropped += 1;
-                continue;
-            }
-
-            let (tid, now) = (txn.tid, co.now_ms);
-            // A shard outside the buffer cannot occur: `route_txn` computes
-            // shards modulo `shards`, the buffer's exact length.
-            let mut stage = |shard: usize, part: Arc<Transaction>| {
-                if let Some(parts) = per_shard.get_mut(shard) {
-                    parts.push((part, now));
-                }
-            };
-            match route_txn(txn, shards) {
-                RoutedTxn::Single { shard, txn } => {
-                    self.track_pending(tid, &txn, 1);
-                    stage(shard, Arc::new(txn));
-                }
-                RoutedTxn::Split { shards, txn } => {
-                    self.track_pending(tid, &txn, shards.len() as u32);
-                    // Shared, so a split transaction is *not* deep-cloned
-                    // on the coordinator's critical path — the last worker
-                    // to unwrap it takes ownership, the others clone in
-                    // parallel on their own threads.
-                    let txn = Arc::new(txn);
-                    for &shard in &shards {
-                        stage(shard, Arc::clone(&txn));
-                    }
-                }
-            }
-        }
-        for (shard, parts) in per_shard.into_iter().enumerate() {
-            if !parts.is_empty() {
-                self.transport.send(shard, ShardCmd::FeedBatch { parts });
-            }
-        }
-        self.pump()
     }
 
     /// Register the number of routed parts whose `Fed` replies will
@@ -303,24 +211,6 @@ impl ShardedChecker {
     /// production sessions over real threads).
     pub fn sim_stats(&self) -> Option<SimStats> {
         self.transport.sim_stats()
-    }
-
-    /// Advance the virtual clock. Broadcasts to workers at most every
-    /// [`aion_types::ShardConfig::tick_broadcast_ms`] virtual ms —
-    /// workers self-tick before each arrival, so this only affects how
-    /// promptly idle shards surface finalization *events*, never
-    /// verdicts. `u64::MAX` drains synchronously (see module docs).
-    pub fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
-        self.co.now_ms = self.co.now_ms.max(now_ms);
-        if now_ms == u64::MAX {
-            self.broadcast_tick(u64::MAX);
-            self.barrier();
-        } else if now_ms.saturating_sub(self.co.last_tick_broadcast)
-            >= self.cfg.shard.tick_broadcast_ms
-        {
-            self.broadcast_tick(now_ms);
-        }
-        self.pump()
     }
 
     fn broadcast_tick(&mut self, now_ms: u64) {
@@ -444,42 +334,6 @@ impl ShardedChecker {
         if finalized_shards > 0 {
             self.co.events.push(CheckEvent::ExtFinalized { tid, violations });
         }
-    }
-
-    /// Finish the session: join the workers and merge their outcomes —
-    /// coordinator report first, then each shard's in shard order (so
-    /// the merged report is deterministic), with stats and flip
-    /// summaries folded shard-aware and `received`/`finalized` fixed up
-    /// to whole-transaction counts.
-    pub fn finish(mut self) -> Outcome {
-        let mut outcomes = self.round(
-            || ShardCmd::Finish,
-            |reply| match reply {
-                ShardReply::Done { shard, outcome } => Ok((shard, *outcome)),
-                other => Err(other),
-            },
-        );
-        // A worker that died panics here with its own message.
-        self.transport.join();
-        outcomes.sort_unstable_by_key(|(shard, _)| *shard);
-
-        let mut report = std::mem::take(&mut self.co.report);
-        let mut stats = CheckerStats::default();
-        let mut flips = FlipSummary::default();
-        for (_, outcome) in outcomes {
-            report.merge(outcome.report);
-            stats.absorb_shard(&outcome.stats);
-            flips.absorb_shard(&outcome.flips);
-        }
-        // Whole-transaction counts: a split transaction was received by
-        // several workers but is one transaction; malformed arrivals
-        // were never forwarded and never finalize.
-        stats.received = self.co.received;
-        stats.finalized = self.co.received - self.co.dropped;
-
-        Outcome::new(self.checker_name(), report, self.co.received)
-            .with_stats(stats)
-            .with_flips(flips)
     }
 
     /// Checkpoint the whole sharded session as a `SNAPSHOT_KIND_SHARDED`
@@ -839,27 +693,136 @@ fn resplit_workers(
 }
 
 impl Checker for ShardedChecker {
+    /// Stable checker name, e.g. `"aion-si-sharded"` (or
+    /// `"aion-mixed-sharded"` for per-session/per-txn policies).
     fn name(&self) -> &'static str {
-        self.checker_name()
+        match aion_level_name(&self.cfg.levels) {
+            "aion-rc" => "aion-rc-sharded",
+            "aion-ra" => "aion-ra-sharded",
+            "aion-si" => "aion-si-sharded",
+            "aion-ser" => "aion-ser-sharded",
+            "aion-mixed" => "aion-mixed-sharded",
+            _ => "aion-sharded",
+        }
     }
 
+    /// A [`feed_batch`](Checker::feed_batch) of one.
     fn feed(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent> {
-        self.receive(txn, now_ms)
+        self.feed_batch(vec![(txn, now_ms)])
     }
 
-    /// Batched ingest: one `ShardCmd::FeedBatch` per shard instead of
-    /// one channel send per routed part (see
-    /// [`ShardedChecker::receive_batch`]).
+    /// Feed a run of arrivals in order: run the global checks, route
+    /// each footprint to its shard(s), and return every event that has
+    /// surfaced so far (coordinator violations synchronously; worker
+    /// events as their replies arrive). Each shard gets **one**
+    /// `ShardCmd::FeedBatch` carrying all of its parts in arrival order,
+    /// so per-worker FIFO — and therefore every verdict — does not depend
+    /// on how arrivals are grouped into calls.
     fn feed_batch(&mut self, batch: Vec<(Transaction, u64)>) -> Vec<CheckEvent> {
-        self.receive_batch(batch)
+        let shards = self.num_shards();
+        let mut per_shard: Vec<Vec<(Arc<Transaction>, u64)>> = vec![Vec::new(); shards];
+        for (txn, now_ms) in batch {
+            let co = &mut self.co;
+            co.now_ms = co.now_ms.max(now_ms);
+            co.received += 1;
+
+            // The single checker's `GlobalChecks`, run once per whole
+            // transaction, at the same resolved level the workers will
+            // check the footprint at.
+            let level = self.cfg.levels.level_for(&txn);
+            let on = self.cfg.events;
+            let admitted = co
+                .globals
+                .admit(&txn, level, |v| record_violation(on, &mut co.events, &mut co.report, v));
+            if !admitted {
+                co.dropped += 1;
+                continue;
+            }
+
+            let (tid, now) = (txn.tid, co.now_ms);
+            // A shard outside the buffer cannot occur: `route_txn` computes
+            // shards modulo `shards`, the buffer's exact length.
+            let mut stage = |shard: usize, part: Arc<Transaction>| {
+                if let Some(parts) = per_shard.get_mut(shard) {
+                    parts.push((part, now));
+                }
+            };
+            match route_txn(txn, shards) {
+                RoutedTxn::Single { shard, txn } => {
+                    self.track_pending(tid, &txn, 1);
+                    stage(shard, Arc::new(txn));
+                }
+                RoutedTxn::Split { shards, txn } => {
+                    self.track_pending(tid, &txn, shards.len() as u32);
+                    // Shared, so a split transaction is *not* deep-cloned
+                    // on the coordinator's critical path — the last worker
+                    // to unwrap it takes ownership, the others clone in
+                    // parallel on their own threads.
+                    let txn = Arc::new(txn);
+                    for &shard in &shards {
+                        stage(shard, Arc::clone(&txn));
+                    }
+                }
+            }
+        }
+        for (shard, parts) in per_shard.into_iter().enumerate() {
+            if !parts.is_empty() {
+                self.transport.send(shard, ShardCmd::FeedBatch { parts });
+            }
+        }
+        self.pump()
     }
 
+    /// Advance the virtual clock. Broadcasts to workers at most every
+    /// [`aion_types::ShardConfig::tick_broadcast_ms`] virtual ms —
+    /// a worker's `feed` advances its own clock, so this only affects how
+    /// promptly idle shards surface finalization *events*, never
+    /// verdicts. `u64::MAX` drains synchronously (see module docs).
     fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
-        ShardedChecker::tick(self, now_ms)
+        self.co.now_ms = self.co.now_ms.max(now_ms);
+        if now_ms == u64::MAX {
+            self.broadcast_tick(u64::MAX);
+            self.barrier();
+        } else if now_ms.saturating_sub(self.co.last_tick_broadcast)
+            >= self.cfg.shard.tick_broadcast_ms
+        {
+            self.broadcast_tick(now_ms);
+        }
+        self.pump()
     }
 
-    fn finish(self) -> Outcome {
-        ShardedChecker::finish(self)
+    /// Finish the session: join the workers and merge their outcomes —
+    /// coordinator report first, then each shard's in shard order (so
+    /// the merged report is deterministic), with stats and flip
+    /// summaries folded shard-aware and `received`/`finalized` fixed up
+    /// to whole-transaction counts.
+    fn finish(mut self) -> Outcome {
+        let mut outcomes = self.round(
+            || ShardCmd::Finish,
+            |reply| match reply {
+                ShardReply::Done { shard, outcome } => Ok((shard, *outcome)),
+                other => Err(other),
+            },
+        );
+        // A worker that died panics here with its own message.
+        self.transport.join();
+        outcomes.sort_unstable_by_key(|(shard, _)| *shard);
+
+        let mut report = std::mem::take(&mut self.co.report);
+        let mut stats = CheckerStats::default();
+        let mut flips = FlipSummary::default();
+        for (_, outcome) in outcomes {
+            report.merge(outcome.report);
+            stats.absorb_shard(&outcome.stats);
+            flips.absorb_shard(&outcome.flips);
+        }
+        // Whole-transaction counts: a split transaction was received by
+        // several workers but is one transaction; malformed arrivals
+        // were never forwarded and never finalize.
+        stats.received = self.co.received;
+        stats.finalized = self.co.received - self.co.dropped;
+
+        Outcome::new(self.name(), report, self.co.received).with_stats(stats).with_flips(flips)
     }
 
     /// Aggregate of every worker's estimate (queried through the
@@ -888,8 +851,8 @@ mod tests {
     #[test]
     fn valid_history_passes_across_shards() {
         let mut a = sharded(4);
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).put(Key(2), Value(6)).build(), 0);
-        a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).read(Key(2), Value(6)).build(), 1);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).put(Key(2), Value(6)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).read(Key(2), Value(6)).build(), 1);
         let out = a.finish();
         assert!(out.is_ok(), "{}", out.report);
         assert_eq!(out.txns, 2);
@@ -901,12 +864,12 @@ mod tests {
     #[test]
     fn global_checks_report_once() {
         let mut a = sharded(4);
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).put(Key(2), Value(2)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).put(Key(2), Value(2)).build(), 0);
         // Duplicate tid, session gap, and Eq. (1) violations are
         // coordinator-owned: exactly one report each, like the single
         // checker.
-        a.receive(t(1, 1, 0, 3, 4).put(Key(3), Value(3)).build(), 0);
-        a.receive(t(3, 0, 5, 9, 8).put(Key(4), Value(4)).build(), 0);
+        a.feed(t(1, 1, 0, 3, 4).put(Key(3), Value(3)).build(), 0);
+        a.feed(t(3, 0, 5, 9, 8).put(Key(4), Value(4)).build(), 0);
         let out = a.finish();
         assert_eq!(out.report.count(AxiomKind::Integrity), 2, "{}", out.report);
         assert_eq!(out.report.count(AxiomKind::Session), 1, "{}", out.report);
@@ -924,7 +887,7 @@ mod tests {
         for k in 0..8u64 {
             txn = txn.read(Key(k), Value(99));
         }
-        a.receive(txn.build(), 0);
+        a.feed(txn.build(), 0);
         let mut events = a.tick(u64::MAX);
         let finalized: Vec<_> =
             events.drain(..).filter(|e| matches!(e, CheckEvent::ExtFinalized { .. })).collect();
@@ -942,8 +905,8 @@ mod tests {
         // Reads justified at arrival stay pending until the timeout, so
         // the merged event appears on drain with zero violations.
         let mut a = sharded(2);
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).put(Key(2), Value(6)).build(), 0);
-        a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).read(Key(2), Value(6)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).put(Key(2), Value(6)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).read(Key(2), Value(6)).build(), 0);
         let events = a.tick(u64::MAX);
         let finalizations =
             events.iter().filter(|e| matches!(e, CheckEvent::ExtFinalized { .. })).count();
@@ -954,10 +917,10 @@ mod tests {
     #[test]
     fn verdict_flips_stream_through() {
         let mut a = sharded(3);
-        let mut events = a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
+        let mut events = a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
         // Justifying writer arrives late: the worker's flip must surface
         // on the coordinator's outbound stream (possibly on a later call).
-        events.extend(a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 9));
+        events.extend(a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 9));
         events.extend(a.tick(u64::MAX));
         assert!(
             events.iter().any(|e| matches!(e, CheckEvent::VerdictFlip { tid: TxnId(2), .. })),
@@ -971,8 +934,8 @@ mod tests {
     #[test]
     fn events_off_runs_quiet_but_correct() {
         let mut a = OnlineChecker::builder().shards(4).events(false).build_sharded().unwrap();
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 0);
-        let evs = a.receive(t(2, 1, 0, 3, 4).read(Key(1), Value(9)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 0);
+        let evs = a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(9)).build(), 0);
         assert!(evs.is_empty());
         assert!(a.tick(u64::MAX).is_empty());
         let out = a.finish();
@@ -991,8 +954,8 @@ mod tests {
             t(5, 4, 0, 4, 7).read(Key(1), Value(1)).put(Key(2), Value(1)).build(),
         ];
         for txn in &txns {
-            single.receive(txn.clone(), 0);
-            sharded.receive(txn.clone(), 0);
+            single.feed(txn.clone(), 0);
+            sharded.feed(txn.clone(), 0);
         }
         let (a, b) = (single.finish(), sharded.finish());
         assert_eq!(a.report.violations, b.report.violations);
@@ -1013,8 +976,8 @@ mod tests {
             .build_sharded_sim(SimSchedule::pathological(42))
             .unwrap();
         for (i, txn) in txns.iter().enumerate() {
-            threaded.receive(txn.clone(), i as u64);
-            sim.receive(txn.clone(), i as u64);
+            threaded.feed(txn.clone(), i as u64);
+            sim.feed(txn.clone(), i as u64);
         }
         threaded.tick(u64::MAX);
         sim.tick(u64::MAX);
@@ -1032,9 +995,9 @@ mod tests {
     fn deadline_and_sno_arithmetic_saturate_at_the_edges() {
         let mut a = sharded(2);
         a.tick(u64::MAX);
-        a.receive(t(1, 0, u32::MAX, 1, 2).read(Key(1), Value(9)).read(Key(2), Value(9)).build(), 0);
-        a.receive(t(2, 0, 0, 3, 4).build(), 0);
-        assert_eq!(a.coordinator_report().count(AxiomKind::Session), 2);
+        a.feed(t(1, 0, u32::MAX, 1, 2).read(Key(1), Value(9)).read(Key(2), Value(9)).build(), 0);
+        a.feed(t(2, 0, 0, 3, 4).build(), 0);
+        assert_eq!(a.co.report.count(AxiomKind::Session), 2);
         let snap = a.checkpoint().unwrap();
         for mut ck in [a, ShardedChecker::restore(&snap, Some(3)).unwrap()] {
             let events = ck.tick(u64::MAX);
@@ -1073,7 +1036,7 @@ mod tests {
         assert_eq!((cfg.shard.shards, bodies.len()), (4, 4));
         let bad_reads = |ck: &mut ShardedChecker| {
             for k in 0..32u64 {
-                ck.receive(
+                ck.feed(
                     t(k + 1, k as u32, 0, 10 * k + 1, 10 * k + 2).read(Key(k), Value(9)).build(),
                     0,
                 );
@@ -1150,7 +1113,7 @@ mod tests {
             .unwrap();
         for i in 0..40u64 {
             let txn = t(i + 1, 0, i as u32, 10 * i + 1, 10 * i + 2).put(Key(i % 6), Value(i));
-            ck.receive(txn.read(Key((i + 1) % 6), Value(999)).build(), 1000 * i);
+            ck.feed(txn.read(Key((i + 1) % 6), Value(999)).build(), 1000 * i);
         }
         ck.checkpoint().expect("a healthy checkpoint, which also flushes the workers");
         let shard1 = dir.join("spill.bin.shard1");
@@ -1174,9 +1137,9 @@ mod tests {
     fn ser_mode_is_shard_aware_too() {
         let mut a =
             OnlineChecker::builder().level(IsolationLevel::Ser).shards(4).build_sharded().unwrap();
-        a.receive(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).build(), 0);
-        a.receive(t(2, 1, 0, 3, 6).put(Key(1), Value(2)).build(), 0);
-        a.receive(t(3, 2, 0, 4, 7).read(Key(1), Value(1)).build(), 0);
+        a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(1)).build(), 0);
+        a.feed(t(2, 1, 0, 3, 6).put(Key(1), Value(2)).build(), 0);
+        a.feed(t(3, 2, 0, 4, 7).read(Key(1), Value(1)).build(), 0);
         let out = a.finish();
         assert_eq!(out.checker, "aion-ser-sharded");
         assert_eq!(out.report.count(AxiomKind::Ext), 1, "{}", out.report);

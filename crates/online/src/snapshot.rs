@@ -6,7 +6,7 @@
 //! crashes, operator restarts and shard rebalancing without losing the
 //! tentative verdict state accumulated mid-stream. This module extends
 //! the spill codec (which already persists part of the state, see
-//! [`crate::spill`]) into a *complete* snapshot: every field of an
+//! `crate::spill`) into a *complete* snapshot: every field of an
 //! [`OnlineChecker`] is serialized under the versioned envelope of
 //! [`aion_types::snapshot`] and restored exactly.
 //!

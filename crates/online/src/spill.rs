@@ -85,7 +85,7 @@ impl std::fmt::Debug for SpillFaultPlan {
 
 /// One spilled transaction with its derived write set.
 #[derive(Clone, PartialEq, Debug)]
-pub struct SpillEntry {
+pub(crate) struct SpillEntry {
     /// The original transaction. Its wire layout carries the declared
     /// isolation level, so a reloaded transaction resolves to the level it
     /// was checked at under a per-transaction policy.
@@ -97,7 +97,7 @@ pub struct SpillEntry {
 wire_struct!(SpillEntry { txn, write_set });
 
 /// Identifier of a spill segment.
-pub type SegmentId = usize;
+pub(crate) type SegmentId = usize;
 
 #[derive(Debug)]
 struct SegmentMeta {
@@ -116,7 +116,7 @@ enum Backend {
 }
 
 /// Append-only segmented spill store.
-pub struct SpillStore {
+pub(crate) struct SpillStore {
     backend: Backend,
     segments: Vec<SegmentMeta>,
     /// Bytes held by the in-memory backend's segment buffers (0 for the
@@ -129,7 +129,7 @@ pub struct SpillStore {
 impl SpillStore {
     /// A spill store backed by memory buffers (encode/decode costs are
     /// identical to the disk backend).
-    pub fn in_memory() -> SpillStore {
+    pub(crate) fn in_memory() -> SpillStore {
         SpillStore {
             backend: Backend::Memory(Vec::new()),
             segments: Vec::new(),
@@ -139,7 +139,7 @@ impl SpillStore {
     }
 
     /// A spill store backed by a file at `path` (created/truncated).
-    pub fn on_disk(path: PathBuf) -> std::io::Result<SpillStore> {
+    pub(crate) fn on_disk(path: PathBuf) -> std::io::Result<SpillStore> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
         Ok(SpillStore {
@@ -152,13 +152,8 @@ impl SpillStore {
 
     /// Install a fault-injection plan (testing only; see
     /// [`SpillFaultPlan`]).
-    pub fn set_faults(&mut self, faults: Option<Arc<SpillFaultPlan>>) {
+    pub(crate) fn set_faults(&mut self, faults: Option<Arc<SpillFaultPlan>>) {
         self.faults = faults;
-    }
-
-    /// Number of segments written so far.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
     }
 
     /// Spill a batch of entries as one segment; returns its id and the
@@ -167,7 +162,7 @@ impl SpillStore {
     /// On an IO error no segment is recorded and the store stays
     /// consistent: the caller keeps the entries resident and may retry a
     /// later pass.
-    pub fn spill(&mut self, entries: &[SpillEntry]) -> std::io::Result<(SegmentId, usize)> {
+    pub(crate) fn spill(&mut self, entries: &[SpillEntry]) -> std::io::Result<(SegmentId, usize)> {
         assert!(!entries.is_empty(), "cannot spill an empty segment");
         if let Some(e) = self.faults.as_ref().and_then(|f| f.trip(f.write_fail_p, "write")) {
             return Err(e);
@@ -205,7 +200,7 @@ impl SpillStore {
 
     /// Ids of not-yet-reloaded segments whose `[min_ts, max_ts]` range
     /// intersects `[lo, hi]`.
-    pub fn segments_overlapping(&self, lo: Timestamp, hi: Timestamp) -> Vec<SegmentId> {
+    pub(crate) fn segments_overlapping(&self, lo: Timestamp, hi: Timestamp) -> Vec<SegmentId> {
         self.segments
             .iter()
             .enumerate()
@@ -236,7 +231,7 @@ impl SpillStore {
     /// [`CodecError::UnexpectedEof`], as the caller distinguishes only
     /// success from failure), or bytes that do not decode — leaves the
     /// segment marked *not* loaded, so a later pass can retry it.
-    pub fn reload(&mut self, id: SegmentId) -> Result<Vec<SpillEntry>, CodecError> {
+    pub(crate) fn reload(&mut self, id: SegmentId) -> Result<Vec<SpillEntry>, CodecError> {
         if let Some(f) = self.faults.as_ref() {
             if f.trip(f.reload_fail_p, "reload").is_some() {
                 return Err(CodecError::UnexpectedEof);
@@ -251,7 +246,8 @@ impl SpillStore {
     }
 
     /// Total transactions currently spilled out (not reloaded).
-    pub fn resident_out(&self) -> usize {
+    #[cfg(test)]
+    fn resident_out(&self) -> usize {
         self.segments.iter().filter(|s| !s.loaded).map(|s| s.txns).sum()
     }
 
@@ -260,7 +256,7 @@ impl SpillStore {
     /// reloaded or not), plus the per-segment metadata either backend
     /// keeps. Disk-backed stores only pay the metadata — their segments
     /// live in the file.
-    pub fn buffered_bytes(&self) -> usize {
+    pub(crate) fn buffered_bytes(&self) -> usize {
         self.segments.len() * std::mem::size_of::<SegmentMeta>() + self.memory_bytes
     }
 
@@ -454,7 +450,7 @@ mod tests {
         store.set_faults(Some(SpillFaultPlan::new(7, 1.0, 0.0)));
         let err = store.spill(&[entry(1, 10, 20)]).unwrap_err();
         assert!(err.to_string().contains("injected spill write fault"));
-        assert_eq!(store.num_segments(), 0);
+        assert_eq!(store.segments.len(), 0);
         assert_eq!(store.resident_out(), 0);
         // Clearing the plan restores normal operation.
         store.set_faults(None);

@@ -7,13 +7,10 @@
 //! positives/negatives are rectified. [`FlipTracker`] collects exactly
 //! that; detail collection can be disabled for throughput runs.
 //!
-//! The aggregate types live in `aion_types::check` so the uniform
-//! [`aion_types::Outcome`] can carry them for every checker; they are
-//! re-exported here under their historical names.
+//! The aggregate [`FlipSummary`] lives in `aion_types::check` so the
+//! uniform [`aion_types::Outcome`] can carry it for every checker.
 
-use aion_types::{FxHashMap, FxHashSet, Key, TxnId};
-
-pub use aion_types::check::{CheckerStats, FlipSummary};
+use aion_types::{FlipSummary, FxHashMap, FxHashSet, Key, TxnId};
 
 /// Collects flip-flop events.
 ///
@@ -21,7 +18,7 @@ pub use aion_types::check::{CheckerStats, FlipSummary};
 /// which persists the tracker verbatim so a restored session's flip
 /// statistics continue exactly where the interrupted run left off.
 #[derive(Debug, Default)]
-pub struct FlipTracker {
+pub(crate) struct FlipTracker {
     pub(crate) detail: bool,
     pub(crate) total_flips: u64,
     pub(crate) flips_per_pair: FxHashMap<(TxnId, Key), u32>,
@@ -32,13 +29,13 @@ pub struct FlipTracker {
 impl FlipTracker {
     /// A tracker; with `detail`, per-pair histograms and rectification
     /// latencies are retained (memory ∝ number of flipping pairs).
-    pub fn new(detail: bool) -> FlipTracker {
+    pub(crate) fn new(detail: bool) -> FlipTracker {
         FlipTracker { detail, ..FlipTracker::default() }
     }
 
     /// Record one verdict switch for `(tid, key)`. `rectified_after_ms` is
     /// set when the switch is wrong→ok, giving the false-verdict duration.
-    pub fn record_flip(&mut self, tid: TxnId, key: Key, rectified_after_ms: Option<u64>) {
+    pub(crate) fn record_flip(&mut self, tid: TxnId, key: Key, rectified_after_ms: Option<u64>) {
         self.total_flips += 1;
         if self.detail {
             *self.flips_per_pair.entry((tid, key)).or_insert(0) += 1;
@@ -50,7 +47,7 @@ impl FlipTracker {
     }
 
     /// Summarize into histogram form.
-    pub fn summary(&self) -> FlipSummary {
+    pub(crate) fn summary(&self) -> FlipSummary {
         let mut flip_histogram = [0usize; 4];
         // aion-lint: allow(determinism) — order-insensitive histogram
         // fold; each value lands in its bucket regardless of visit order

@@ -23,7 +23,7 @@
 //! simulator perturbs is everything the contract does *not* promise:
 //! cross-worker interleaving, delivery latency, how long a worker sits
 //! on a queued command, and whether a rate-limited clock broadcast
-//! arrives at all (workers self-tick before each arrival, so verdicts
+//! arrives at all (a worker's `feed` advances its own clock, so verdicts
 //! must not depend on broadcast ticks — [`SimSchedule::drop_tick_p`]
 //! exists to falsify exactly that claim).
 
@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 /// Commands the coordinator sends to a shard worker.
 pub(crate) enum ShardCmd {
     /// Process a run of (sub-)transactions in order, each at its own
-    /// virtual time (the worker ticks its clock up to it first) — one
+    /// virtual time (`feed` advances the worker's clock to it first) — one
     /// channel send for the whole run, one `Fed` reply per part. Never
     /// dropped by the simulator (only finite `Tick`s are droppable), so
     /// how arrivals are grouped cannot change verdicts under any schedule.
@@ -109,8 +109,7 @@ pub(crate) fn worker_step(
                 // transaction deep-clone here, off the coordinator's
                 // critical path.
                 let txn = Arc::try_unwrap(txn).unwrap_or_else(|shared| (*shared).clone());
-                let mut events = ck.tick(now_ms);
-                events.extend(ck.receive(txn, now_ms));
+                let events = ck.feed(txn, now_ms);
                 if events_on {
                     // Whether this shard still holds tentative reads for the
                     // transaction — the single source of truth the
@@ -248,10 +247,9 @@ impl ShardTransport for ThreadTransport {
     }
 }
 
-/// A shard worker: drains commands in order, catching its clock up
-/// before each arrival so finalization verdicts match the single
-/// checker's, and replies with events (when on) plus the pending flag
-/// the coordinator's `ExtFinalized` merge needs.
+/// A shard worker: drains commands in order and replies with events
+/// (when on) plus the pending flag the coordinator's `ExtFinalized`
+/// merge needs.
 fn worker_loop(
     shard: usize,
     checker: OnlineChecker,
@@ -291,8 +289,8 @@ pub struct SimSchedule {
     /// the coordinator (lower = replies lag further behind processing).
     pub deliver_p: f64,
     /// Probability of dropping a *finite* clock broadcast
-    /// (`ShardCmd::Tick`) outright. Legal by design — workers self-tick
-    /// before each arrival and the end-of-stream drain (`now == MAX`)
+    /// (`ShardCmd::Tick`) outright. Legal by design — a worker's `feed`
+    /// advances its own clock and the end-of-stream drain (`now == MAX`)
     /// is never dropped — so verdicts must survive any value here.
     pub drop_tick_p: f64,
     /// Probability that a selected worker enters a stall instead of

@@ -41,11 +41,6 @@ impl<V> VersionedMap<V> {
         self.versions == 0
     }
 
-    /// Number of keys with at least one version.
-    pub fn num_keys(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Insert (or replace) the version of `key` at event `at`.
     pub fn insert(&mut self, key: Key, at: EventKey, value: V) -> Option<V> {
         let prev = self.keys.entry(key).or_default().insert(at, value);
@@ -53,19 +48,6 @@ impl<V> VersionedMap<V> {
             self.versions += 1;
         }
         prev
-    }
-
-    /// Remove the version of `key` at exactly `at`.
-    pub fn remove(&mut self, key: Key, at: EventKey) -> Option<V> {
-        let chain = self.keys.get_mut(&key)?;
-        let v = chain.remove(&at);
-        if v.is_some() {
-            self.versions -= 1;
-            if chain.is_empty() {
-                self.keys.remove(&key);
-            }
-        }
-        v
     }
 
     /// The latest version of `key` strictly before event `at`
@@ -84,22 +66,9 @@ impl<V> VersionedMap<V> {
         self.keys.get(&key)?.range((Bound::Excluded(at), Bound::Unbounded)).next().map(|(e, _)| *e)
     }
 
-    /// Iterate versions of `key` within `(lo, hi)` exclusive on both ends.
-    pub fn range(
-        &self,
-        key: Key,
-        lo: EventKey,
-        hi: EventKey,
-    ) -> impl Iterator<Item = (EventKey, &V)> + '_ {
-        self.keys
-            .get(&key)
-            .into_iter()
-            .flat_map(move |chain| chain.range((Bound::Excluded(lo), Bound::Excluded(hi))))
-            .map(|(e, v)| (*e, v))
-    }
-
-    /// Mutable iteration over versions of `key` within `(lo, hi)`.
-    pub fn range_mut(
+    /// Mutable iteration over versions of `key` within `(lo, hi)`,
+    /// exclusive on both ends.
+    pub(crate) fn range_mut(
         &mut self,
         key: Key,
         lo: EventKey,
@@ -131,7 +100,7 @@ impl<V> VersionedMap<V> {
     }
 
     /// Iterate all `(key, event, value)` triples (unspecified key order).
-    pub fn iter(&self) -> impl Iterator<Item = (Key, EventKey, &V)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Key, EventKey, &V)> + '_ {
         self.keys.iter().flat_map(|(k, chain)| chain.iter().map(move |(e, v)| (*k, *e, v)))
     }
 }
@@ -183,7 +152,7 @@ mod tests {
         for t in [10, 20, 30, 40] {
             m.insert(Key(1), ev(t), t);
         }
-        let got: Vec<u64> = m.range(Key(1), ev(10), ev(40)).map(|(_, v)| *v).collect();
+        let got: Vec<u64> = m.range_mut(Key(1), ev(10), ev(40)).map(|(_, v)| *v).collect();
         assert_eq!(got, vec![20, 30]);
     }
 
@@ -206,13 +175,11 @@ mod tests {
         assert!(m.is_empty());
         m.insert(Key(1), ev(10), 1);
         m.insert(Key(2), ev(20), 2);
-        m.insert(Key(1), ev(10), 3); // replace, not a new version
+        assert_eq!(m.insert(Key(1), ev(10), 3), Some(1)); // replace, not a new version
         assert_eq!(m.len(), 2);
-        assert_eq!(m.num_keys(), 2);
-        assert_eq!(m.remove(Key(1), ev(10)), Some(3));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.remove(Key(1), ev(10)), None);
-        assert_eq!(m.num_keys(), 1);
+        m.insert(Key(1), ev(15), 4);
+        assert_eq!(m.prune_below(ev(16)), 1, "removes ev(10); ev(15) stays as the base");
+        assert_eq!(m.len(), 2);
     }
 
     #[test]

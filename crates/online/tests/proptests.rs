@@ -8,7 +8,7 @@
 //! * AION agrees with CHRONOS on arbitrary (valid and corrupted) histories.
 
 use aion_core::check_si_report;
-use aion_online::{AionConfig, OnlineChecker, OnlineGcPolicy, VersionedMap};
+use aion_online::{AionConfig, Checker, OnlineChecker, OnlineGcPolicy, VersionedMap};
 use aion_types::{
     AxiomKind, DataKind, EventKey, FxHashMap, History, Key, SessionId, Snapshot, SplitMix64,
     Timestamp, Transaction, TxnId, Value,
@@ -91,7 +91,7 @@ proptest! {
     fn ongoing_index_matches_brute_force(
         intervals in prop::collection::vec((1u64..50, 1u64..20, 0u8..3), 1..25),
     ) {
-        use aion_online::index::OngoingIndex;
+        use aion_online::OngoingIndex;
         let mut idx = OngoingIndex::new();
         // (key, tid, start, commit)
         let mut seen: Vec<(Key, u64, u64, u64)> = Vec::new();
@@ -109,10 +109,10 @@ proptest! {
                 EventKey::commit(Timestamp(c), TxnId(tid)),
                 false,
             );
-            let mut want: Vec<aion_online::index::OngoingWriter> = seen
+            let mut want: Vec<aion_online::OngoingWriter> = seen
                 .iter()
                 .filter(|(pk, _, ps, pc)| *pk == key && *ps <= c && s <= *pc)
-                .map(|(_, pt, _, _)| aion_online::index::OngoingWriter {
+                .map(|(_, pt, _, _)| aion_online::OngoingWriter {
                     tid: TxnId(*pt),
                     noconflict: true,
                 })
@@ -164,11 +164,11 @@ fn session_respecting_shuffle(h: &History, seed: u64) -> Vec<Transaction> {
     out
 }
 
-fn run_online(arrivals: &[Transaction], cfg: AionConfig) -> aion_online::AionOutcome {
+fn run_online(arrivals: &[Transaction], cfg: AionConfig) -> aion_online::Outcome {
     let mut ck = OnlineChecker::try_new(cfg).unwrap();
     for (i, txn) in arrivals.iter().enumerate() {
         ck.tick(i as u64);
-        ck.receive(txn.clone(), i as u64);
+        ck.feed(txn.clone(), i as u64);
     }
     ck.finish()
 }

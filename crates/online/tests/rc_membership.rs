@@ -72,7 +72,7 @@ fn run_online(arrivals: &[Transaction], cfg: AionConfig) -> Outcome {
     let mut ck = OnlineChecker::try_new(cfg).unwrap();
     for (i, txn) in arrivals.iter().enumerate() {
         ck.tick(i as u64);
-        ck.receive(txn.clone(), i as u64);
+        ck.feed(txn.clone(), i as u64);
     }
     ck.finish()
 }
@@ -334,7 +334,7 @@ proptest! {
             let mut ck = cfg().build().unwrap();
             for (i, txn) in arrivals.iter().enumerate() {
                 ck.tick(i as u64);
-                ck.receive(txn.clone(), i as u64);
+                ck.feed(txn.clone(), i as u64);
             }
             ck.tick(u64::MAX);
             ck.finish()
@@ -343,7 +343,7 @@ proptest! {
             let mut per_arrival = cfg().shards(shards).build_sharded().unwrap();
             for (i, txn) in arrivals.iter().enumerate() {
                 per_arrival.tick(i as u64);
-                per_arrival.receive(txn.clone(), i as u64);
+                per_arrival.feed(txn.clone(), i as u64);
             }
             per_arrival.tick(u64::MAX);
             let pa = per_arrival.finish();
@@ -357,7 +357,7 @@ proptest! {
                     .enumerate()
                     .map(|(j, t)| (t.clone(), base + j as u64))
                     .collect();
-                batched.receive_batch(parts);
+                batched.feed_batch(parts);
             }
             batched.tick(u64::MAX);
             let ba = batched.finish();

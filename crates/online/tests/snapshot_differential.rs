@@ -647,7 +647,7 @@ fn golden_sharded2_checkpoint_is_byte_stable() {
             TxnBuilder::new(2000 + k).session(30 + i as u32, 0).interval(2 + 10 * k, 3 + 10 * k);
         batch.push((t.read(Key(k), Value::INIT).build(), late + 40));
     }
-    ck.receive_batch(batch);
+    ck.feed_batch(batch);
 
     let file = golden("sharded2.ckpt", &ck.checkpoint().expect("checkpoint"));
     let mut back = ShardedChecker::restore(&file, None).expect("restore golden");

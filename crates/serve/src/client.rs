@@ -47,7 +47,7 @@ impl Reply {
     /// Convert a failed terminal line into the matching [`ServeError`]
     /// category (losing server-side structure but keeping the category
     /// and human detail).
-    pub fn into_result(self) -> Result<Reply, ServeError> {
+    pub(crate) fn into_result(self) -> Result<Reply, ServeError> {
         if self.is_ok() {
             return Ok(self);
         }

@@ -36,16 +36,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 
 pub mod client;
-pub mod protocol;
+mod protocol;
 pub mod registry;
-pub mod server;
+mod server;
 
 pub use protocol::{Command, OpenParams};
-pub use registry::{Registry, SessionChecker, SessionInfo};
+pub use registry::{Registry, SessionInfo};
 pub use server::{ServeConfig, Server, ServerHandle};
 
 use aion_io::IoFormatError;

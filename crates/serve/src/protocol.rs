@@ -139,7 +139,7 @@ fn opt_bool(v: &JsonValue, key: &str) -> Result<bool, ServeError> {
 /// Parse the `level` token of an `open` command: a lattice level name or
 /// `mixed` (per-transaction levels, defaulting to SI for unlabeled
 /// transactions).
-pub fn parse_levels(s: &str) -> Result<LevelPolicy, ServeError> {
+pub(crate) fn parse_levels(s: &str) -> Result<LevelPolicy, ServeError> {
     if s == "mixed" {
         return Ok(LevelPolicy::per_txn(IsolationLevel::Si));
     }
@@ -203,42 +203,42 @@ impl Command {
 /// Incremental builder for one response line (object with primitive and
 /// pre-rendered fields, emitted in insertion order).
 #[derive(Default)]
-pub struct JsonLine {
+pub(crate) struct JsonLine {
     fields: Vec<(String, String)>,
 }
 
 impl JsonLine {
     /// An empty object.
-    pub fn new() -> JsonLine {
+    pub(crate) fn new() -> JsonLine {
         JsonLine::default()
     }
 
     /// Append a string field.
-    pub fn str(mut self, key: &str, val: &str) -> JsonLine {
+    pub(crate) fn str(mut self, key: &str, val: &str) -> JsonLine {
         self.fields.push((key.into(), format!("\"{}\"", escape_str(val))));
         self
     }
 
     /// Append an unsigned integer field.
-    pub fn int(mut self, key: &str, val: u64) -> JsonLine {
+    pub(crate) fn int(mut self, key: &str, val: u64) -> JsonLine {
         self.fields.push((key.into(), val.to_string()));
         self
     }
 
     /// Append a boolean field.
-    pub fn bool(mut self, key: &str, val: bool) -> JsonLine {
+    pub(crate) fn bool(mut self, key: &str, val: bool) -> JsonLine {
         self.fields.push((key.into(), val.to_string()));
         self
     }
 
     /// Append an already-rendered JSON value (array, object, null).
-    pub fn raw(mut self, key: &str, val: String) -> JsonLine {
+    pub(crate) fn raw(mut self, key: &str, val: String) -> JsonLine {
         self.fields.push((key.into(), val));
         self
     }
 
     /// Render as one `{...}` line (no trailing newline).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from("{");
         for (i, (k, v)) in self.fields.iter().enumerate() {
             if i > 0 {
@@ -252,12 +252,12 @@ impl JsonLine {
 }
 
 /// The terminal success line for operation `op`.
-pub fn ok_line(op: &str) -> JsonLine {
+pub(crate) fn ok_line(op: &str) -> JsonLine {
     JsonLine::new().bool("ok", true).str("op", op)
 }
 
 /// The terminal failure line for `err`.
-pub fn err_line(err: &ServeError) -> String {
+pub(crate) fn err_line(err: &ServeError) -> String {
     JsonLine::new()
         .bool("ok", false)
         .str("error", err.category())
@@ -266,7 +266,7 @@ pub fn err_line(err: &ServeError) -> String {
 }
 
 /// One mid-stream event line for `e`.
-pub fn event_line(e: &CheckEvent) -> String {
+pub(crate) fn event_line(e: &CheckEvent) -> String {
     let line = match e {
         CheckEvent::Violation(v) => JsonLine::new()
             .str("event", "violation")

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 /// The checker variant a session runs.
 #[allow(clippy::large_enum_variant)] // sessions are heap-pinned behind Arc<Mutex<..>>
-pub enum SessionChecker {
+enum SessionChecker {
     /// A single-threaded [`OnlineChecker`].
     Single(OnlineChecker),
     /// A key-partitioned [`ShardedChecker`].
@@ -35,7 +35,7 @@ pub enum SessionChecker {
 
 impl SessionChecker {
     /// The wrapped checker's stable name (e.g. `"aion-si"`).
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             SessionChecker::Single(c) => c.name(),
             SessionChecker::Sharded(c) => c.name(),
@@ -43,55 +43,34 @@ impl SessionChecker {
     }
 
     /// Ingest one admission window of arrivals, each at its own virtual
-    /// time.
+    /// time. `feed` carries the clock, so the window is the plain feed
+    /// loop for the single checker and one channel send per shard for the
+    /// sharded one — the same event stream either way.
     fn feed_batch(&mut self, batch: Vec<(aion_types::Transaction, u64)>) -> Vec<CheckEvent> {
         match self {
-            // The single checker fires EXT deadlines only on explicit
-            // ticks, so every arrival keeps its own tick at its own
-            // virtual time — the same event stream the unbatched loop
-            // produced.
-            SessionChecker::Single(c) => {
-                let mut out = Vec::new();
-                for (txn, now) in batch {
-                    out.extend(Checker::tick(c, now));
-                    out.extend(Checker::feed(c, txn, now));
-                }
-                out
-            }
-            // Sharded workers self-tick before each part at that part's
-            // own virtual time, so one batched channel send per shard
-            // preserves every verdict; the coordinator's rate-limited
-            // clock broadcasts only affect how promptly *idle* shards
-            // surface finalization events.
-            SessionChecker::Sharded(c) => Checker::feed_batch(c, batch),
-        }
-    }
-
-    fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent> {
-        match self {
-            SessionChecker::Single(c) => Checker::tick(c, now_ms),
-            SessionChecker::Sharded(c) => Checker::tick(c, now_ms),
+            SessionChecker::Single(c) => c.feed_batch(batch),
+            SessionChecker::Sharded(c) => c.feed_batch(batch),
         }
     }
 
     fn finish(self) -> Outcome {
         match self {
-            SessionChecker::Single(c) => Checker::finish(c),
-            SessionChecker::Sharded(c) => Checker::finish(c),
+            SessionChecker::Single(c) => c.finish(),
+            SessionChecker::Sharded(c) => c.finish(),
         }
     }
 
     /// Approximate bytes of live checker state.
-    pub fn estimated_memory_bytes(&self) -> usize {
+    fn estimated_memory_bytes(&self) -> usize {
         match self {
             SessionChecker::Single(c) => c.estimated_memory_bytes(),
-            SessionChecker::Sharded(c) => Checker::estimated_memory_bytes(c),
+            SessionChecker::Sharded(c) => c.estimated_memory_bytes(),
         }
     }
 
     /// Serialize the full checker state to a snapshot (see
     /// `docs/serve.md` for the format).
-    pub fn checkpoint(&mut self) -> Result<Vec<u8>, SnapshotError> {
+    fn checkpoint(&mut self) -> Result<Vec<u8>, SnapshotError> {
         match self {
             SessionChecker::Single(c) => c.checkpoint(),
             SessionChecker::Sharded(c) => c.checkpoint(),
@@ -99,7 +78,7 @@ impl SessionChecker {
     }
 
     /// Snapshot-kind label (`"single"` / `"sharded"`).
-    pub fn kind_label(&self) -> &'static str {
+    fn kind_label(&self) -> &'static str {
         match self {
             SessionChecker::Single(_) => "single",
             SessionChecker::Sharded(_) => "sharded",
@@ -262,7 +241,7 @@ impl Registry {
 
     /// Whether `name` is a live session (a table lookup; no session
     /// lock is taken).
-    pub fn exists(&self, name: &str) -> bool {
+    pub(crate) fn exists(&self, name: &str) -> bool {
         self.sessions.lock().contains_key(name)
     }
 
@@ -387,19 +366,15 @@ impl Registry {
         }
     }
 
-    /// Finish session `name`: fire all pending EXT deadlines, close the
-    /// checker and remove the session. Returns the terminal outcome plus
+    /// Finish session `name`: close the checker — `finish` finalizes every
+    /// tentative EXT verdict, whatever its deadline, into the report —
+    /// and remove the session. Returns the terminal outcome plus
     /// the session's lifetime arrival count.
     pub fn finish(&self, name: &str) -> Result<(Outcome, u64), ServeError> {
         let session = self.handle(name)?;
         let mut guard =
             session.checker.try_lock().ok_or_else(|| ServeError::Busy(name.to_owned()))?;
-        let mut checker =
-            guard.take().ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
-        // Jump the virtual clock to the end of time, exactly like
-        // `stream_check`, so every tentative EXT verdict finalizes (the
-        // violations among the returned events are in the report).
-        checker.tick(u64::MAX);
+        let checker = guard.take().ok_or_else(|| ServeError::UnknownSession(name.to_owned()))?;
         let outcome = checker.finish();
         drop(guard);
         self.sessions.lock().remove(name);

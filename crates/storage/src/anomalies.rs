@@ -48,13 +48,6 @@ pub enum Expected {
     Detect(ViolationKind),
 }
 
-impl Expected {
-    /// True for [`Expected::Detect`].
-    pub fn is_detect(self) -> bool {
-        matches!(self, Expected::Detect(_))
-    }
-}
-
 impl std::fmt::Display for Expected {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -1334,7 +1327,7 @@ mod tests {
             assert!(names.insert(a.name()), "duplicate name {}", a.name());
             let p = a.profile();
             assert!(
-                p.si.is_detect() || p.ser.is_detect(),
+                matches!((p.si, p.ser), (Expected::Detect(_), _) | (_, Expected::Detect(_))),
                 "{} must be detectable at some level",
                 a.name()
             );

@@ -45,11 +45,6 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
     /// True when any fault rate is non-zero.
     pub fn is_active(&self) -> bool {
         self.lost_update_rate > 0.0 || self.stale_read_rate > 0.0 || self.int_anomaly_rate > 0.0
@@ -301,7 +296,7 @@ mod tests {
 
     #[test]
     fn default_plan_inactive() {
-        assert!(!FaultPlan::none().is_active());
+        assert!(!FaultPlan::default().is_active());
         let active = FaultPlan { lost_update_rate: 0.1, ..FaultPlan::default() };
         assert!(active.is_active());
     }

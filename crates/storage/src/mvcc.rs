@@ -83,17 +83,12 @@ pub struct MvccStore {
 impl MvccStore {
     /// A store with a fresh centralized oracle and no faults.
     pub fn new(kind: DataKind) -> MvccStore {
-        MvccStore::with_parts(kind, Box::new(CentralOracle::new()), FaultPlan::none())
-    }
-
-    /// A store with engine-side fault injection.
-    pub fn with_faults(kind: DataKind, faults: FaultPlan) -> MvccStore {
-        MvccStore::with_parts(kind, Box::new(CentralOracle::new()), faults)
+        MvccStore::with_parts(kind, Box::new(CentralOracle::new()), FaultPlan::default())
     }
 
     /// A store with a custom oracle (e.g. [`crate::SkewedHlcOracle`]).
     pub fn with_oracle(kind: DataKind, oracle: Box<dyn Oracle>) -> MvccStore {
-        MvccStore::with_parts(kind, oracle, FaultPlan::none())
+        MvccStore::with_parts(kind, oracle, FaultPlan::default())
     }
 
     /// Fully custom construction.
@@ -423,7 +418,7 @@ mod tests {
     #[test]
     fn lost_update_fault_skips_conflict_check() {
         let plan = FaultPlan { lost_update_rate: 1.0, seed: 1, ..FaultPlan::default() };
-        let store = MvccStore::with_faults(DataKind::Kv, plan);
+        let store = MvccStore::with_parts(DataKind::Kv, Box::new(CentralOracle::new()), plan);
         let mut a = store.begin(SessionId(0), 0);
         let mut b = store.begin(SessionId(1), 0);
         a.put(k(1), Value(1)).unwrap();
@@ -435,7 +430,7 @@ mod tests {
     #[test]
     fn stale_read_fault_observes_old_version() {
         let plan = FaultPlan { stale_read_rate: 1.0, seed: 1, ..FaultPlan::default() };
-        let store = MvccStore::with_faults(DataKind::Kv, plan);
+        let store = MvccStore::with_parts(DataKind::Kv, Box::new(CentralOracle::new()), plan);
         for (i, v) in [1u64, 2].iter().enumerate() {
             let mut w = store.begin(SessionId(0), i as u32);
             w.put(k(1), Value(*v)).unwrap();
@@ -449,7 +444,7 @@ mod tests {
     #[test]
     fn int_anomaly_fault_hides_own_writes() {
         let plan = FaultPlan { int_anomaly_rate: 1.0, seed: 1, ..FaultPlan::default() };
-        let store = MvccStore::with_faults(DataKind::Kv, plan);
+        let store = MvccStore::with_parts(DataKind::Kv, Box::new(CentralOracle::new()), plan);
         let mut t = store.begin(SessionId(0), 0);
         t.put(k(1), Value(5)).unwrap();
         assert_eq!(t.read(k(1)).unwrap(), Snapshot::Scalar(Value::INIT));

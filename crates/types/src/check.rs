@@ -5,8 +5,9 @@
 //! available **while** the history streams in, not only in a terminal
 //! report. [`Checker`] is the session abstraction that makes this a
 //! first-class API: a checker is fed one transaction at a time
-//! ([`Checker::feed`]), its clock is advanced ([`Checker::tick`]), and
-//! both calls return the [`CheckEvent`]s that step produced — committed
+//! ([`Checker::feed`], which carries the clock with it), idle time is
+//! reported with [`Checker::tick`], and both calls return the
+//! [`CheckEvent`]s that step produced — committed
 //! violations, tentative-verdict flip-flops, EXT finalizations, GC spill
 //! passes. [`Checker::finish`] closes the session and returns the
 //! uniform [`Outcome`].
@@ -158,8 +159,8 @@ pub struct ShardConfig {
     /// per-shard sub-footprints by the coordinator.
     pub shards: usize,
     /// Minimum virtual-time advance (ms) between clock broadcasts to the
-    /// shard workers. Workers always catch their clock up before
-    /// processing an arrival, so this only bounds how promptly *idle*
+    /// shard workers. A worker's `feed` advances its own clock before
+    /// admitting an arrival, so this only bounds how promptly *idle*
     /// shards surface EXT finalizations — verdicts are unaffected. `0`
     /// forwards every `tick` (highest event fidelity, most messages).
     pub tick_broadcast_ms: u64,
@@ -401,19 +402,22 @@ pub trait Checker {
     /// Short stable identifier, e.g. `"aion-si"`.
     fn name(&self) -> &'static str;
 
-    /// Feed one transaction at (virtual) time `now_ms`, returning the
-    /// events this arrival produced (empty for offline adapters).
+    /// Feed one transaction at (virtual) time `now_ms`. `feed` advances
+    /// the clock to `now_ms` first — `feed(t, now)` is `tick(now)`
+    /// followed by the arrival, for every checker — so a driver that only
+    /// ever feeds still sees verdicts finalize, and memory recycle, while
+    /// the history arrives. Returns the events of that clock advance, then
+    /// those the arrival produced (empty for offline adapters).
     fn feed(&mut self, txn: Transaction, now_ms: u64) -> Vec<CheckEvent>;
 
     /// Feed a batch of arrivals in order, returning the concatenated
-    /// event stream.
+    /// event stream: `feed_batch` is the feed loop, nothing else.
     ///
-    /// Semantically identical to calling [`Checker::feed`] once per
-    /// element — the default implementation does exactly that, and any
-    /// override must preserve the per-arrival event stream byte for
-    /// byte. Batching exists so drivers can amortize per-arrival
-    /// overhead (channel sends in `aion_online::ShardedChecker`, ticks
-    /// in `aion-serve`) without changing observable behavior.
+    /// The default implementation is exactly that loop, and any override
+    /// must preserve the per-arrival event stream byte for byte. Batching
+    /// exists so a checker can amortize per-arrival overhead (one channel
+    /// send per shard in `aion_online::ShardedChecker`) without changing
+    /// observable behavior.
     fn feed_batch(&mut self, batch: Vec<(Transaction, u64)>) -> Vec<CheckEvent> {
         let mut out = Vec::new();
         for (txn, now_ms) in batch {
@@ -422,8 +426,10 @@ pub trait Checker {
         out
     }
 
-    /// Advance the (virtual) clock, returning events produced by timer
-    /// expiry — EXT finalizations and their violations.
+    /// Advance the (virtual) clock without an arrival — idle time, and
+    /// `tick(u64::MAX)` at the end of the stream — returning events
+    /// produced by timer expiry: EXT finalizations and their violations.
+    /// A `tick(now)` directly before a `feed(_, now)` is redundant.
     fn tick(&mut self, now_ms: u64) -> Vec<CheckEvent>;
 
     /// End the session: flush all pending verdicts and produce the

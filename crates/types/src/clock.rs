@@ -75,11 +75,6 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
     }
-
-    /// Elapsed wall time in whole milliseconds.
-    pub fn elapsed_ms(&self) -> u64 {
-        self.elapsed().as_millis() as u64
-    }
 }
 
 /// A manually advanced clock for deterministic tests and simulation.
@@ -147,8 +142,6 @@ mod tests {
         let a = sw.elapsed();
         let b = sw.elapsed();
         assert!(b >= a);
-        let ms = sw.elapsed_ms();
-        assert!(u128::from(ms) <= sw.elapsed().as_millis());
     }
 
     #[test]

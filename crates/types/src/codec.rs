@@ -161,7 +161,7 @@ pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
 }
 
 /// Read a LEB128 varint from `buf`.
-pub fn get_varint(buf: &mut impl Buf) -> Result<u64, CodecError> {
+fn get_varint(buf: &mut impl Buf) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -673,7 +673,7 @@ mod tests {
     }
 
     /// A `sid`/`sno` beyond `u32` used to be narrowed with `as` and come
-    /// back as a different session; `aion_io::BinaryReader` rejects it.
+    /// back as a different session; `aion-io`'s binary reader rejects it.
     #[test]
     fn narrow_fields_are_range_checked_not_truncated() {
         let h = decode_history(&aionh2_with(3, 4)).unwrap();

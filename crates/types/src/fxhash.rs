@@ -84,16 +84,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` with the fast hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Convenience constructor mirroring `HashMap::with_capacity`.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
-/// Convenience constructor mirroring `HashSet::with_capacity`.
-pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,13 +109,13 @@ mod tests {
 
     #[test]
     fn usable_as_map() {
-        let mut m: FxHashMap<u64, &str> = fx_map_with_capacity(4);
+        let mut m: FxHashMap<u64, &str> = FxHashMap::default();
         m.insert(1, "one");
         m.insert(2, "two");
         assert_eq!(m.get(&1), Some(&"one"));
         assert_eq!(m.len(), 2);
 
-        let mut s: FxHashSet<u64> = fx_set_with_capacity(4);
+        let mut s: FxHashSet<u64> = FxHashSet::default();
         s.insert(9);
         assert!(s.contains(&9));
     }

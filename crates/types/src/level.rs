@@ -173,12 +173,6 @@ impl IsolationLevel {
         best
     }
 
-    /// True when `self` guarantees at least everything `other` does
-    /// (`other <= self` in the lattice).
-    pub fn at_least(self, other: IsolationLevel) -> bool {
-        other <= self
-    }
-
     /// The timestamp predicate set this level activates — what the
     /// checkers actually dispatch on.
     pub fn checks(self) -> LevelChecks {
@@ -350,15 +344,6 @@ impl LevelPolicy {
         LevelPolicy::PerTxn { default }
     }
 
-    /// The level transactions fall back to when the policy does not
-    /// name one for them.
-    pub fn default_level(&self) -> IsolationLevel {
-        match self {
-            LevelPolicy::Uniform(l) => *l,
-            LevelPolicy::PerSession { default, .. } | LevelPolicy::PerTxn { default } => *default,
-        }
-    }
-
     /// `Some(level)` when every transaction resolves to one level —
     /// the fast path checkers use for naming and predicate hoisting.
     pub fn uniform_level(&self) -> Option<IsolationLevel> {
@@ -424,7 +409,6 @@ mod tests {
         // SI does not subsume SER (write skew). Same for RA vs SER.
         assert_eq!(Si.partial_cmp(&Ser), None);
         assert_eq!(ReadAtomic.partial_cmp(&Ser), None);
-        assert!(!Ser.at_least(Si) && !Si.at_least(Ser));
         // Meet/join: minimum on chains, RC as the common floor of the
         // incomparable pairs, and no join above them.
         assert_eq!(IsolationLevel::weakest(ReadAtomic, Si), Some(ReadAtomic));
@@ -433,7 +417,6 @@ mod tests {
         assert_eq!(IsolationLevel::strongest(ReadCommitted, ReadAtomic), Some(ReadAtomic));
         assert_eq!(IsolationLevel::strongest(ReadAtomic, Ser), None);
         assert_eq!(IsolationLevel::strongest(Si, Ser), None);
-        assert!(Ser.at_least(ReadCommitted) && !ReadCommitted.at_least(ReadAtomic));
         assert_eq!(IsolationLevel::default(), Si);
         // Meet and join are commutative and idempotent across the board.
         for &a in IsolationLevel::ALL {
@@ -505,7 +488,6 @@ mod tests {
         assert_eq!(per_txn.level_for(&txn(0, Some(ReadAtomic))), ReadAtomic);
         assert_eq!(per_txn.level_for(&txn(0, None)), Si);
         assert_eq!(per_txn.uniform_level(), None);
-        assert_eq!(per_txn.default_level(), Si);
     }
 
     #[test]

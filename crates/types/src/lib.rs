@@ -12,6 +12,7 @@
 //! vocabulary.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 

@@ -66,11 +66,6 @@ impl Transaction {
         self.ops.iter().all(Op::is_read)
     }
 
-    /// Number of operations.
-    pub fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Whether the start/commit interval of `self` overlaps `other`'s
     /// (the paper's notion of *concurrent* transactions, used by
     /// NOCONFLICT). Intervals are closed: `[start_ts, commit_ts]`.
@@ -205,7 +200,7 @@ mod tests {
         assert_eq!(t.sno, 2);
         assert_eq!(t.start_ts, Timestamp(100));
         assert_eq!(t.commit_ts, Timestamp(200));
-        assert_eq!(t.num_ops(), 2);
+        assert_eq!(t.ops.len(), 2);
         assert!(!t.is_read_only());
     }
 

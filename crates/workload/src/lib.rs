@@ -7,6 +7,7 @@
 //! the storage engines in `aion-storage` and collect timestamped histories.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 

@@ -113,11 +113,6 @@ impl WorkloadSpec {
         self.level_mix = Some(mix);
         self
     }
-
-    /// Expected total operation count.
-    pub fn total_ops(&self) -> usize {
-        self.txns * self.ops_per_txn
-    }
 }
 
 /// A weighted mix of declared isolation levels for generated histories
@@ -245,7 +240,7 @@ mod tests {
             .with_kind(DataKind::List)
             .with_seed(7);
         assert_eq!(s.txns, 10);
-        assert_eq!(s.total_ops(), 40);
+        assert_eq!(s.ops_per_txn, 4);
         assert_eq!(s.kind, DataKind::List);
         assert_eq!(s.seed, 7);
     }

@@ -78,8 +78,8 @@ fn main() {
     // Online: the append cascade re-derives published lists when a base
     // arrives late (see aion-online's checker docs).
     let mut ck = OnlineChecker::builder().kind(DataKind::List).build().expect("open session");
-    ck.receive(TxnBuilder::new(2).session(0, 0).interval(3, 4).append(k, Value(20)).build(), 0);
-    ck.receive(
+    ck.feed(TxnBuilder::new(2).session(0, 0).interval(3, 4).append(k, Value(20)).build(), 0);
+    ck.feed(
         TxnBuilder::new(3)
             .session(1, 0)
             .interval(5, 6)
@@ -88,7 +88,7 @@ fn main() {
         1,
     );
     // The reader looks wrong until the first appender shows up...
-    ck.receive(TxnBuilder::new(1).session(2, 0).interval(1, 2).append(k, Value(10)).build(), 2);
+    ck.feed(TxnBuilder::new(1).session(2, 0).interval(1, 2).append(k, Value(10)).build(), 2);
     let out = ck.finish();
     println!("out-of-order  → {}", out.report.summary());
     assert!(out.is_ok());

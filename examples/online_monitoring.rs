@@ -47,15 +47,14 @@ fn main() {
 
     // Drive the session through the polymorphic `Checker` trait, printing
     // the first few incremental events as they stream out — verdicts are
-    // visible long before finish().
+    // visible long before finish(). `feed` carries the clock: each arrival
+    // first finalizes whatever timed out by its arrival time.
     const SHOW: usize = 8;
     let mut shown = 0usize;
     let mut counts = (0usize, 0usize, 0usize); // flips, finalizations, spills
     let start = Instant::now();
     for (at, txn) in &plan {
-        let mut events = Checker::tick(&mut checker, *at);
-        events.extend(Checker::feed(&mut checker, txn.clone(), *at));
-        for event in &events {
+        for event in &checker.feed(txn.clone(), *at) {
             match event {
                 CheckEvent::VerdictFlip { .. } => counts.0 += 1,
                 CheckEvent::ExtFinalized { .. } => counts.1 += 1,

@@ -55,9 +55,7 @@ fn main() {
         let mut finalizations = 0usize;
         let start = Instant::now();
         for (at, txn) in &plan {
-            let mut events = Checker::tick(&mut checker, *at);
-            events.extend(Checker::feed(&mut checker, txn.clone(), *at));
-            for event in &events {
+            for event in &checker.feed(txn.clone(), *at) {
                 match event {
                     CheckEvent::VerdictFlip { .. } => flips += 1,
                     CheckEvent::ExtFinalized { .. } => finalizations += 1,
@@ -72,7 +70,7 @@ fn main() {
         // End-of-stream drain: a synchronous barrier that surfaces every
         // event still in flight from the workers (plus the outstanding
         // finalizations) before finish().
-        for event in Checker::tick(&mut checker, u64::MAX) {
+        for event in checker.tick(u64::MAX) {
             match event {
                 CheckEvent::VerdictFlip { .. } => flips += 1,
                 CheckEvent::ExtFinalized { .. } => finalizations += 1,
