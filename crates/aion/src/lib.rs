@@ -117,13 +117,9 @@ pub mod prelude {
     };
 
     pub use aion_storage::{
-        inject_aborted_read, inject_clock_skew, inject_clock_skew_at, inject_commit_skew,
-        inject_dirty_write, inject_duplicate_tid, inject_duplicate_timestamp, inject_future_read,
-        inject_int_violation, inject_intermediate_read, inject_lost_update, inject_read_skew,
-        inject_session_break, inject_snapshot_skew, inject_write_skew, Anomaly, AnomalyProfile,
-        CentralOracle, CommitError, Expected, FaultPlan, MvccStore, MvccTxn, Oracle, Recorder,
-        SkewTarget, SkewedHlcOracle, Store, StoreStats, StoreTxn, TwoPlStore, TwoPlTxn,
-        ViolationKind,
+        inject_clock_skew, inject_clock_skew_at, Anomaly, AnomalyProfile, CentralOracle,
+        CommitError, Expected, FaultPlan, MvccStore, MvccTxn, Oracle, Recorder, SkewTarget,
+        SkewedHlcOracle, Store, StoreStats, StoreTxn, TwoPlStore, TwoPlTxn, ViolationKind,
     };
 
     pub use aion_workload::{

@@ -189,22 +189,6 @@ struct Scenario {
     feed_batch_chunk: Option<usize>,
 }
 
-const ANOMALIES: &[Anomaly] = &[
-    Anomaly::DirtyWrite,
-    Anomaly::AbortedRead,
-    Anomaly::IntermediateRead,
-    Anomaly::LostUpdate,
-    Anomaly::WriteSkew,
-    Anomaly::ReadSkew,
-    Anomaly::FutureRead,
-    Anomaly::IntViolation,
-    Anomaly::DuplicateTid,
-    Anomaly::DuplicateTimestamp,
-    Anomaly::SessionBreak,
-    Anomaly::ClockSkewStart,
-    Anomaly::ClockSkewCommit,
-];
-
 fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
     let mut rng = SplitMix64::new(seed ^ 0xD575_EED5);
     let txns = if opts.fast { 40 + rng.below(80) } else { 80 + rng.below(220) } as usize;
@@ -220,7 +204,7 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
     let level = IsolationLevel::ALL[rng.below(IsolationLevel::ALL.len() as u64) as usize];
     let mut h = generate_history(&spec, level);
     let injected = if rng.chance(0.7) {
-        let anomaly = ANOMALIES[rng.below(ANOMALIES.len() as u64) as usize];
+        let anomaly = Anomaly::ALL[rng.below(Anomaly::ALL.len() as u64) as usize];
         let rate = 0.05 + 0.15 * rng.next_f64();
         anomaly.inject(&mut h, rate, rng.next_u64())
     } else {

@@ -59,6 +59,51 @@ fn verdict(h: &History, level: Level) -> Vec<aion_types::Violation> {
     run_plan(ck, &plan).outcome.report.violations
 }
 
+/// Every injector's output on all four workload families, executed at SI
+/// and at SER, pinned by an FNV-1a digest of the count and the debug
+/// rendering: a rule change that moves one planted byte fails here, and
+/// the digests are re-recorded only when that change is meant.
+#[test]
+fn injected_workload_histories_are_pinned() {
+    const PINNED: [u64; 13] = [
+        13860548111092928915,
+        850811345137990794,
+        2023482613392011829,
+        8029969518011852952,
+        5194206874196240184,
+        14262314906475591008,
+        6748843505770339083,
+        13377882617657632857,
+        6615323298216338429,
+        14810523733501676031,
+        969194257678567647,
+        12855905978167053578,
+        3670501072127968953,
+    ];
+    let bases: Vec<History> = (0..4)
+        .flat_map(|w| [IsolationLevel::Si, IsolationLevel::Ser].map(|l| history(w, l, 7)))
+        .collect();
+    let got: Vec<u64> = Anomaly::ALL
+        .iter()
+        .map(|&a| {
+            let mut d = 0xcbf2_9ce4_8422_2325u64;
+            for base in &bases {
+                for seed in 0..3 {
+                    for rate in [0.1, 0.4] {
+                        let mut h = base.clone();
+                        let n = a.inject(&mut h, rate, seed);
+                        d = format!("{n}{h:?}")
+                            .bytes()
+                            .fold(d, |d, b| (d ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+                    }
+                }
+            }
+            d
+        })
+        .collect();
+    assert_eq!(got, PINNED);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

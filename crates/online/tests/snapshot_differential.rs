@@ -14,6 +14,7 @@
 //! per-transaction mixed policy, and random cut points.
 
 use aion_online::{OnlineChecker, ShardedChecker, SimSchedule};
+use aion_storage::Anomaly;
 use aion_types::{
     Checker, History, IsolationLevel, LevelPolicy, Outcome, SessionId, SplitMix64, Transaction,
 };
@@ -35,47 +36,22 @@ fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
     )
 }
 
-/// One anomaly injector per case, so restored sessions also resume
-/// *mid-violation* (pending EXT windows, half-observed conflicts).
-#[derive(Clone, Copy, Debug)]
-enum Inject {
-    None,
-    LostUpdate,
-    WriteSkew,
-    ReadSkew,
-    DirtyWrite,
-    DuplicateTid,
-}
-
-fn arb_inject() -> impl Strategy<Value = Inject> {
+/// One anomaly class per case (or none), so restored sessions also
+/// resume *mid-violation* (pending EXT windows, half-observed conflicts).
+fn arb_inject() -> impl Strategy<Value = Option<Anomaly>> {
     prop_oneof![
-        Just(Inject::None),
-        Just(Inject::LostUpdate),
-        Just(Inject::WriteSkew),
-        Just(Inject::ReadSkew),
-        Just(Inject::DirtyWrite),
-        Just(Inject::DuplicateTid),
+        Just(None),
+        Just(Some(Anomaly::LostUpdate)),
+        Just(Some(Anomaly::WriteSkew)),
+        Just(Some(Anomaly::ReadSkew)),
+        Just(Some(Anomaly::DirtyWrite)),
+        Just(Some(Anomaly::DuplicateTid)),
     ]
 }
 
-fn inject(h: &mut History, what: Inject, seed: u64) {
-    match what {
-        Inject::None => {}
-        Inject::LostUpdate => {
-            aion_storage::inject_lost_update(h, 0.3, seed);
-        }
-        Inject::WriteSkew => {
-            aion_storage::inject_write_skew(h, 0.3, seed);
-        }
-        Inject::ReadSkew => {
-            aion_storage::inject_read_skew(h, 0.3, seed);
-        }
-        Inject::DirtyWrite => {
-            aion_storage::inject_dirty_write(h, 0.3, seed);
-        }
-        Inject::DuplicateTid => {
-            aion_storage::inject_duplicate_tid(h, 0.3, seed);
-        }
+fn inject(h: &mut History, what: Option<Anomaly>, seed: u64) {
+    if let Some(anomaly) = what {
+        anomaly.inject(h, 0.3, seed);
     }
 }
 

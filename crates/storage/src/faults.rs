@@ -9,9 +9,12 @@
 //!   running — skipping first-committer-wins checks (lost updates), reading
 //!   stale snapshots, or dropping its own write buffer from the read view
 //!   (INT anomalies);
-//! * **history faults** ([`inject_clock_skew`], [`inject_session_break`]):
-//!   post-hoc perturbation of the *recorded* timestamps or session
-//!   metadata, modelling collection-side bugs such as skewed clocks.
+//! * **history faults** ([`inject_clock_skew`], [`inject_clock_skew_at`]):
+//!   post-hoc perturbation of the *recorded* timestamps, modelling
+//!   collection-side bugs such as skewed clocks.
+//!
+//! A collector that breaks session order is one class of the targeted
+//! anomaly library, [`Anomaly::SessionBreak`](crate::Anomaly::SessionBreak).
 
 use aion_types::{FxHashSet, History, Timestamp};
 
@@ -134,40 +137,10 @@ pub fn inject_clock_skew(h: &mut History, rate: f64, magnitude: u64, seed: u64) 
     inject_clock_skew_at(h, SkewTarget::Start, rate, magnitude, seed)
 }
 
-/// Swap the session sequence numbers of adjacent transaction pairs within
-/// sessions, modelling a collector that breaks session order
-/// (→ SESSION violations). Candidate pairs slide over every adjacent
-/// position — `(0,1), (1,2), …` — so the trailing transaction of an
-/// odd-length session is eligible too; after a swap the window advances
-/// past both members so no transaction is swapped twice (which would undo
-/// the break). Returns the number of swaps performed.
-pub fn inject_session_break(h: &mut History, rate: f64, seed: u64) -> usize {
-    let mut rng = SplitMix64::new(seed ^ 0x5e55);
-    let mut sessions: Vec<_> = h.sessions().into_iter().collect();
-    sessions.sort_unstable_by_key(|(sid, _)| *sid);
-    let mut swaps = 0;
-    for (_, idxs) in sessions {
-        let mut i = 0;
-        while i + 1 < idxs.len() {
-            if rng.chance(rate) {
-                let (a, b) = (idxs[i], idxs[i + 1]);
-                let sno_a = h.txns[a].sno;
-                let sno_b = h.txns[b].sno;
-                h.txns[a].sno = sno_b;
-                h.txns[b].sno = sno_a;
-                swaps += 1;
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-    }
-    swaps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Anomaly;
     use aion_types::{DataKind, Key, TxnBuilder, Value};
 
     fn sample_history(n: u64) -> History {
@@ -203,7 +176,7 @@ mod tests {
     #[test]
     fn session_break_swaps_snos() {
         let mut h = sample_history(40);
-        let swaps = inject_session_break(&mut h, 1.0, 2);
+        let swaps = Anomaly::SessionBreak.inject(&mut h, 1.0, 2);
         assert!(swaps > 0);
         // Sequence numbers inside a session are now out of order somewhere.
         assert!(!h.integrity_issues().is_empty());
@@ -226,7 +199,7 @@ mod tests {
                         .build(),
                 );
             }
-            inject_session_break(&mut h, 0.5, seed);
+            Anomaly::SessionBreak.inject(&mut h, 0.5, seed);
             if h.txns[2].sno != 2 {
                 seen_trailing_swap = true;
                 break;
@@ -242,7 +215,7 @@ mod tests {
         // happen, so the resulting sno multiset stays a permutation with
         // every element displaced by at most one position.
         let mut h = sample_history(40);
-        inject_session_break(&mut h, 1.0, 3);
+        Anomaly::SessionBreak.inject(&mut h, 1.0, 3);
         for (_, idxs) in h.sessions() {
             // `sessions()` sorts by (possibly swapped) sno; displacement
             // bound: position in collection order differs by <= 1.

@@ -37,16 +37,8 @@ pub mod recorder;
 pub mod store;
 pub mod twopl;
 
-pub use anomalies::{
-    inject_aborted_read, inject_commit_skew, inject_dirty_write, inject_duplicate_tid,
-    inject_duplicate_timestamp, inject_future_read, inject_int_violation, inject_intermediate_read,
-    inject_lost_update, inject_read_skew, inject_snapshot_skew, inject_write_skew, Anomaly,
-    AnomalyProfile, Expected, ViolationKind,
-};
-pub use faults::{
-    inject_clock_skew, inject_clock_skew_at, inject_session_break, FaultPlan, SkewTarget,
-    SplitMix64,
-};
+pub use anomalies::{Anomaly, AnomalyProfile, Expected, ViolationKind};
+pub use faults::{inject_clock_skew, inject_clock_skew_at, FaultPlan, SkewTarget, SplitMix64};
 pub use mvcc::{MvccStore, MvccTxn};
 pub use oracle::{CentralOracle, Oracle, SkewedHlcOracle};
 pub use recorder::Recorder;
