@@ -29,7 +29,7 @@ fn spec() -> WorkloadSpec {
 /// of unwritten value" anomaly for the baselines.
 fn corrupt(h: &mut History) {
     for t in h.txns.iter_mut() {
-        let mut written = std::collections::HashSet::new();
+        let mut written = std::collections::BTreeSet::new();
         for op in t.ops.iter_mut() {
             match op {
                 aion::types::Op::Read { key, value } if !written.contains(key) => {
@@ -240,7 +240,7 @@ fn mixed_level_stream_flows_through_the_facade() {
     // identical verdicts.
     let spec = spec().with_level_mix(LevelMix::per_txn(1.0, 1.0, 1.0, 1.0));
     let h = generate_history(&spec, IsolationLevel::Ser); // 2PL: valid at SER and RC
-    let declared: std::collections::HashSet<_> = h.txns.iter().filter_map(|t| t.level).collect();
+    let declared: aion::types::FxHashSet<_> = h.txns.iter().filter_map(|t| t.level).collect();
     assert_eq!(declared.len(), 4, "all four levels appear in one stream: {declared:?}");
 
     // Through the io layer (jsonl), levels intact.

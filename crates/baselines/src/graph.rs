@@ -3,6 +3,8 @@
 //! detection for the constraint solver (Pearce–Kelly style), and bitset
 //! transitive closure for Cobra/PolySI-style pruning.
 
+use aion_types::{FxHashMap, FxHashSet};
+
 /// A simple adjacency-list digraph over `0..n` nodes.
 #[derive(Clone, Debug, Default)]
 pub struct DiGraph {
@@ -121,11 +123,11 @@ impl DiGraph {
         }
         let scc = self.tarjan_scc().into_iter().find(|s| s.len() > 1)?;
         // DFS inside the SCC from its first node back to itself.
-        let inside: std::collections::HashSet<u32> = scc.iter().copied().collect();
+        let inside: FxHashSet<u32> = scc.iter().copied().collect();
         let start = scc[0];
-        let mut parent: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+        let mut parent: FxHashMap<u32, u32> = FxHashMap::default();
         let mut stack = vec![start];
-        let mut visited: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut visited: FxHashSet<u32> = FxHashSet::default();
         visited.insert(start);
         while let Some(u) = stack.pop() {
             for &v in self.successors(u) {

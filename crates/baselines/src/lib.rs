@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(clippy::allow_attributes_without_reason)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 

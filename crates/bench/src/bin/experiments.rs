@@ -11,6 +11,7 @@
 //! experiments lint [--root DIR]
 //! experiments list
 //! ```
+#![warn(clippy::allow_attributes_without_reason)]
 
 use aion_bench::experiments::{dst, interchange, lint, run, serve, Ctx, ALL};
 
@@ -86,7 +87,7 @@ fn main() {
         ctx.scale
     );
     for id in ids {
-        let start = std::time::Instant::now();
+        let start = aion_types::Stopwatch::start();
         if !run(&id, &ctx) {
             eprintln!("unknown experiment '{id}' (try `experiments list`)");
             std::process::exit(2);

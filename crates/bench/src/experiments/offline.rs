@@ -316,8 +316,10 @@ pub(super) fn fig10(ctx: &Ctx) {
         let s2 = samples.clone();
         let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let d2 = done.clone();
-        // aion-lint: allow(transport-seam) — wall-clock memory sampler
-        // for a perf experiment; measurement only, never simulated
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock memory sampler for a perf experiment; measurement only, never simulated"
+        )]
         let sampler = std::thread::spawn(move || {
             while !d2.load(std::sync::atomic::Ordering::Relaxed) {
                 s2.lock().unwrap().push(alloc::live_bytes());

@@ -10,11 +10,13 @@
 //! cargo run --release -p aion-bench --bin experiments -- all
 //! ```
 //!
-//! See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-//! results.
+//! `experiments list` prints the experiment index; `docs/benchmarks.md`
+//! describes the harnesses, and `docs/architecture.md` the design they
+//! measure.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(clippy::allow_attributes_without_reason)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 
@@ -23,11 +25,12 @@ mod datasets;
 pub mod experiments;
 mod tables;
 
-use std::time::{Duration, Instant};
+use aion_types::Stopwatch;
+use std::time::Duration;
 
 /// Time a closure, returning `(elapsed, result)`.
 pub(crate) fn time_it<T>(f: impl FnOnce() -> T) -> (Duration, T) {
-    let start = Instant::now();
+    let start = Stopwatch::start();
     let out = f();
     (start.elapsed(), out)
 }

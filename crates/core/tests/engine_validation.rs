@@ -108,7 +108,7 @@ fn conflict_pairs_are_never_duplicated() {
         FaultPlan { lost_update_rate: 0.05, seed: 9, ..FaultPlan::default() },
     );
     let r = check_si_report(&h);
-    let mut pairs = std::collections::HashSet::new();
+    let mut pairs = std::collections::BTreeSet::new();
     for v in &r.violations {
         if let Violation::NoConflict { key, t1, t2 } = v {
             let norm = if t1.0 < t2.0 { (*key, *t1, *t2) } else { (*key, *t2, *t1) };

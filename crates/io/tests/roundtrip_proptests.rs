@@ -105,7 +105,7 @@ proptest! {
         }
         // Per-session mixes keep one level per session.
         if !per_txn && undeclare_every == 0 {
-            let mut per_sid: std::collections::HashMap<u32, IsolationLevel> = Default::default();
+            let mut per_sid: std::collections::BTreeMap<u32, IsolationLevel> = Default::default();
             for t in &h.txns {
                 let l = t.level.expect("stamped");
                 let prev = per_sid.insert(t.sid.0, l);

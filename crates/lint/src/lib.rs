@@ -1,26 +1,28 @@
-//! `aion-lint`: workspace static analysis enforcing the seam,
-//! determinism, and panic-freedom contracts.
+//! `aion-lint`: workspace static analysis for the contracts clippy
+//! cannot express.
 //!
-//! The DST harness (`aion-dst`) promises "every run is a pure function
-//! of one u64 seed", and the serve daemon promises to survive malformed
-//! input. Both promises rest on repo-wide conventions — time behind the
-//! `aion_types::clock::Clock` seam, delivery behind `ShardTransport`,
-//! no hash-order dependence in verdict paths, no panics in daemon code,
-//! no silent `_ =>` over the isolation lattice. This crate makes the
-//! machine check them: a hand-rolled Rust `lexer`, five `rules` and a
-//! justified-suppression syntax. Every finding fails the run; a reasoned
-//! suppression comment is the only way past a rule.
+//! The serve daemon promises to survive malformed input, and a new
+//! isolation level must fail loudly rather than vanish into a default.
+//! Both promises rest on repo-wide conventions — no panics in daemon
+//! code, no silent `_ =>` over the isolation lattice. This crate makes
+//! the machine check them: a hand-rolled Rust `lexer`, two `rules` and a
+//! justified-suppression syntax (the third rule, `suppression`, checks
+//! that syntax). Every finding fails the run; a reasoned suppression
+//! comment is the only way past a rule. The clock seam, the transport
+//! seam and determinism are clippy's (`clippy.toml` and crate
+//! attributes).
 //!
 //! Run it as `experiments lint` or the `workspace_is_clean_modulo_baseline`
-//! self-test. See `docs/lint.md` for the rule catalog.
+//! self-test. See `docs/lint.md` for the contract catalog.
 #![warn(unreachable_pub)]
+#![warn(clippy::allow_attributes_without_reason)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod lexer;
 mod rules;
 
 pub use lexer::{lex, Tok, TokKind};
-pub use rules::{collect_names, lint_file, Finding, NameTable, RULES};
+pub use rules::{lint_file, Finding, RULES};
 use std::path::{Path, PathBuf};
 
 /// Everything one lint run produced.
@@ -115,22 +117,16 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
     Ok(())
 }
 
-/// Lint the workspace at `root`. Two passes: collect hash-typed names
-/// everywhere, then run the rules per file.
+/// Lint the workspace at `root`: every file of [`workspace_sources`],
+/// findings sorted.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     let files = workspace_sources(root)?;
-    let mut sources = Vec::with_capacity(files.len());
+    let mut findings = Vec::new();
     for rel in &files {
         let path = root.join(rel);
         let text = std::fs::read_to_string(&path).map_err(|e| LintError::Io(path.clone(), e))?;
-        sources.push((rel.clone(), text));
+        findings.extend(lint_file(rel, &text));
     }
-    let mut table = NameTable::default();
-    for (rel, text) in &sources {
-        collect_names(rel, text, &mut table);
-    }
-    let mut findings: Vec<Finding> =
-        sources.iter().flat_map(|(rel, text)| lint_file(rel, text, &table)).collect();
     findings.sort();
-    Ok(LintReport { findings, files: sources.len() })
+    Ok(LintReport { findings, files: files.len() })
 }

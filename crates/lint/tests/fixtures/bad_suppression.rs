@@ -1,8 +1,8 @@
 //@ path: crates/online/src/fixture.rs
-// aion-lint: allow(clock-seam)
-use std::time::Instant;
+// aion-lint: allow(panic-freedom)
+pub fn first(v: &[u32]) -> u32 { v[0] }
 
-// aion-lint: allow(no-such-rule) — the rule id is made up
-pub fn f() -> Instant {
-    Instant::now()
+// aion-lint: allow(determinism) — the rule moved to clippy
+pub fn last(v: &[u32]) -> u32 {
+    *v.last().unwrap()
 }

@@ -1,9 +1,8 @@
 //@ path: crates/online/src/fixture.rs
-// aion-lint: allow(clock-seam) — fixture: a justified standalone
+// aion-lint: allow(panic-freedom) — fixture: a justified standalone
 // suppression covers the next code line
-use std::time::Instant;
+pub fn first(v: &[u32]) -> u32 { v[0] }
 
-pub fn f() -> u128 {
-    let start = Instant::now(); // aion-lint: allow(clock-seam) — trailing form covers its own line
-    start.elapsed().as_millis()
+pub fn last(v: &[u32]) -> u32 {
+    *v.last().unwrap() // aion-lint: allow(panic-freedom) — trailing form covers its own line
 }

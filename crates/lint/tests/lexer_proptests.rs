@@ -3,7 +3,7 @@
 //! The lint runs over every workspace file on every CI run; a panic on
 //! weird-but-valid source would take CI down with it.
 
-use aion_lint::{collect_names, lex, lint_file, NameTable, TokKind};
+use aion_lint::{lex, lint_file, TokKind};
 use proptest::prelude::*;
 
 /// Real source with every token class the lexer distinguishes.
@@ -32,10 +32,8 @@ fn lint_total(src: &str) {
         assert!(t.start < t.end && t.end <= src.len(), "bad span {}..{}", t.start, t.end);
         let _ = t.text(src);
     }
-    let mut table = NameTable::default();
-    collect_names("crates/online/src/fuzz.rs", src, &mut table);
-    let _ = lint_file("crates/online/src/fuzz.rs", src, &table);
-    let _ = lint_file("crates/serve/src/fuzz.rs", src, &table);
+    let _ = lint_file("crates/online/src/fuzz.rs", src);
+    let _ = lint_file("crates/serve/src/fuzz.rs", src);
 }
 
 proptest! {
@@ -71,10 +69,9 @@ proptest! {
         // Whatever we embed in a comment or string, it must never leak
         // rule findings (rules only read code tokens).
         let src = format!(
-            "// Instant {n}\nfn ok() {{ let s = \"thread::spawn HashMap unwrap()[0] {n}\"; drop(s); }}\n"
+            "// panic!() v[0] {n}\nfn ok() {{ let s = \"todo!() unwrap()[0] {n}\"; drop(s); }}\n"
         );
-        let table = NameTable::default();
-        let findings = lint_file("crates/online/src/fuzz.rs", &src, &table);
+        let findings = lint_file("crates/online/src/fuzz.rs", &src);
         prop_assert!(findings.is_empty(), "leaked: {findings:?}");
     }
 }

@@ -11,7 +11,8 @@
 //!    conflicting pair is reported exactly once;
 //! 3. re-checks EXT for reads anchored after its commit, up to the next
 //!    version of each written key (step ③) — per-key versioning makes the
-//!    paper's frontier touch-ups unnecessary (DESIGN.md, deviation 2).
+//!    paper's frontier touch-ups unnecessary (`docs/architecture.md`,
+//!    "Per-key version chains").
 //!
 //! EXT verdicts are *tentative* until a per-transaction timeout expires
 //! (paper §IV-A, default 5 s); verdict switches in the meantime are the
@@ -668,8 +669,10 @@ impl OnlineChecker {
     #[doc(hidden)]
     pub fn recount_memory_bytes(&self) -> usize {
         let mut bytes = 0usize;
-        // aion-lint: allow(determinism) — commutative sum; visit order
-        // cannot affect the estimate
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "commutative sum; visit order cannot affect the estimate"
+        )]
         for t in self.txns.values() {
             bytes += t.estimated_bytes();
         }

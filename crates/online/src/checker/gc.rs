@@ -158,9 +158,9 @@ impl OnlineChecker {
         for (key, snap) in &e.write_set {
             // Re-inserting is safe: reloaded versions are at or below the
             // retained per-key base, so no live reader's visible version
-            // changes (see DESIGN.md) — and idempotent for the membership
-            // summary, which has carried this version since it was first
-            // published.
+            // changes (`docs/architecture.md`, "Per-key version chains")
+            // — and idempotent for the membership summary, which has
+            // carried this version since it was first published.
             self.publish(*key, commit_ev, snap, None);
         }
         // The policy resolves deterministically, so the reloaded

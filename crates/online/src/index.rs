@@ -138,8 +138,6 @@ impl<T: Copy> KeyEventIndex<T> {
     /// builds.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn recount_len(&self) -> usize {
-        // aion-lint: allow(determinism) — commutative sum; visit order
-        // cannot affect the count
         self.keys.values().flat_map(|c| c.values()).map(|items| items.as_slice().len()).sum()
     }
 }

@@ -157,11 +157,14 @@ impl MembershipIndex {
     /// the canonical order the checkpoint codec serializes.
     pub(crate) fn sorted_entries(&self) -> Vec<(Key, EventKey, &Snapshot)> {
         let mut out: Vec<(Key, EventKey, &Snapshot)> = Vec::with_capacity(self.versions);
-        // aion-lint: allow(determinism) — collected and sorted below
-        // before the order can escape
+        // One `expect` covers both loops: an attribute spans the whole
+        // statement, the nested loop included.
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "collected and sorted below before the order can escape; the same sort \
+                      covers the value-map order"
+        )]
         for (key, per_key) in &self.keys {
-            // aion-lint: allow(determinism) — same sort covers the
-            // value-map order
             for (snap, events) in per_key {
                 match events {
                     Events::One(at) => out.push((*key, *at, snap)),
@@ -186,11 +189,11 @@ impl MembershipIndex {
     /// instead of the full commit history.
     pub fn compact_below(&mut self, horizon: EventKey) {
         let mut dropped = 0usize;
-        // aion-lint: allow(determinism) — per-set compaction is order
-        // independent
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "per-set compaction is order independent, in both loops"
+        )]
         for per_key in self.keys.values_mut() {
-            // aion-lint: allow(determinism) — same argument for the
-            // value map
             for events in per_key.values_mut() {
                 let Events::Many(set) = events else { continue };
                 let Some(&min) = set.first() else { continue };
@@ -215,8 +218,6 @@ impl MembershipIndex {
     /// counter is checked against in tests and debug builds.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn recount_approx_bytes(&self) -> usize {
-        // aion-lint: allow(determinism) — commutative sum; visit order
-        // cannot affect the count
         let distinct_values: usize = self.keys.values().map(FxHashMap::len).sum();
         self.versions * 24 + distinct_values * 72
     }

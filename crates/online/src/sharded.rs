@@ -554,8 +554,10 @@ fn resplit_workers(
         for (key, event, writers) in w.ongoing.map.iter() {
             ongoing.push((key, event, writers.clone()));
         }
-        // aion-lint: allow(determinism) — gather order is normalized by
-        // the (key, event) sort before re-partitioning below
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "gather order is normalized by the (key, event) sort before re-partitioning below"
+        )]
         for (key, chain) in w.writers.chains().iter() {
             for (event, items) in chain {
                 writer_entries.push((*key, *event, items.clone()));
@@ -566,8 +568,10 @@ fn resplit_workers(
         let t = std::mem::take(&mut w.flips);
         flips.detail |= t.detail;
         flips.total_flips += t.total_flips;
-        // aion-lint: allow(determinism) — commutative += merge into a
-        // map; the visit order cannot affect the merged counts
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "commutative += merge into a map; the visit order cannot affect the merged counts"
+        )]
         for (pair, n) in t.flips_per_pair {
             *flips.flips_per_pair.entry(pair).or_insert(0) += n;
         }

@@ -49,8 +49,10 @@ impl FlipTracker {
     /// Summarize into histogram form.
     pub(crate) fn summary(&self) -> FlipSummary {
         let mut flip_histogram = [0usize; 4];
-        // aion-lint: allow(determinism) — order-insensitive histogram
-        // fold; each value lands in its bucket regardless of visit order
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "order-insensitive histogram fold; each value lands in its bucket regardless of visit order"
+        )]
         for &n in self.flips_per_pair.values() {
             // Buckets are 1, 2, 3 and 4+ flips. A pair only enters the
             // map by flipping and restore rejects a zero count, but the

@@ -26,6 +26,10 @@
 //! arrives at all (a worker's `feed` advances its own clock, so verdicts
 //! must not depend on broadcast ticks — [`SimSchedule::drop_tick_p`]
 //! exists to falsify exactly that claim).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the transport seam: the one module that spawns threads and makes channels"
+)]
 
 use crate::checker::OnlineChecker;
 use aion_types::rng::SplitMix64;

@@ -2,11 +2,12 @@
 //!
 //! The paper versions whole maps by timestamp and queries "the latest
 //! version before `ts`". We keep one ordered version chain *per key*
-//! instead (see DESIGN.md, deviation 2): `get_before(k, e)` is a range
-//! query on a `BTreeMap<EventKey, V>`, inserting a version in the middle is
-//! `O(log n)`, and the paper's step-③ "touch-up" writes become unnecessary
-//! because a version of key `k` is visible to every later event with no
-//! intervening version of `k`.
+//! instead (`docs/architecture.md`, "Per-key version chains"):
+//! `get_before(k, e)` is a range query on a `BTreeMap<EventKey, V>`,
+//! inserting a version in the middle is `O(log n)`, and the paper's
+//! step-③ "touch-up" writes become unnecessary because a version of key
+//! `k` is visible to every later event with no intervening version of
+//! `k`.
 
 use aion_types::{EventKey, FxHashMap, Key};
 use std::collections::BTreeMap;

@@ -25,7 +25,7 @@
 
 use aion_online::{feed_plan, run_plan, FeedConfig, OnlineChecker};
 use aion_storage::Anomaly;
-use aion_types::{AxiomKind, FxHashSet, History, IsolationLevel};
+use aion_types::{AxiomKind, DataKind, FxHashSet, History, IsolationLevel, Key, TxnBuilder, Value};
 use aion_workload::{generate_history, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -117,5 +117,34 @@ proptest! {
             let kinds = kinds_at(&valid, level);
             prop_assert!(kinds.is_empty(), "valid SI history dirty at {level}: {kinds:?}");
         }
+    }
+}
+
+/// The shape that separates the two SESSION predicates: a successor
+/// that starts before its predecessor commits (`start 5 < last_cts 10`)
+/// but commits after it (`11 > 10`). Snapshot order (RA, SI) flags it;
+/// commit order (RC, SER) accepts it. Generated workloads never produce
+/// this shape, so this is what pins each level's predicate in the table.
+#[test]
+fn session_predicates_separate_on_an_overlapping_successor() {
+    let h = History {
+        kind: DataKind::Kv,
+        txns: vec![
+            TxnBuilder::new(1).session(0, 0).interval(1, 10).put(Key(1), Value(1)).build(),
+            TxnBuilder::new(2).session(0, 1).interval(5, 11).read(Key(2), Value(0)).build(),
+        ],
+    };
+    for &level in IsolationLevel::ALL {
+        let expected = match level {
+            IsolationLevel::ReadAtomic | IsolationLevel::Si => 1,
+            IsolationLevel::ReadCommitted | IsolationLevel::Ser => 0,
+            other => unreachable!("no SESSION expectation for {other}"),
+        };
+        let chronos = aion_core::check(&h, level, &aion_core::ChronosOptions::default());
+        assert_eq!(chronos.report.count(AxiomKind::Session), expected, "CHRONOS at {level}");
+        let plan = feed_plan(&h, &FeedConfig::default());
+        let ck = OnlineChecker::builder().level(level).build().expect("in-memory session");
+        let online = run_plan(ck, &plan).outcome.report;
+        assert_eq!(online.count(AxiomKind::Session), expected, "AION at {level}");
     }
 }

@@ -162,8 +162,10 @@ pub fn feed_bytes(
     // Write from a helper thread while this thread drains the response:
     // the server streams event lines *during* the feed, and both sides
     // writing into full buffers would otherwise deadlock.
-    // aion-lint: allow(transport-seam) — client-side socket plumbing,
-    // not checker delivery; nothing here is DST-reachable
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "client-side socket plumbing, not checker delivery; nothing here is DST-reachable"
+    )]
     let writer = std::thread::spawn(move || -> std::io::Result<()> {
         let mut w = BufWriter::new(&write_half);
         writeln!(w, "{cmd}")?;

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// The checker variant a session runs.
-#[allow(clippy::large_enum_variant)] // sessions are heap-pinned behind Arc<Mutex<..>>
+#[expect(clippy::large_enum_variant, reason = "sessions are heap-pinned behind Arc<Mutex<..>>")]
 enum SessionChecker {
     /// A single-threaded [`OnlineChecker`].
     Single(OnlineChecker),

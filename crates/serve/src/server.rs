@@ -17,9 +17,6 @@ use crate::protocol::{err_line, event_line, ok_line, Command, JsonLine};
 use crate::registry::Registry;
 use crate::ServeError;
 use aion_io::{open_sniffed_stream, ReaderOptions};
-// aion-lint: allow(transport-seam) — the daemon's accept loop hands real
-// TCP connections to OS worker threads; this boundary is outside the DST
-// scheduler by design (DST drives the registry directly instead)
 use crossbeam::channel;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -117,23 +114,31 @@ impl Server {
     /// Run the accept loop on this thread until a `shutdown` request.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.local_addr();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the daemon's accept loop hands real TCP connections to OS worker threads; \
+                      this boundary is outside the DST scheduler by design (DST drives the \
+                      registry directly instead)"
+        )]
         let (tx, rx) = channel::unbounded::<TcpStream>();
         let mut pool = Vec::new();
         for i in 0..self.cfg.workers.max(1) {
             let rx = rx.clone();
             let registry = self.registry.clone();
             let shutdown = self.shutdown.clone();
-            pool.push(
-                // aion-lint: allow(transport-seam) — OS worker threads
-                // for real TCP connections; see the crossbeam note above
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "OS worker threads for real TCP connections; see the channel note above"
+            )]
+            let worker =
                 thread::Builder::new().name(format!("aion-serve-worker-{i}")).spawn(move || {
                     while let Ok(stream) = rx.recv() {
                         // A broken connection must not take the
                         // worker (or any other tenant) down.
                         let _ = handle_conn(stream, &registry, &shutdown, addr);
                     }
-                })?,
-            );
+                })?;
+            pool.push(worker);
         }
         for stream in self.listener.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -162,9 +167,11 @@ impl Server {
     /// refuses the accept-loop thread itself.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr();
-        // aion-lint: allow(transport-seam) — the accept loop is real
-        // network I/O; DST exercises the registry in-process instead
         let builder = thread::Builder::new().name("aion-serve-accept".into());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the accept loop is real network I/O; DST exercises the registry in-process instead"
+        )]
         let thread = builder.spawn(move || self.run())?;
         Ok(ServerHandle { addr, thread })
     }

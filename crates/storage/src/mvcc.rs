@@ -451,6 +451,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the engine's concurrency is tested from real OS threads"
+    )]
     fn concurrent_sessions_smoke() {
         let store = MvccStore::new(DataKind::Kv);
         let mut handles = Vec::new();

@@ -130,7 +130,7 @@ impl Oracle for SkewedHlcOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn central_oracle_unique_and_increasing() {
@@ -157,6 +157,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the oracle's concurrency is tested from real OS threads"
+    )]
     fn central_oracle_unique_under_threads() {
         let o = std::sync::Arc::new(CentralOracle::new());
         let mut handles = Vec::new();
@@ -166,7 +170,7 @@ mod tests {
                 (0..1000).map(|_| o.next_ts()).collect::<Vec<_>>()
             }));
         }
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for h in handles {
             for ts in h.join().unwrap() {
                 assert!(seen.insert(ts), "duplicate {ts:?}");
@@ -178,7 +182,7 @@ mod tests {
     #[test]
     fn hlc_unique_across_nodes() {
         let o = SkewedHlcOracle::new(&[0, 50, -50]);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for i in 0..3000 {
             let ts = o.next_ts_on(i % 3);
             assert!(seen.insert(ts), "duplicate {ts:?}");

@@ -14,11 +14,8 @@
 
 use aion_types::codec::Wire;
 use aion_types::{DataKind, History, Transaction};
-// aion-lint: allow(transport-seam) — the recorder's lock-free capture
-// queue carries workload-side commits, not checker delivery; replay
-// through the checkers goes via the ShardTransport seam
 use crossbeam::channel::{unbounded, Receiver, Sender};
-// aion-lint: allow(transport-seam) — same capture path as above
+#[expect(clippy::disallowed_types, reason = "the capture queue of `Recorder::collected`")]
 use crossbeam::queue::SegQueue;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,6 +27,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// (the ~5 % overhead of paper Fig. 15).
 pub struct Recorder {
     kind: DataKind,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the recorder's lock-free capture queue carries workload-side commits, not \
+                  checker delivery; replay through the checkers goes via the ShardTransport seam"
+    )]
     collected: SegQueue<Transaction>,
     simulate_wire: bool,
     bytes: AtomicU64,
@@ -38,6 +40,7 @@ pub struct Recorder {
 
 impl Recorder {
     /// A recorder that only accumulates in memory.
+    #[expect(clippy::disallowed_types, reason = "the capture queue of `Recorder::collected`")]
     pub fn new(kind: DataKind) -> Recorder {
         Recorder {
             kind,
@@ -57,6 +60,7 @@ impl Recorder {
     /// Attach a streaming channel; the returned receiver yields
     /// transactions in collection order (for online checking).
     pub fn attach_channel(&self) -> Receiver<Transaction> {
+        #[expect(clippy::disallowed_methods, reason = "same capture path as the queue in `new`")]
         let (tx, rx) = unbounded();
         *self.sender.write() = Some(tx);
         rx

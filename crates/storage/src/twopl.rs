@@ -325,6 +325,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the engine's concurrency is tested from real OS threads"
+    )]
     fn concurrent_sessions_serialize() {
         let store = TwoPlStore::new(DataKind::Kv);
         let mut handles = Vec::new();

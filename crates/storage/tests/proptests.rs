@@ -7,7 +7,7 @@ use aion_storage::{
 };
 use aion_types::{DataKind, Key, SessionId, Snapshot, Timestamp, Value};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A step in a random two-transaction interleaving.
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +35,7 @@ proptest! {
     fn mvcc_snapshots_are_stable(steps in prop::collection::vec(arb_step(), 1..40)) {
         let store = MvccStore::new(DataKind::Kv);
         // Pre-populate committed state with known values.
-        let mut committed: HashMap<Key, Value> = HashMap::new();
+        let mut committed: BTreeMap<Key, Value> = BTreeMap::new();
         for k in 0..4u64 {
             let mut t = store.begin(SessionId(9), k as u32);
             t.put(Key(k), Value(1000 + k)).unwrap();
@@ -45,8 +45,8 @@ proptest! {
 
         let mut txns = [Some(store.begin(SessionId(0), 0)), Some(store.begin(SessionId(1), 0))];
         // Per transaction: key → first observed value; key → written?
-        let mut seen: [HashMap<Key, Snapshot>; 2] = [HashMap::new(), HashMap::new()];
-        let mut wrote: [HashMap<Key, Value>; 2] = [HashMap::new(), HashMap::new()];
+        let mut seen: [BTreeMap<Key, Snapshot>; 2] = [BTreeMap::new(), BTreeMap::new()];
+        let mut wrote: [BTreeMap<Key, Value>; 2] = [BTreeMap::new(), BTreeMap::new()];
         let mut next_value = 1u64;
 
         for step in steps {
@@ -115,7 +115,7 @@ proptest! {
             }
         }
         log.sort();
-        let mut expect: HashMap<Key, Value> = HashMap::new();
+        let mut expect: BTreeMap<Key, Value> = BTreeMap::new();
         for (_, k, v) in &log {
             expect.insert(*k, *v);
         }
@@ -132,7 +132,7 @@ proptest! {
     ) {
         let central = CentralOracle::new();
         let hlc = SkewedHlcOracle::new(&skews);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for p in picks {
             let ts1 = central.next_ts();
             let ts2 = hlc.next_ts_on(p as usize % skews.len());

@@ -7,7 +7,6 @@
 //! domain algorithm) so the workspace does not need an external hashing
 //! crate. HashDoS is not a concern: inputs are locally generated histories.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit Fibonacci-style multiplication constant (same as rustc's FxHasher).
@@ -79,10 +78,12 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Drop-in `HashMap` with the fast hasher.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[expect(clippy::disallowed_types, reason = "the deterministic hasher replaces std's random seed")]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// Drop-in `HashSet` with the fast hasher.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+#[expect(clippy::disallowed_types, reason = "the deterministic hasher replaces std's random seed")]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -124,7 +125,7 @@ mod tests {
     fn spreads_sequential_keys() {
         // Sequential integer keys should not collide in the low bits too much;
         // sanity-check that 1000 sequential keys produce 1000 distinct hashes.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1000u64 {
             seen.insert(hash_of(&i));
         }

@@ -110,8 +110,10 @@ impl History {
         for (i, t) in self.txns.iter().enumerate() {
             map.entry(t.sid).or_default().push(i);
         }
-        // aion-lint: allow(determinism) — each group is sorted in place
-        // independently; the visit order cannot escape
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each group is sorted in place independently; the visit order cannot escape"
+        )]
         for idxs in map.values_mut() {
             idxs.sort_by_key(|&i| self.txns[i].sno);
         }

@@ -13,6 +13,8 @@
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![warn(clippy::allow_attributes_without_reason)]
+#![deny(clippy::iter_over_hash_type)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(rust_2018_idioms)]
 

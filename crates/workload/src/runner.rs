@@ -394,7 +394,7 @@ mod tests {
         let spec = small_spec().with_read_ratio(0.0);
         let templates = crate::generate_templates(&spec);
         let r = run_interleaved(&MvccStore::new(DataKind::Kv), &templates, 8, 1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for t in &r.history.txns {
             for op in &t.ops {
                 if let aion_types::Op::Write { mutation: aion_types::Mutation::Put(v), .. } = op {

@@ -11,7 +11,7 @@
 
 use aion::online::{feed_plan, FeedConfig, IsolationLevel, OnlineChecker, OnlineGcPolicy};
 use aion::prelude::*;
-use std::time::Instant;
+use aion::types::Stopwatch;
 
 fn main() {
     // A 20K-transaction SI history, like the paper's §VI-C stability study.
@@ -52,7 +52,7 @@ fn main() {
     const SHOW: usize = 8;
     let mut shown = 0usize;
     let mut counts = (0usize, 0usize, 0usize); // flips, finalizations, spills
-    let start = Instant::now();
+    let start = Stopwatch::start();
     for (at, txn) in &plan {
         for event in &checker.feed(txn.clone(), *at) {
             match event {

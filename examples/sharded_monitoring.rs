@@ -17,7 +17,7 @@
 
 use aion::online::{feed_plan, FeedConfig, IsolationLevel, OnlineChecker};
 use aion::prelude::*;
-use std::time::Instant;
+use aion::types::Stopwatch;
 
 fn main() {
     // A 20K-transaction SI history, streamed like the paper's §VI-C
@@ -53,7 +53,7 @@ fn main() {
         let mut shown = 0usize;
         let mut flips = 0usize;
         let mut finalizations = 0usize;
-        let start = Instant::now();
+        let start = Stopwatch::start();
         for (at, txn) in &plan {
             for event in &checker.feed(txn.clone(), *at) {
                 match event {
