@@ -5,7 +5,7 @@
 
 use super::{aion_level_name, anchor_event, OnlineChecker, OnlineTxn, ReadState};
 use crate::feed::shard_of;
-use crate::index::ReadRef;
+use crate::index::{OngoingWriter, ReadRef};
 use aion_types::{
     apply, base_independent, classify_mismatch, expected_read, CheckEvent, Checker, DataKind,
     EventKey, ExtPredicate, IsolationLevel, Key, MismatchAxiom, Mutation, Op, Outcome, Snapshot,
@@ -73,9 +73,9 @@ impl Checker for OnlineChecker {
             self.reload_if_below_horizon(&txn, level);
             let mut fp = self.derive_footprint(txn, level);
             self.step1_tentative(&mut fp);
-            self.index_and_publish(&fp);
-            self.step2_noconflict(&fp);
-            self.admit_resident(fp);
+            let tid = fp.txn.tid;
+            let overlaps = self.admit_resident(fp);
+            self.step2_noconflict(tid, overlaps);
             self.process_triggers(); // step ③
             self.maybe_gc();
             self.stats.peak_resident_txns = self.stats.peak_resident_txns.max(self.txns.len());
@@ -141,7 +141,9 @@ impl OnlineChecker {
     /// needs the spilled state back before it is checked.
     fn reload_if_below_horizon(&mut self, txn: &Transaction, level: IsolationLevel) {
         if self.gc_horizon_ts.is_some_and(|horizon| anchor_event(txn, level).ts <= horizon) {
-            self.reload_below(txn.commit_ts);
+            // A failed segment already surfaced as a `SpillError` event
+            // and stays unloaded, so a later straggler retries it.
+            let _ = self.reload_below(txn.commit_ts);
         }
     }
 
@@ -243,21 +245,65 @@ impl OnlineChecker {
         }
     }
 
-    /// Index the tentative reads and the writes at the anchor, publish
-    /// the written versions at the commit event, and queue step ③ for
-    /// each.
-    fn index_and_publish(&mut self, fp: &Footprint) {
-        let (tid, commit_ev) = (fp.txn.tid, fp.txn.commit_event());
-        for (idx, r) in fp.reads.iter().enumerate().filter(|(_, r)| !r.settled) {
-            self.readers.insert(r.key, fp.anchor, ReadRef { tid, read_idx: idx as u32 });
+    /// Make the arrival resident — indexed at its anchor, published at
+    /// its commit event, with an EXT deadline while any of its reads is
+    /// still tentative — and queue step ③ for each written key. Returns
+    /// the writers each written key overlaps, for step ②.
+    fn admit_resident(&mut self, fp: Footprint) -> Vec<(Key, Vec<OngoingWriter>)> {
+        let Footprint { txn, level, reads, write_set, anchor_keys, .. } = fp;
+        let finalized = reads.iter().all(|r| r.settled);
+        let deadline = if finalized {
+            self.stats.finalized += 1;
+            None
+        } else {
+            Some(self.now_ms.saturating_add(self.cfg.ext_timeout_ms))
+        };
+        let commit_ev = txn.commit_event();
+        self.triggers.extend(write_set.iter().map(|(key, _)| (*key, commit_ev)));
+        let t = OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized };
+        self.make_resident(t, deadline, false)
+    }
+
+    /// The one way a transaction becomes resident — at arrival, at spill
+    /// reload and at re-shard: its unsettled reads and its writes are
+    /// indexed at its anchor, its write set is published at its commit
+    /// event, its write intervals are registered for NOCONFLICT, and a
+    /// `deadline` queues its EXT finalization. Returns, per written key,
+    /// the registered writers whose intervals overlap — none when
+    /// `silent`, for a transaction whose conflicts were reported before.
+    pub(crate) fn make_resident(
+        &mut self,
+        t: OnlineTxn,
+        deadline: Option<u64>,
+        silent: bool,
+    ) -> Vec<(Key, Vec<OngoingWriter>)> {
+        let (tid, anchor) = (t.txn.tid, t.anchor());
+        let (start_ev, commit_ev) = (t.txn.start_event(), t.txn.commit_event());
+        for (idx, r) in t.reads.iter().enumerate().filter(|(_, r)| !r.settled) {
+            self.readers.insert(r.key, anchor, ReadRef { tid, read_idx: idx as u32 });
         }
-        for (key, _) in &fp.write_set {
-            self.writers.insert(*key, fp.anchor, tid);
+        for (key, _) in &t.write_set {
+            self.writers.insert(*key, anchor, tid);
         }
-        for (key, snap) in &fp.write_set {
+        for (key, snap) in &t.write_set {
             self.publish(*key, commit_ev, snap, None);
         }
-        self.triggers.extend(fp.write_set.iter().map(|(key, _)| (*key, commit_ev)));
+        let mut overlaps = Vec::new();
+        if self.track_overlaps {
+            let noconflict = t.level.checks().noconflict;
+            for &(key, _) in &t.write_set {
+                let others =
+                    self.ongoing.register(key, tid, noconflict, start_ev, commit_ev, silent);
+                if !others.is_empty() {
+                    overlaps.push((key, others));
+                }
+            }
+        }
+        if let Some(deadline) = deadline {
+            self.deadlines.push(Reverse((deadline, tid)));
+        }
+        self.insert_txn(t);
+        overlaps
     }
 
     /// Make `snap` the version of `key` committed at `commit_ev` — the
@@ -278,7 +324,7 @@ impl OnlineChecker {
         }
     }
 
-    /// Step ②: NOCONFLICT via overlap registration.
+    /// Step ②: NOCONFLICT from the overlaps `tid`'s registration found.
     ///
     /// Every writer registers whenever *some* level of the policy
     /// activates NOCONFLICT (an overlap is a pair property — the
@@ -289,40 +335,20 @@ impl OnlineChecker {
     /// writer's own NOCONFLICT activation travels *inside* the overlap
     /// index, so the pair rule stays exact even when the partner has
     /// been spilled out of resident memory.
-    fn step2_noconflict(&mut self, fp: &Footprint) {
-        if !self.track_overlaps {
-            return;
-        }
-        let (tid, mine) = (fp.txn.tid, fp.level.checks().noconflict);
-        let (start_ev, commit_ev) = (fp.txn.start_event(), fp.txn.commit_event());
-        for &(key, _) in &fp.write_set {
-            for other in self.ongoing.register(key, tid, mine, start_ev, commit_ev, false) {
-                if !mine && !other.noconflict {
-                    continue;
-                }
+    fn step2_noconflict(&mut self, tid: TxnId, overlaps: Vec<(Key, Vec<OngoingWriter>)>) {
+        let Some(t) = self.txns.get(&tid) else { return };
+        let (mine, commit_ts) = (t.level.checks().noconflict, t.txn.commit_ts);
+        for (key, others) in overlaps {
+            for other in others.into_iter().filter(|other| mine || other.noconflict) {
                 // The earlier committer reports (matching CHRONOS's
                 // convention).
                 let other_cts =
                     self.txns.get(&other.tid).map_or(Timestamp::MIN, |t| t.txn.commit_ts);
                 let (t1, t2) =
-                    if other_cts < fp.txn.commit_ts { (other.tid, tid) } else { (tid, other.tid) };
+                    if other_cts < commit_ts { (other.tid, tid) } else { (tid, other.tid) };
                 self.emit(Violation::NoConflict { key, t1, t2 });
             }
         }
-    }
-
-    /// Make the arrival resident, with an EXT deadline while any of its
-    /// reads is still tentative.
-    fn admit_resident(&mut self, fp: Footprint) {
-        let Footprint { txn, level, reads, write_set, anchor_keys, .. } = fp;
-        let finalized = reads.iter().all(|r| r.settled);
-        if finalized {
-            self.stats.finalized += 1;
-        } else {
-            let deadline = self.now_ms.saturating_add(self.cfg.ext_timeout_ms);
-            self.deadlines.push(Reverse((deadline, txn.tid)));
-        }
-        self.insert_txn(OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
     }
 
     /// Step ③: re-check readers (and, for lists, dependent writers) in

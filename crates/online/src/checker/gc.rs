@@ -4,6 +4,7 @@
 
 use super::{OnlineChecker, OnlineGcPolicy, OnlineTxn};
 use crate::spill::SpillEntry;
+use aion_types::codec::CodecError;
 use aion_types::{CheckEvent, EventKey, SpillOp, Timestamp};
 
 impl OnlineChecker {
@@ -116,13 +117,14 @@ impl OnlineChecker {
     /// Reload every spilled segment that could matter for an arrival whose
     /// anchor reaches at or below the GC horizon. Conservative: a read may
     /// need the latest version committed long before its anchor, so all
-    /// segments up to `hi` are brought back.
-    pub(crate) fn reload_below(&mut self, hi: Timestamp) {
+    /// segments up to `hi` are brought back. Returns the first segment
+    /// failure, if any.
+    pub(crate) fn reload_below(&mut self, hi: Timestamp) -> Result<(), CodecError> {
         if hi <= self.reload_floor {
-            return; // everything at or below `hi` is already resident
+            return Ok(()); // everything at or below `hi` is already resident
         }
         self.reload_scans += 1;
-        let mut all_loaded = true;
+        let mut first_failure = Ok(());
         for id in self.spill.segments_overlapping(Timestamp::MIN, hi) {
             // A segment that fails to reload is skipped for this pass —
             // typed degradation (re-checks against it see less history)
@@ -132,18 +134,19 @@ impl OnlineChecker {
                 Ok(entries) => entries.into_iter().for_each(|e| self.rehydrate(e)),
                 Err(e) => {
                     self.stats.spill_errors += 1;
-                    all_loaded = false;
                     let detail = e.to_string();
                     self.emit_event(|| CheckEvent::SpillError { op: SpillOp::Reload, detail });
+                    first_failure = first_failure.and(Err(e));
                 }
             }
         }
-        if all_loaded {
+        if first_failure.is_ok() {
             // Every overlapping segment is now resident: later passes
             // bounded by `hi` have nothing to do. A failed segment keeps
             // the floor down so it is retried.
             self.reload_floor = self.reload_floor.max(hi);
         }
+        first_failure
     }
 
     /// Make one reloaded transaction resident again: its versions, its

@@ -58,11 +58,10 @@
 //! ```
 
 use crate::checker::{
-    aion_level_name, anchor_event, record_violation, AionConfig, ConfigError, GlobalChecks,
-    OnlineChecker, OnlineGcPolicy, OnlineTxn,
+    aion_level_name, record_violation, AionConfig, ConfigError, GlobalChecks, OnlineChecker,
+    OnlineGcPolicy, OnlineTxn,
 };
 use crate::feed::{route_txn, shard_of, RoutedTxn};
-use crate::index::{OngoingWriter, ReadRef, SmallSeq};
 use crate::snapshot::config_error;
 use crate::transport::{
     ShardCmd, ShardReply, ShardTransport, SimSchedule, SimStats, SimTransport, ThreadTransport,
@@ -72,8 +71,8 @@ use aion_types::snapshot::{
     get_snapshot_header, put_snapshot_header, SnapshotError, SNAPSHOT_KIND_SHARDED,
 };
 use aion_types::{
-    wire_struct, CheckEvent, CheckReport, Checker, CheckerStats, FlipSummary, FxHashMap,
-    IsolationLevel, Key, Outcome, Snapshot, Timestamp, Transaction, TxnId,
+    wire_struct, CheckEvent, CheckReport, Checker, CheckerStats, FlipSummary, FxHashMap, Key,
+    Outcome, Timestamp, Transaction, TxnId,
 };
 use bytes::BytesMut;
 use std::cmp::Reverse;
@@ -506,62 +505,33 @@ fn worker_config(cfg: &AionConfig, shard: usize, shards: usize) -> AionConfig {
 /// their state for `new_shards` workers (the `Some(n)` mode of
 /// [`ShardedChecker::restore`]).
 ///
-/// All spilled state is reloaded first, so the merge sees every
-/// transaction; the new workers start with fresh (empty) spill stores
-/// and no GC horizon. Reads belonging to parts that had already
-/// finalized are marked settled, freezing their verdicts: re-partitioned
-/// parts never re-report a violation or re-enter the deadline queue for
-/// them.
+/// Every spilled segment is reloaded first — a segment that cannot be is
+/// a typed error — so the merge sees every transaction. Each one's parts
+/// are merged and split again under `n`-way key routing, and each new
+/// part becomes resident through [`OnlineChecker::make_resident`], which
+/// rebuilds every index it needs; the new workers start with fresh
+/// (empty) spill stores and no GC horizon. Reads belonging to parts that
+/// had already finalized are marked settled, freezing their verdicts:
+/// re-partitioned parts never re-report a violation or re-enter the
+/// deadline queue for them.
 fn resplit_workers(
     mut old: Vec<OnlineChecker>,
     base_cfg: &AionConfig,
     new_shards: usize,
 ) -> Result<Vec<OnlineChecker>, SnapshotError> {
-    use std::collections::BTreeMap;
-
-    struct MergedTxn {
-        txn: Transaction,
-        level: IsolationLevel,
-        write_set: Vec<(Key, Snapshot)>,
-        reads: Vec<crate::checker::ReadState>,
-        anchor_keys: Vec<Key>,
-    }
-
     // -- gather -----------------------------------------------------------
     let mut now_ms = 0u64;
     let mut deadline_of: FxHashMap<TxnId, u64> = FxHashMap::default();
-    let mut merged: BTreeMap<u64, MergedTxn> = BTreeMap::new();
-    let mut frontier: Vec<(Key, aion_types::EventKey, Snapshot)> = Vec::new();
-    let mut membership: Vec<(Key, aion_types::EventKey, Snapshot)> = Vec::new();
-    let mut ongoing: Vec<(Key, aion_types::EventKey, SmallSeq<OngoingWriter>)> = Vec::new();
-    let mut writer_entries: Vec<(Key, aion_types::EventKey, SmallSeq<TxnId>)> = Vec::new();
+    let mut merged: std::collections::BTreeMap<TxnId, OnlineTxn> = Default::default();
     let mut stats = CheckerStats::default();
     let mut report = CheckReport::new();
     let mut flips = crate::stats::FlipTracker::default();
 
     for w in &mut old {
-        w.reload_below(Timestamp::MAX);
+        w.reload_below(Timestamp::MAX).map_err(SnapshotError::Codec)?;
         now_ms = now_ms.max(w.now_ms);
         for &Reverse((d, tid)) in w.deadlines.iter() {
             deadline_of.entry(tid).and_modify(|x| *x = (*x).min(d)).or_insert(d);
-        }
-        for (key, event, snap) in w.frontier.iter() {
-            frontier.push((key, event, snap.clone()));
-        }
-        for (key, event, snap) in w.membership.sorted_entries() {
-            membership.push((key, event, snap.clone()));
-        }
-        for (key, event, writers) in w.ongoing.map.iter() {
-            ongoing.push((key, event, writers.clone()));
-        }
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "gather order is normalized by the (key, event) sort before re-partitioning below"
-        )]
-        for (key, chain) in w.writers.chains().iter() {
-            for (event, items) in chain {
-                writer_entries.push((*key, *event, items.clone()));
-            }
         }
         stats.absorb_shard(&w.stats);
         report.merge(std::mem::take(&mut w.report));
@@ -586,30 +556,23 @@ fn resplit_workers(
                     r.settled = true;
                 }
             }
-            let e = merged.entry(tid.0).or_insert_with(|| MergedTxn {
-                txn: t.txn.clone(),
-                level: t.level,
-                write_set: Vec::new(),
-                reads: Vec::new(),
-                anchor_keys: Vec::new(),
-            });
-            // Keys are disjoint across shards, so these unions are
-            // concatenations.
-            e.write_set.append(&mut t.write_set);
-            e.reads.append(&mut t.reads);
-            e.anchor_keys.append(&mut t.anchor_keys);
+            match merged.entry(tid) {
+                std::collections::btree_map::Entry::Vacant(e) => {
+                    e.insert(t);
+                }
+                // Keys are disjoint across shards, so these unions are
+                // concatenations.
+                std::collections::btree_map::Entry::Occupied(mut e) => {
+                    let e = e.get_mut();
+                    e.write_set.append(&mut t.write_set);
+                    e.reads.append(&mut t.reads);
+                    e.anchor_keys.append(&mut t.anchor_keys);
+                }
+            }
         }
     }
 
     // -- re-partition ------------------------------------------------------
-    // Normalize the gather order (the per-shard maps were drained in
-    // storage order) so the rebuilt shards' insertion histories are a
-    // pure function of the logical state, not of the old shard layout.
-    frontier.sort_unstable_by_key(|(k, e, _)| (*k, *e));
-    membership.sort_unstable_by_key(|(k, e, _)| (*k, *e));
-    ongoing.sort_unstable_by_key(|(k, e, _)| (*k, *e));
-    writer_entries.sort_unstable_by_key(|(k, e, _)| (*k, *e));
-
     let mut workers = Vec::with_capacity(new_shards);
     for m in 0..new_shards {
         let mut w =
@@ -617,71 +580,35 @@ fn resplit_workers(
         w.now_ms = now_ms;
         workers.push(w);
     }
-    for (key, event, snap) in frontier {
-        // aion-lint: allow(panic-freedom) — `shard_of` is modulo
-        // `new_shards`, the length `workers` was built with
-        workers[shard_of(key, new_shards)].frontier.insert(key, event, snap);
-    }
-    // The raw frontier inserts above bypass membership maintenance, so
-    // the committed-membership summaries travel explicitly (they may
-    // also cover versions GC already pruned from the frontier).
-    for (key, event, snap) in membership {
-        // aion-lint: allow(panic-freedom) — same modulo bound
-        workers[shard_of(key, new_shards)].membership.record(key, event, &snap, None);
-    }
-    for (key, event, writers) in ongoing {
-        // aion-lint: allow(panic-freedom) — same modulo bound
-        workers[shard_of(key, new_shards)].ongoing.map.insert(key, event, writers);
-    }
-    for (key, event, items) in writer_entries {
-        // aion-lint: allow(panic-freedom) — same modulo bound
-        let w = &mut workers[shard_of(key, new_shards)];
-        for item in items.as_slice() {
-            w.writers.insert(key, event, *item);
-        }
-    }
-
-    for (_, mut t) in merged {
+    for (tid, mut t) in merged {
         t.reads.sort_unstable_by_key(|r| r.op_index);
         t.write_set.sort_unstable_by_key(|(k, _)| *k);
         t.anchor_keys.sort_unstable();
-        let tid = t.txn.tid;
-        let anchor = anchor_event(&t.txn, t.level);
         for (m, w) in workers.iter_mut().enumerate() {
-            let reads: Vec<crate::checker::ReadState> =
-                t.reads.iter().filter(|r| shard_of(r.key, new_shards) == m).cloned().collect();
-            let write_set: Vec<(Key, Snapshot)> = t
-                .write_set
-                .iter()
-                .filter(|(k, _)| shard_of(*k, new_shards) == m)
-                .cloned()
-                .collect();
+            let mine = |key: &Key| shard_of(*key, new_shards) == m;
+            let reads: Vec<_> = t.reads.iter().filter(|r| mine(&r.key)).cloned().collect();
+            let write_set: Vec<_> = t.write_set.iter().filter(|(k, _)| mine(k)).cloned().collect();
             if reads.is_empty() && write_set.is_empty() {
                 continue;
             }
-            let anchor_keys: Vec<Key> =
-                t.anchor_keys.iter().copied().filter(|k| shard_of(*k, new_shards) == m).collect();
+            let anchor_keys = t.anchor_keys.iter().copied().filter(mine).collect();
             let finalized = reads.iter().all(|r| r.settled);
-            if !finalized {
-                let deadline = deadline_of
+            let deadline = (!finalized).then(|| {
+                deadline_of
                     .get(&tid)
                     .copied()
-                    .unwrap_or(now_ms.saturating_add(base_cfg.ext_timeout_ms));
-                w.deadlines.push(Reverse((deadline, tid)));
-            }
-            for (idx, r) in reads.iter().enumerate() {
-                if !r.settled {
-                    w.readers.insert(r.key, anchor, ReadRef { tid, read_idx: idx as u32 });
-                }
-            }
-            w.insert_txn(OnlineTxn {
+                    .unwrap_or(now_ms.saturating_add(base_cfg.ext_timeout_ms))
+            });
+            let part = OnlineTxn {
                 txn: t.txn.clone(),
                 level: t.level,
                 write_set,
                 reads,
                 anchor_keys,
                 finalized,
-            });
+            };
+            // Its conflicts were reported before the checkpoint.
+            w.make_resident(part, deadline, true);
         }
     }
 
