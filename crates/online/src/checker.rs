@@ -1087,6 +1087,41 @@ mod tests {
         assert_eq!((a.stats().spill_errors, a.stats().reloaded_txns), (1, 0));
     }
 
+    /// Regression: a late append below a spilled list writer must
+    /// cascade into that writer's published value, as it does without
+    /// GC. The reload used to bring the writer back without its writer
+    /// entry, and only the segments up to the straggler's own commit, so
+    /// the reader saw the stale `[1]` and was reported.
+    #[test]
+    fn a_late_append_below_a_spilled_list_writer_cascades() {
+        let k1 = Key(1);
+        let run = |gc: OnlineGcPolicy| {
+            let mut a = OnlineChecker::builder()
+                .kind(DataKind::List)
+                .ext_timeout_ms(10)
+                .gc(gc)
+                .build()
+                .unwrap();
+            a.feed(t(1, 0, 0, 100, 110).append(k1, Value(1)).build(), 0);
+            // Fillers on other keys push the writer out.
+            for i in 2..=9u64 {
+                a.feed(
+                    t(i, i as u32, 0, 200 + 10 * i, 201 + 10 * i).append(Key(i), Value(i)).build(),
+                    i,
+                );
+            }
+            // The straggler appends below the spilled writer.
+            a.feed(t(10, 10, 0, 50, 60).append(k1, Value(0)).build(), 20);
+            a.feed(t(11, 11, 0, 400, 401).read_list(k1, vec![Value(0), Value(1)]).build(), 30);
+            (a.stats(), a.finish())
+        };
+        let (_, no_gc) = run(OnlineGcPolicy::None);
+        assert!(no_gc.is_ok(), "{}", no_gc.report);
+        let (stats, gc) = run(OnlineGcPolicy::Checking { max_txns: 4 });
+        assert!(gc.is_ok(), "GC must not change the verdict: {}", gc.report);
+        assert!(stats.spilled_txns > 0 && stats.reloaded_txns > 0, "{stats:?}");
+    }
+
     #[test]
     fn gc_cannot_spill_while_everything_live() {
         let mut a =

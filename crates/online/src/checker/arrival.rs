@@ -141,9 +141,13 @@ impl OnlineChecker {
     /// needs the spilled state back before it is checked.
     fn reload_if_below_horizon(&mut self, txn: &Transaction, level: IsolationLevel) {
         if self.gc_horizon_ts.is_some_and(|horizon| anchor_event(txn, level).ts <= horizon) {
+            // An append can change the published value of every later
+            // writer of its key, spilled ones included, so a list writer
+            // needs all of them back.
+            let writes_list = self.cfg.kind == DataKind::List && !txn.ops.iter().all(Op::is_read);
             // A failed segment already surfaced as a `SpillError` event
             // and stays unloaded, so a later straggler retries it.
-            let _ = self.reload_below(txn.commit_ts);
+            let _ = self.reload_below(if writes_list { Timestamp::MAX } else { txn.commit_ts });
         }
     }
 
@@ -282,8 +286,10 @@ impl OnlineChecker {
         for (idx, r) in t.reads.iter().enumerate().filter(|(_, r)| !r.settled) {
             self.readers.insert(r.key, anchor, ReadRef { tid, read_idx: idx as u32 });
         }
-        for (key, _) in &t.write_set {
-            self.writers.insert(*key, anchor, tid);
+        if self.cfg.kind == DataKind::List {
+            for (key, _) in &t.write_set {
+                self.writers.insert(*key, anchor, tid);
+            }
         }
         for (key, snap) in &t.write_set {
             self.publish(*key, commit_ev, snap, None);
@@ -336,9 +342,9 @@ impl OnlineChecker {
     /// index, so the pair rule stays exact even when the partner has
     /// been spilled out of resident memory.
     fn step2_noconflict(&mut self, tid: TxnId, overlaps: Vec<(Key, Vec<OngoingWriter>)>) {
-        let Some(t) = self.txns.get(&tid) else { return };
-        let (mine, commit_ts) = (t.level.checks().noconflict, t.txn.commit_ts);
         for (key, others) in overlaps {
+            let Some(t) = self.txns.get(&tid) else { return };
+            let (mine, commit_ts) = (t.level.checks().noconflict, t.txn.commit_ts);
             for other in others.into_iter().filter(|other| mine || other.noconflict) {
                 // The earlier committer reports (matching CHRONOS's
                 // convention).

@@ -5,7 +5,7 @@
 use super::{OnlineChecker, OnlineGcPolicy, OnlineTxn};
 use crate::spill::SpillEntry;
 use aion_types::codec::CodecError;
-use aion_types::{CheckEvent, EventKey, SpillOp, Timestamp};
+use aion_types::{CheckEvent, EventKey, Key, Op, SpillOp, Timestamp};
 
 impl OnlineChecker {
     pub(super) fn maybe_gc(&mut self) {
@@ -149,42 +149,35 @@ impl OnlineChecker {
         first_failure
     }
 
-    /// Make one reloaded transaction resident again: its versions, its
-    /// write intervals, and a finalized read-less [`OnlineTxn`].
+    /// Make one reloaded transaction resident again, finalized and
+    /// read-less, through [`OnlineChecker::make_resident`] — so it gets
+    /// back every index entry it had. Re-publishing its versions is
+    /// safe: they are at or below the retained per-key base, so no live
+    /// reader's visible version changes (`docs/architecture.md`,
+    /// "Per-key version chains"), and idempotent for the membership
+    /// summary, which has carried them since they were first published.
+    /// Its conflicts were reported before it was spilled.
     fn rehydrate(&mut self, e: SpillEntry) {
-        let tid = e.txn.tid;
-        if self.txns.contains_key(&tid) {
+        if self.txns.contains_key(&e.txn.tid) {
             return;
         }
         self.stats.reloaded_txns += 1;
-        let commit_ev = e.txn.commit_event();
-        for (key, snap) in &e.write_set {
-            // Re-inserting is safe: reloaded versions are at or below the
-            // retained per-key base, so no live reader's visible version
-            // changes (`docs/architecture.md`, "Per-key version chains")
-            // — and idempotent for the membership summary, which has
-            // carried this version since it was first published.
-            self.publish(*key, commit_ev, snap, None);
-        }
         // The policy resolves deterministically, so the reloaded
         // transaction gets exactly the level it was checked at (its
         // declaration survives the spill codec).
         let level = self.cfg.levels.level_for(&e.txn);
-        if self.track_overlaps {
-            let nc = level.checks().noconflict;
-            for (key, _) in &e.write_set {
-                // Conflicts among reloaded transactions were already
-                // reported before they were spilled.
-                self.ongoing.register(*key, tid, nc, e.txn.start_event(), commit_ev, true);
-            }
-        }
-        self.insert_txn(OnlineTxn {
+        // A written key is anchored iff the first access to it is a read.
+        let first_read =
+            |key: &Key| e.txn.ops.iter().find(|op| op.key() == *key).is_some_and(Op::is_read);
+        let anchor_keys = e.write_set.iter().map(|(key, _)| *key).filter(first_read).collect();
+        let t = OnlineTxn {
             txn: e.txn,
             level,
             write_set: e.write_set,
             reads: Vec::new(),
-            anchor_keys: Vec::new(),
+            anchor_keys,
             finalized: true,
-        });
+        };
+        self.make_resident(t, None, true);
     }
 }

@@ -82,16 +82,20 @@ impl<T> Default for KeyEventIndex<T> {
     }
 }
 
-impl<T: Copy> KeyEventIndex<T> {
+impl<T: Copy + PartialEq> KeyEventIndex<T> {
     /// An empty index.
     pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Register `item` for `key` at `at`.
+    /// Register `item` for `key` at `at`, once: a spill-reloaded writer
+    /// whose entry survived the GC prune is not registered twice.
     pub(crate) fn insert(&mut self, key: Key, at: EventKey, item: T) {
-        self.keys.entry(key).or_default().entry(at).or_default().push(item);
-        self.items += 1;
+        let items = self.keys.entry(key).or_default().entry(at).or_default();
+        if !items.as_slice().contains(&item) {
+            items.push(item);
+            self.items += 1;
+        }
     }
 
     /// Refill `out` with the items for `key` anchored inside `(lo, hi]`

@@ -76,6 +76,7 @@ use aion_types::{
 };
 use bytes::BytesMut;
 use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Merge state for one read-bearing transaction, driven entirely by
@@ -522,7 +523,7 @@ fn resplit_workers(
     // -- gather -----------------------------------------------------------
     let mut now_ms = 0u64;
     let mut deadline_of: FxHashMap<TxnId, u64> = FxHashMap::default();
-    let mut merged: std::collections::BTreeMap<TxnId, OnlineTxn> = Default::default();
+    let mut merged: BTreeMap<TxnId, OnlineTxn> = BTreeMap::new();
     let mut stats = CheckerStats::default();
     let mut report = CheckReport::new();
     let mut flips = crate::stats::FlipTracker::default();
@@ -556,18 +557,14 @@ fn resplit_workers(
                     r.settled = true;
                 }
             }
-            match merged.entry(tid) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(t);
-                }
-                // Keys are disjoint across shards, so these unions are
-                // concatenations.
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let e = e.get_mut();
-                    e.write_set.append(&mut t.write_set);
-                    e.reads.append(&mut t.reads);
-                    e.anchor_keys.append(&mut t.anchor_keys);
-                }
+            // Keys are disjoint across shards, so these unions are
+            // concatenations.
+            if let Some(e) = merged.get_mut(&tid) {
+                e.write_set.append(&mut t.write_set);
+                e.reads.append(&mut t.reads);
+                e.anchor_keys.append(&mut t.anchor_keys);
+            } else {
+                merged.insert(tid, t);
             }
         }
     }

@@ -199,7 +199,9 @@ fn sweep_reaches_spills_reloads_and_restores() {
 
 /// The estimate is what the daemon's admission control decides on, so a
 /// change to how the indexes are laid out must not move it: pinned to
-/// what the one-`Vec`-per-entry indexes reported for this history.
+/// what the one-`Vec`-per-entry indexes reported for this history, less
+/// the 40 bytes per writer entry a key-value session no longer keeps
+/// (step ③ reads the writer index for lists only).
 #[test]
 fn estimate_for_a_fixed_history_does_not_move() {
     let spec = WorkloadSpec::default()
@@ -219,5 +221,5 @@ fn estimate_for_a_fixed_history_does_not_move() {
         }
     }
     assert!(ck.stats().spilled_txns > 0 && ck.stats().reevaluations > 0, "{:?}", ck.stats());
-    assert_eq!(estimates, [94_772, 235_074, 353_283], "after each hundred arrivals");
+    assert_eq!(estimates, [89_932, 226_354, 347_843], "after each hundred arrivals");
 }

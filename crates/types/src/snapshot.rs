@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic    b"AIONCKPT"   (8 bytes)
-//! version  u8            (currently 3)
+//! version  u8            (currently 4)
 //! kind     u8            (0 = OnlineChecker, 1 = ShardedChecker)
 //! body     checker-specific, see aion-online::snapshot
 //! ```
@@ -50,10 +50,15 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
 ///
 /// v3: the single-checker body gained the committed-membership summaries
 /// and the reload floor (appended after the spill segments).
-pub const SNAPSHOT_VERSION: u8 = 3;
+///
+/// v4: same layout; the `writers` index holds list writers only (empty
+/// on key-value sessions), and a spill-reloaded transaction carries its
+/// writer entries and anchored keys. A v3 list checkpoint can hold
+/// published values a missed reload cascade left stale, so it is refused.
+pub const SNAPSHOT_VERSION: u8 = 4;
 
 /// Oldest checkpoint schema version this build still restores.
-const SNAPSHOT_VERSION_MIN: u8 = 3;
+const SNAPSHOT_VERSION_MIN: u8 = 4;
 
 /// Payload-kind byte: the body is a single `OnlineChecker`.
 pub const SNAPSHOT_KIND_SINGLE: u8 = 0;
