@@ -76,10 +76,12 @@ pub fn dst_cmd(args: &[String]) {
         match check_seed(seed, &opts) {
             Ok(report) => {
                 println!(
-                    "seed {seed} PASS: {} txns, {} shards, {} violations, cut={:?}, \
+                    "seed {seed} PASS: {} {:?} txns, {} shards, gc={}, {} violations, cut={:?}, \
                      reshard={:?}, spill_faults={}, sim={:?}",
                     report.txns,
+                    report.kind,
                     report.shards,
+                    report.gc,
                     report.violations,
                     report.checkpoint_cut,
                     report.resharded,
@@ -102,11 +104,13 @@ pub fn dst_cmd(args: &[String]) {
     );
     let summary = run_seeds(start, seeds, &opts);
     println!(
-        "dst: {} passed, {} failed — {} checkpoint cuts, {} spill-fault runs; \
-         sim: {} delivered / {} deferred / {} ticks dropped / {} stalls",
+        "dst: {} passed, {} failed — {} list histories, {} checkpoint cuts ({} under GC), \
+         {} spill-fault runs; sim: {} delivered / {} deferred / {} ticks dropped / {} stalls",
         summary.passed,
         summary.failures.len(),
+        summary.lists,
         summary.cuts,
+        summary.gc_cuts,
         summary.spill_fault_runs,
         summary.sim.delivered,
         summary.sim.deferred,

@@ -11,12 +11,12 @@
 //! finite clock broadcasts are dropped, workers stall, spill IO fails —
 //! all as a pure function of one `u64` seed.
 //!
-//! Every seed builds a complete scenario (workload, anomaly injection,
-//! isolation level, shard count, tick-broadcast granularity, EXT
-//! timeout, optional GC + spill faults, optional checkpoint cut +
-//! reshard), runs it through the single reference [`OnlineChecker`] and
-//! the simulated [`ShardedChecker`], and demands the differential
-//! guarantees the architecture promises:
+//! Every seed builds a complete scenario (workload, data kind, anomaly
+//! injection, isolation level, shard count, tick-broadcast granularity,
+//! EXT timeout, optional GC + spill faults, optional checkpoint cut +
+//! reshard, under GC too), runs it through the single reference
+//! [`OnlineChecker`] and the simulated [`ShardedChecker`], and demands
+//! the differential guarantees the architecture promises:
 //!
 //! * identical verdict, violation multiset, txn/finalization counts and
 //!   flip totals (`sharded_equivalence`'s invariant, now under
@@ -51,7 +51,7 @@ use aion_online::{
 };
 use aion_storage::Anomaly;
 use aion_types::rng::SplitMix64;
-use aion_types::{CheckEvent, Checker, IsolationLevel, Outcome, ShardConfig};
+use aion_types::{CheckEvent, Checker, DataKind, IsolationLevel, Outcome, ShardConfig};
 use aion_workload::{generate_history, KeyDist, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -111,6 +111,10 @@ pub struct SeedReport {
     pub seed: u64,
     /// Transactions in the generated history.
     pub txns: usize,
+    /// Key-value or list history.
+    pub kind: DataKind,
+    /// Whether the scenario ran with Checking GC.
+    pub gc: bool,
     /// Worker shards in the simulated sharded run.
     pub shards: usize,
     /// Anomaly instances planted into the history (0 = clean).
@@ -156,6 +160,11 @@ pub struct DstSummary {
     pub passed: u64,
     /// Scenarios that took a checkpoint cut.
     pub cuts: u64,
+    /// Scenarios over a list history.
+    pub lists: u64,
+    /// Checkpoint cuts taken under Checking GC (spilled state crosses
+    /// the cut, and a reshard reloads it).
+    pub gc_cuts: u64,
     /// Scenarios that fired at least one spill fault.
     pub spill_fault_runs: u64,
     /// Total delivery perturbations across all runs.
@@ -178,6 +187,7 @@ fn repro_command(seed: u64, opts: &DstOptions) -> String {
 /// Everything a seed determines, before any checker runs.
 struct Scenario {
     plan: Vec<Arrival>,
+    kind: DataKind,
     level: IsolationLevel,
     ext_timeout_ms: u64,
     gc_max_txns: Option<usize>,
@@ -193,6 +203,11 @@ struct Scenario {
 
 fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
     let mut rng = SplitMix64::new(seed ^ 0xD575_EED5);
+    // The dimensions added later draw from a second stream, so every
+    // draw of the first — and with it a key-value seed without GC — is
+    // what it was before they existed.
+    let mut extra = SplitMix64::new(seed ^ 0x115E_CC07);
+    let kind = if extra.chance(1.0 / 3.0) { DataKind::List } else { DataKind::Kv };
     let txns = if opts.fast { 40 + rng.below(80) } else { 80 + rng.below(220) } as usize;
     let spec = WorkloadSpec::default()
         .with_txns(txns)
@@ -202,7 +217,8 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
         .with_keys(2 + rng.below(22))
         .with_dist(if rng.chance(0.5) { KeyDist::Uniform } else { KeyDist::Zipfian })
         .with_ts_stride(4) // leave gaps the anomaly injectors can relocate into
-        .with_seed(rng.next_u64());
+        .with_seed(rng.next_u64())
+        .with_kind(kind);
     let level = IsolationLevel::ALL[rng.below(IsolationLevel::ALL.len() as u64) as usize];
     let mut h = generate_history(&spec, level);
     let injected = if rng.chance(0.7) {
@@ -223,12 +239,19 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
         },
     );
     let gc = rng.chance(0.3);
-    let checkpoint_cut = if !gc && rng.chance(0.5) && plan.len() >= 4 {
-        Some(1 + rng.below(plan.len() as u64 - 2) as usize)
+    let cut_rng = if gc { &mut extra } else { &mut rng };
+    let checkpoint_cut = if cut_rng.chance(0.5) && plan.len() >= 4 {
+        Some(1 + cut_rng.below(plan.len() as u64 - 2) as usize)
     } else {
         None
     };
+    // Drawn here (not in field order below) only under GC, from `extra`.
+    let gc_reshard = match checkpoint_cut {
+        Some(_) if gc && extra.chance(0.5) => Some(1 + extra.below(4) as usize),
+        _ => None,
+    };
     Scenario {
+        kind,
         level,
         ext_timeout_ms: [1, 5, 50, 5000][rng.below(4) as usize],
         gc_max_txns: gc.then(|| 8 + rng.below(24) as usize),
@@ -238,6 +261,7 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
         tick_broadcast_ms: [0, 1, 25, 50, 500][rng.below(5) as usize],
         injected,
         resharded: match checkpoint_cut {
+            Some(_) if gc => gc_reshard,
             Some(_) if rng.chance(0.5) => Some(1 + rng.below(4) as usize),
             _ => None,
         },
@@ -266,6 +290,7 @@ impl Scenario {
 
     fn builder(&self, faults: Option<Arc<SpillFaultPlan>>) -> OnlineCheckerBuilder {
         let mut b = OnlineChecker::builder()
+            .kind(self.kind)
             .level(self.level)
             .ext_timeout_ms(self.ext_timeout_ms)
             .events(true);
@@ -438,16 +463,23 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
         &sharded_outcome,
         &match sc.checkpoint_cut {
             Some(cut) => format!(
-                "cut@{cut}{} shards={} tick_b={} ext={} level={:?}",
+                "cut@{cut}{} shards={} tick_b={} ext={} gc={:?} {:?} level={:?}",
                 sc.resharded.map(|n| format!("->reshard {n}")).unwrap_or_default(),
                 sc.shards,
                 sc.tick_broadcast_ms,
                 sc.ext_timeout_ms,
+                sc.gc_max_txns,
+                sc.kind,
                 sc.level
             ),
             None => format!(
-                "uninterrupted shards={} tick_b={} ext={} level={:?}",
-                sc.shards, sc.tick_broadcast_ms, sc.ext_timeout_ms, sc.level
+                "uninterrupted shards={} tick_b={} ext={} gc={:?} {:?} level={:?}",
+                sc.shards,
+                sc.tick_broadcast_ms,
+                sc.ext_timeout_ms,
+                sc.gc_max_txns,
+                sc.kind,
+                sc.level
             ),
         },
     )?;
@@ -484,6 +516,8 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
     Ok(SeedReport {
         seed,
         txns: sc.plan.len(),
+        kind: sc.kind,
+        gc: sc.gc_max_txns.is_some(),
         shards: sc.shards,
         injected: sc.injected,
         violations: single_report.outcome.report.violations.len(),
@@ -522,6 +556,8 @@ pub fn run_seeds(start: u64, count: u64, opts: &DstOptions) -> DstSummary {
             Ok(report) => {
                 summary.passed += 1;
                 summary.cuts += u64::from(report.checkpoint_cut.is_some());
+                summary.lists += u64::from(report.kind == DataKind::List);
+                summary.gc_cuts += u64::from(report.gc && report.checkpoint_cut.is_some());
                 summary.spill_fault_runs += u64::from(report.spill_faults_fired > 0);
                 summary.sim.processed += report.sim.processed;
                 summary.sim.delivered += report.sim.delivered;
@@ -565,14 +601,21 @@ mod tests {
 
     #[test]
     fn the_seed_space_covers_every_sub_scenario() {
-        // 48 fast seeds must hit a checkpoint cut, a reshard, a
-        // spill-fault run, an injected anomaly with real violations,
-        // and some dropped ticks — otherwise the generator regressed
-        // and the sweep silently stopped testing something.
+        // 48 fast seeds must hit a checkpoint cut, a reshard, a list
+        // history, a cut and a reshard under GC, a spill-fault run, an
+        // injected anomaly with real violations, and some dropped ticks
+        // — otherwise the generator regressed and the sweep silently
+        // stopped testing something.
         let reports: Vec<SeedReport> =
             (0..48).map(|s| check_seed(s, &FAST).expect("fast seeds pass")).collect();
         assert!(reports.iter().any(|r| r.checkpoint_cut.is_some()), "no cut scenarios");
         assert!(reports.iter().any(|r| r.resharded.is_some()), "no reshard scenarios");
+        assert!(reports.iter().any(|r| r.kind == DataKind::List), "no list scenarios");
+        assert!(reports.iter().any(|r| r.gc && r.checkpoint_cut.is_some()), "no cuts under GC");
+        assert!(
+            reports.iter().any(|r| r.gc && r.resharded.is_some()),
+            "no reshards of spilled state"
+        );
         assert!(reports.iter().any(|r| r.spill_faults_fired > 0), "no spill-fault scenarios");
         assert!(reports.iter().any(|r| r.violations > 0), "no violating scenarios");
         assert!(reports.iter().any(|r| r.injected > 0), "no injected anomalies");
