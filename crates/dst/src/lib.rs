@@ -245,11 +245,6 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
     } else {
         None
     };
-    // Drawn here (not in field order below) only under GC, from `extra`.
-    let gc_reshard = match checkpoint_cut {
-        Some(_) if gc && extra.chance(0.5) => Some(1 + extra.below(4) as usize),
-        _ => None,
-    };
     Scenario {
         kind,
         level,
@@ -261,7 +256,7 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
         tick_broadcast_ms: [0, 1, 25, 50, 500][rng.below(5) as usize],
         injected,
         resharded: match checkpoint_cut {
-            Some(_) if gc => gc_reshard,
+            Some(_) if gc => extra.chance(0.5).then(|| 1 + extra.below(4) as usize),
             Some(_) if rng.chance(0.5) => Some(1 + rng.below(4) as usize),
             _ => None,
         },

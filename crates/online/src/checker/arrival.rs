@@ -269,12 +269,14 @@ impl OnlineChecker {
     }
 
     /// The one way a transaction becomes resident — at arrival, at spill
-    /// reload and at re-shard: its unsettled reads and its writes are
-    /// indexed at its anchor, its write set is published at its commit
-    /// event, its write intervals are registered for NOCONFLICT, and a
-    /// `deadline` queues its EXT finalization. Returns, per written key,
-    /// the registered writers whose intervals overlap — none when
-    /// `silent`, for a transaction whose conflicts were reported before.
+    /// reload and at re-shard — keeping each index only where a stage
+    /// reads it: unsettled reads at the anchor (step ③), list writes at
+    /// the anchor (step ③'s cascade, which no other kind has), the write
+    /// set at the commit event (`publish`), write intervals while the
+    /// policy can activate NOCONFLICT (step ②), and a `deadline` for EXT
+    /// finalization. Returns, per written key, the registered writers
+    /// whose intervals overlap — none when `silent`, for a transaction
+    /// whose conflicts were reported before.
     pub(crate) fn make_resident(
         &mut self,
         t: OnlineTxn,
