@@ -617,8 +617,8 @@ impl OnlineChecker {
         &self.txns
     }
 
-    /// Make `t` resident (arrival, spill reload, snapshot restore,
-    /// re-shard), keeping the running byte count in step.
+    /// Put `t` in the resident map (from `make_resident` and the snapshot
+    /// decoder), keeping the running byte count in step.
     pub(crate) fn insert_txn(&mut self, t: OnlineTxn) {
         self.txn_bytes += t.estimated_bytes();
         if let Some(old) = self.txns.insert(t.txn.tid, t) {
@@ -1120,6 +1120,34 @@ mod tests {
         let (stats, gc) = run(OnlineGcPolicy::Checking { max_txns: 4 });
         assert!(gc.is_ok(), "GC must not change the verdict: {}", gc.report);
         assert!(stats.spilled_txns > 0 && stats.reloaded_txns > 0, "{stats:?}");
+    }
+
+    /// Regression: a writer that is reloaded and spilled again must come
+    /// back for a straggler overlapping it. Segments are selected by
+    /// their first *start*, but the re-spill pulled the reload floor back
+    /// only below the writer's *commit*, so a straggler committing in
+    /// between skipped the reload and missed the conflict.
+    #[test]
+    fn a_straggler_overlapping_a_respilled_writer_reloads_it() {
+        let run = |gc: OnlineGcPolicy| {
+            let mut a = OnlineChecker::builder().ext_timeout_ms(10).gc(gc).build().unwrap();
+            let filler =
+                |i: u64| t(i, i as u32, 0, 100 + 10 * i, 101 + 10 * i).put(Key(i), Value(i));
+            a.feed(t(8, 8, 0, 19, 56).put(Key(0), Value(8)).build(), 0);
+            for i in 30..34 {
+                a.feed(filler(i).build(), 1); // spill the writer
+            }
+            // A deep straggler whose reload raises the floor to 60.
+            a.feed(t(20, 20, 0, 1, 60).read(Key(9), Value(0)).build(), 20);
+            for i in 34..38 {
+                a.feed(filler(i).build(), 40); // spill the writer again
+            }
+            a.feed(t(2, 2, 0, 8, 20).put(Key(0), Value(2)).build(), 50);
+            a.finish().report.violations
+        };
+        let conflict = [Violation::NoConflict { key: Key(0), t1: TxnId(2), t2: TxnId(8) }];
+        assert_eq!(run(OnlineGcPolicy::None), conflict);
+        assert_eq!(run(OnlineGcPolicy::Checking { max_txns: 4 }), conflict);
     }
 
     #[test]

@@ -58,8 +58,9 @@ impl OnlineChecker {
         // reclaimed this pass) and surfaces as a typed event, never a
         // panic. The clone is dominated by the encoding work either way.
         let entries = self.spill_candidates(safe_horizon, target);
-        let cts = || entries.iter().map(|e| e.txn.commit_ts);
-        let (Some(min_spilled_cts), Some(max_spilled_cts)) = (cts().min(), cts().max()) else {
+        let first_start = entries.iter().map(|e| e.txn.start_ts).min();
+        let last_commit = entries.iter().map(|e| e.txn.commit_ts).max();
+        let (Some(first_start), Some(last_commit)) = (first_start, last_commit) else {
             return; // worst case: asynchrony blocks all recycling
         };
         let bytes = match self.spill.spill(&entries) {
@@ -79,13 +80,12 @@ impl OnlineChecker {
         self.stats.spill_bytes += bytes;
         let (spilled, resident_after) = (entries.len(), self.txns.len());
         self.emit_event(|| CheckEvent::SpillPass { spilled, bytes, resident_after });
-        self.gc_horizon_ts =
-            Some(self.gc_horizon_ts.map_or(max_spilled_cts, |h| h.max(max_spilled_cts)));
+        self.gc_horizon_ts = Some(self.gc_horizon_ts.map_or(last_commit, |h| h.max(last_commit)));
         // A reloaded-then-re-spilled transaction can land below the
-        // reload floor; pull the floor back so a later straggler pass
-        // fetches it again.
-        self.reload_floor =
-            self.reload_floor.min(Timestamp(min_spilled_cts.get().saturating_sub(1)));
+        // reload floor; pull the floor back below the segment's first
+        // start — what `segments_overlapping` selects by — so a later
+        // straggler pass fetches it again.
+        self.reload_floor = self.reload_floor.min(Timestamp(first_start.get().saturating_sub(1)));
         self.prune_versions(safe_horizon);
     }
 
