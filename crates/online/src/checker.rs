@@ -456,17 +456,6 @@ pub struct OnlineChecker {
     /// Largest commit timestamp ever spilled; arrivals at or below it must
     /// reload first.
     pub(crate) gc_horizon_ts: Option<Timestamp>,
-    /// Everything spilled at or below this timestamp is known resident:
-    /// `reload_below` passes bounded by it are no-ops. Advanced after a
-    /// fully successful reload pass, pulled back when a spill pass
-    /// re-evicts below it; never advanced past a failed segment, so
-    /// failures stay retryable.
-    pub(crate) reload_floor: Timestamp,
-    /// Diagnostic: how many `reload_below` passes actually scanned the
-    /// segment list (i.e. were not short-circuited by `reload_floor`).
-    /// Not persisted; the watermark regression test pins that this stops
-    /// growing on repeated straggler passes.
-    pub(crate) reload_scans: u64,
     pub(crate) now_ms: u64,
     pub(crate) report: CheckReport,
     pub(crate) flips: FlipTracker,
@@ -506,8 +495,6 @@ impl OnlineChecker {
             triggers: VecDeque::new(),
             spill,
             gc_horizon_ts: None,
-            reload_floor: Timestamp::MIN,
-            reload_scans: 0,
             now_ms: 0,
             report: CheckReport::new(),
             flips,
@@ -812,13 +799,13 @@ mod tests {
     }
 
     /// Regression: `reload_below` used to rescan every spill segment
-    /// from `Timestamp::MIN` on *every* deep-straggler arrival. The
-    /// loaded watermark must make repeated passes at or below an
-    /// already-loaded bound free.
+    /// from `Timestamp::MIN` on *every* deep-straggler arrival. A reload
+    /// consumes what it loads, so a second straggler at or below an
+    /// already-reloaded bound finds nothing left to read or decode.
     #[test]
     fn straggler_reload_passes_stop_rescanning() {
         let mut a = OnlineChecker::builder()
-            .level(IsolationLevel::ReadCommitted)
+            .level(IsolationLevel::Si)
             .ext_timeout_ms(10)
             .gc(OnlineGcPolicy::Checking { max_txns: 8 })
             .build()
@@ -830,22 +817,28 @@ mod tests {
         }
         assert!(a.stats().spilled_txns > 0, "GC must have spilled");
         assert!(
-            a.gc_horizon_ts.is_some_and(|h| h >= Timestamp(5)),
+            a.gc_horizon_ts.is_some_and(|h| h >= Timestamp(14)),
             "the stragglers below must reach under the horizon ({:?})",
             a.gc_horizon_ts
         );
-        // First deep straggler: one reload pass. (It anchors before the
-        // first commit at ts 15, so the initial value is all it can
-        // legally read.)
-        a.feed(t(1001, 1, 0, 4, 5).read(Key(1), Value(0)).build(), 5000);
-        let after_first = a.reload_scans;
-        assert!(after_first >= 1, "the deep straggler must trigger a reload pass");
-        // A second straggler at or below the loaded watermark: no new
-        // scan — the floor remembers what is already resident.
-        a.feed(t(1002, 2, 0, 2, 3).read(Key(1), Value(0)).build(), 5001);
-        assert_eq!(a.reload_scans, after_first, "repeated passes must not rescan");
+        // First deep straggler: its commit at 14 reaches the first
+        // segment, which starts at 11. (Its snapshot precedes the first
+        // commit at ts 15, so the initial value is all it can legally
+        // read.) Still live, it pins the spill horizon at its start, so
+        // no pass evicts what it reloaded.
+        a.feed(t(1001, 1, 0, 12, 14).read(Key(1), Value(0)).build(), 5000);
+        let reloaded = a.stats().reloaded_txns;
+        assert!(reloaded >= 1, "the deep straggler must reload the first segment");
+        // A second straggler at or below that bound: a plan that fails
+        // every segment read shows that no segment is even attempted.
+        let plan = crate::spill::SpillFaultPlan::new(1, 0.0, 1.0);
+        a.spill.set_faults(Some(plan.clone()));
+        a.feed(t(1002, 2, 0, 6, 13).read(Key(1), Value(0)).build(), 5001);
+        assert_eq!(plan.fired(), 0, "repeated passes must not read a segment again");
+        assert_eq!((a.stats().reloaded_txns, a.stats().spill_errors), (reloaded, 0));
+        a.spill.set_faults(None);
         let out = a.finish();
-        assert!(out.is_ok(), "stale committed reads are RC-legal: {}", out.report);
+        assert!(out.is_ok(), "both stragglers read their snapshots: {}", out.report);
     }
 
     /// Regression: an overlapping writer pair whose levels permit the
@@ -1124,9 +1117,12 @@ mod tests {
 
     /// Regression: a writer that is reloaded and spilled again must come
     /// back for a straggler overlapping it. Segments are selected by
-    /// their first *start*, but the re-spill pulled the reload floor back
-    /// only below the writer's *commit*, so a straggler committing in
-    /// between skipped the reload and missed the conflict.
+    /// their first *start*; a reload floor kept beside the store once
+    /// decided whether to look at them at all, and the re-spill pulled it
+    /// back only below the writer's *commit*, so a straggler committing
+    /// in between skipped the reload and missed the conflict. A reload
+    /// now consumes its segment and there is no floor: the re-spilled
+    /// segment is in the store, and the straggler takes it.
     #[test]
     fn a_straggler_overlapping_a_respilled_writer_reloads_it() {
         let run = |gc: OnlineGcPolicy| {
@@ -1137,7 +1133,7 @@ mod tests {
             for i in 30..34 {
                 a.feed(filler(i).build(), 1); // spill the writer
             }
-            // A deep straggler whose reload raises the floor to 60.
+            // A deep straggler reloads the writer's segment.
             a.feed(t(20, 20, 0, 1, 60).read(Key(9), Value(0)).build(), 20);
             for i in 34..38 {
                 a.feed(filler(i).build(), 40); // spill the writer again
@@ -1304,7 +1300,8 @@ mod tests {
         let spill = a.spill.buffered_bytes();
         assert!(
             spill >= a.stats().spill_bytes as usize,
-            "the in-memory backend retains every spilled byte ({spill} vs {})",
+            "no straggler reloaded, so the in-memory backend still holds every spilled byte \
+             ({spill} vs {})",
             a.stats().spill_bytes
         );
         // Pin the accounting: the estimate is exactly state + spill store

@@ -106,10 +106,10 @@ impl Checker for OnlineChecker {
     /// experiment (Fig. 16) and the daemon's admission control.
     ///
     /// Covers the resident transactions and versioned indexes, the
-    /// spill store's buffered segments (the in-memory backend *retains*
-    /// every spilled byte, so spilling without a disk path does not
-    /// reduce process memory), and the transient event/deadline/trigger
-    /// buffers. The `memory_estimate_*` test pins this arithmetic
+    /// spill store's held segments (the in-memory backend keeps the bytes
+    /// of every segment not yet reloaded, so spilling without a disk path
+    /// trades resident state for its encoding rather than freeing it),
+    /// and the transient event/deadline/trigger buffers. The `memory_estimate_*` test pins this arithmetic
     /// against the component accessors.
     ///
     /// O(1): every term is a length or a counter maintained where state
@@ -146,7 +146,7 @@ impl OnlineChecker {
             // needs all of them back.
             let writes_list = self.cfg.kind == DataKind::List && !txn.ops.iter().all(Op::is_read);
             // A failed segment already surfaced as a `SpillError` event
-            // and stays unloaded, so a later straggler retries it.
+            // and stays in the spill store, so a later straggler retries it.
             let _ = self.reload_below(if writes_list { Timestamp::MAX } else { txn.commit_ts });
         }
     }

@@ -58,13 +58,11 @@ impl OnlineChecker {
         // reclaimed this pass) and surfaces as a typed event, never a
         // panic. The clone is dominated by the encoding work either way.
         let entries = self.spill_candidates(safe_horizon, target);
-        let first_start = entries.iter().map(|e| e.txn.start_ts).min();
-        let last_commit = entries.iter().map(|e| e.txn.commit_ts).max();
-        let (Some(first_start), Some(last_commit)) = (first_start, last_commit) else {
+        let Some(last_commit) = entries.iter().map(|e| e.txn.commit_ts).max() else {
             return; // worst case: asynchrony blocks all recycling
         };
         let bytes = match self.spill.spill(&entries) {
-            Ok((_, bytes)) => bytes as u64,
+            Ok(bytes) => bytes as u64,
             Err(e) => {
                 self.stats.spill_errors += 1;
                 let detail = e.to_string();
@@ -81,11 +79,6 @@ impl OnlineChecker {
         let (spilled, resident_after) = (entries.len(), self.txns.len());
         self.emit_event(|| CheckEvent::SpillPass { spilled, bytes, resident_after });
         self.gc_horizon_ts = Some(self.gc_horizon_ts.map_or(last_commit, |h| h.max(last_commit)));
-        // A reloaded-then-re-spilled transaction can land below the
-        // reload floor; pull the floor back below the segment's first
-        // start — what `segments_overlapping` selects by — so a later
-        // straggler pass fetches it again.
-        self.reload_floor = self.reload_floor.min(Timestamp(first_start.get().saturating_sub(1)));
         self.prune_versions(safe_horizon);
     }
 
@@ -116,37 +109,23 @@ impl OnlineChecker {
 
     /// Reload every spilled segment that could matter for an arrival whose
     /// anchor reaches at or below the GC horizon. Conservative: a read may
-    /// need the latest version committed long before its anchor, so all
-    /// segments up to `hi` are brought back. Returns the first segment
-    /// failure, if any.
+    /// need the latest version committed long before its anchor, so every
+    /// segment whose first start is at or below `hi` is brought back. A
+    /// reload consumes its segment, so afterwards no segment at or below
+    /// `hi` is left in the store and a later pass bounded by `hi` has
+    /// nothing to do. Returns the first segment failure, if any.
     pub(crate) fn reload_below(&mut self, hi: Timestamp) -> Result<(), CodecError> {
-        if hi <= self.reload_floor {
-            return Ok(()); // everything at or below `hi` is already resident
+        let (entries, errors) = self.spill.take_below(hi);
+        entries.into_iter().for_each(|e| self.rehydrate(e));
+        // A segment that fails to reload is skipped — typed degradation
+        // (re-checks against it see less history) instead of a panic. It
+        // stays in the store, so a later pass retries it.
+        for e in &errors {
+            self.stats.spill_errors += 1;
+            let detail = e.to_string();
+            self.emit_event(|| CheckEvent::SpillError { op: SpillOp::Reload, detail });
         }
-        self.reload_scans += 1;
-        let mut first_failure = Ok(());
-        for id in self.spill.segments_overlapping(Timestamp::MIN, hi) {
-            // A segment that fails to reload is skipped for this pass —
-            // typed degradation (re-checks against it see less history)
-            // instead of a panic. The segment stays marked unloaded, so
-            // a later pass retries it.
-            match self.spill.reload(id) {
-                Ok(entries) => entries.into_iter().for_each(|e| self.rehydrate(e)),
-                Err(e) => {
-                    self.stats.spill_errors += 1;
-                    let detail = e.to_string();
-                    self.emit_event(|| CheckEvent::SpillError { op: SpillOp::Reload, detail });
-                    first_failure = first_failure.and(Err(e));
-                }
-            }
-        }
-        if first_failure.is_ok() {
-            // Every overlapping segment is now resident: later passes
-            // bounded by `hi` have nothing to do. A failed segment keeps
-            // the floor down so it is retried.
-            self.reload_floor = self.reload_floor.max(hi);
-        }
-        first_failure
+        errors.into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Make one reloaded transaction resident again, finalized and

@@ -39,7 +39,6 @@ use crate::checker::{
 };
 use crate::index::{KeyEventIndex, OngoingWriter, ReadRef, SmallSeq};
 use crate::membership::MembershipIndex;
-use crate::spill::{decode_segment, SegmentExport};
 use crate::stats::FlipTracker;
 use crate::versioned::VersionedMap;
 use aion_types::codec::{put_varint, write_seq, CodecError, Wire};
@@ -269,10 +268,7 @@ impl OnlineChecker {
         self.stats.put(buf);
         self.events.put(buf);
         self.spill.export_segments()?.put(buf);
-
-        // v3: committed-membership summaries and the reload floor.
         self.membership.put(buf);
-        self.reload_floor.put(buf);
         Ok(())
     }
 
@@ -326,23 +322,10 @@ impl OnlineChecker {
         ck.stats = Wire::get(buf)?;
         ck.events = Wire::get(buf)?;
 
-        let segments = Vec::<SegmentExport>::get(buf)?;
-        for seg in segments.iter().filter(|seg| !seg.loaded) {
-            // Validate now: a straggler reload must never hit corrupt
-            // bytes (it would panic, not error).
-            let entries = decode_segment(&seg.bytes)?;
-            if entries.len() != seg.txns {
-                return Err(SnapshotError::Corrupt(format!(
-                    "spill segment claims {} transactions, decodes {}",
-                    seg.txns,
-                    entries.len()
-                )));
-            }
+        for segment in Vec::<Vec<u8>>::get(buf)? {
+            ck.spill.import_segment(segment)?;
         }
-        ck.spill.import_segments(segments)?;
-
         ck.membership = Wire::get(buf)?;
-        ck.reload_floor = Wire::get(buf)?;
         Ok(ck)
     }
 }
@@ -419,8 +402,8 @@ mod tests {
     #[test]
     fn v2_snapshot_is_rejected_as_unsupported() {
         let mut snap = busy_checker().checkpoint().unwrap();
-        assert_eq!(snap[8], 4, "version byte lives after the 8-byte magic");
-        for old in [2, 3] {
+        assert_eq!(snap[8], 5, "version byte lives after the 8-byte magic");
+        for old in [2, 3, 4] {
             snap[8] = old;
             assert!(matches!(
                 OnlineChecker::restore(&snap),

@@ -9,11 +9,15 @@
 //!
 //! Segments can live in real files or in memory (same encode/decode cost,
 //! no filesystem dependency — useful for tests and deterministic benches).
+//! Either way a reload consumes its segment, so the store holds exactly
+//! the transactions that are spilled out now, each once.
 
 use aion_types::codec::{write_seq, CodecError, Wire};
 use aion_types::rng::SplitMix64;
+use aion_types::snapshot::SnapshotError;
 use aion_types::{wire_struct, Key, Snapshot, Timestamp, Transaction};
 use bytes::BytesMut;
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -96,31 +100,31 @@ pub(crate) struct SpillEntry {
 
 wire_struct!(SpillEntry { txn, write_set });
 
-/// Identifier of a spill segment.
-pub(crate) type SegmentId = usize;
+/// One spilled segment, held until a reload takes it.
+#[derive(Debug)]
+struct Segment {
+    /// The smallest start timestamp among its transactions: what
+    /// [`SpillStore::take_below`] selects by.
+    min_ts: Timestamp,
+    data: SegmentData,
+}
 
 #[derive(Debug)]
-struct SegmentMeta {
-    min_ts: Timestamp,
-    max_ts: Timestamp,
-    txns: usize,
-    loaded: bool,
-    /// Offset/length in the disk file (unused by the memory backend).
-    offset: u64,
-    len: usize,
+enum SegmentData {
+    /// The in-memory backend keeps the encoded bytes in the record.
+    Held(Vec<u8>),
+    /// The disk backend's bytes, at this place in its file.
+    InFile { offset: u64, len: usize },
 }
 
-enum Backend {
-    Memory(Vec<Vec<u8>>),
-    Disk { file: File, _path: PathBuf },
-}
-
-/// Append-only segmented spill store.
+/// Segmented spill store. It holds exactly the transactions that are
+/// spilled out now, each once: a reload takes its segment out.
 pub(crate) struct SpillStore {
-    backend: Backend,
-    segments: Vec<SegmentMeta>,
-    /// Bytes held by the in-memory backend's segment buffers (0 for the
-    /// disk backend), maintained by `spill` and `import_segments` so
+    /// The disk backend's spill file; `None` for the in-memory backend.
+    file: Option<File>,
+    segments: Vec<Segment>,
+    /// Bytes held by the in-memory backend's segments (0 for the disk
+    /// backend), maintained where a segment enters or leaves so
     /// [`SpillStore::buffered_bytes`] never walks them.
     memory_bytes: usize,
     faults: Option<Arc<SpillFaultPlan>>,
@@ -130,24 +134,14 @@ impl SpillStore {
     /// A spill store backed by memory buffers (encode/decode costs are
     /// identical to the disk backend).
     pub(crate) fn in_memory() -> SpillStore {
-        SpillStore {
-            backend: Backend::Memory(Vec::new()),
-            segments: Vec::new(),
-            memory_bytes: 0,
-            faults: None,
-        }
+        SpillStore { file: None, segments: Vec::new(), memory_bytes: 0, faults: None }
     }
 
     /// A spill store backed by a file at `path` (created/truncated).
     pub(crate) fn on_disk(path: PathBuf) -> std::io::Result<SpillStore> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        Ok(SpillStore {
-            backend: Backend::Disk { file, _path: path },
-            segments: Vec::new(),
-            memory_bytes: 0,
-            faults: None,
-        })
+        Ok(SpillStore { file: Some(file), segments: Vec::new(), memory_bytes: 0, faults: None })
     }
 
     /// Install a fault-injection plan (testing only; see
@@ -156,196 +150,145 @@ impl SpillStore {
         self.faults = faults;
     }
 
-    /// Spill a batch of entries as one segment; returns its id and the
-    /// encoded size in bytes. Entries must be non-empty.
+    /// Spill a batch of entries as one segment; returns its encoded size
+    /// in bytes. Entries must be non-empty.
     ///
     /// On an IO error no segment is recorded and the store stays
     /// consistent: the caller keeps the entries resident and may retry a
     /// later pass.
-    pub(crate) fn spill(&mut self, entries: &[SpillEntry]) -> std::io::Result<(SegmentId, usize)> {
+    pub(crate) fn spill(&mut self, entries: &[SpillEntry]) -> std::io::Result<usize> {
         assert!(!entries.is_empty(), "cannot spill an empty segment");
         if let Some(e) = self.faults.as_ref().and_then(|f| f.trip(f.write_fail_p, "write")) {
             return Err(e);
         }
         let mut buf = BytesMut::with_capacity(entries.len() * 64);
         write_seq(&mut buf, entries.iter());
-        let (min_ts, max_ts) =
-            entries.iter().fold((Timestamp::MAX, Timestamp::MIN), |(lo, hi), e| {
-                (lo.min(e.txn.start_ts), hi.max(e.txn.commit_ts))
-            });
         let bytes = buf.len();
-        let (offset, len) = match &mut self.backend {
-            Backend::Memory(bufs) => {
-                bufs.push(buf.to_vec());
-                self.memory_bytes += bytes;
-                (0, bytes)
+        let min_ts = entries.iter().map(|e| e.txn.start_ts).min().unwrap_or(Timestamp::MAX);
+        self.hold(min_ts, buf.to_vec())?;
+        Ok(bytes)
+    }
+
+    /// Record a segment of encoded `bytes` whose first start is `min_ts`:
+    /// in the record itself, or appended to the spill file.
+    fn hold(&mut self, min_ts: Timestamp, bytes: Vec<u8>) -> std::io::Result<()> {
+        let data = match &mut self.file {
+            None => {
+                self.memory_bytes += bytes.len();
+                SegmentData::Held(bytes)
             }
-            Backend::Disk { file, .. } => {
+            Some(file) => {
                 let offset = file.seek(SeekFrom::End(0))?;
-                file.write_all(&buf)?;
-                (offset, bytes)
+                file.write_all(&bytes)?;
+                SegmentData::InFile { offset, len: bytes.len() }
             }
         };
-        let id = self.segments.len();
-        self.segments.push(SegmentMeta {
-            min_ts,
-            max_ts,
-            txns: entries.len(),
-            loaded: false,
-            offset,
-            len,
-        });
-        Ok((id, bytes))
+        self.segments.push(Segment { min_ts, data });
+        Ok(())
     }
 
-    /// Ids of not-yet-reloaded segments whose `[min_ts, max_ts]` range
-    /// intersects `[lo, hi]`.
-    pub(crate) fn segments_overlapping(&self, lo: Timestamp, hi: Timestamp) -> Vec<SegmentId> {
-        self.segments
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.loaded && s.min_ts <= hi && lo <= s.max_ts)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The raw encoded bytes of segment `id`; an id this store never
-    /// handed out is [`std::io::ErrorKind::NotFound`].
-    fn read_segment(&mut self, id: SegmentId) -> std::io::Result<Vec<u8>> {
-        let unknown = || std::io::Error::new(std::io::ErrorKind::NotFound, "unknown spill segment");
-        let meta = self.segments.get(id).ok_or_else(unknown)?;
-        match &mut self.backend {
-            Backend::Memory(bufs) => bufs.get(id).cloned().ok_or_else(unknown),
-            Backend::Disk { file, .. } => {
-                let mut buf = vec![0u8; meta.len];
-                file.seek(SeekFrom::Start(meta.offset))?;
-                file.read_exact(&mut buf)?;
-                Ok(buf)
-            }
-        }
-    }
-
-    /// Reload a segment, marking it resident. Returns its entries.
+    /// Take every segment whose first start is at or below `hi` out of
+    /// the store, oldest first, and return their entries.
     ///
-    /// A failed reload — an unknown id or an IO error (both mapped to
+    /// A segment that fails — a read error (mapped to
     /// [`CodecError::UnexpectedEof`], as the caller distinguishes only
-    /// success from failure), or bytes that do not decode — leaves the
-    /// segment marked *not* loaded, so a later pass can retry it.
-    pub(crate) fn reload(&mut self, id: SegmentId) -> Result<Vec<SpillEntry>, CodecError> {
-        if let Some(f) = self.faults.as_ref() {
-            if f.trip(f.reload_fail_p, "reload").is_some() {
-                return Err(CodecError::UnexpectedEof);
+    /// success from failure) or bytes that do not decode — stays in the
+    /// store, so a later call retries it; its error is returned beside
+    /// the entries that did load.
+    pub(crate) fn take_below(&mut self, hi: Timestamp) -> (Vec<SpillEntry>, Vec<CodecError>) {
+        let (mut entries, mut errors) = (Vec::new(), Vec::new());
+        let SpillStore { file, segments, memory_bytes, faults } = self;
+        segments.retain(|seg| {
+            if seg.min_ts > hi {
+                return true;
             }
-        }
-        let raw = self.read_segment(id).map_err(|_| CodecError::UnexpectedEof)?;
-        let entries = decode_segment(&raw)?;
-        if let Some(meta) = self.segments.get_mut(id) {
-            meta.loaded = true;
-        }
-        Ok(entries)
+            let raw = match faults.as_ref().and_then(|f| f.trip(f.reload_fail_p, "reload")) {
+                Some(e) => Err(e),
+                None => read(file, seg),
+            };
+            match raw.map_err(|_| CodecError::UnexpectedEof).and_then(|raw| decode_segment(&raw)) {
+                Ok(mut loaded) => {
+                    entries.append(&mut loaded);
+                    if let SegmentData::Held(bytes) = &seg.data {
+                        *memory_bytes -= bytes.len();
+                    }
+                    false
+                }
+                Err(e) => {
+                    errors.push(e);
+                    true
+                }
+            }
+        });
+        (entries, errors)
     }
 
-    /// Total transactions currently spilled out (not reloaded).
-    #[cfg(test)]
-    fn resident_out(&self) -> usize {
-        self.segments.iter().filter(|s| !s.loaded).map(|s| s.txns).sum()
-    }
-
-    /// Bytes of process memory this store currently holds: all segment
-    /// buffers for the in-memory backend (which retains every segment,
-    /// reloaded or not), plus the per-segment metadata either backend
-    /// keeps. Disk-backed stores only pay the metadata — their segments
-    /// live in the file.
+    /// Bytes of process memory this store currently holds: the segment
+    /// bytes of the in-memory backend, plus a record per held segment.
+    /// Disk-backed stores only pay the records — their segments live in
+    /// the file.
     pub(crate) fn buffered_bytes(&self) -> usize {
-        self.segments.len() * std::mem::size_of::<SegmentMeta>() + self.memory_bytes
+        self.segments.len() * std::mem::size_of::<Segment>() + self.memory_bytes
     }
 
     /// [`buffered_bytes`](Self::buffered_bytes) recounted from the
-    /// segment buffers themselves — the oracle the maintained counter
-    /// is checked against in tests and debug builds.
+    /// segments themselves — the oracle the maintained counter is checked
+    /// against in tests and debug builds.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn recount_buffered_bytes(&self) -> usize {
-        let meta = self.segments.len() * std::mem::size_of::<SegmentMeta>();
-        match &self.backend {
-            Backend::Memory(bufs) => meta + bufs.iter().map(Vec::len).sum::<usize>(),
-            Backend::Disk { .. } => meta,
-        }
-    }
-
-    /// Export every segment — raw encoded bytes plus metadata — for the
-    /// checkpoint codec. `&mut self`: the disk backend re-reads segment
-    /// bytes from the file.
-    pub(crate) fn export_segments(&mut self) -> std::io::Result<Vec<SegmentExport>> {
-        let raw: Vec<Vec<u8>> =
-            (0..self.segments.len()).map(|id| self.read_segment(id)).collect::<Result<_, _>>()?;
-        let export = |(m, bytes): (&SegmentMeta, Vec<u8>)| SegmentExport {
-            min_ts: m.min_ts,
-            max_ts: m.max_ts,
-            txns: m.txns,
-            loaded: m.loaded,
-            bytes,
+        let held = |seg: &Segment| match &seg.data {
+            SegmentData::Held(bytes) => bytes.len(),
+            SegmentData::InFile { .. } => 0,
         };
-        Ok(self.segments.iter().zip(raw).map(export).collect())
+        self.segments.len() * std::mem::size_of::<Segment>()
+            + self.segments.iter().map(held).sum::<usize>()
     }
 
-    /// Re-install exported segments into a *fresh* store (restore path),
-    /// preserving ids, timestamp ranges and loaded flags. The disk
-    /// backend appends the bytes to its (truncated) file.
-    pub(crate) fn import_segments(&mut self, segments: Vec<SegmentExport>) -> std::io::Result<()> {
-        debug_assert!(self.segments.is_empty(), "import only into a fresh store");
-        for seg in segments {
-            let len = seg.bytes.len();
-            let offset = match &mut self.backend {
-                Backend::Memory(bufs) => {
-                    bufs.push(seg.bytes);
-                    self.memory_bytes += len;
-                    0
-                }
-                Backend::Disk { file, .. } => {
-                    let offset = file.seek(SeekFrom::End(0))?;
-                    file.write_all(&seg.bytes)?;
-                    offset
-                }
-            };
-            self.segments.push(SegmentMeta {
-                min_ts: seg.min_ts,
-                max_ts: seg.max_ts,
-                txns: seg.txns,
-                loaded: seg.loaded,
-                offset,
-                len,
-            });
-        }
+    /// Every held segment's encoded bytes, oldest first, for the
+    /// checkpoint codec. `&mut self`: the disk backend re-reads them from
+    /// the file.
+    pub(crate) fn export_segments(&mut self) -> std::io::Result<Vec<Vec<u8>>> {
+        let file = &mut self.file;
+        self.segments.iter().map(|seg| read(file, seg).map(Cow::into_owned)).collect()
+    }
+
+    /// Re-install one exported segment into the store (restore path).
+    /// The bytes are decoded now, so a corrupt checkpoint surfaces as a
+    /// typed error at restore time instead of at the next straggler
+    /// reload; an empty segment, which no spill writes, is
+    /// [`CodecError::OutOfRange`].
+    pub(crate) fn import_segment(&mut self, bytes: Vec<u8>) -> Result<(), SnapshotError> {
+        let first_start = decode_segment(&bytes)?.iter().map(|e| e.txn.start_ts).min();
+        self.hold(first_start.ok_or(CodecError::OutOfRange)?, bytes)?;
         Ok(())
     }
 }
 
-/// Decode one segment's raw bytes into its spill entries. Shared by
-/// [`SpillStore::reload`] and the checkpoint codec, which validates
-/// imported segments eagerly so a corrupt checkpoint surfaces as a typed
-/// error at restore time instead of a panic at the next straggler reload.
-/// That includes an entry with `start_ts > commit_ts`: only Eq. (1)-valid
-/// transactions are ever spilled, and nothing after this re-checks it.
-pub(crate) fn decode_segment(mut raw: &[u8]) -> Result<Vec<SpillEntry>, CodecError> {
+/// A segment's encoded bytes: borrowed from the record, or read back
+/// from the spill file.
+fn read<'a>(file: &mut Option<File>, seg: &'a Segment) -> std::io::Result<Cow<'a, [u8]>> {
+    match (&seg.data, file) {
+        (SegmentData::Held(bytes), _) => Ok(Cow::Borrowed(bytes)),
+        (&SegmentData::InFile { offset, len }, Some(file)) => {
+            let mut buf = vec![0u8; len];
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(&mut buf)?;
+            Ok(Cow::Owned(buf))
+        }
+        (SegmentData::InFile { .. }, None) => Err(std::io::ErrorKind::NotFound.into()),
+    }
+}
+
+/// Decode one segment's raw bytes into its spill entries, refusing an
+/// entry with `start_ts > commit_ts`: only Eq. (1)-valid transactions
+/// are ever spilled, and nothing after this re-checks it.
+fn decode_segment(mut raw: &[u8]) -> Result<Vec<SpillEntry>, CodecError> {
     let entries: Vec<SpillEntry> = Wire::get(&mut raw)?;
     if entries.iter().any(|e| e.txn.start_ts > e.txn.commit_ts) {
         return Err(CodecError::OutOfRange);
     }
     Ok(entries)
 }
-
-/// One exported spill segment: the raw encoded bytes plus the metadata
-/// needed to re-install it with identical reload behaviour.
-#[derive(Debug)]
-pub(crate) struct SegmentExport {
-    pub(crate) min_ts: Timestamp,
-    pub(crate) max_ts: Timestamp,
-    pub(crate) txns: usize,
-    pub(crate) loaded: bool,
-    pub(crate) bytes: Vec<u8>,
-}
-
-wire_struct!(SegmentExport { min_ts, max_ts, txns, loaded, bytes });
 
 #[cfg(test)]
 mod tests {
@@ -362,18 +305,20 @@ mod tests {
         SpillEntry { txn, write_set: vec![(Key(1), Snapshot::Scalar(Value(tid)))] }
     }
 
+    /// A reload takes its segment out: the store, its bytes included, is
+    /// empty again.
     #[test]
     fn memory_roundtrip() {
         let mut store = SpillStore::in_memory();
         let entries = vec![entry(1, 10, 20), entry(2, 30, 40)];
-        let (id, bytes) = store.spill(&entries).unwrap();
+        let bytes = store.spill(&entries).unwrap();
         assert!(bytes > 0);
-        assert_eq!(store.resident_out(), 2);
-        assert_eq!(store.buffered_bytes(), std::mem::size_of::<SegmentMeta>() + bytes);
+        assert_eq!(store.segments.len(), 1);
+        assert_eq!(store.buffered_bytes(), std::mem::size_of::<Segment>() + bytes);
         assert_eq!(store.buffered_bytes(), store.recount_buffered_bytes());
-        let back = store.reload(id).unwrap();
-        assert_eq!(back, entries);
-        assert_eq!(store.resident_out(), 0);
+        assert_eq!(store.take_below(Timestamp::MAX), (entries, Vec::new()));
+        assert!(store.segments.is_empty());
+        assert_eq!((store.buffered_bytes(), store.recount_buffered_bytes()), (0, 0));
     }
 
     #[test]
@@ -384,16 +329,17 @@ mod tests {
         let mut store = SpillStore::on_disk(path.clone()).unwrap();
         let a = vec![entry(1, 10, 20)];
         let b = vec![entry(2, 30, 40), entry(3, 50, 60)];
-        let (ia, _) = store.spill(&a).unwrap();
-        let (ib, _) = store.spill(&b).unwrap();
-        assert_eq!(store.reload(ib).unwrap(), b);
-        assert_eq!(store.reload(ia).unwrap(), a);
+        store.spill(&a).unwrap();
+        store.spill(&b).unwrap();
+        assert_eq!(store.export_segments().unwrap().len(), 2);
+        assert_eq!(store.take_below(Timestamp(30)).0, [a, b].concat());
+        assert!(store.segments.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A segment whose bytes cannot be read back or do not decode used
-    /// to be marked loaded anyway — lost for good. It must stay spilled
-    /// out and be re-read by the next attempt.
+    /// to be marked loaded anyway — lost for good. It must stay in the
+    /// store and be re-read by the next attempt.
     #[test]
     fn unreadable_disk_segment_stays_unloaded_and_retryable() {
         let dir = std::env::temp_dir().join(format!("aion-spill-retry-{}", std::process::id()));
@@ -401,41 +347,39 @@ mod tests {
         let path = dir.join("seg.bin");
         let mut store = SpillStore::on_disk(path.clone()).unwrap();
         let entries = vec![entry(1, 10, 20), entry(2, 30, 40)];
-        let (id, bytes) = store.spill(&entries).unwrap();
+        let bytes = store.spill(&entries).unwrap();
         let intact = std::fs::read(&path).unwrap();
         assert_eq!(intact.len(), bytes);
 
         // Same length, garbage content: the read succeeds, the decode fails.
         std::fs::write(&path, vec![0xff; bytes]).unwrap();
-        assert_eq!(store.reload(id), Err(CodecError::VarintOverflow));
-        assert_eq!(store.resident_out(), 2, "a failed decode must not mark the segment loaded");
+        assert_eq!(store.take_below(Timestamp(40)), (Vec::new(), vec![CodecError::VarintOverflow]));
+        assert_eq!(store.segments.len(), 1, "a failed decode must not consume the segment");
         // Truncated between spill and reload: the read itself fails.
         std::fs::write(&path, &intact[..bytes / 2]).unwrap();
-        assert_eq!(store.reload(id), Err(CodecError::UnexpectedEof));
-        assert_eq!(store.resident_out(), 2);
-        assert_eq!(store.segments_overlapping(Timestamp(10), Timestamp(40)), vec![id]);
-        // An id the store never handed out is an error, not an index panic.
-        assert_eq!(store.reload(id + 1), Err(CodecError::UnexpectedEof));
+        assert_eq!(store.take_below(Timestamp(40)), (Vec::new(), vec![CodecError::UnexpectedEof]));
+        assert_eq!(store.segments.len(), 1);
         assert!(store.export_segments().is_err(), "the checkpoint path reads the same bytes");
 
         // The file comes back: the next attempt re-reads it.
         std::fs::write(&path, &intact).unwrap();
-        assert_eq!(store.reload(id).unwrap(), entries);
-        assert_eq!(store.resident_out(), 0);
+        assert_eq!(store.take_below(Timestamp(40)), (entries, Vec::new()));
+        assert!(store.segments.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Segments are selected by their first start, and a taken segment
+    /// is not offered again.
     #[test]
     fn overlap_query_by_timestamp_range() {
         let mut store = SpillStore::in_memory();
-        let (a, _) = store.spill(&[entry(1, 10, 20)]).unwrap();
-        let (b, _) = store.spill(&[entry(2, 30, 40)]).unwrap();
-        assert_eq!(store.segments_overlapping(Timestamp(15), Timestamp(18)), vec![a]);
-        assert_eq!(store.segments_overlapping(Timestamp(5), Timestamp(100)), vec![a, b]);
-        assert!(store.segments_overlapping(Timestamp(21), Timestamp(29)).is_empty());
-        // Reloaded segments are not offered again.
-        store.reload(a).unwrap();
-        assert!(store.segments_overlapping(Timestamp(15), Timestamp(18)).is_empty());
+        store.spill(&[entry(1, 10, 20)]).unwrap();
+        store.spill(&[entry(2, 30, 40)]).unwrap();
+        assert!(store.take_below(Timestamp(9)).0.is_empty());
+        assert_eq!(store.take_below(Timestamp(10)).0, [entry(1, 10, 20)]);
+        assert!(store.take_below(Timestamp(29)).0.is_empty(), "a taken segment is gone");
+        assert_eq!(store.take_below(Timestamp(100)).0, [entry(2, 30, 40)]);
+        assert!(store.take_below(Timestamp::MAX).0.is_empty());
     }
 
     #[test]
@@ -451,36 +395,36 @@ mod tests {
         let err = store.spill(&[entry(1, 10, 20)]).unwrap_err();
         assert!(err.to_string().contains("injected spill write fault"));
         assert_eq!(store.segments.len(), 0);
-        assert_eq!(store.resident_out(), 0);
+        assert_eq!(store.buffered_bytes(), 0);
         // Clearing the plan restores normal operation.
         store.set_faults(None);
-        let (id, _) = store.spill(&[entry(1, 10, 20)]).unwrap();
-        assert_eq!(store.reload(id).unwrap().len(), 1);
+        store.spill(&[entry(1, 10, 20)]).unwrap();
+        assert_eq!(store.take_below(Timestamp::MAX).0.len(), 1);
     }
 
     #[test]
     fn injected_reload_faults_keep_the_segment_retryable() {
         let mut store = SpillStore::in_memory();
-        let (id, _) = store.spill(&[entry(1, 10, 20)]).unwrap();
+        store.spill(&[entry(1, 10, 20)]).unwrap();
         let plan = SpillFaultPlan::new(3, 0.0, 1.0);
         store.set_faults(Some(plan.clone()));
-        assert_eq!(store.reload(id), Err(CodecError::UnexpectedEof));
+        assert_eq!(store.take_below(Timestamp(20)), (Vec::new(), vec![CodecError::UnexpectedEof]));
         assert_eq!(plan.fired(), 1);
-        // The segment was not marked loaded: still offered for reload.
-        assert_eq!(store.segments_overlapping(Timestamp(10), Timestamp(20)), vec![id]);
+        // The segment was not consumed: still offered for reload.
+        assert_eq!(store.segments.len(), 1);
         store.set_faults(None);
-        assert_eq!(store.reload(id).unwrap().len(), 1);
+        assert_eq!(store.take_below(Timestamp(20)).0.len(), 1);
     }
 
     /// A segment whose `sid`/`sno` varint exceeds `u32` used to reload as
     /// a different session; a count beyond the bytes left used to size an
-    /// allocation.
+    /// allocation. A restored segment must hold at least one entry.
     #[test]
     fn hostile_segments_are_rejected() {
         let txn = TxnBuilder::new(300).session(0x55, 0x66).interval(0x33, 0x34).build();
         let mut store = SpillStore::in_memory();
-        let (id, _) = store.spill(&[SpillEntry { txn, write_set: Vec::new() }]).unwrap();
-        let raw = store.read_segment(id).unwrap();
+        store.spill(&[SpillEntry { txn, write_set: Vec::new() }]).unwrap();
+        let raw = store.export_segments().unwrap().remove(0);
         assert_eq!(raw[..5], [1, 0xac, 0x02, 0x55, 0x66], "count, tid 300, sid, sno");
         assert_eq!(decode_segment(&raw).unwrap().len(), 1);
         let wide = [0x80, 0x80, 0x80, 0x80, 0x10]; // 2^32
@@ -493,5 +437,7 @@ mod tests {
         aion_types::codec::put_varint(&mut hostile, 1 << 40);
         hostile.extend([1, 2, 3]);
         assert_eq!(decode_segment(&hostile), Err(CodecError::UnexpectedEof));
+        let empty = SpillStore::in_memory().import_segment(vec![0]);
+        assert!(matches!(empty, Err(SnapshotError::Codec(CodecError::OutOfRange))));
     }
 }

@@ -201,7 +201,11 @@ fn sweep_reaches_spills_reloads_and_restores() {
 /// change to how the indexes are laid out must not move it: pinned to
 /// what the one-`Vec`-per-entry indexes reported for this history, less
 /// the 40 bytes per writer entry a key-value session no longer keeps
-/// (step ③ reads the writer index for lists only).
+/// (step ③ reads the writer index for lists only). A reload now consumes
+/// its spill segment, so the estimate also lost what the store kept of
+/// the segments this history's stragglers reloaded: their bytes with a
+/// 48-byte record each (7 557, 70 908 and 250 007 at the three samples),
+/// and 16 of the 48 record bytes of each segment still held.
 #[test]
 fn estimate_for_a_fixed_history_does_not_move() {
     let spec = WorkloadSpec::default()
@@ -221,5 +225,59 @@ fn estimate_for_a_fixed_history_does_not_move() {
         }
     }
     assert!(ck.stats().spilled_txns > 0 && ck.stats().reevaluations > 0, "{:?}", ck.stats());
-    assert_eq!(estimates, [89_932, 226_354, 347_843], "after each hundred arrivals");
+    assert!(ck.stats().reloaded_txns > 0, "{:?}", ck.stats());
+    assert_eq!(estimates, [82_327, 155_430, 97_804], "after each hundred arrivals");
+}
+
+/// Checking GC must not end up holding more than no GC. A reload
+/// consumes its spill segment, so the store, and a checkpoint of it,
+/// carries each spilled transaction once. When reloaded segments stayed
+/// behind, a straggler-heavy feed like this one re-spilled the same
+/// transactions over and over and its GC checkpoint grew to three times
+/// the GC-off one.
+#[test]
+fn a_gc_checkpoint_is_no_larger_than_without_gc() {
+    let spec = WorkloadSpec::default()
+        .with_txns(2_000)
+        .with_sessions(16)
+        .with_ops_per_txn(8)
+        .with_keys(4_096)
+        .with_dist(KeyDist::Zipfian)
+        .with_ts_stride(4)
+        .with_seed(7);
+    let h = generate_history(&spec, IsolationLevel::Si);
+    let feed = FeedConfig {
+        batch_size: 100,
+        batch_interval_ms: 5,
+        delay_mean_ms: 10.0,
+        delay_std_ms: 40.0,
+        seed: 7,
+    };
+    let plan = feed_plan(&h, &feed);
+    let run = |gc: OnlineGcPolicy| {
+        let mut ck = OnlineChecker::builder()
+            .level(IsolationLevel::Si)
+            .ext_timeout_ms(20)
+            .gc(gc)
+            .build()
+            .expect("open session");
+        for (at, txn) in &plan {
+            ck.feed(txn.clone(), *at);
+        }
+        ck.tick(u64::MAX);
+        let checkpoint = ck.checkpoint().expect("checkpoint").len();
+        let outcome = ck.finish();
+        let mut violations: Vec<String> =
+            outcome.report.violations.iter().map(|v| format!("{v:?}")).collect();
+        violations.sort_unstable();
+        (violations, checkpoint, outcome.stats)
+    };
+    let (without, plain_bytes, _) = run(OnlineGcPolicy::None);
+    let (with, gc_bytes, stats) = run(OnlineGcPolicy::Checking { max_txns: 200 });
+    assert!(stats.reloaded_txns > 0, "the feed must reload stragglers: {stats:?}");
+    assert_eq!(with, without, "GC must not move a violation");
+    assert!(
+        gc_bytes <= plain_bytes,
+        "the GC checkpoint ({gc_bytes} B) outgrew the GC-off one ({plain_bytes} B): {stats:?}"
+    );
 }

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic    b"AIONCKPT"   (8 bytes)
-//! version  u8            (currently 4)
+//! version  u8            (currently 5)
 //! kind     u8            (0 = OnlineChecker, 1 = ShardedChecker)
 //! body     checker-specific, see aion-online::snapshot
 //! ```
@@ -55,10 +55,14 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
 /// on key-value sessions), and a spill-reloaded transaction carries its
 /// writer entries and anchored keys. A v3 list checkpoint can hold
 /// published values a missed reload cascade left stale, so it is refused.
-pub const SNAPSHOT_VERSION: u8 = 4;
+///
+/// v5: a reload consumes its spill segment, so the body holds only the
+/// segments spilled out now, each as its encoded bytes alone (no `loaded`
+/// flag, timestamp range or count); the reload floor is gone.
+pub const SNAPSHOT_VERSION: u8 = 5;
 
 /// Oldest checkpoint schema version this build still restores.
-const SNAPSHOT_VERSION_MIN: u8 = 4;
+const SNAPSHOT_VERSION_MIN: u8 = 5;
 
 /// Payload-kind byte: the body is a single `OnlineChecker`.
 pub const SNAPSHOT_KIND_SINGLE: u8 = 0;
