@@ -29,7 +29,6 @@ fn run_flips(h: &History, mean: f64, std: f64) -> FlipSummary {
     let checker = OnlineChecker::builder()
         .kind(h.kind)
         .level(IsolationLevel::Si)
-        .track_flip_details(true)
         .build()
         .expect("open session");
     run_plan(checker, &plan).outcome.flips
@@ -49,7 +48,7 @@ fn histogram_row(label: &str, s: &FlipSummary) -> Vec<String> {
 }
 
 fn rectify_row(label: &str, s: &FlipSummary) -> Vec<String> {
-    let h = s.rectify_histogram();
+    let h = s.rectify_histogram;
     let mut row = vec![label.to_string()];
     row.extend(h.iter().map(|c| c.to_string()));
     row

@@ -148,7 +148,6 @@ pub fn client_cmd(args: &[String]) {
                 )
             }
             "--spill" => opts.spill = Some(flag_value(args, &mut i, "--spill").to_owned()),
-            "--flip-details" => opts.flip_details = true,
             "--events" => events = true,
             other if other.starts_with('-') && other != "-" => {
                 die(&format!("unknown flag {other}\n{CLIENT_USAGE}"))

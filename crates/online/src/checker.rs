@@ -96,9 +96,6 @@ pub struct AionConfig {
     pub ext_timeout_ms: u64,
     /// Garbage-collection policy.
     pub gc: OnlineGcPolicy,
-    /// Collect per-pair flip-flop details (costs memory; enable for the
-    /// §VI-C experiments).
-    pub track_flip_details: bool,
     /// Ablation switch: disable the paper's step-③ optimization that stops
     /// re-checking at the next overwrite of each key, re-evaluating *every*
     /// later reader instead. Same verdicts, strictly more work.
@@ -139,7 +136,6 @@ impl Default for AionConfig {
             levels: LevelPolicy::default(),
             ext_timeout_ms: 5000,
             gc: OnlineGcPolicy::None,
-            track_flip_details: false,
             naive_recheck: false,
             spill_path: None,
             events: true,
@@ -266,12 +262,6 @@ impl OnlineCheckerBuilder {
         self
     }
 
-    /// Collect per-pair flip-flop details (default: off).
-    pub fn track_flip_details(mut self, on: bool) -> Self {
-        self.cfg.track_flip_details = on;
-        self
-    }
-
     /// Disable the step-③ re-check bound (ablation; default: off).
     pub fn naive_recheck(mut self, on: bool) -> Self {
         self.cfg.naive_recheck = on;
@@ -360,6 +350,10 @@ pub(crate) struct ReadState {
     pub(crate) settled: bool,
     /// When the verdict last became wrong (for rectification latency).
     pub(crate) wrong_since: Option<u64>,
+    /// Verdict switches so far (saturating); a (txn, key) pair's count
+    /// is the sum over the transaction's reads of that key. A `u16`
+    /// fits the padding after the two flags.
+    pub(crate) flips: u16,
 }
 
 /// A resident transaction with its derived checking state.
@@ -476,7 +470,6 @@ impl OnlineChecker {
             None => SpillStore::in_memory(),
         };
         spill.set_faults(cfg.spill_faults.clone());
-        let flips = FlipTracker::new(cfg.track_flip_details);
         let track_overlaps = cfg.levels.may_activate(|c| c.noconflict);
         let has_committed_ext = cfg.levels.may_activate(|c| c.ext == ExtPredicate::Committed);
         Ok(OnlineChecker {
@@ -497,7 +490,7 @@ impl OnlineChecker {
             gc_horizon_ts: None,
             now_ms: 0,
             report: CheckReport::new(),
-            flips,
+            flips: FlipTracker::default(),
             stats: CheckerStats::default(),
             events: Vec::new(),
             scratch: arrival::Scratch::default(),
@@ -629,10 +622,11 @@ impl OnlineChecker {
     }
 
     /// The resident-state share of [`Checker::estimated_memory_bytes`](aion_types::Checker::estimated_memory_bytes):
-    /// transactions, frontier versions and the read/write/overlap
-    /// indexes (no spill-store or buffer overhead).
+    /// transactions, the admission tables, frontier versions and the
+    /// read/write/overlap indexes (no spill-store or buffer overhead).
     fn state_bytes_estimate(&self) -> usize {
         self.txn_bytes
+            + self.globals.approx_bytes()
             + self.frontier.len() * 72
             + self.membership.approx_bytes()
             + self.ongoing.len() * 64
@@ -663,6 +657,7 @@ impl OnlineChecker {
         for t in self.txns.values() {
             bytes += t.estimated_bytes();
         }
+        bytes += self.globals.approx_bytes();
         bytes += self.frontier.len() * 72;
         bytes += self.membership.recount_approx_bytes();
         bytes += self.ongoing.len() * 64;
@@ -778,10 +773,14 @@ mod tests {
                 a.tick(i * 100);
             }
         };
+        // The admission tables keep a tid and two timestamps per
+        // transaction for the whole session, by design; the bound is on
+        // the checking state GC can shed.
+        let resident = |a: &OnlineChecker| a.estimated_memory_bytes() - a.globals.approx_bytes();
         run(&mut a, 0, 1_000);
-        let mid = a.estimated_memory_bytes();
+        let mid = resident(&a);
         run(&mut a, 1_000, 5_000);
-        let end = a.estimated_memory_bytes();
+        let end = resident(&a);
         assert!(a.stats().spilled_txns > 0, "GC must have spilled");
         // 5x the stream must not approach 5x the resident bytes. (The
         // pre-fix latch kept every published version resident, scaling
@@ -1159,16 +1158,26 @@ mod tests {
         assert_eq!(a.resident_txns(), 10);
     }
 
+    /// The per-read flip count rides in the padding after the two
+    /// flags; a wider counter would grow every resident read.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn read_state_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<ReadState>(), 72);
+    }
+
     #[test]
     fn flip_details_track_wrong_then_right() {
-        let mut a = OnlineChecker::builder().track_flip_details(true).build().unwrap();
+        let mut a = checker();
         a.feed(t(2, 1, 0, 3, 4).read(Key(1), Value(5)).build(), 0);
         a.feed(t(1, 0, 0, 1, 2).put(Key(1), Value(5)).build(), 7);
         let out = a.finish();
         assert!(out.is_ok());
         assert_eq!(out.flips.pairs_with_flips, 1);
         assert_eq!(out.flips.txns_with_flips, 1);
-        assert_eq!(out.flips.rectify_ms, vec![7]);
+        assert_eq!(out.flips.flip_histogram, [1, 0, 0, 0]);
+        // Wrong from 0 ms to 7 ms: the 2–10 ms bucket.
+        assert_eq!(out.flips.rectify_histogram, [0, 0, 1, 0, 0]);
     }
 
     #[test]
@@ -1247,14 +1256,14 @@ mod tests {
             .level(IsolationLevel::Ser)
             .ext_timeout_ms(123)
             .gc(OnlineGcPolicy::Full { max_txns: 7 })
-            .track_flip_details(true)
             .naive_recheck(true)
+            .events(false)
             .config();
         assert_eq!(cfg.kind, DataKind::List);
         assert_eq!(cfg.uniform_level(), Some(IsolationLevel::Ser));
         assert_eq!(cfg.ext_timeout_ms, 123);
         assert_eq!(cfg.gc, OnlineGcPolicy::Full { max_txns: 7 });
-        assert!(cfg.track_flip_details && cfg.naive_recheck);
+        assert!(cfg.naive_recheck && !cfg.events);
         let ck = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
         assert_eq!(ck.name(), "aion-ser");
         assert_eq!(Checker::name(&ck), "aion-ser");

@@ -99,7 +99,7 @@ impl Checker for OnlineChecker {
         }
         Outcome::new(self.name(), self.report, self.stats.received)
             .with_stats(self.stats)
-            .with_flips(self.flips.summary())
+            .with_flips(self.flips.0)
     }
 
     /// Rough estimate of live checker memory, for the constrained-memory
@@ -184,6 +184,7 @@ impl OnlineChecker {
                         ok: true,
                         settled: false,
                         wrong_since: None,
+                        flips: 0,
                     };
                     if let Some((_, base)) = s.anchored.iter().find(|(k, _)| k == key) {
                         // Internal consistency vs. the anchored
@@ -431,13 +432,18 @@ impl OnlineChecker {
             ok && ext == ExtPredicate::Committed && self.committed_ok_is_final(&r.muts_before);
         let (tid, now_ms) = (rref.tid, self.now_ms);
         let rectified_after_ms = r.wrong_since.filter(|_| ok).map(|w| now_ms.saturating_sub(w));
-        self.flips.record_flip(tid, key, rectified_after_ms);
+        // The pair's and the transaction's flips so far, as their reads count them.
+        let pair_before: usize =
+            t.reads.iter().filter(|r| r.key == key).map(|r| usize::from(r.flips)).sum();
+        let first_of_txn = t.reads.iter().all(|r| r.flips == 0);
+        self.flips.record_flip(pair_before, first_of_txn, rectified_after_ms);
         self.emit_event(|| CheckEvent::VerdictFlip { tid, key, rectified_after_ms });
         let read = self.txns.get_mut(&tid).and_then(|t| t.reads.get_mut(rref.read_idx as usize));
         if let Some(r) = read {
             r.ok = ok;
             r.wrong_since = if ok { None } else { Some(now_ms) };
             r.settled = settles;
+            r.flips = r.flips.saturating_add(1);
         }
     }
 

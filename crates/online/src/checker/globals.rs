@@ -22,6 +22,17 @@ pub(crate) struct GlobalChecks {
 }
 
 impl GlobalChecks {
+    /// These tables' share of the memory estimate: a tid and up to two
+    /// timestamps per admitted transaction, kept for the whole session,
+    /// and two entries per session, each costed at its key and value
+    /// plus half again for the hash table's control bytes and slack.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.all_tids.len() * 12
+            + self.ts_owner.len() * 24
+            + self.next_sno.len() * 12
+            + self.last_cts.len() * 24
+    }
+
     /// Run every global check on one arrival, pushing violations
     /// through `emit` in report order. Returns `false` when the
     /// transaction is malformed (duplicate tid, or Eq. 1) and must not

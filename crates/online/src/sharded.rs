@@ -526,7 +526,7 @@ fn resplit_workers(
     let mut merged: BTreeMap<TxnId, OnlineTxn> = BTreeMap::new();
     let mut stats = CheckerStats::default();
     let mut report = CheckReport::new();
-    let mut flips = crate::stats::FlipTracker::default();
+    let mut flips = FlipSummary::default();
 
     for w in &mut old {
         w.reload_below(Timestamp::MAX).map_err(SnapshotError::Codec)?;
@@ -536,18 +536,7 @@ fn resplit_workers(
         }
         stats.absorb_shard(&w.stats);
         report.merge(std::mem::take(&mut w.report));
-        let t = std::mem::take(&mut w.flips);
-        flips.detail |= t.detail;
-        flips.total_flips += t.total_flips;
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "commutative += merge into a map; the visit order cannot affect the merged counts"
-        )]
-        for (pair, n) in t.flips_per_pair {
-            *flips.flips_per_pair.entry(pair).or_insert(0) += n;
-        }
-        flips.txns_with_flips.extend(t.txns_with_flips);
-        flips.rectify_ms.extend(t.rectify_ms);
+        flips.absorb_shard(&w.flips.0);
 
         let tids: Vec<TxnId> = w.txns().keys().copied().collect();
         for tid in tids {
@@ -615,7 +604,7 @@ fn resplit_workers(
     if let Some(w0) = workers.first_mut() {
         w0.stats = stats;
         w0.report = report;
-        w0.flips = flips;
+        w0.flips = crate::stats::FlipTracker(flips);
     }
     Ok(workers)
 }
@@ -754,9 +743,10 @@ impl Checker for ShardedChecker {
     }
 
     /// Aggregate of every worker's estimate (queried through the
-    /// transport) plus the coordinator's own staged state.
+    /// transport) plus the coordinator's admission tables and staged state.
     fn estimated_memory_bytes(&self) -> usize {
-        self.co.events.capacity() * std::mem::size_of::<CheckEvent>()
+        self.co.globals.approx_bytes()
+            + self.co.events.capacity() * std::mem::size_of::<CheckEvent>()
             + self.co.pending.len()
                 * (std::mem::size_of::<TxnId>() + std::mem::size_of::<PendingFinalize>())
             + self.transport.memory_bytes()
@@ -887,7 +877,7 @@ mod tests {
         }
         let (a, b) = (single.finish(), sharded.finish());
         assert_eq!(a.report.violations, b.report.violations);
-        assert_eq!(a.flips.total_flips, b.flips.total_flips);
+        assert_eq!(a.flips, b.flips);
     }
 
     #[test]
@@ -912,7 +902,7 @@ mod tests {
         assert!(sim.sim_stats().is_some() && threaded.sim_stats().is_none());
         let (a, b) = (threaded.finish(), sim.finish());
         assert_eq!(a.report.violations, b.report.violations);
-        assert_eq!(a.flips.total_flips, b.flips.total_flips);
+        assert_eq!(a.flips, b.flips);
         assert_eq!(a.stats.finalized, b.stats.finalized);
     }
 
@@ -935,6 +925,30 @@ mod tests {
             );
             assert_eq!(ck.finish().report.count(AxiomKind::Ext), 2);
         }
+    }
+
+    /// A re-shard sums the flip counters onto worker 0, and the flipped
+    /// read moves with its count to a worker that never counted the
+    /// pair: its next flip must move the pair up one bucket overall, not
+    /// count it a second time.
+    #[test]
+    fn a_pair_that_flips_across_a_reshard_counts_once() {
+        let key = (0..).map(Key).find(|k| crate::feed::shard_of(*k, 3) != 0).unwrap();
+        let reader = t(2, 1, 0, 10, 11).read(key, Value(5)).build();
+        let late = t(1, 0, 0, 1, 2).put(key, Value(5)).build();
+        let later = t(3, 2, 0, 4, 5).put(key, Value(6)).build();
+        let mut single = OnlineChecker::builder().build().unwrap();
+        let mut a = sharded(2);
+        for txn in [&reader, &late] {
+            single.feed(txn.clone(), 1);
+            a.feed(txn.clone(), 1);
+        }
+        let mut b = ShardedChecker::restore(&a.checkpoint().unwrap(), Some(3)).unwrap();
+        single.feed(later.clone(), 2);
+        b.feed(later, 2);
+        let (want, got) = (single.finish().flips, b.finish().flips);
+        assert_eq!(want.flip_histogram, [0, 1, 0, 0]);
+        assert_eq!(got, want);
     }
 
     /// Split a sharded checkpoint into (configuration, worker bodies,

@@ -498,7 +498,6 @@ fn golden_single_kv_checkpoint_is_byte_stable() {
     let mut ck = OnlineChecker::builder()
         .kind(DataKind::Kv)
         .level(IsolationLevel::Si)
-        .track_flip_details(true)
         .ext_timeout_ms(30)
         .build()
         .expect("open session");
@@ -539,7 +538,6 @@ fn golden_single_list_mixed_gc_checkpoint_is_byte_stable() {
         .kind(DataKind::List)
         .levels(levels)
         .gc(OnlineGcPolicy::Checking { max_txns: 16 })
-        .track_flip_details(true)
         .ext_timeout_ms(15)
         .build()
         .expect("open session");
@@ -596,7 +594,6 @@ fn golden_sharded2_checkpoint_is_byte_stable() {
         .levels(LevelPolicy::per_txn(IsolationLevel::Si))
         .shards(2)
         .gc(OnlineGcPolicy::Checking { max_txns: 12 })
-        .track_flip_details(true)
         .ext_timeout_ms(15)
         .spill_faults(SpillFaultPlan::new(5, 0.3, 0.5))
         .build_sharded_sim(lazy)
@@ -722,7 +719,7 @@ fn crowded_index_entries_keep_their_order_across_a_checkpoint() {
     let tail =
         [t(20, 20, 30).append(x, Value(7)).build(), t(5, 60, 99).append(y, Value(5)).build()];
 
-    let open = || OnlineChecker::builder().kind(DataKind::List).track_flip_details(true).build();
+    let open = || OnlineChecker::builder().kind(DataKind::List).build();
     let mut whole = open().expect("open session");
     for txn in &head {
         whole.feed(txn.clone(), 0);

@@ -112,8 +112,6 @@ pub struct OpenOptions {
     pub gc_max_txns: Option<usize>,
     /// EXT finalization timeout (virtual ms).
     pub ext_timeout_ms: Option<u64>,
-    /// Track per-pair flip details.
-    pub flip_details: bool,
     /// Server-side spill file.
     pub spill: Option<String>,
 }
@@ -135,9 +133,6 @@ pub fn open(addr: &str, session: &str, opts: &OpenOptions) -> Result<Reply, Serv
     }
     if let Some(v) = opts.ext_timeout_ms {
         line = line.int("ext_timeout_ms", v);
-    }
-    if opts.flip_details {
-        line = line.bool("flip_details", true);
     }
     if let Some(v) = &opts.spill {
         line = line.str("spill", v);

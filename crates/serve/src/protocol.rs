@@ -34,8 +34,6 @@ pub struct OpenParams {
     pub gc_max_txns: Option<usize>,
     /// EXT finalization timeout override (virtual ms).
     pub ext_timeout_ms: Option<u64>,
-    /// Track per-pair flip-flop details.
-    pub flip_details: bool,
     /// Spill finalized transactions to this file instead of memory.
     pub spill_path: Option<String>,
 }
@@ -48,7 +46,6 @@ impl Default for OpenParams {
             shards: None,
             gc_max_txns: None,
             ext_timeout_ms: None,
-            flip_details: false,
             spill_path: None,
         }
     }
@@ -174,7 +171,6 @@ impl Command {
                 params.shards = opt_int(&v, "shards")?.map(|n| n as usize);
                 params.gc_max_txns = opt_int(&v, "gc")?.map(|n| n as usize);
                 params.ext_timeout_ms = opt_int(&v, "ext_timeout_ms")?;
-                params.flip_details = opt_bool(&v, "flip_details")?;
                 params.spill_path = v.get("spill").and_then(JsonValue::as_str).map(str::to_owned);
                 Command::Open { session: need_str(&v, "session")?, params }
             }
@@ -302,6 +298,9 @@ mod tests {
 
     #[test]
     fn parses_open_with_all_knobs() {
+        // `flip_details` is what an older client still sends: flip
+        // statistics are always kept now, and the field is ignored like
+        // any unknown one.
         let c = Command::parse(
             r#"{"cmd":"open","session":"a","level":"ser","kind":"list","shards":3,
                "gc":500,"ext_timeout_ms":100,"flip_details":true,"spill":"/tmp/s"}"#,
@@ -315,7 +314,6 @@ mod tests {
                 assert_eq!(params.shards, Some(3));
                 assert_eq!(params.gc_max_txns, Some(500));
                 assert_eq!(params.ext_timeout_ms, Some(100));
-                assert!(params.flip_details);
                 assert_eq!(params.spill_path.as_deref(), Some("/tmp/s"));
             }
             other => panic!("expected open, got {other:?}"),

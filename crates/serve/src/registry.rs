@@ -510,7 +510,6 @@ fn build_checker(params: &OpenParams) -> Result<SessionChecker, ServeError> {
     if let Some(p) = &params.spill_path {
         b = b.spill_path(p.clone());
     }
-    b = b.track_flip_details(params.flip_details);
     let cfg_err = |e: aion_online::ConfigError| ServeError::Config(e.to_string());
     Ok(match params.shards {
         Some(n) => SessionChecker::Sharded(b.shards(n.max(1)).build_sharded().map_err(cfg_err)?),

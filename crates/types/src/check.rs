@@ -234,8 +234,10 @@ impl CheckerStats {
     }
 }
 
-/// Aggregated flip-flop statistics (paper Figs. 13, 14, 17–21).
-#[derive(Clone, Debug, Default)]
+/// Aggregated flip-flop statistics (paper Figs. 13, 14, 17–21): fixed
+/// counters, bumped as each flip happens, so they cost the same at the
+/// millionth transaction as at the first.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlipSummary {
     /// Total verdict switches observed.
     pub total_flips: u64,
@@ -245,44 +247,34 @@ pub struct FlipSummary {
     pub txns_with_flips: usize,
     /// Pairs flipping exactly 1, 2, 3, and ≥4 times (Fig. 13a buckets).
     pub flip_histogram: [usize; 4],
-    /// Time (ms) each false verdict took to rectify (Fig. 13b).
-    pub rectify_ms: Vec<u64>,
+    /// False verdicts by the time they took to rectify (Fig. 13b
+    /// buckets): `0–1`, `1–2`, `2–10`, `10–99`, `≥100` ms.
+    pub rectify_histogram: [usize; 5],
 }
 
 impl FlipSummary {
     /// Fold one shard worker's flip statistics into an aggregate.
     ///
-    /// `total_flips`, `flip_histogram` and `rectify_ms` merge exactly:
-    /// a (txn, key) pair lives on exactly one key-partitioned shard, so
-    /// per-pair data never overlaps. `pairs_with_flips` sums exactly for
-    /// the same reason; `txns_with_flips` sums per-shard counts and is
-    /// therefore an upper bound — a transaction flipping on keys of two
-    /// shards is counted twice.
+    /// Everything but `txns_with_flips` merges exactly: a (txn, key)
+    /// pair lives on exactly one key-partitioned shard, so per-pair
+    /// counts never overlap. `txns_with_flips` sums per-shard counts and
+    /// is therefore an upper bound — a transaction flipping on keys of
+    /// two shards is counted twice.
+    ///
+    /// `flip_histogram` adds with wrap-around: after a re-shard moves a
+    /// pair that already flipped, its next flip leaves a bucket on a
+    /// worker that never counted it there, and that worker's bucket
+    /// wraps below zero (`usize::MAX`) until the shards are summed.
     pub fn absorb_shard(&mut self, other: &FlipSummary) {
-        self.total_flips += other.total_flips;
-        self.pairs_with_flips += other.pairs_with_flips;
-        self.txns_with_flips += other.txns_with_flips;
+        self.total_flips = self.total_flips.saturating_add(other.total_flips);
+        self.pairs_with_flips = self.pairs_with_flips.saturating_add(other.pairs_with_flips);
+        self.txns_with_flips = self.txns_with_flips.saturating_add(other.txns_with_flips);
         for (b, n) in self.flip_histogram.iter_mut().zip(other.flip_histogram) {
-            *b += n;
+            *b = b.wrapping_add(n);
         }
-        self.rectify_ms.extend_from_slice(&other.rectify_ms);
-    }
-
-    /// Bucket the rectification times as in Fig. 13b:
-    /// `0–1`, `1–2`, `2–10`, `10–99`, `≥100` ms.
-    pub fn rectify_histogram(&self) -> [usize; 5] {
-        let mut h = [0usize; 5];
-        for &ms in &self.rectify_ms {
-            let b = match ms {
-                0..=1 => 0,
-                2 => 1,
-                3..=10 => 2,
-                11..=99 => 3,
-                _ => 4,
-            };
-            h[b] += 1;
+        for (b, n) in self.rectify_histogram.iter_mut().zip(other.rectify_histogram) {
+            *b = b.saturating_add(n);
         }
-        h
     }
 }
 

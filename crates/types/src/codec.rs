@@ -195,23 +195,20 @@ impl Wire for u64 {
     }
 }
 
-impl Wire for u32 {
-    fn put(&self, buf: &mut impl BufMut) {
-        put_varint(buf, u64::from(*self));
-    }
-    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
-        u32::try_from(get_varint(buf)?).map_err(|_| CodecError::OutOfRange)
-    }
+/// The narrower integers: a varint, range-checked on decode.
+macro_rules! narrow_varint {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut impl BufMut) {
+                put_varint(buf, *self as u64);
+            }
+            fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+                <$t>::try_from(get_varint(buf)?).map_err(|_| CodecError::OutOfRange)
+            }
+        }
+    )*};
 }
-
-impl Wire for usize {
-    fn put(&self, buf: &mut impl BufMut) {
-        put_varint(buf, *self as u64);
-    }
-    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
-        usize::try_from(get_varint(buf)?).map_err(|_| CodecError::OutOfRange)
-    }
-}
+narrow_varint!(u16, u32, usize);
 
 impl Wire for bool {
     fn put(&self, buf: &mut impl BufMut) {
@@ -304,6 +301,20 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
         read_seq(buf, T::get)
+    }
+}
+
+/// A fixed-length run: the elements alone, no count.
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    fn put(&self, buf: &mut impl BufMut) {
+        self.iter().for_each(|item| item.put(buf));
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = T::get(buf)?;
+        }
+        Ok(out)
     }
 }
 
@@ -684,6 +695,15 @@ mod tests {
         put_varint(&mut buf, u64::from(u32::MAX) + 1);
         assert_eq!(u32::get(&mut &buf[..]), Err(CodecError::OutOfRange));
         assert_eq!(u64::get(&mut &buf[..]), Ok(1 << 32));
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, u64::from(u16::MAX) + 1);
+        assert_eq!(u16::get(&mut &buf[..]), Err(CodecError::OutOfRange));
+        // A fixed-length array is its elements alone, and needs all of them.
+        let mut buf = BytesMut::new();
+        [u16::MAX, 0, 7].put(&mut buf);
+        assert_eq!(buf.len(), 5);
+        assert_eq!(<[u16; 3]>::get(&mut &buf[..]), Ok([u16::MAX, 0, 7]));
+        assert_eq!(<[u16; 3]>::get(&mut &buf[..4]), Err(CodecError::UnexpectedEof));
     }
 
     /// A count is checked against the bytes left before anything is

@@ -5,7 +5,7 @@
 //! persists those bytes across daemon restarts. This module owns the
 //! *envelope* of that format — magic, version, payload kind — plus the
 //! [`Wire`] descriptions of the report-level records (violations, events,
-//! stats, policies) that both the single-threaded and the sharded
+//! stats, flip summaries, policies) that both the single-threaded and the sharded
 //! snapshot need. The per-checker body layouts live next to the checkers
 //! themselves; `docs/formats.md` tabulates all of them.
 //!
@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic    b"AIONCKPT"   (8 bytes)
-//! version  u8            (currently 5)
+//! version  u8            (currently 6)
 //! kind     u8            (0 = OnlineChecker, 1 = ShardedChecker)
 //! body     checker-specific, see aion-online::snapshot
 //! ```
@@ -30,7 +30,7 @@
 //! version alone: checkpoints are operational artifacts with the lifetime
 //! of one stream, not archival data.
 
-use crate::check::{CheckEvent, CheckerStats, ShardConfig, SpillOp};
+use crate::check::{CheckEvent, CheckerStats, FlipSummary, ShardConfig, SpillOp};
 use crate::codec::{CodecError, Wire};
 use crate::ids::{EventKey, EventKind};
 use crate::level::LevelPolicy;
@@ -59,10 +59,14 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
 /// v5: a reload consumes its spill segment, so the body holds only the
 /// segments spilled out now, each as its encoded bytes alone (no `loaded`
 /// flag, timestamp range or count); the reload floor is gone.
-pub const SNAPSHOT_VERSION: u8 = 5;
+///
+/// v6: flip statistics are fixed counters — the config loses its
+/// flip-detail flag, each resident read state gains its flip count, and
+/// the flip tracker is one [`FlipSummary`].
+pub const SNAPSHOT_VERSION: u8 = 6;
 
 /// Oldest checkpoint schema version this build still restores.
-const SNAPSHOT_VERSION_MIN: u8 = 5;
+const SNAPSHOT_VERSION_MIN: u8 = 6;
 
 /// Payload-kind byte: the body is a single `OnlineChecker`.
 pub const SNAPSHOT_KIND_SINGLE: u8 = 0;
@@ -212,6 +216,14 @@ wire_struct!(CheckerStats {
     spill_bytes,
     reevaluations,
     spill_errors,
+});
+
+wire_struct!(FlipSummary {
+    total_flips,
+    pairs_with_flips,
+    txns_with_flips,
+    flip_histogram,
+    rectify_histogram
 });
 
 /// Violations only: the per-axiom counters are derived, and rebuilt on

@@ -41,7 +41,6 @@ fn main() {
         .level(IsolationLevel::Si)
         .ext_timeout_ms(5_000) // the paper's conservative 5 s
         .gc(OnlineGcPolicy::Checking { max_txns: 4_000 })
-        .track_flip_details(true)
         .build()
         .expect("open checking session");
 
@@ -92,8 +91,7 @@ fn main() {
     );
     println!(
         "  flips per pair [x1 x2 x3 x4+]: {:?};  rectification ms buckets {:?}",
-        flips.flip_histogram,
-        flips.rectify_histogram()
+        flips.flip_histogram, flips.rectify_histogram
     );
     let stats = outcome.stats;
     println!(
