@@ -114,7 +114,7 @@ pub mod prelude {
     pub use aion_online::{
         feed_plan, route_txn, run_plan, AionConfig, Arrival, ConfigError, FeedConfig,
         OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy, OnlineRunReport, RoutedTxn,
-        ShardConfig, ShardedChecker,
+        ShardedChecker,
     };
 
     pub use aion_storage::{

@@ -12,8 +12,7 @@
 //! all as a pure function of one `u64` seed.
 //!
 //! Every seed builds a complete scenario (workload, data kind, anomaly
-//! injection, isolation level, shard count, tick-broadcast granularity,
-//! EXT timeout, optional GC + spill faults, optional checkpoint cut +
+//! injection, isolation level, shard count, EXT timeout, optional GC + spill faults, optional checkpoint cut +
 //! reshard, under GC too), runs it through the single reference
 //! [`OnlineChecker`] and the simulated [`ShardedChecker`], and demands
 //! the differential guarantees the architecture promises:
@@ -44,7 +43,7 @@
 
 pub mod permute;
 
-use aion_online::feed::{feed_plan, run_plan, Arrival, FeedConfig};
+use aion_online::feed::{feed_plan, route_txn, run_plan, Arrival, FeedConfig, RoutedTxn};
 use aion_online::{
     OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy, ShardedChecker, SimSchedule, SimStats,
     SpillFaultPlan,
@@ -52,7 +51,7 @@ use aion_online::{
 use aion_storage::Anomaly;
 use aion_types::rng::SplitMix64;
 use aion_types::{
-    CheckEvent, Checker, DataKind, FlipSummary, IsolationLevel, Outcome, ShardConfig,
+    CheckEvent, Checker, DataKind, FlipSummary, IsolationLevel, Key, Outcome, TxnBuilder, Value,
 };
 use aion_workload::{generate_history, KeyDist, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -196,7 +195,6 @@ struct Scenario {
     fault_seed: u64,
     write_fail_p: f64,
     shards: usize,
-    tick_broadcast_ms: u64,
     injected: usize,
     checkpoint_cut: Option<usize>,
     resharded: Option<usize>,
@@ -230,7 +228,7 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
     } else {
         0
     };
-    let plan = feed_plan(
+    let mut plan = feed_plan(
         &h,
         &FeedConfig {
             batch_size: 1 + rng.below(40) as usize,
@@ -242,34 +240,82 @@ fn build_scenario(seed: u64, opts: &DstOptions) -> Scenario {
     );
     let gc = rng.chance(0.3);
     let cut_rng = if gc { &mut extra } else { &mut rng };
-    let checkpoint_cut = if cut_rng.chance(0.5) && plan.len() >= 4 {
+    let mut checkpoint_cut = if cut_rng.chance(0.5) && plan.len() >= 4 {
         Some(1 + cut_rng.below(plan.len() as u64 - 2) as usize)
     } else {
         None
     };
+    let ext_timeout_ms = [1, 5, 50, 5000][rng.below(4) as usize];
+    let gc_max_txns = gc.then(|| 8 + rng.below(24) as usize);
+    let fault_seed = rng.next_u64();
+    let write_fail_p = 0.2 + 0.3 * rng.next_f64();
+    let shards = 2 + rng.below(3) as usize;
+    // This draw once chose a clock-broadcast granularity, which is now a
+    // constant of the coordinator; it is still taken so every later draw,
+    // and with it every seed's scenario, stays what it was.
+    rng.below(5);
+    let resharded = match checkpoint_cut {
+        Some(_) if gc => extra.chance(0.5).then(|| 1 + extra.below(4) as usize),
+        Some(_) if rng.chance(0.5) => Some(1 + rng.below(4) as usize),
+        _ => None,
+    };
+    // Half the seeds drive the sharded checker through the batched
+    // ingest path (`feed_batch`, one channel message per shard per
+    // chunk) so the differential also covers batched delivery under
+    // adversarial schedules.
+    let feed_batch_chunk = rng.chance(0.5).then(|| 2 + rng.below(14) as usize);
+    if let (Some(cut), Some(width)) = (checkpoint_cut, resharded) {
+        if width > 1 && extra.chance(0.5) {
+            checkpoint_cut = Some(plant_reshard_flip(&mut plan, cut, width, kind));
+        }
+    }
     Scenario {
         kind,
         level,
-        ext_timeout_ms: [1, 5, 50, 5000][rng.below(4) as usize],
-        gc_max_txns: gc.then(|| 8 + rng.below(24) as usize),
-        fault_seed: rng.next_u64(),
-        write_fail_p: 0.2 + 0.3 * rng.next_f64(),
-        shards: 2 + rng.below(3) as usize,
-        tick_broadcast_ms: [0, 1, 25, 50, 500][rng.below(5) as usize],
+        ext_timeout_ms,
+        gc_max_txns,
+        fault_seed,
+        write_fail_p,
+        shards,
         injected,
-        resharded: match checkpoint_cut {
-            Some(_) if gc => extra.chance(0.5).then(|| 1 + extra.below(4) as usize),
-            Some(_) if rng.chance(0.5) => Some(1 + rng.below(4) as usize),
-            _ => None,
-        },
+        resharded,
         checkpoint_cut,
-        // Half the seeds drive the sharded checker through the batched
-        // ingest path (`feed_batch`, one channel message per shard per
-        // chunk) so the differential also covers batched delivery under
-        // adversarial schedules.
-        feed_batch_chunk: rng.chance(0.5).then(|| 2 + rng.below(14) as usize),
+        feed_batch_chunk,
         plan,
     }
+}
+
+/// Plant a (txn, key) pair that flips on both sides of the re-shard cut
+/// at `cut` onto `width` workers; returns the moved cut. A read of a value
+/// nothing wrote yet and its late writer arrive before the cut (one flip),
+/// an overwrite before the read's start just after it (a second flip), all
+/// at one arrival time so no EXT timeout settles the read in between. The
+/// fresh key's worker is not 0, which a re-shard sums flip counters onto.
+fn plant_reshard_flip(plan: &mut Vec<Arrival>, cut: usize, width: usize, kind: DataKind) -> usize {
+    let txns = || plan.iter().map(|(_, txn)| txn);
+    let tid = txns().map(|t| t.tid.0).max().unwrap_or(0);
+    let sid = txns().map(|t| t.sid.0).max().unwrap_or(0);
+    let ts = txns().map(|t| t.commit_ts.0.max(t.start_ts.0)).max().unwrap_or(0);
+    let keys = txns().flat_map(|t| t.ops.iter().map(|op| op.key().0)).max().unwrap_or(0);
+    let owner = |k: Key| route_txn(TxnBuilder::new(0).read(k, Value(0)).build(), width);
+    let key =
+        (keys + 1..).map(Key).find(|&k| matches!(owner(k), RoutedTxn::Single { shard: 1.., .. }));
+    let key = key.unwrap_or(Key(keys + 1));
+    let txn = |i: u64, start: u64| {
+        TxnBuilder::new(tid + i).session(sid + i as u32, 0).interval(ts + start, ts + start + 1)
+    };
+    let write = |b: TxnBuilder, v: u64| match kind {
+        DataKind::Kv => b.put(key, Value(v)),
+        DataKind::List => b.append(key, Value(v)),
+    };
+    let reader = match kind {
+        DataKind::Kv => txn(1, 10).read(key, Value(7001)),
+        DataKind::List => txn(1, 10).read_list(key, vec![Value(7001)]),
+    };
+    let at = plan[cut - 1].0;
+    let planted = [reader, write(txn(2, 1), 7001), write(txn(3, 4), 7002)];
+    plan.splice(cut..cut, planted.map(|b| (at, b.build())));
+    cut + 2
 }
 
 impl Scenario {
@@ -298,10 +344,6 @@ impl Scenario {
             b = b.spill_faults(plan);
         }
         b
-    }
-
-    fn shard_config(&self) -> ShardConfig {
-        ShardConfig::new(self.shards).with_tick_broadcast_ms(self.tick_broadcast_ms)
     }
 }
 
@@ -421,7 +463,7 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
     let sched = opts.schedule.schedule(seed);
     let sharded = sc
         .builder(sharded_faults.clone())
-        .shard_config(sc.shard_config())
+        .shards(sc.shards)
         .build_sharded_sim(sched)
         .map_err(|e| e.to_string())?;
 
@@ -460,23 +502,17 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
         &sharded_outcome,
         &match sc.checkpoint_cut {
             Some(cut) => format!(
-                "cut@{cut}{} shards={} tick_b={} ext={} gc={:?} {:?} level={:?}",
+                "cut@{cut}{} shards={} ext={} gc={:?} {:?} level={:?}",
                 sc.resharded.map(|n| format!("->reshard {n}")).unwrap_or_default(),
                 sc.shards,
-                sc.tick_broadcast_ms,
                 sc.ext_timeout_ms,
                 sc.gc_max_txns,
                 sc.kind,
                 sc.level
             ),
             None => format!(
-                "uninterrupted shards={} tick_b={} ext={} gc={:?} {:?} level={:?}",
-                sc.shards,
-                sc.tick_broadcast_ms,
-                sc.ext_timeout_ms,
-                sc.gc_max_txns,
-                sc.kind,
-                sc.level
+                "uninterrupted shards={} ext={} gc={:?} {:?} level={:?}",
+                sc.shards, sc.ext_timeout_ms, sc.gc_max_txns, sc.kind, sc.level
             ),
         },
     )?;
@@ -493,10 +529,9 @@ fn run_scenario(seed: u64, opts: &DstOptions) -> Result<SeedReport, String> {
     }
     let spill_faults_fired = match (&sharded_faults, sc.checkpoint_cut) {
         (Some(plan), None) => {
-            // Restored runs rebuild their fault plan from config
-            // (fault plans are deliberately not persisted), so the
-            // typed-error accounting is only closed for uninterrupted
-            // runs.
+            // A restored run carries no fault plan (plans live in the
+            // builder and are never persisted), so the typed-error
+            // accounting is only closed for uninterrupted runs.
             if sharded_outcome.stats.spill_errors != plan.fired() {
                 return Err(format!(
                     "sharded run lost spill errors: {} typed vs {} injected",

@@ -7,13 +7,12 @@
 //! reference checker:
 //!
 //! 1. **Tick-broadcast rate limiter** — the coordinator forwards clock
-//!    ticks to worker shards at most once per `tick_broadcast_ms` of
-//!    virtual time, and the simulated transport may drop finite ticks
-//!    outright. The safety argument is that a worker's `feed` advances
-//!    its own clock, so verdicts cannot depend on which broadcasts got
-//!    through. [`tick_limiter_model`] runs every subset of tick
-//!    deliveries (2^k masks) under multiple broadcast granularities and
-//!    requires identical outcomes.
+//!    ticks to worker shards at most once per 50 ms of virtual time, and
+//!    the simulated transport may drop finite ticks outright. The safety
+//!    argument is that a worker's `feed` advances its own clock, so
+//!    verdicts cannot depend on which broadcasts got through.
+//!    [`tick_limiter_model`] runs every subset of tick deliveries (2^k
+//!    masks) and requires identical outcomes.
 //! 2. **`GlobalChecks` authority handoff** — session order, duplicate
 //!    tids and Eq. (1) integrity are owned by the coordinator; a
 //!    checkpoint serializes that authority and a restore (possibly onto
@@ -29,9 +28,13 @@
 use crate::compare_outcomes;
 use aion_online::{OnlineChecker, ShardedChecker, SimSchedule};
 use aion_types::{
-    Checker, DataKind, History, IsolationLevel, Key, Outcome, ShardConfig, Transaction, TxnBuilder,
-    Value,
+    Checker, DataKind, History, IsolationLevel, Key, Outcome, Transaction, TxnBuilder, Value,
 };
+
+/// The coordinator's clock-broadcast interval: ticks at least this far
+/// apart each pass its rate limiter, so a tick mask decides alone which
+/// broadcasts are sent.
+const TICK_SPACING_MS: u64 = 50;
 
 /// A small deterministic history that exercises both authority domains:
 /// per-key checks (a bogus read that no write justifies) inside the
@@ -64,11 +67,12 @@ fn builder() -> aion_online::OnlineCheckerBuilder {
     OnlineChecker::builder().level(IsolationLevel::Si).ext_timeout_ms(5_000).events(true)
 }
 
-/// Single-checker reference outcome (`feed` carries the clock).
-fn reference(arrivals: &[Transaction]) -> Outcome {
+/// Single-checker reference outcome (`feed` carries the clock), with
+/// arrival `i` at `at(i)`.
+fn reference(arrivals: &[Transaction], at: impl Fn(usize) -> u64) -> Outcome {
     let mut ck = builder().build().expect("model config is valid");
     for (i, txn) in arrivals.iter().enumerate() {
-        ck.feed(txn.clone(), i as u64 * 7);
+        ck.feed(txn.clone(), at(i));
     }
     ck.tick(u64::MAX);
     Checker::finish(ck)
@@ -77,37 +81,33 @@ fn reference(arrivals: &[Transaction]) -> Outcome {
 /// Model 1: enumerate every subset of coordinator tick deliveries.
 ///
 /// `ticks` is the number of optional tick slots (one before each of the
-/// first `ticks` arrivals); the model runs all `2^ticks` delivery masks
-/// under several `tick_broadcast_ms` granularities and two shard
-/// counts, requiring every run to match the reference outcome.
+/// first `ticks` arrivals, which come `TICK_SPACING_MS` apart); the
+/// model runs all `2^ticks` delivery masks under two shard counts,
+/// requiring every run to match the reference outcome.
 pub fn tick_limiter_model(ticks: usize) -> Result<(), String> {
     let h = model_history(8.max(ticks));
-    let reference = reference(&h.txns);
+    // From one interval on: the limiter's last broadcast starts at 0.
+    let at = |i: usize| (i as u64 + 1) * TICK_SPACING_MS;
+    let reference = reference(&h.txns, at);
     for shards in [2usize, 3] {
-        for tick_broadcast_ms in [0u64, 50] {
-            for mask in 0u64..(1 << ticks) {
-                let mut ck = builder()
-                    .shard_config(
-                        ShardConfig::new(shards).with_tick_broadcast_ms(tick_broadcast_ms),
-                    )
-                    .build_sharded_sim(SimSchedule::random(mask ^ 0x71C7))
-                    .map_err(|e| e.to_string())?;
-                for (i, txn) in h.txns.iter().enumerate() {
-                    if i < ticks && mask & (1 << i) != 0 {
-                        ck.tick(i as u64 * 7);
-                    }
-                    ck.feed(txn.clone(), i as u64 * 7);
+        for mask in 0u64..(1 << ticks) {
+            let mut ck = builder()
+                .shards(shards)
+                .build_sharded_sim(SimSchedule::random(mask ^ 0x71C7))
+                .map_err(|e| e.to_string())?;
+            for (i, txn) in h.txns.iter().enumerate() {
+                if i < ticks && mask & (1 << i) != 0 {
+                    ck.tick(at(i));
                 }
-                ck.tick(u64::MAX);
-                let outcome = Checker::finish(ck);
-                compare_outcomes(
-                    &reference,
-                    &outcome,
-                    &format!(
-                        "tick mask {mask:#b} shards={shards} tick_broadcast={tick_broadcast_ms}"
-                    ),
-                )?;
+                ck.feed(txn.clone(), at(i));
             }
+            ck.tick(u64::MAX);
+            let outcome = Checker::finish(ck);
+            compare_outcomes(
+                &reference,
+                &outcome,
+                &format!("tick mask {mask:#b} shards={shards}"),
+            )?;
         }
     }
     Ok(())
@@ -123,11 +123,11 @@ pub fn tick_limiter_model(ticks: usize) -> Result<(), String> {
 /// any point, onto any width.
 pub fn authority_handoff_model(n: usize) -> Result<(), String> {
     let h = model_history(n);
-    let reference = reference(&h.txns);
+    let reference = reference(&h.txns, |i| i as u64 * 7);
     for cut in 0..=h.txns.len() {
         for new_shards in [1usize, 2, 3] {
             let mut first = builder()
-                .shard_config(ShardConfig::new(2).with_tick_broadcast_ms(25))
+                .shards(2)
                 .build_sharded_sim(SimSchedule::pathological(cut as u64 ^ 0xA117))
                 .map_err(|e| e.to_string())?;
             for (i, txn) in h.txns[..cut].iter().enumerate() {
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn the_model_history_is_genuinely_violating() {
-        let out = reference(&model_history(8).txns);
+        let out = reference(&model_history(8).txns, |i| i as u64 * 7);
         assert!(!out.is_ok(), "the planted defects must be visible to the reference checker");
         assert!(out.report.violations.len() >= 2, "expected per-key AND global violations");
     }

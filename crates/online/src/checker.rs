@@ -50,8 +50,8 @@ use crate::stats::FlipTracker;
 use crate::versioned::VersionedMap;
 use aion_types::{
     base_independent, expected_read, CheckEvent, CheckReport, CheckerStats, DataKind, EventKey,
-    ExtPredicate, FxHashMap, IsolationLevel, Key, LevelPolicy, Mutation, ReadAnchor, ShardConfig,
-    Snapshot, Timestamp, Transaction, TxnId, Violation,
+    ExtPredicate, FxHashMap, IsolationLevel, Key, LevelPolicy, Mutation, ReadAnchor, Snapshot,
+    Timestamp, Transaction, TxnId, Violation,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -107,26 +107,21 @@ pub struct AionConfig {
     /// events: verdicts and the report are unaffected, but the per-event
     /// clones and allocations on the hot path are skipped.
     pub events: bool,
-    /// Shard layout used when this configuration opens a
-    /// [`crate::sharded::ShardedChecker`] session (ignored by the
-    /// single-threaded [`OnlineChecker`]).
-    pub shard: ShardConfig,
-    /// Spill-IO fault-injection plan (testing only, used by the
-    /// `aion-dst` harness; `None` in production). Shared across all
-    /// shard workers of a session and *not* persisted in checkpoints.
-    pub spill_faults: Option<std::sync::Arc<crate::spill::SpillFaultPlan>>,
-    /// True when this checker runs as a shard worker under a
-    /// coordinator that owns the global (cross-key) checks: duplicate
-    /// tid/timestamp detection, SESSION, and Eq. (1) well-formedness are
-    /// skipped because the coordinator performs them exactly once per
-    /// whole transaction.
-    pub(crate) coordinated: bool,
-    /// `Some((shard, shards))` for a shard worker: only operations whose
-    /// key hashes to `shard` under `shards`-way partitioning are
-    /// checked. Transactions arrive whole (so violation `op_index`es
-    /// stay anchored to original program order); foreign-key operations
-    /// are skipped during footprint derivation.
-    pub(crate) shard_filter: Option<(usize, usize)>,
+    /// Number of shard workers when this configuration opens a
+    /// [`crate::sharded::ShardedChecker`] session (≥ 1; ignored by the
+    /// single-threaded [`OnlineChecker`]). Keys are hash-partitioned
+    /// across them.
+    pub shards: usize,
+    /// `Some(shard)` for a shard worker under a coordinator that owns
+    /// the global (cross-key) checks: duplicate tid/timestamp detection,
+    /// SESSION, and Eq. (1) well-formedness are skipped because the
+    /// coordinator performs them exactly once per whole transaction.
+    /// The worker checks only the operations whose key hashes to `shard`
+    /// under `shards`-way partitioning (all of them when `shards` is 1).
+    /// Transactions arrive whole (so violation `op_index`es stay anchored
+    /// to original program order); foreign-key operations are skipped
+    /// during footprint derivation.
+    pub(crate) worker: Option<usize>,
 }
 
 impl Default for AionConfig {
@@ -139,10 +134,8 @@ impl Default for AionConfig {
             naive_recheck: false,
             spill_path: None,
             events: true,
-            shard: ShardConfig::default(),
-            spill_faults: None,
-            coordinated: false,
-            shard_filter: None,
+            shards: 4,
+            worker: None,
         }
     }
 }
@@ -226,6 +219,7 @@ impl std::error::Error for ConfigError {
 #[derive(Clone, Debug, Default)]
 pub struct OnlineCheckerBuilder {
     cfg: AionConfig,
+    spill_faults: Option<std::sync::Arc<crate::spill::SpillFaultPlan>>,
 }
 
 impl OnlineCheckerBuilder {
@@ -282,22 +276,17 @@ impl OnlineCheckerBuilder {
     }
 
     /// Number of shard workers used by [`build_sharded`](Self::build_sharded)
-    /// (default: [`ShardConfig::default`]'s 4).
+    /// (default: 4).
     pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shard.shards = shards.max(1);
-        self
-    }
-
-    /// Full shard layout used by [`build_sharded`](Self::build_sharded).
-    pub fn shard_config(mut self, shard: ShardConfig) -> Self {
-        self.cfg.shard = shard;
+        self.cfg.shards = shards.max(1);
         self
     }
 
     /// Install a spill-IO fault-injection plan (testing only; see
-    /// [`crate::spill::SpillFaultPlan`]).
+    /// [`crate::spill::SpillFaultPlan`]). The plan is shared by every
+    /// shard worker of the session and never persisted in checkpoints.
     pub fn spill_faults(mut self, plan: std::sync::Arc<crate::spill::SpillFaultPlan>) -> Self {
-        self.cfg.spill_faults = Some(plan);
+        self.spill_faults = Some(plan);
         self
     }
 
@@ -310,15 +299,17 @@ impl OnlineCheckerBuilder {
     /// [`ConfigError`] when the configured spill file cannot be created
     /// (infallible for in-memory spilling, the default).
     pub fn build(self) -> Result<OnlineChecker, ConfigError> {
-        OnlineChecker::try_new(self.cfg)
+        let mut checker = OnlineChecker::try_new(self.cfg)?;
+        checker.spill.set_faults(self.spill_faults);
+        Ok(checker)
     }
 
     /// Finish building and open a sharded (parallel) checking session
-    /// over [`AionConfig::shard`] worker threads. Fails with a typed
+    /// over [`AionConfig::shards`] worker threads. Fails with a typed
     /// [`ConfigError`] when any worker's spill file cannot be created, or
     /// for more than [`crate::sharded::MAX_SHARDS`] workers.
     pub fn build_sharded(self) -> Result<crate::sharded::ShardedChecker, ConfigError> {
-        crate::sharded::ShardedChecker::open(self.cfg, None)
+        crate::sharded::ShardedChecker::open(self.cfg, self.spill_faults, None)
     }
 
     /// Finish building and open a *simulated* sharded session: the
@@ -329,7 +320,7 @@ impl OnlineCheckerBuilder {
         self,
         sched: crate::transport::SimSchedule,
     ) -> Result<crate::sharded::ShardedChecker, ConfigError> {
-        crate::sharded::ShardedChecker::open(self.cfg, Some(sched))
+        crate::sharded::ShardedChecker::open(self.cfg, self.spill_faults, Some(sched))
     }
 }
 
@@ -464,12 +455,11 @@ impl OnlineChecker {
     /// problems (an uncreatable spill file) as a typed error instead of
     /// panicking.
     pub fn try_new(cfg: AionConfig) -> Result<OnlineChecker, ConfigError> {
-        let mut spill = match &cfg.spill_path {
+        let spill = match &cfg.spill_path {
             Some(path) => SpillStore::on_disk(path.clone())
                 .map_err(|source| ConfigError::SpillFile { path: path.clone(), source })?,
             None => SpillStore::in_memory(),
         };
-        spill.set_faults(cfg.spill_faults.clone());
         let track_overlaps = cfg.levels.may_activate(|c| c.noconflict);
         let has_committed_ext = cfg.levels.may_activate(|c| c.ext == ExtPredicate::Committed);
         Ok(OnlineChecker {
@@ -1258,12 +1248,14 @@ mod tests {
             .gc(OnlineGcPolicy::Full { max_txns: 7 })
             .naive_recheck(true)
             .events(false)
+            .shards(3)
             .config();
         assert_eq!(cfg.kind, DataKind::List);
         assert_eq!(cfg.uniform_level(), Some(IsolationLevel::Ser));
         assert_eq!(cfg.ext_timeout_ms, 123);
         assert_eq!(cfg.gc, OnlineGcPolicy::Full { max_txns: 7 });
         assert!(cfg.naive_recheck && !cfg.events);
+        assert_eq!((cfg.shards, cfg.worker), (3, None));
         let ck = OnlineChecker::builder().level(IsolationLevel::Ser).build().unwrap();
         assert_eq!(ck.name(), "aion-ser");
         assert_eq!(Checker::name(&ck), "aion-ser");

@@ -131,7 +131,7 @@ impl OnlineChecker {
     /// deduplicated sub-footprints.
     fn admit(&mut self, txn: &Transaction, level: IsolationLevel) -> bool {
         let on = self.cfg.events;
-        self.cfg.coordinated
+        self.cfg.worker.is_some()
             || self.globals.admit(txn, level, |v| {
                 super::record_violation(on, &mut self.events, &mut self.report, v)
             })
@@ -167,8 +167,8 @@ impl OnlineChecker {
         // Foreign keys belong to another shard worker; skipping them
         // (rather than re-numbering a filtered ops vector) keeps
         // `op_index` anchored to program order.
-        let filter = self.cfg.shard_filter;
-        let mine = |op: &Op| filter.is_none_or(|(mine, n)| shard_of(op.key(), n) == mine);
+        let (worker, shards) = (self.cfg.worker, self.cfg.shards);
+        let mine = |op: &Op| worker.is_none_or(|w| shard_of(op.key(), shards) == w);
         let is_read = |op: &&Op| matches!(op, Op::Read { .. }) && mine(op);
         let mut reads = Vec::with_capacity(txn.ops.iter().filter(is_read).count());
         for (op_index, op) in txn.ops.iter().enumerate().filter(|(_, op)| mine(op)) {

@@ -10,8 +10,8 @@ use aion_types::{
 /// (duplicate tids/timestamps, Eq. 1 well-formedness) and SESSION.
 ///
 /// Owned in exactly one place per session — by [`super::OnlineChecker`] when
-/// it runs standalone, by the sharding coordinator when workers run
-/// `coordinated` — so that single and sharded checking share this code
+/// it runs standalone, by the sharding coordinator when it is one of
+/// its shard workers — so that single and sharded checking share this code
 /// *structurally* instead of keeping two copies in sync.
 #[derive(Debug, Default)]
 pub(crate) struct GlobalChecks {

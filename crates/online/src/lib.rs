@@ -38,7 +38,7 @@ mod stats;
 mod transport;
 mod versioned;
 
-pub use aion_types::check::{Checker, FlipSummary, Outcome, ShardConfig};
+pub use aion_types::check::{Checker, FlipSummary, Outcome};
 pub use aion_types::IsolationLevel;
 pub use checker::{AionConfig, ConfigError, OnlineChecker, OnlineCheckerBuilder, OnlineGcPolicy};
 pub use feed::{feed_plan, route_txn, run_plan, Arrival, FeedConfig, OnlineRunReport, RoutedTxn};

@@ -12,8 +12,8 @@
 //! * **Global checks** — duplicate tid/timestamp detection, SESSION,
 //!   and Eq. (1) well-formedness need the whole transaction and the
 //!   whole session stream, so the coordinator performs them exactly
-//!   once, byte-for-byte like `OnlineChecker`'s `feed`; workers run in
-//!   *coordinated* mode and skip them.
+//!   once, byte-for-byte like `OnlineChecker`'s `feed`; a worker (a
+//!   checker configured with its shard index) skips them.
 //! * **Verdict-state ownership** — per-key state (frontier versions,
 //!   readers/writers indexes, NOCONFLICT intervals, tentative EXT
 //!   verdicts) lives entirely inside the owning shard. This is sound
@@ -35,9 +35,9 @@
 //! A worker's `feed` advances its virtual clock before admitting the part,
 //! so EXT finalization *verdicts* are identical to the single checker's
 //! regardless of when `tick`s are forwarded; the coordinator therefore
-//! rate-limits clock broadcasts to
-//! [`aion_types::ShardConfig::tick_broadcast_ms`] and only pays the fan-out when
-//! the clock meaningfully advances. `tick(u64::MAX)` (the end-of-stream
+//! rate-limits clock broadcasts to one per `TICK_BROADCAST_MS` of
+//! virtual time and only pays the fan-out when the clock meaningfully
+//! advances. `tick(u64::MAX)` (the end-of-stream
 //! drain used by [`crate::feed::run_plan`]) is a synchronous barrier:
 //! it flushes every worker so end-of-stream finalizations surface as
 //! events before `finish`.
@@ -63,6 +63,7 @@ use crate::checker::{
 };
 use crate::feed::{route_txn, shard_of, RoutedTxn};
 use crate::snapshot::config_error;
+use crate::spill::SpillFaultPlan;
 use crate::transport::{
     ShardCmd, ShardReply, ShardTransport, SimSchedule, SimStats, SimTransport, ThreadTransport,
 };
@@ -99,6 +100,12 @@ struct PendingFinalize {
 }
 
 wire_struct!(PendingFinalize { awaiting_fed, pending_reads, finalized_shards, violations });
+
+/// Least virtual-time advance (ms) between two clock broadcasts to the
+/// workers. A worker's `feed` advances its own clock before admitting an
+/// arrival, so this only bounds how promptly *idle* shards surface EXT
+/// finalizations — verdicts are unaffected.
+const TICK_BROADCAST_MS: u64 = 50;
 
 /// Most shard workers one session may run: each is an OS thread, and the
 /// count can arrive from a socket or a snapshot.
@@ -151,7 +158,7 @@ wire_struct!(Coordinator {
 /// tested in `tests/sharded_equivalence.rs`); event *timing* may lag
 /// arrivals, since workers run asynchronously.
 pub struct ShardedChecker {
-    /// The session's configuration; `shard.shards` is the worker count.
+    /// The session's configuration; `shards` is the worker count.
     cfg: AionConfig,
     /// How commands reach the workers and replies come back: real
     /// threads over channels in production, the deterministic simulator
@@ -171,29 +178,34 @@ fn start(workers: Vec<OnlineChecker>, sched: Option<SimSchedule>) -> Box<dyn Sha
 }
 
 impl ShardedChecker {
-    /// Open a sharded session over `cfg.shard.shards` workers, each
+    /// Open a sharded session over `cfg.shards` workers, each
     /// running an [`OnlineChecker`] with this configuration scoped to
     /// its key partition. Per-shard GC budgets divide
     /// [`OnlineGcPolicy`]'s `max_txns` evenly; a configured spill path
-    /// gets a `.shardK` suffix per worker. An uncreatable worker spill
+    /// gets a `.shardK` suffix per worker, and every worker shares the
+    /// fault plan `faults` (testing only). An uncreatable worker spill
     /// file is a typed [`ConfigError`]; every worker checker is built
     /// *before* any thread spawns, so a failure leaves no half-started
     /// session behind.
     pub(crate) fn open(
         mut cfg: AionConfig,
+        faults: Option<Arc<SpillFaultPlan>>,
         sched: Option<SimSchedule>,
     ) -> Result<ShardedChecker, ConfigError> {
-        let shards = check_shards(cfg.shard.shards)?;
-        cfg.shard.shards = shards;
-        let workers = (0..shards)
-            .map(|shard| OnlineChecker::try_new(worker_config(&cfg, shard, shards)))
+        cfg.shards = check_shards(cfg.shards)?;
+        let workers = (0..cfg.shards)
+            .map(|shard| {
+                let mut worker = OnlineChecker::try_new(worker_config(&cfg, shard))?;
+                worker.spill.set_faults(faults.clone());
+                Ok(worker)
+            })
             .collect::<Result<_, _>>()?;
         Ok(ShardedChecker { cfg, transport: start(workers, sched), co: Coordinator::default() })
     }
 
     /// Number of shard workers.
     pub fn num_shards(&self) -> usize {
-        self.cfg.shard.shards
+        self.cfg.shards
     }
 
     /// Register the number of routed parts whose `Fed` replies will
@@ -418,10 +430,10 @@ impl ShardedChecker {
         let mut cfg = AionConfig::get(&mut slice)?;
         let bodies = Vec::<Vec<u8>>::get(&mut slice)?;
         let shards = bodies.len();
-        if shards == 0 || shards > MAX_SHARDS || shards != cfg.shard.shards {
+        if shards == 0 || shards > MAX_SHARDS || shards != cfg.shards {
             return Err(SnapshotError::Corrupt(format!(
                 "{shards} worker bodies in a checkpoint configured for {} shards",
-                cfg.shard.shards
+                cfg.shards
             )));
         }
         let mut workers = Vec::with_capacity(shards);
@@ -435,7 +447,7 @@ impl ShardedChecker {
             }
             // A worker checking another partition than the one routed to
             // it would silently miss violations.
-            if !worker.cfg.coordinated || worker.cfg.shard_filter != shard_filter(shard, shards) {
+            if worker.cfg.worker != Some(shard) || worker.cfg.shards != shards {
                 return Err(SnapshotError::Corrupt(format!(
                     "worker body {shard} is not the one of shard {shard} of {shards}"
                 )));
@@ -451,8 +463,8 @@ impl ShardedChecker {
         }
 
         if let Some(new_shards) = reshard {
-            cfg.shard.shards = new_shards;
-            workers = resplit_workers(workers, &cfg, new_shards)?;
+            cfg.shards = new_shards;
+            workers = resplit_workers(workers, &cfg)?;
             // Re-derive the ExtFinalized merge state for the new topology:
             // the checkpoint barrier guarantees awaiting_fed reached zero,
             // and each new worker holding an unfinalized part will emit
@@ -473,18 +485,13 @@ impl ShardedChecker {
     }
 }
 
-/// The keys worker `shard` of `shards` checks: all of them when alone.
-fn shard_filter(shard: usize, shards: usize) -> Option<(usize, usize)> {
-    (shards > 1).then_some((shard, shards))
-}
-
-/// The per-worker configuration derived from a session configuration:
-/// coordinated mode, this shard's key filter, an even share of the GC
-/// budget, and a `.shardK`-suffixed spill file.
-fn worker_config(cfg: &AionConfig, shard: usize, shards: usize) -> AionConfig {
+/// The configuration of worker `shard` of a session configured by `cfg`:
+/// its worker index, an even share of the GC budget, and a
+/// `.shardK`-suffixed spill file.
+fn worker_config(cfg: &AionConfig, shard: usize) -> AionConfig {
+    let shards = cfg.shards;
     let mut worker_cfg = cfg.clone();
-    worker_cfg.coordinated = true;
-    worker_cfg.shard_filter = shard_filter(shard, shards);
+    worker_cfg.worker = Some(shard);
     worker_cfg.gc = match worker_cfg.gc {
         OnlineGcPolicy::None => OnlineGcPolicy::None,
         OnlineGcPolicy::Checking { max_txns } => {
@@ -503,7 +510,7 @@ fn worker_config(cfg: &AionConfig, shard: usize, shards: usize) -> AionConfig {
 }
 
 /// Merge the decoded workers of a sharded checkpoint and re-partition
-/// their state for `new_shards` workers (the `Some(n)` mode of
+/// their state for the `base_cfg.shards` workers (the `Some(n)` mode of
 /// [`ShardedChecker::restore`]).
 ///
 /// Every spilled segment is reloaded first — a segment that cannot be is
@@ -518,8 +525,8 @@ fn worker_config(cfg: &AionConfig, shard: usize, shards: usize) -> AionConfig {
 fn resplit_workers(
     mut old: Vec<OnlineChecker>,
     base_cfg: &AionConfig,
-    new_shards: usize,
 ) -> Result<Vec<OnlineChecker>, SnapshotError> {
+    let new_shards = base_cfg.shards;
     // -- gather -----------------------------------------------------------
     let mut now_ms = 0u64;
     let mut deadline_of: FxHashMap<TxnId, u64> = FxHashMap::default();
@@ -561,8 +568,7 @@ fn resplit_workers(
     // -- re-partition ------------------------------------------------------
     let mut workers = Vec::with_capacity(new_shards);
     for m in 0..new_shards {
-        let mut w =
-            OnlineChecker::try_new(worker_config(base_cfg, m, new_shards)).map_err(config_error)?;
+        let mut w = OnlineChecker::try_new(worker_config(base_cfg, m)).map_err(config_error)?;
         w.now_ms = now_ms;
         workers.push(w);
     }
@@ -691,7 +697,7 @@ impl Checker for ShardedChecker {
     }
 
     /// Advance the virtual clock. Broadcasts to workers at most every
-    /// [`aion_types::ShardConfig::tick_broadcast_ms`] virtual ms —
+    /// `TICK_BROADCAST_MS` virtual ms —
     /// a worker's `feed` advances its own clock, so this only affects how
     /// promptly idle shards surface finalization *events*, never
     /// verdicts. `u64::MAX` drains synchronously (see module docs).
@@ -700,9 +706,7 @@ impl Checker for ShardedChecker {
         if now_ms == u64::MAX {
             self.broadcast_tick(u64::MAX);
             self.barrier();
-        } else if now_ms.saturating_sub(self.co.last_tick_broadcast)
-            >= self.cfg.shard.tick_broadcast_ms
-        {
+        } else if now_ms.saturating_sub(self.co.last_tick_broadcast) >= TICK_BROADCAST_MS {
             self.broadcast_tick(now_ms);
         }
         self.pump()
@@ -975,7 +979,7 @@ mod tests {
     fn a_checkpoint_whose_topology_disagrees_with_itself_is_refused() {
         let mut honest = sharded(4);
         let (cfg, bodies, tail) = open_envelope(&honest.checkpoint().unwrap());
-        assert_eq!((cfg.shard.shards, bodies.len()), (4, 4));
+        assert_eq!((cfg.shards, bodies.len()), (4, 4));
         let bad_reads = |ck: &mut ShardedChecker| {
             for k in 0..32u64 {
                 ck.feed(
@@ -990,7 +994,7 @@ mod tests {
         let mut swapped = bodies.clone();
         swapped.swap(0, 1);
         let mut two_way = cfg.clone();
-        two_way.shard.shards = 2;
+        two_way.shards = 2;
         for (what, hostile) in [
             ("two of four bodies", envelope(&cfg, &bodies[..2], &tail)),
             (

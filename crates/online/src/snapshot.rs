@@ -54,38 +54,17 @@ use std::path::PathBuf;
 
 wire_enum!(OnlineGcPolicy { 0 => None, 1 => Checking { max_txns }, 2 => Full { max_txns } });
 
-/// Every field but `spill_faults` (a testing hook, never persisted), the
-/// spill path as a (lossy) string.
-impl Wire for AionConfig {
-    fn put(&self, buf: &mut impl BufMut) {
-        self.kind.put(buf);
-        self.levels.put(buf);
-        self.ext_timeout_ms.put(buf);
-        self.gc.put(buf);
-        self.naive_recheck.put(buf);
-        self.spill_path.as_ref().map(|p| p.to_string_lossy().into_owned()).put(buf);
-        self.events.put(buf);
-        self.shard.put(buf);
-        self.coordinated.put(buf);
-        self.shard_filter.put(buf);
-    }
-    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
-        Ok(AionConfig {
-            kind: Wire::get(buf)?,
-            levels: Wire::get(buf)?,
-            ext_timeout_ms: Wire::get(buf)?,
-            gc: Wire::get(buf)?,
-            naive_recheck: Wire::get(buf)?,
-            spill_path: Option::<String>::get(buf)?.map(PathBuf::from),
-            events: Wire::get(buf)?,
-            shard: Wire::get(buf)?,
-            coordinated: Wire::get(buf)?,
-            shard_filter: Wire::get(buf)?,
-            spill_faults: None,
-        })
-    }
-}
-
+wire_struct!(AionConfig {
+    kind,
+    levels,
+    ext_timeout_ms,
+    gc,
+    naive_recheck,
+    spill_path,
+    events,
+    shards,
+    worker
+});
 wire_struct!(GlobalChecks { all_tids, ts_owner, next_sno, last_cts });
 wire_struct!(ReadState { op_index, key, observed, muts_before, ok, settled, wrong_since, flips });
 wire_struct!(OnlineTxn { txn, level, write_set, reads, anchor_keys, finalized });
@@ -225,7 +204,7 @@ impl OnlineChecker {
         let ck = Self::read_snapshot_body(&mut slice, spill_override)?;
         // A shard worker's body: it leaves the global checks to a
         // coordinator and skips the keys it does not own.
-        if ck.cfg.coordinated || ck.cfg.shard_filter.is_some() {
+        if ck.cfg.worker.is_some() {
             return Err(SnapshotError::Corrupt(
                 "a shard worker's body under a single-checker header".into(),
             ));
@@ -388,14 +367,14 @@ mod tests {
 
     /// Versions 2 (no membership tail) and 3 (list writers possibly
     /// stale after a spill reload) through 5 (a flip-detail flag in the
-    /// config, no per-read flip counts) aged out of the restorable
-    /// range: the version byte is refused before any of the body is
-    /// parsed.
+    /// config, no per-read flip counts) and 6 (a shard layout and two
+    /// worker fields in the config) aged out of the restorable range: the
+    /// version byte is refused before any of the body is parsed.
     #[test]
     fn v2_snapshot_is_rejected_as_unsupported() {
         let mut snap = busy_checker().checkpoint().unwrap();
-        assert_eq!(snap[8], 6, "version byte lives after the 8-byte magic");
-        for old in [2, 3, 4, 5] {
+        assert_eq!(snap[8], 7, "version byte lives after the 8-byte magic");
+        for old in [2, 3, 4, 5, 6] {
             snap[8] = old;
             assert!(matches!(
                 OnlineChecker::restore(&snap),
@@ -453,10 +432,10 @@ mod tests {
     /// the 3 violations below) or every key it does not own.
     #[test]
     fn a_worker_body_under_a_single_header_is_refused() {
-        let coordinated = AionConfig { coordinated: true, ..AionConfig::default() };
-        let filtered = AionConfig { shard_filter: Some((0, 2)), ..AionConfig::default() };
-        for cfg in [coordinated, filtered] {
-            let what = format!("coordinated {} filter {:?}", cfg.coordinated, cfg.shard_filter);
+        let sole = AionConfig { worker: Some(0), shards: 1, ..AionConfig::default() };
+        let second = AionConfig { worker: Some(1), shards: 2, ..AionConfig::default() };
+        for cfg in [sole, second] {
+            let what = format!("worker {:?} of {}", cfg.worker, cfg.shards);
             let hostile = OnlineChecker::try_new(cfg).unwrap().checkpoint().unwrap();
             match OnlineChecker::restore(&hostile) {
                 Err(SnapshotError::Corrupt(detail)) => {
@@ -487,7 +466,7 @@ mod tests {
 
     #[test]
     fn config_roundtrip_preserves_mixed_policies() {
-        let mut cfg = AionConfig {
+        let cfg = AionConfig {
             levels: LevelPolicy::per_session(
                 [
                     (SessionId(3), IsolationLevel::Ser),
@@ -496,19 +475,19 @@ mod tests {
                 IsolationLevel::Si,
             ),
             gc: OnlineGcPolicy::Full { max_txns: 77 },
-            shard_filter: Some((1, 3)),
-            coordinated: true,
+            shards: 3,
+            worker: Some(1),
+            spill_path: Some(PathBuf::from("spill.bin")),
             ..AionConfig::default()
         };
-        cfg.shard.shards = 3;
         let mut buf = BytesMut::new();
         cfg.put(&mut buf);
         let back = AionConfig::get(&mut &buf[..]).unwrap();
         assert_eq!(back.levels.level_for(&t(1, 3, 0, 1, 2).build()), IsolationLevel::Ser);
         assert_eq!(back.levels.level_for(&t(1, 9, 0, 1, 2).build()), IsolationLevel::Si);
         assert_eq!(back.gc, OnlineGcPolicy::Full { max_txns: 77 });
-        assert_eq!(back.shard_filter, Some((1, 3)));
-        assert!(back.coordinated);
+        assert_eq!((back.shards, back.worker), (3, Some(1)));
+        assert_eq!(back.spill_path, cfg.spill_path);
     }
 
     /// `bytes` with its one occurrence of `old` replaced by `new`.

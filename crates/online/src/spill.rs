@@ -195,9 +195,15 @@ impl SpillStore {
     /// success from failure) or bytes that do not decode — stays in the
     /// store, so a later call retries it; its error is returned beside
     /// the entries that did load.
+    ///
+    /// The disk backend then cuts its file back to the end of the last
+    /// segment still held (to nothing when none is), so a consumed tail
+    /// gives its bytes back; a consumed segment below a held one stays a
+    /// hole in the file.
     pub(crate) fn take_below(&mut self, hi: Timestamp) -> (Vec<SpillEntry>, Vec<CodecError>) {
         let (mut entries, mut errors) = (Vec::new(), Vec::new());
         let SpillStore { file, segments, memory_bytes, faults } = self;
+        let held = segments.len();
         segments.retain(|seg| {
             if seg.min_ts > hi {
                 return true;
@@ -220,6 +226,15 @@ impl SpillStore {
                 }
             }
         });
+        if let Some(file) = file.as_mut().filter(|_| segments.len() < held) {
+            let end = segments.iter().map(|seg| match seg.data {
+                SegmentData::InFile { offset, len } => offset + len as u64,
+                SegmentData::Held(_) => 0,
+            });
+            // A failed cut only leaves dead bytes behind: the next spill
+            // appends at the file's end either way.
+            let _ = file.set_len(end.max().unwrap_or(0));
+        }
         (entries, errors)
     }
 
@@ -334,6 +349,31 @@ mod tests {
         assert_eq!(store.export_segments().unwrap().len(), 2);
         assert_eq!(store.take_below(Timestamp(30)).0, [a, b].concat());
         assert!(store.segments.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A consumed segment's bytes used to stay in the spill file for
+    /// good. A reload cuts the file back to the end of the last segment
+    /// still held, and to nothing once none is.
+    #[test]
+    fn a_reload_trims_the_spill_file_to_its_last_held_segment() {
+        let dir = std::env::temp_dir().join(format!("aion-spill-trim-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg.bin");
+        let file_len = || std::fs::metadata(&path).unwrap().len();
+        let mut store = SpillStore::on_disk(path.clone()).unwrap();
+        let (a, b, c) = (vec![entry(1, 50, 60)], vec![entry(2, 10, 20)], vec![entry(3, 30, 40)]);
+        let a_len = store.spill(&a).unwrap() as u64;
+        let b_len = store.spill(&b).unwrap() as u64;
+        assert_eq!(file_len(), a_len + b_len);
+        assert_eq!(store.take_below(Timestamp(20)).0, b);
+        assert_eq!(file_len(), a_len, "the consumed tail is cut off");
+        let c_len = store.spill(&c).unwrap() as u64;
+        assert_eq!(file_len(), a_len + c_len, "the next spill appends at the cut");
+        assert_eq!(store.take_below(Timestamp(40)).0, c);
+        assert_eq!(file_len(), a_len);
+        assert_eq!(store.take_below(Timestamp::MAX).0, a);
+        assert_eq!(file_len(), 0, "nothing held, nothing kept");
         std::fs::remove_dir_all(&dir).ok();
     }
 

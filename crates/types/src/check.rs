@@ -143,49 +143,6 @@ impl std::fmt::Display for CheckEvent {
     }
 }
 
-/// How a sharded checking session partitions its work.
-///
-/// Carried by `aion_online::AionConfig` and consumed by
-/// `aion_online::sharded::ShardedChecker`: the transaction stream is
-/// partitioned by key across `shards` worker threads, each running its
-/// own single-threaded checker over the keys it owns. `#[non_exhaustive]`:
-/// construct via [`ShardConfig::new`] or [`ShardConfig::default`] so
-/// future knobs stay non-breaking.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ShardConfig {
-    /// Number of shard workers (≥ 1). Keys are hash-partitioned across
-    /// them; a transaction touching several shards is split into
-    /// per-shard sub-footprints by the coordinator.
-    pub shards: usize,
-    /// Minimum virtual-time advance (ms) between clock broadcasts to the
-    /// shard workers. A worker's `feed` advances its own clock before
-    /// admitting an arrival, so this only bounds how promptly *idle*
-    /// shards surface EXT finalizations — verdicts are unaffected. `0`
-    /// forwards every `tick` (highest event fidelity, most messages).
-    pub tick_broadcast_ms: u64,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig { shards: 4, tick_broadcast_ms: 50 }
-    }
-}
-
-impl ShardConfig {
-    /// A configuration with `shards` workers and the default broadcast
-    /// granularity. `shards` is clamped to at least 1.
-    pub fn new(shards: usize) -> ShardConfig {
-        ShardConfig { shards: shards.max(1), ..ShardConfig::default() }
-    }
-
-    /// Set the clock-broadcast granularity in virtual milliseconds.
-    pub fn with_tick_broadcast_ms(mut self, ms: u64) -> ShardConfig {
-        self.tick_broadcast_ms = ms;
-        self
-    }
-}
-
 /// Runtime counters kept by streaming checkers (all zero for offline
 /// adapters, which do no incremental work).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -44,6 +44,7 @@ use crate::History;
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
 use std::hash::Hash;
+use std::path::PathBuf;
 
 const MAGIC: &[u8; 6] = b"AIONH1";
 const MAGIC_V2: &[u8; 6] = b"AIONH2";
@@ -261,6 +262,16 @@ impl Wire for String {
     }
     fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
         String::from_utf8(Vec::get(buf)?).map_err(|_| CodecError::BadUtf8)
+    }
+}
+
+/// A path as the [`String`] of its lossy UTF-8 form.
+impl Wire for PathBuf {
+    fn put(&self, buf: &mut impl BufMut) {
+        self.to_string_lossy().into_owned().put(buf);
+    }
+    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        String::get(buf).map(PathBuf::from)
     }
 }
 

@@ -31,7 +31,7 @@ pub mod snapshot;
 mod txn;
 mod violation;
 
-pub use check::{CheckEvent, Checker, CheckerStats, FlipSummary, Outcome, ShardConfig, SpillOp};
+pub use check::{CheckEvent, Checker, CheckerStats, FlipSummary, Outcome, SpillOp};
 pub use clock::{Clock, RealClock, SimClock, Stopwatch};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use history::{History, HistoryStats, IntegrityIssue};

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic    b"AIONCKPT"   (8 bytes)
-//! version  u8            (currently 6)
+//! version  u8            (currently 7)
 //! kind     u8            (0 = OnlineChecker, 1 = ShardedChecker)
 //! body     checker-specific, see aion-online::snapshot
 //! ```
@@ -30,7 +30,7 @@
 //! version alone: checkpoints are operational artifacts with the lifetime
 //! of one stream, not archival data.
 
-use crate::check::{CheckEvent, CheckerStats, FlipSummary, ShardConfig, SpillOp};
+use crate::check::{CheckEvent, CheckerStats, FlipSummary, SpillOp};
 use crate::codec::{CodecError, Wire};
 use crate::ids::{EventKey, EventKind};
 use crate::level::LevelPolicy;
@@ -63,10 +63,14 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"AIONCKPT";
 /// v6: flip statistics are fixed counters — the config loses its
 /// flip-detail flag, each resident read state gains its flip count, and
 /// the flip tracker is one [`FlipSummary`].
-pub const SNAPSHOT_VERSION: u8 = 6;
+///
+/// v7: the config record keeps only what a session chooses — one shard
+/// count in place of the shard layout, one optional worker index in place
+/// of the two fields that marked a shard worker and its key partition.
+pub const SNAPSHOT_VERSION: u8 = 7;
 
 /// Oldest checkpoint schema version this build still restores.
-const SNAPSHOT_VERSION_MIN: u8 = 6;
+const SNAPSHOT_VERSION_MIN: u8 = 7;
 
 /// Payload-kind byte: the body is a single `OnlineChecker`.
 pub const SNAPSHOT_KIND_SINGLE: u8 = 0;
@@ -179,7 +183,6 @@ pub fn get_snapshot_header(buf: &mut impl Buf) -> Result<u8, SnapshotError> {
 
 wire_enum!(EventKind { 0 => Start, 1 => Commit });
 wire_struct!(EventKey { ts, kind, tid });
-wire_struct!(ShardConfig { shards, tick_broadcast_ms });
 wire_enum!(LevelPolicy {
     0 => Uniform(level),
     1 => PerSession { map, default },
