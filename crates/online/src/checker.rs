@@ -43,11 +43,9 @@ mod globals;
 
 pub(crate) use globals::{record_violation, GlobalChecks};
 
-use crate::index::{KeyEventIndex, OngoingIndex, ReadRef};
-use crate::membership::MembershipIndex;
+use crate::keys::KeyTable;
 use crate::spill::SpillStore;
 use crate::stats::FlipTracker;
-use crate::versioned::VersionedMap;
 use aion_types::{
     base_independent, expected_read, CheckEvent, CheckReport, CheckerStats, DataKind, EventKey,
     ExtPredicate, FxHashMap, IsolationLevel, Key, LevelPolicy, Mutation, ReadAnchor, Snapshot,
@@ -425,16 +423,13 @@ pub struct OnlineChecker {
     /// of the memory estimate that has no `len()` to read it from.
     txn_bytes: usize,
     pub(crate) globals: GlobalChecks,
-    pub(crate) frontier: VersionedMap<Snapshot>,
-    /// Committed-membership summaries for the RC EXT predicate; only
-    /// populated when `has_committed_ext`, and — unlike the frontier —
-    /// never pruned by GC, which is what lets the frontier shed its
-    /// version chains under RC/mixed policies (see
-    /// [`MembershipIndex`]).
-    pub(crate) membership: MembershipIndex,
-    pub(crate) readers: KeyEventIndex<ReadRef>,
-    pub(crate) writers: KeyEventIndex<TxnId>,
-    pub(crate) ongoing: OngoingIndex,
+    /// Per key: the committed versions (the frontier), the unsettled
+    /// readers and list writers at their anchors, the overlap sets and
+    /// the committed-membership summary — the last only populated when
+    /// `has_committed_ext`, and compacted rather than pruned by GC,
+    /// which is what lets the frontier shed its version chains under
+    /// RC/mixed policies.
+    pub(crate) keys: KeyTable,
     pub(crate) deadlines: BinaryHeap<Reverse<(u64, TxnId)>>,
     pub(crate) triggers: VecDeque<(Key, EventKey)>,
     pub(crate) spill: SpillStore,
@@ -469,11 +464,7 @@ impl OnlineChecker {
             txns: FxHashMap::default(),
             txn_bytes: 0,
             globals: GlobalChecks::default(),
-            frontier: VersionedMap::new(),
-            membership: MembershipIndex::new(),
-            readers: KeyEventIndex::new(),
-            writers: KeyEventIndex::new(),
-            ongoing: OngoingIndex::new(),
+            keys: KeyTable::default(),
             deadlines: BinaryHeap::new(),
             triggers: VecDeque::new(),
             spill,
@@ -515,8 +506,9 @@ impl OnlineChecker {
     }
 
     fn frontier_at(&self, key: Key, at: EventKey) -> Snapshot {
-        self.frontier
-            .get_before(key, at)
+        self.keys
+            .get(key)
+            .and_then(|k| k.version_before(at))
             .map(|(_, v)| v.clone())
             .unwrap_or_else(|| Snapshot::initial(self.cfg.kind))
     }
@@ -561,7 +553,7 @@ impl OnlineChecker {
                 // observation" in O(log n) instead of walking the key's
                 // version chain — and keeps answering after GC pruned
                 // the chain, since summaries survive `prune_below`.
-                self.membership.contains_before(key, anchor, observed)
+                self.keys.get(key).is_some_and(|k| k.contains_before(anchor, observed))
             }
         }
     }
@@ -612,16 +604,10 @@ impl OnlineChecker {
     }
 
     /// The resident-state share of [`Checker::estimated_memory_bytes`](aion_types::Checker::estimated_memory_bytes):
-    /// transactions, the admission tables, frontier versions and the
-    /// read/write/overlap indexes (no spill-store or buffer overhead).
+    /// transactions, the admission tables and the key table (no
+    /// spill-store or buffer overhead).
     fn state_bytes_estimate(&self) -> usize {
-        self.txn_bytes
-            + self.globals.approx_bytes()
-            + self.frontier.len() * 72
-            + self.membership.approx_bytes()
-            + self.ongoing.len() * 64
-            + self.readers.len() * 40
-            + self.writers.len() * 40
+        self.txn_bytes + self.globals.approx_bytes() + self.keys.counts().approx_bytes()
     }
 
     /// The transient deadline/trigger/event buffers' share of the
@@ -648,10 +634,7 @@ impl OnlineChecker {
             bytes += t.estimated_bytes();
         }
         bytes += self.globals.approx_bytes();
-        bytes += self.frontier.len() * 72;
-        bytes += self.membership.recount_approx_bytes();
-        bytes += self.ongoing.len() * 64;
-        bytes += self.readers.recount_len() * 40 + self.writers.recount_len() * 40;
+        bytes += self.keys.recount().approx_bytes();
         bytes += self.spill.recount_buffered_bytes();
         bytes + self.buffer_bytes()
     }
@@ -778,9 +761,9 @@ mod tests {
         // metadata, which grows by a few dozen bytes per pass.)
         assert!(end <= 3 * mid, "RC resident state must stay bounded: {mid} -> {end} bytes");
         assert!(
-            a.membership.len() < 300,
+            a.keys.counts().members < 300,
             "membership summaries must compact under GC, got {} versions",
-            a.membership.len()
+            a.keys.counts().members
         );
         let out = a.finish();
         assert!(out.is_ok(), "a clean RC stream must still pass: {}", out.report);

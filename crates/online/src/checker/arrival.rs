@@ -270,12 +270,14 @@ impl OnlineChecker {
     }
 
     /// The one way a transaction becomes resident — at arrival, at spill
-    /// reload and at re-shard — keeping each index only where a stage
-    /// reads it: unsettled reads at the anchor (step ③), list writes at
-    /// the anchor (step ③'s cascade, which no other kind has), the write
-    /// set at the commit event (`publish`), write intervals while the
-    /// policy can activate NOCONFLICT (step ②), and a `deadline` for EXT
-    /// finalization. Returns, per written key, the registered writers
+    /// reload and at re-shard — keeping each key-table role only where a
+    /// stage reads it: unsettled reads at the anchor (step ③), list
+    /// writes at the anchor (step ③'s cascade, which no other kind has),
+    /// the write set at the commit event (with its membership summary
+    /// when the policy can produce a committed-predicate read), write
+    /// intervals while the policy can activate NOCONFLICT (step ②), and a
+    /// `deadline` for EXT finalization. Each written key is looked up
+    /// once. Returns, per written key, the registered writers
     /// whose intervals overlap — none when `silent`, for a transaction
     /// whose conflicts were reported before.
     pub(crate) fn make_resident(
@@ -287,24 +289,21 @@ impl OnlineChecker {
         let (tid, anchor) = (t.txn.tid, t.anchor());
         let (start_ev, commit_ev) = (t.txn.start_event(), t.txn.commit_event());
         for (idx, r) in t.reads.iter().enumerate().filter(|(_, r)| !r.settled) {
-            self.readers.insert(r.key, anchor, ReadRef { tid, read_idx: idx as u32 });
+            self.keys.entry(r.key).add_reader(anchor, ReadRef { tid, read_idx: idx as u32 });
         }
-        if self.cfg.kind == DataKind::List {
-            for (key, _) in &t.write_set {
-                self.writers.insert(*key, anchor, tid);
-            }
-        }
-        for (key, snap) in &t.write_set {
-            self.publish(*key, commit_ev, snap, None);
-        }
+        let list = self.cfg.kind == DataKind::List;
+        let noconflict = t.level.checks().noconflict;
         let mut overlaps = Vec::new();
-        if self.track_overlaps {
-            let noconflict = t.level.checks().noconflict;
-            for &(key, _) in &t.write_set {
-                let others =
-                    self.ongoing.register(key, tid, noconflict, start_ev, commit_ev, silent);
+        for (key, snap) in &t.write_set {
+            let mut k = self.keys.entry(*key);
+            if list {
+                k.add_writer(anchor, tid);
+            }
+            k.publish(commit_ev, snap, None, self.has_committed_ext);
+            if self.track_overlaps {
+                let others = k.register(tid, noconflict, start_ev, commit_ev, silent);
                 if !others.is_empty() {
-                    overlaps.push((key, others));
+                    overlaps.push((*key, others));
                 }
             }
         }
@@ -313,24 +312,6 @@ impl OnlineChecker {
         }
         self.insert_txn(t);
         overlaps
-    }
-
-    /// Make `snap` the version of `key` committed at `commit_ev` — the
-    /// one place a version enters the frontier and the
-    /// committed-membership summaries together. `revised` is the value a
-    /// list cascade is replacing when the frontier holds no entry to say
-    /// so.
-    pub(super) fn publish(
-        &mut self,
-        key: Key,
-        commit_ev: EventKey,
-        snap: &Snapshot,
-        revised: Option<&Snapshot>,
-    ) {
-        let prev = self.frontier.insert(key, commit_ev, snap.clone());
-        if self.has_committed_ext {
-            self.membership.record(key, commit_ev, snap, prev.as_ref().or(revised));
-        }
     }
 
     /// Step ②: NOCONFLICT from the overlaps `tid`'s registration found.
@@ -372,29 +353,28 @@ impl OnlineChecker {
     /// just those readers beyond the bound.
     fn process_triggers(&mut self) {
         let mut s = std::mem::take(&mut self.scratch);
+        let list = self.cfg.kind == DataKind::List;
         while let Some((key, from)) = self.triggers.pop_front() {
+            let Some(k) = self.keys.get(key) else { continue };
             let bound = if self.cfg.naive_recheck {
                 EventKey::INFINITY
             } else {
-                self.frontier.next_after(key, from).unwrap_or(EventKey::INFINITY)
+                k.next_version_after(from).unwrap_or(EventKey::INFINITY)
             };
-            self.readers.range(key, from, bound, &mut s.readers);
-            for &(anchor_ev, rref) in &s.readers {
-                self.re_evaluate(rref, key, anchor_ev, false);
-            }
-            if self.has_committed_ext && bound != EventKey::INFINITY {
-                self.readers.range(key, bound, EventKey::INFINITY, &mut s.readers);
-                for &(anchor_ev, rref) in &s.readers {
-                    self.re_evaluate(rref, key, anchor_ev, true);
-                }
-            }
-            if self.cfg.kind == DataKind::List {
+            // Committed-predicate readers beyond the bound come after the
+            // window's, in the same event order.
+            let hi = if self.has_committed_ext { EventKey::INFINITY } else { bound };
+            k.readers_in(from, hi, &mut s.readers);
+            if list {
                 // Append results depend on their base snapshot: writers in
                 // the window must recompute and cascade.
-                self.writers.range(key, from, bound, &mut s.writers);
-                for &(anchor_ev, wtid) in &s.writers {
-                    self.recompute_writer(wtid, key, anchor_ev);
-                }
+                k.writers_in(from, bound, &mut s.writers);
+            }
+            for &(anchor_ev, rref) in &s.readers {
+                self.re_evaluate(rref, key, anchor_ev, anchor_ev > bound);
+            }
+            for &(anchor_ev, wtid) in &s.writers {
+                self.recompute_writer(wtid, key, anchor_ev);
             }
         }
         self.scratch = s;
@@ -475,7 +455,7 @@ impl OnlineChecker {
         // never a committed observation, so the membership entry moves
         // with it.
         let old = std::mem::replace(published, new_snap.clone());
-        self.publish(key, commit_ev, &new_snap, Some(&old));
+        self.keys.entry(key).publish(commit_ev, &new_snap, Some(&old), self.has_committed_ext);
         self.triggers.push_back((key, commit_ev));
     }
 

@@ -88,23 +88,15 @@ impl OnlineChecker {
         // Order-insensitive, like `safe_horizon`'s fold.
         let horizon = self.txns.values().map(OnlineTxn::anchor).fold(safe_horizon, EventKey::min);
         // The frontier-exact levels only ever query the latest version
-        // below an anchor, which `prune_below` keeps per key. RC's
-        // membership predicate has no such base — *any* committed
-        // version below the anchor can justify a read — but that
-        // question is answered by the committed-membership summaries,
-        // which survive this prune, so the frontier sheds its chains
-        // under RC/mixed policies too.
-        self.frontier.prune_below(horizon);
-        self.ongoing.prune_below(horizon);
-        self.readers.prune_below(horizon);
-        self.writers.prune_below(horizon);
-        // The summaries survive the prune, but shed the events that can
-        // no longer change any membership answer (everything behind a
-        // frozen per-value minimum), so they stay bounded by the live
-        // window plus one entry per distinct (key, value) pair.
-        if self.has_committed_ext {
-            self.membership.compact_below(horizon);
-        }
+        // below an anchor, which the prune keeps per key as its base. RC's
+        // membership predicate has no such base — *any* committed version
+        // below the anchor can justify a read — but that question is
+        // answered by the committed-membership summaries, which the prune
+        // only compacts (shedding the events behind a frozen per-value
+        // minimum), so the frontier sheds its chains under RC/mixed
+        // policies too and the summaries stay bounded by the live window
+        // plus one entry per distinct (key, value) pair.
+        self.keys.prune_below(horizon);
     }
 
     /// Reload every spilled segment that could matter for an arrival whose

@@ -30,6 +30,7 @@
 pub mod checker;
 pub mod feed;
 mod index;
+mod keys;
 mod membership;
 pub mod sharded;
 pub mod snapshot;
@@ -46,9 +47,10 @@ pub use sharded::ShardedChecker;
 pub use spill::SpillFaultPlan;
 pub use transport::{SimSchedule, SimStats};
 
-// The structures `tests/` compares with brute-force models; nothing else
-// outside the crate names them.
+// The checker's per-key table, which `tests/` drives against brute-force
+// models of each role; nothing else outside the crate names it.
 #[doc(hidden)]
 pub use {
-    index::OngoingIndex, index::OngoingWriter, membership::MembershipIndex, versioned::VersionedMap,
+    index::{OngoingWriter, ReadRef},
+    keys::{Counts, KeyMut, KeyState, KeyTable},
 };

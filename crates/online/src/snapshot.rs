@@ -15,18 +15,20 @@
 //! produces **byte-identical events and outcomes** to the uninterrupted
 //! run. Two design points make that hold:
 //!
-//! * The `readers`/`writers` indexes and the `ongoing` interval map are
-//!   serialized **explicitly** rather than rebuilt from the resident
-//!   transactions. Rebuilding would resurrect entries that GC pruned and
-//!   invent entries for spill-reloaded transactions (which carry no read
-//!   state), changing step-③ re-check cascades and the `reevaluations`
-//!   counter.
+//! * The key table's reader, writer and overlap chains are serialized
+//!   **explicitly** rather than rebuilt from the resident transactions.
+//!   Rebuilding would resurrect entries that GC pruned and invent entries
+//!   for spill-reloaded transactions (which carry no read state), changing
+//!   step-③ re-check cascades and the `reevaluations` counter.
 //! * Everything whose in-memory iteration order is unspecified (hash
-//!   maps, the deadline heap, the frontier) is written in a canonical
+//!   maps, the deadline heap, the key table) is written in a canonical
 //!   sorted order, so the snapshot bytes themselves are deterministic;
 //!   the structures are rebuilt element-wise on restore, which preserves
 //!   observable behaviour because each is consulted through
-//!   order-independent queries.
+//!   order-independent queries. The key table writes one section per
+//!   role — versions, readers, writers and overlap sets together, its
+//!   membership summaries last — each a count of `(key, event)` entries
+//!   in `(key, event)` order (`crate::keys`).
 //!
 //! Every record is laid out by one [`Wire`] description (the "records"
 //! section below, plus the shared ones in [`aion_types::snapshot`]);
@@ -37,15 +39,13 @@
 use crate::checker::{
     AionConfig, ConfigError, GlobalChecks, OnlineChecker, OnlineGcPolicy, OnlineTxn, ReadState,
 };
-use crate::index::{KeyEventIndex, OngoingWriter, ReadRef, SmallSeq};
-use crate::membership::MembershipIndex;
+use crate::index::{OngoingWriter, ReadRef, SmallSeq};
 use crate::stats::FlipTracker;
-use crate::versioned::VersionedMap;
-use aion_types::codec::{put_varint, write_seq, CodecError, Wire};
+use aion_types::codec::{write_seq, CodecError, Wire};
 use aion_types::snapshot::{
     get_snapshot_header, put_snapshot_header, SnapshotError, SNAPSHOT_KIND_SINGLE,
 };
-use aion_types::{wire_enum, wire_struct, EventKey, Key, Snapshot, TxnId};
+use aion_types::{wire_enum, wire_struct, EventKey, Key, TxnId};
 use bytes::{Buf, BufMut, BytesMut};
 use std::cmp::Reverse;
 use std::path::PathBuf;
@@ -79,71 +79,6 @@ impl<T: Wire + Copy> Wire for SmallSeq<T> {
     }
     fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
         Ok(Vec::get(buf)?.into_iter().collect())
-    }
-}
-
-/// A count, then `(key, event, value)` triples in `(key, event)` order.
-impl<V: Wire> Wire for VersionedMap<V> {
-    fn put(&self, buf: &mut impl BufMut) {
-        let mut versions: Vec<(Key, EventKey, &V)> = self.iter().collect();
-        versions.sort_unstable_by_key(|(k, e, _)| (*k, *e));
-        put_varint(buf, versions.len() as u64);
-        for (k, e, v) in versions {
-            k.put(buf);
-            e.put(buf);
-            v.put(buf);
-        }
-    }
-    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
-        let mut map = VersionedMap::new();
-        for (k, e, v) in Vec::<(Key, EventKey, V)>::get(buf)? {
-            map.insert(k, e, v);
-        }
-        Ok(map)
-    }
-}
-
-/// A count of `(key, event)` entries, then per entry (in `(key, event)`
-/// order) the key, the event and its items in their exact in-memory
-/// order — insertion order matters for the step-③ sweep (see the module
-/// docs).
-impl<T: Wire + Copy + PartialEq> Wire for KeyEventIndex<T> {
-    fn put(&self, buf: &mut impl BufMut) {
-        let mut chains: Vec<_> = self.chains().iter().collect();
-        chains.sort_unstable_by_key(|(k, _)| **k);
-        put_varint(buf, chains.iter().map(|(_, c)| c.len() as u64).sum());
-        for (key, chain) in chains {
-            for (event, items) in chain {
-                key.put(buf);
-                event.put(buf);
-                items.put(buf);
-            }
-        }
-    }
-    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
-        let mut index = KeyEventIndex::new();
-        for (k, e, items) in Vec::<(Key, EventKey, Vec<T>)>::get(buf)? {
-            for item in items {
-                index.insert(k, e, item);
-            }
-        }
-        Ok(index)
-    }
-}
-
-/// The committed-membership summaries, laid out like a [`VersionedMap`]
-/// of snapshots (which clone in O(1)).
-impl Wire for MembershipIndex {
-    fn put(&self, buf: &mut impl BufMut) {
-        let entries = self.sorted_entries().into_iter().map(|(k, e, s)| (k, e, s.clone()));
-        entries.collect::<Vec<(Key, EventKey, Snapshot)>>().put(buf);
-    }
-    fn get(buf: &mut impl Buf) -> Result<Self, CodecError> {
-        let mut index = MembershipIndex::new();
-        for (k, e, s) in Vec::<(Key, EventKey, Snapshot)>::get(buf)? {
-            index.record(k, e, &s, None);
-        }
-        Ok(index)
     }
 }
 
@@ -228,10 +163,7 @@ impl OnlineChecker {
         resident.sort_unstable_by_key(|t| t.txn.tid);
         write_seq(buf, resident.into_iter());
 
-        self.frontier.put(buf);
-        self.readers.put(buf);
-        self.writers.put(buf);
-        self.ongoing.map.put(buf);
+        self.keys.put_chains(buf);
 
         let mut deadlines: Vec<(u64, TxnId)> = self.deadlines.iter().map(|Reverse(d)| *d).collect();
         deadlines.sort_unstable();
@@ -245,7 +177,7 @@ impl OnlineChecker {
         self.stats.put(buf);
         self.events.put(buf);
         self.spill.export_segments()?.put(buf);
-        self.membership.put(buf);
+        self.keys.put_members(buf);
         Ok(())
     }
 
@@ -266,13 +198,12 @@ impl OnlineChecker {
             ck.insert_txn(t);
         }
 
-        ck.frontier = Wire::get(buf)?;
-        ck.readers = Wire::get(buf)?;
+        ck.keys.get_chains(buf)?;
         // Step ③ follows a live transaction's references into its read
         // states. (An entry may outlive its transaction — GC spills
         // those, and reloads them without reads.)
-        for r in ck.readers.chains().values().flat_map(|c| c.values()).flat_map(SmallSeq::as_slice)
-        {
+        let readers = ck.keys.iter().flat_map(|(_, k)| k.readers.values());
+        for r in readers.flat_map(SmallSeq::as_slice) {
             let dangling = |t: &OnlineTxn| !t.finalized && r.read_idx as usize >= t.reads.len();
             if ck.txns().get(&r.tid).is_some_and(dangling) {
                 return Err(SnapshotError::Corrupt(format!(
@@ -281,8 +212,6 @@ impl OnlineChecker {
                 )));
             }
         }
-        ck.writers = Wire::get(buf)?;
-        ck.ongoing.map = Wire::get(buf)?;
 
         ck.deadlines = Vec::<(u64, TxnId)>::get(buf)?.into_iter().map(Reverse).collect();
         ck.triggers = Vec::<(Key, EventKey)>::get(buf)?.into();
@@ -297,7 +226,7 @@ impl OnlineChecker {
         for segment in Vec::<Vec<u8>>::get(buf)? {
             ck.spill.import_segment(segment)?;
         }
-        ck.membership = Wire::get(buf)?;
+        ck.keys.get_members(buf)?;
         Ok(ck)
     }
 }
@@ -305,6 +234,7 @@ impl OnlineChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aion_types::codec::put_varint;
     use aion_types::{Checker, IsolationLevel, LevelPolicy, SessionId, TxnBuilder, Value};
 
     fn t(tid: u64, sid: u32, sno: u32, s: u64, c: u64) -> TxnBuilder {
@@ -417,7 +347,7 @@ mod tests {
         let anchor = reader.start_event();
         ck.feed(reader, 0);
         assert!(OnlineChecker::restore(&ck.checkpoint().unwrap()).is_ok());
-        ck.readers.insert(Key(1), anchor, ReadRef { tid: TxnId(2), read_idx: 7 });
+        ck.keys.entry(Key(1)).add_reader(anchor, ReadRef { tid: TxnId(2), read_idx: 7 });
         match OnlineChecker::restore(&ck.checkpoint().unwrap()) {
             Err(SnapshotError::Corrupt(detail)) => {
                 assert!(detail.contains("reader index"), "{detail}")

@@ -1,217 +1,182 @@
-//! Timestamp-versioned per-key maps — AION's `frontier_ts`/`ongoing_ts`.
+//! Timestamp-versioned per-key chains — AION's `frontier_ts`/`ongoing_ts`.
 //!
 //! The paper versions whole maps by timestamp and queries "the latest
 //! version before `ts`". We keep one ordered version chain *per key*
-//! instead (`docs/architecture.md`, "Per-key version chains"):
-//! `get_before(k, e)` is a range query on a `BTreeMap<EventKey, V>`,
-//! inserting a version in the middle is `O(log n)`, and the paper's
-//! step-③ "touch-up" writes become unnecessary because a version of key
-//! `k` is visible to every later event with no intervening version of
-//! `k`.
+//! instead (`docs/architecture.md`, "Per-key version chains"): a query
+//! is a range query on a `BTreeMap<EventKey, V>`, inserting a version in
+//! the middle is `O(log n)`, and the paper's step-③ "touch-up" writes
+//! become unnecessary because a version of key `k` is visible to every
+//! later event with no intervening version of `k`. The chains live in
+//! each key's [`KeyState`]; this module holds the version queries and
+//! `publish`.
 
-use aion_types::{EventKey, FxHashMap, Key};
+use crate::keys::{KeyMut, KeyState};
+use aion_types::{EventKey, Snapshot};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// A per-key, event-ordered version store.
-#[derive(Clone, Debug)]
-pub struct VersionedMap<V> {
-    keys: FxHashMap<Key, BTreeMap<EventKey, V>>,
-    versions: usize,
+/// One key's event-ordered entries of one role.
+pub(crate) type Chain<V> = BTreeMap<EventKey, V>;
+
+/// The latest entry strictly before event `at`.
+pub(crate) fn get_before<V>(chain: &Chain<V>, at: EventKey) -> Option<(EventKey, &V)> {
+    chain.range(..at).next_back().map(|(e, v)| (*e, v))
 }
 
-impl<V> Default for VersionedMap<V> {
-    fn default() -> Self {
-        VersionedMap { keys: FxHashMap::default(), versions: 0 }
+/// Drop the versions strictly below `horizon`, keeping the latest such
+/// version as the base (it is the visible snapshot for reads just above
+/// the horizon). Returns the number of versions dropped.
+pub(crate) fn prune_to_base<V>(chain: &mut Chain<V>, horizon: EventKey) -> usize {
+    let Some((&base, _)) = chain.range(..horizon).next_back() else { return 0 };
+    let kept = chain.split_off(&base);
+    std::mem::replace(chain, kept).len()
+}
+
+impl KeyState {
+    /// The latest version strictly before `at` (the paper's
+    /// `frontier_ts[^ts]`).
+    pub fn version_before(&self, at: EventKey) -> Option<(EventKey, &Snapshot)> {
+        get_before(&self.versions, at)
+    }
+
+    /// The earliest version strictly after `at`, if any — the re-check
+    /// bound ("until the key is overwritten", paper step ③).
+    pub fn next_version_after(&self, at: EventKey) -> Option<EventKey> {
+        self.versions.range((Bound::Excluded(at), Bound::Unbounded)).next().map(|(e, _)| *e)
     }
 }
 
-impl<V> VersionedMap<V> {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total number of versions across all keys.
-    pub fn len(&self) -> usize {
-        self.versions
-    }
-
-    /// True when no version is stored.
-    pub fn is_empty(&self) -> bool {
-        self.versions == 0
-    }
-
-    /// Insert (or replace) the version of `key` at event `at`.
-    pub fn insert(&mut self, key: Key, at: EventKey, value: V) -> Option<V> {
-        let prev = self.keys.entry(key).or_default().insert(at, value);
-        if prev.is_none() {
-            self.versions += 1;
-        }
-        prev
-    }
-
-    /// The latest version of `key` strictly before event `at`
-    /// (the paper's `frontier_ts[^ts]`).
-    pub fn get_before(&self, key: Key, at: EventKey) -> Option<(EventKey, &V)> {
-        self.keys
-            .get(&key)?
-            .range((Bound::Unbounded, Bound::Excluded(at)))
-            .next_back()
-            .map(|(e, v)| (*e, v))
-    }
-
-    /// The earliest version of `key` strictly after event `at`, if any —
-    /// the re-check bound ("until the key is overwritten", paper step ③).
-    pub fn next_after(&self, key: Key, at: EventKey) -> Option<EventKey> {
-        self.keys.get(&key)?.range((Bound::Excluded(at), Bound::Unbounded)).next().map(|(e, _)| *e)
-    }
-
-    /// Mutable iteration over versions of `key` within `(lo, hi)`,
-    /// exclusive on both ends.
-    pub(crate) fn range_mut(
+impl KeyMut<'_> {
+    /// Make `snap` the version committed at `at`, and with `members` fold
+    /// it into the committed-membership summary too. `revised` is the
+    /// value a list cascade is replacing when the chain holds no version
+    /// at `at` to say so.
+    pub fn publish(
         &mut self,
-        key: Key,
-        lo: EventKey,
-        hi: EventKey,
-    ) -> impl Iterator<Item = (EventKey, &mut V)> + '_ {
-        self.keys
-            .get_mut(&key)
-            .into_iter()
-            .flat_map(move |chain| chain.range_mut((Bound::Excluded(lo), Bound::Excluded(hi))))
-            .map(|(e, v)| (*e, v))
-    }
-
-    /// Drop all versions strictly below `horizon`, keeping the latest such
-    /// version per key as the base (it is the visible snapshot for reads
-    /// just above the horizon). Returns the number of versions dropped.
-    pub fn prune_below(&mut self, horizon: EventKey) -> usize {
-        let mut dropped = 0;
-        self.keys.retain(|_, chain| {
-            // Find the latest version < horizon; everything older goes.
-            if let Some((&base, _)) = chain.range(..horizon).next_back() {
-                let kept = chain.split_off(&base);
-                dropped += chain.len();
-                *chain = kept;
-            }
-            !chain.is_empty()
-        });
-        self.versions -= dropped;
-        dropped
-    }
-
-    /// Iterate all `(key, event, value)` triples (unspecified key order).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Key, EventKey, &V)> + '_ {
-        self.keys.iter().flat_map(|(k, chain)| chain.iter().map(move |(e, v)| (*k, *e, v)))
+        at: EventKey,
+        snap: &Snapshot,
+        revised: Option<&Snapshot>,
+        members: bool,
+    ) {
+        let prev = self.state.versions.insert(at, snap.clone());
+        self.n.versions += usize::from(prev.is_none());
+        if members {
+            self.record(at, snap, prev.as_ref().or(revised));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use aion_types::{Timestamp, TxnId};
+    use crate::keys::KeyTable;
+    use aion_types::{EventKey, Key, Snapshot, Timestamp, TxnId, Value};
 
     fn ev(ts: u64) -> EventKey {
         EventKey::commit(Timestamp(ts), TxnId(ts))
     }
 
+    fn val(v: u64) -> Snapshot {
+        Snapshot::Scalar(Value(v))
+    }
+
+    /// A table holding the frontier versions `(key, ts, value)`.
+    fn frontier(versions: &[(u64, u64, u64)]) -> KeyTable {
+        let mut m = KeyTable::default();
+        for &(k, t, v) in versions {
+            m.entry(Key(k)).publish(ev(t), &val(v), None, false);
+        }
+        m
+    }
+
+    fn before(m: &KeyTable, k: u64, t: u64) -> Option<Snapshot> {
+        m.get(Key(k))?.version_before(ev(t)).map(|(_, v)| v.clone())
+    }
+
+    fn after(m: &KeyTable, k: u64, t: u64) -> Option<EventKey> {
+        m.get(Key(k))?.next_version_after(ev(t))
+    }
+
     #[test]
     fn get_before_is_strict() {
-        let mut m = VersionedMap::new();
-        m.insert(Key(1), ev(10), "a");
-        m.insert(Key(1), ev(20), "b");
-        assert_eq!(m.get_before(Key(1), ev(10)), None);
-        assert_eq!(m.get_before(Key(1), ev(11)).map(|(_, v)| *v), Some("a"));
-        assert_eq!(m.get_before(Key(1), ev(21)).map(|(_, v)| *v), Some("b"));
-        assert_eq!(m.get_before(Key(2), ev(100)), None);
+        let m = frontier(&[(1, 10, 1), (1, 20, 2)]);
+        assert_eq!(before(&m, 1, 10), None);
+        assert_eq!(before(&m, 1, 11), Some(val(1)));
+        assert_eq!(before(&m, 1, 21), Some(val(2)));
+        assert_eq!(before(&m, 2, 100), None);
     }
 
     #[test]
     fn next_after_finds_overwrite_bound() {
-        let mut m = VersionedMap::new();
-        m.insert(Key(1), ev(10), 1);
-        m.insert(Key(1), ev(30), 2);
-        assert_eq!(m.next_after(Key(1), ev(10)), Some(ev(30)));
-        assert_eq!(m.next_after(Key(1), ev(30)), None);
-        assert_eq!(m.next_after(Key(9), ev(1)), None);
+        let m = frontier(&[(1, 10, 1), (1, 30, 2)]);
+        assert_eq!(after(&m, 1, 10), Some(ev(30)));
+        assert_eq!(after(&m, 1, 30), None);
+        assert_eq!(after(&m, 9, 1), None);
     }
 
     #[test]
     fn out_of_order_insertion_lands_in_the_middle() {
-        let mut m = VersionedMap::new();
-        m.insert(Key(1), ev(10), 1);
-        m.insert(Key(1), ev(30), 3);
-        m.insert(Key(1), ev(20), 2); // late arrival
-        assert_eq!(m.get_before(Key(1), ev(25)).map(|(_, v)| *v), Some(2));
-        assert_eq!(m.get_before(Key(1), ev(15)).map(|(_, v)| *v), Some(1));
-        assert_eq!(m.next_after(Key(1), ev(10)), Some(ev(20)));
+        let m = frontier(&[(1, 10, 1), (1, 30, 3), (1, 20, 2)]); // 20 arrives late
+        assert_eq!(before(&m, 1, 25), Some(val(2)));
+        assert_eq!(before(&m, 1, 15), Some(val(1)));
+        assert_eq!(after(&m, 1, 10), Some(ev(20)));
     }
 
+    /// Both queries exclude the event they are asked at.
     #[test]
     fn range_is_exclusive_both_ends() {
-        let mut m = VersionedMap::new();
-        for t in [10, 20, 30, 40] {
-            m.insert(Key(1), ev(t), t);
-        }
-        let got: Vec<u64> = m.range_mut(Key(1), ev(10), ev(40)).map(|(_, v)| *v).collect();
-        assert_eq!(got, vec![20, 30]);
+        let m = frontier(&[(1, 10, 10), (1, 20, 20), (1, 30, 30), (1, 40, 40)]);
+        assert_eq!(before(&m, 1, 40), Some(val(30)));
+        assert_eq!(after(&m, 1, 10), Some(ev(20)));
+        assert_eq!((before(&m, 1, 10), after(&m, 1, 40)), (None, None));
     }
 
+    /// Republishing at an existing event (a list cascade revising its
+    /// value) replaces that version in place and adds none.
     #[test]
     fn range_mut_updates_in_place() {
-        let mut m = VersionedMap::new();
-        for t in [10, 20, 30] {
-            m.insert(Key(1), ev(t), vec![t]);
-        }
-        for (_, v) in m.range_mut(Key(1), ev(10), ev(31)) {
-            v.push(99);
-        }
-        assert_eq!(m.get_before(Key(1), ev(21)).map(|(_, v)| v.clone()), Some(vec![20, 99]));
-        assert_eq!(m.get_before(Key(1), ev(11)).map(|(_, v)| v.clone()), Some(vec![10]));
+        let mut m = frontier(&[(1, 10, 10), (1, 20, 20), (1, 30, 30)]);
+        m.entry(Key(1)).publish(ev(20), &val(99), None, false);
+        assert_eq!(before(&m, 1, 21), Some(val(99)));
+        assert_eq!(before(&m, 1, 11), Some(val(10)));
+        assert_eq!(m.counts().versions, 3);
     }
 
     #[test]
     fn len_tracks_inserts_and_removes() {
-        let mut m = VersionedMap::new();
-        assert!(m.is_empty());
-        m.insert(Key(1), ev(10), 1);
-        m.insert(Key(2), ev(20), 2);
-        assert_eq!(m.insert(Key(1), ev(10), 3), Some(1)); // replace, not a new version
-        assert_eq!(m.len(), 2);
-        m.insert(Key(1), ev(15), 4);
-        assert_eq!(m.prune_below(ev(16)), 1, "removes ev(10); ev(15) stays as the base");
-        assert_eq!(m.len(), 2);
+        let mut m = KeyTable::default();
+        assert_eq!(m.counts().versions, 0);
+        m = frontier(&[(1, 10, 1), (2, 20, 2), (1, 10, 3)]); // a replace, not a new version
+        assert_eq!(m.counts().versions, 2);
+        m.entry(Key(1)).publish(ev(15), &val(4), None, false);
+        m.prune_below(ev(16)); // removes ev(10); ev(15) stays as the base
+        assert_eq!(m.counts().versions, 2);
     }
 
     #[test]
     fn prune_below_keeps_base_version() {
-        let mut m = VersionedMap::new();
-        for t in [10, 20, 30, 40] {
-            m.insert(Key(1), ev(t), t);
-        }
-        let dropped = m.prune_below(ev(35));
+        let mut m = frontier(&[(1, 10, 10), (1, 20, 20), (1, 30, 30), (1, 40, 40)]);
+        m.prune_below(ev(35));
         // 30 is the base (latest < 35); 10 and 20 are dropped.
-        assert_eq!(dropped, 2);
-        assert_eq!(m.get_before(Key(1), ev(35)).map(|(_, v)| *v), Some(30));
-        assert_eq!(m.get_before(Key(1), ev(12)), None, "pre-base versions gone");
-        assert_eq!(m.len(), 2);
+        assert_eq!(before(&m, 1, 35), Some(val(30)));
+        assert_eq!(before(&m, 1, 12), None, "pre-base versions gone");
+        assert_eq!(m.counts().versions, 2);
     }
 
     #[test]
     fn prune_below_no_versions_below_is_noop() {
-        let mut m = VersionedMap::new();
-        m.insert(Key(1), ev(50), 1);
-        assert_eq!(m.prune_below(ev(40)), 0);
-        assert_eq!(m.len(), 1);
+        let mut m = frontier(&[(1, 50, 1)]);
+        m.prune_below(ev(40));
+        assert_eq!(m.counts().versions, 1);
     }
 
     #[test]
     fn iter_visits_everything() {
-        let mut m = VersionedMap::new();
-        m.insert(Key(1), ev(10), 1);
-        m.insert(Key(2), ev(20), 2);
-        let mut all: Vec<(Key, u64)> = m.iter().map(|(k, _, v)| (k, *v)).collect();
-        all.sort();
-        assert_eq!(all, vec![(Key(1), 1), (Key(2), 2)]);
+        let m = frontier(&[(1, 10, 1), (2, 20, 2)]);
+        let mut all: Vec<(Key, EventKey, Snapshot)> = m
+            .iter()
+            .flat_map(|(k, s)| s.versions.iter().map(move |(e, v)| (k, *e, v.clone())))
+            .collect();
+        all.sort_by_key(|(k, e, _)| (*k, *e));
+        assert_eq!(all, vec![(Key(1), ev(10), val(1)), (Key(2), ev(20), val(2))]);
     }
 }

@@ -1,14 +1,18 @@
 //! Property tests for the online checker and its substrates:
 //!
-//! * the versioned map agrees with a naive model;
-//! * the `ongoing` index agrees with brute-force interval overlap;
+//! * the key table's version chains agree with a naive model;
+//! * its overlap chains agree with brute-force interval overlap;
+//! * all of its roles, driven together on shared keys, agree with four
+//!   independent models;
 //! * AION's verdicts are invariant under arrival order (the heart of the
 //!   online/offline equivalence argument, paper Appendix D) and under the
 //!   step-③ ablation;
 //! * AION agrees with CHRONOS on arbitrary (valid and corrupted) histories.
 
 use aion_core::check_si_report;
-use aion_online::{AionConfig, Checker, OnlineChecker, OnlineGcPolicy, VersionedMap};
+use aion_online::{
+    AionConfig, Checker, KeyTable, OngoingWriter, OnlineChecker, OnlineGcPolicy, ReadRef,
+};
 use aion_types::{
     AxiomKind, DataKind, EventKey, FxHashMap, History, Key, SessionId, Snapshot, SplitMix64,
     Timestamp, Transaction, TxnId, Value,
@@ -40,31 +44,42 @@ fn ev(ts: u64) -> EventKey {
     EventKey::commit(Timestamp(ts), TxnId(ts))
 }
 
+fn snap(v: i32) -> Snapshot {
+    Snapshot::Scalar(Value(v as u64))
+}
+
+fn scalar(v: u8) -> Snapshot {
+    Snapshot::Scalar(Value(v as u64))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// VersionedMap behaves like a per-key ordered map, including after
-    /// pruning (which must keep each key's base version).
+    /// The key table's versions behave like a per-key ordered map,
+    /// including after pruning (which must keep each key's base version).
     #[test]
     fn versioned_map_matches_model(ops in prop::collection::vec(arb_map_op(), 1..120)) {
-        let mut real: VersionedMap<i32> = VersionedMap::new();
+        let mut real = KeyTable::default();
         let mut model: FxHashMap<Key, BTreeMap<EventKey, i32>> = FxHashMap::default();
         for op in ops {
             match op {
                 MapOp::Insert(k, t, v) => {
-                    real.insert(Key(k as u64), ev(t), v);
+                    real.entry(Key(k as u64)).publish(ev(t), &snap(v), None, false);
                     model.entry(Key(k as u64)).or_default().insert(ev(t), v);
                 }
                 MapOp::GetBefore(k, t) => {
-                    let got = real.get_before(Key(k as u64), ev(t)).map(|(e, v)| (e, *v));
+                    let got = real
+                        .get(Key(k as u64))
+                        .and_then(|s| s.version_before(ev(t)))
+                        .map(|(e, v)| (e, v.clone()));
                     let want = model
                         .get(&Key(k as u64))
                         .and_then(|c| c.range(..ev(t)).next_back())
-                        .map(|(e, v)| (*e, *v));
+                        .map(|(e, v)| (*e, snap(*v)));
                     prop_assert_eq!(got, want);
                 }
                 MapOp::NextAfter(k, t) => {
-                    let got = real.next_after(Key(k as u64), ev(t));
+                    let got = real.get(Key(k as u64)).and_then(|s| s.next_version_after(ev(t)));
                     let want = model
                         .get(&Key(k as u64))
                         .and_then(|c| c.range(ev(t)..).find(|(e, _)| **e != ev(t)))
@@ -82,17 +97,17 @@ proptest! {
                     model.retain(|_, c| !c.is_empty());
                 }
             }
-            prop_assert_eq!(real.len(), model.values().map(BTreeMap::len).sum::<usize>());
+            prop_assert_eq!(real.counts().versions, model.values().map(BTreeMap::len).sum::<usize>());
         }
     }
 
-    /// OngoingIndex returns exactly the brute-force interval overlaps.
+    /// The key table's overlap chains return exactly the brute-force
+    /// interval overlaps.
     #[test]
     fn ongoing_index_matches_brute_force(
         intervals in prop::collection::vec((1u64..50, 1u64..20, 0u8..3), 1..25),
     ) {
-        use aion_online::OngoingIndex;
-        let mut idx = OngoingIndex::new();
+        let mut idx = KeyTable::default();
         // (key, tid, start, commit)
         let mut seen: Vec<(Key, u64, u64, u64)> = Vec::new();
         for (i, (s_raw, len, k)) in intervals.into_iter().enumerate() {
@@ -101,18 +116,17 @@ proptest! {
             let s = s_raw * 1000 + tid;
             let c = s + len * 1000;
             let key = Key(k as u64);
-            let got = idx.register(
-                key,
+            let got = idx.entry(key).register(
                 TxnId(tid),
                 true,
                 EventKey::start(Timestamp(s), TxnId(tid)),
                 EventKey::commit(Timestamp(c), TxnId(tid)),
                 false,
             );
-            let mut want: Vec<aion_online::OngoingWriter> = seen
+            let mut want: Vec<OngoingWriter> = seen
                 .iter()
                 .filter(|(pk, _, ps, pc)| *pk == key && *ps <= c && s <= *pc)
-                .map(|(_, pt, _, _)| aion_online::OngoingWriter {
+                .map(|(_, pt, _, _)| OngoingWriter {
                     tid: TxnId(*pt),
                     noconflict: true,
                 })
@@ -120,6 +134,183 @@ proptest! {
             want.sort_unstable_by_key(|w| w.tid);
             prop_assert_eq!(got, want, "interval ({},{}) on {:?}", s, c, key);
             seen.push((key, tid, s, c));
+        }
+    }
+}
+
+/// One operation on the key table, on one of four shared keys.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Publish { k: u8, t: u64, v: u8 },
+    Record { k: u8, t: u64, v: u8, prev: Option<u8> },
+    Reader { k: u8, t: u64, tid: u8, idx: u8 },
+    Register { k: u8, s: u64, len: u64, nc: bool },
+    Prune { h: u64 },
+    Version { k: u8, t: u64 },
+    Readers { k: u8, lo: u64, hi: u64 },
+    Member { k: u8, anchor: u64, v: u8 },
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (0u8..4, 1u64..60, 0u8..4).prop_map(|(k, t, v)| TableOp::Publish { k, t, v }),
+        (0u8..4, 1u64..60, 0u8..4, any::<bool>(), 0u8..4)
+            .prop_map(|(k, t, v, some, p)| TableOp::Record { k, t, v, prev: some.then_some(p) }),
+        (0u8..4, 1u64..60, 0u8..3, 0u8..2).prop_map(|(k, t, tid, idx)| TableOp::Reader {
+            k,
+            t,
+            tid,
+            idx
+        }),
+        (0u8..4, 1u64..50, 1u64..20, any::<bool>()).prop_map(|(k, s, len, nc)| TableOp::Register {
+            k,
+            s,
+            len,
+            nc
+        }),
+        (1u64..60).prop_map(|h| TableOp::Prune { h }),
+        (0u8..4, 1u64..70).prop_map(|(k, t)| TableOp::Version { k, t }),
+        (0u8..4, 0u64..60, 1u64..30).prop_map(|(k, lo, n)| TableOp::Readers { k, lo, hi: lo + n }),
+        (0u8..4, 1u64..70, 0u8..4).prop_map(|(k, anchor, v)| TableOp::Member { k, anchor, v }),
+    ]
+}
+
+/// The membership model's record: `(key, t, value)` replaces `prev` at
+/// the same `(key, t)`.
+fn record_member(members: &mut Vec<(u8, u64, u8)>, (k, t, v): (u8, u64, u8), prev: Option<u8>) {
+    if let Some(pv) = prev.filter(|pv| *pv != v) {
+        members.retain(|&m| m != (k, t, pv));
+    }
+    if !members.contains(&(k, t, v)) {
+        members.push((k, t, v));
+    }
+}
+
+/// The event at `t` thousand: versions, readers, membership events and
+/// horizons live on thousands, so no overlap-interval endpoint (which
+/// carries its registration's number below a thousand) ever ties one.
+fn at(t: u64) -> EventKey {
+    EventKey::commit(Timestamp(t * 1000), TxnId(t))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One interleaved stream of version publishes, reader inserts,
+    /// overlap registrations, membership records, prunes and
+    /// compactions on a few shared keys: every role answers as its own
+    /// independent model does, the running counts match the models, and
+    /// a key is in the table exactly while some role holds something
+    /// for it. As in the checker, nothing is registered at or withdrawn
+    /// from below a prune horizon already passed.
+    #[test]
+    fn key_table_roles_match_their_models(ops in prop::collection::vec(arb_table_op(), 1..150)) {
+        let mut real = KeyTable::default();
+        let mut versions: BTreeMap<(u8, u64), u8> = BTreeMap::new();
+        let mut readers: Vec<(u8, u64, ReadRef)> = Vec::new();
+        let mut intervals: Vec<(u8, u64, u64, u64, bool)> = Vec::new(); // key, tid, start, commit, nc
+        let mut members: Vec<(u8, u64, u8)> = Vec::new();
+        let mut hmax = 0u64;
+        for op in ops {
+            match op {
+                TableOp::Publish { k, t, v } => {
+                    let prev = versions.get(&(k, t)).copied();
+                    if t < hmax && prev.is_some_and(|pv| pv != v) {
+                        continue; // a revision below the horizon: never made
+                    }
+                    real.entry(Key(k as u64)).publish(at(t), &scalar(v), None, true);
+                    versions.insert((k, t), v);
+                    record_member(&mut members, (k, t, v), prev);
+                }
+                TableOp::Record { k, t, v, prev } => {
+                    let prev = if t < hmax { None } else { prev };
+                    real.entry(Key(k as u64)).record(at(t), &scalar(v), prev.map(scalar).as_ref());
+                    record_member(&mut members, (k, t, v), prev);
+                }
+                TableOp::Reader { k, t, tid, idx } => {
+                    let r = ReadRef { tid: TxnId(tid as u64), read_idx: idx as u32 };
+                    real.entry(Key(k as u64)).add_reader(at(t), r);
+                    if !readers.contains(&(k, t, r)) {
+                        readers.push((k, t, r));
+                    }
+                }
+                TableOp::Register { k, s, len, nc } => {
+                    let tid = intervals.len() as u64 + 1;
+                    let (s, c) = (s * 1000 + tid, (s + len) * 1000 + tid);
+                    if s < hmax * 1000 {
+                        continue;
+                    }
+                    let got = real.entry(Key(k as u64)).register(
+                        TxnId(tid),
+                        nc,
+                        EventKey::start(Timestamp(s), TxnId(tid)),
+                        EventKey::commit(Timestamp(c), TxnId(tid)),
+                        false,
+                    );
+                    let mut want: Vec<OngoingWriter> = intervals
+                        .iter()
+                        .filter(|(pk, _, ps, pc, _)| *pk == k && *ps <= c && s <= *pc)
+                        .map(|&(_, pt, _, _, noconflict)| OngoingWriter { tid: TxnId(pt), noconflict })
+                        .collect();
+                    want.sort_unstable_by_key(|w| w.tid);
+                    prop_assert_eq!(got, want, "interval ({},{}) on {}", s, c, k);
+                    intervals.push((k, tid, s, c, nc));
+                }
+                TableOp::Prune { h } => {
+                    hmax = hmax.max(h);
+                    real.prune_below(at(h));
+                    for k in 0..4u8 {
+                        if let Some((&(_, base), _)) = versions.range((k, 0)..(k, h)).next_back() {
+                            versions.retain(|&(vk, t), _| vk != k || t >= base);
+                        }
+                    }
+                    readers.retain(|&(_, t, _)| t >= h);
+                }
+                TableOp::Version { k, t } => {
+                    let state = real.get(Key(k as u64));
+                    let got = state.and_then(|s| s.version_before(at(t))).map(|(e, v)| (e, v.clone()));
+                    let want = versions.range((k, 0)..(k, t)).next_back();
+                    prop_assert_eq!(got, want.map(|(&(_, wt), &v)| (at(wt), scalar(v))));
+                    let got = state.and_then(|s| s.next_version_after(at(t)));
+                    let want = versions.range((k, t + 1)..(k + 1, 0)).next().map(|(&(_, wt), _)| at(wt));
+                    prop_assert_eq!(got, want);
+                }
+                TableOp::Readers { k, lo, hi } => {
+                    let mut got = vec![(at(0), ReadRef { tid: TxnId(99), read_idx: 0 })]; // refilled
+                    if let Some(s) = real.get(Key(k as u64)) {
+                        s.readers_in(at(lo), at(hi), &mut got);
+                    } else {
+                        got.clear();
+                    }
+                    let mut want: Vec<(u64, ReadRef)> = readers
+                        .iter()
+                        .filter(|&&(rk, t, _)| rk == k && lo < t && t <= hi)
+                        .map(|&(_, t, r)| (t, r))
+                        .collect();
+                    want.sort_by_key(|(t, _)| *t); // stable: insertion order per anchor
+                    let want: Vec<(EventKey, ReadRef)> = want.into_iter().map(|(t, r)| (at(t), r)).collect();
+                    prop_assert_eq!(got, want);
+                }
+                TableOp::Member { k, anchor, v } => {
+                    let want = members.iter().any(|&(mk, mt, mv)| mk == k && mv == v && mt < anchor);
+                    let got = real
+                        .get(Key(k as u64))
+                        .is_some_and(|s| s.contains_before(at(anchor), &scalar(v)));
+                    prop_assert_eq!(got, want, "member ({}, <{}, {}) after horizon {}", k, anchor, v, hmax);
+                }
+            }
+            let n = real.counts();
+            prop_assert_eq!(n.versions, versions.len());
+            prop_assert_eq!(n.readers, readers.len());
+            prop_assert!(n.members <= members.len(), "compaction only shrinks the summaries");
+            prop_assert!(n.writers == 0 && n.values <= members.len());
+            for k in 0..4u8 {
+                let held = versions.range((k, 0)..(k + 1, 0)).next().is_some()
+                    || readers.iter().any(|r| r.0 == k)
+                    || intervals.iter().any(|i| i.0 == k)
+                    || members.iter().any(|m| m.0 == k);
+                prop_assert_eq!(real.get(Key(k as u64)).is_some(), held, "key {}", k);
+            }
         }
     }
 }

@@ -6,13 +6,13 @@
 //!   oracle (the old chain-walk semantics), and turning GC on (which now
 //!   prunes the frontier the old latch kept resident, and compacts the
 //!   summaries) changes no verdict;
-//! * [`MembershipIndex`] agrees with a brute-force model under random
-//!   record/withdraw/compact sequences;
+//! * the key table's membership summaries agree with a brute-force
+//!   model under random record/withdraw/compact sequences;
 //! * `feed_batch` is event-identical to per-arrival `feed` on the single
 //!   checker, and `receive_batch` outcome-equivalent on the sharded one.
 
 use aion_core::{check_ra_report, check_rc_report, check_ser_report, check_si_report};
-use aion_online::{AionConfig, MembershipIndex, OnlineChecker, OnlineGcPolicy};
+use aion_online::{AionConfig, KeyTable, OnlineChecker, OnlineGcPolicy};
 use aion_types::{
     AxiomKind, CheckReport, Checker, EventKey, History, Key, Outcome, SessionId, Snapshot,
     SplitMix64, Timestamp, Transaction, TxnId, Value,
@@ -219,7 +219,7 @@ fn scalar(v: u8) -> Snapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The index answers exactly like a brute-force list of live
+    /// The summaries answer exactly like a brute-force list of live
     /// `(key, event, value)` triples, through withdrawals and GC
     /// compaction. Withdrawals below the running compaction horizon are
     /// suppressed — the checker never produces them (prune horizons are
@@ -227,7 +227,7 @@ proptest! {
     /// collapse-to-minimum is only sound under that invariant.
     #[test]
     fn membership_index_matches_brute_force(ops in prop::collection::vec(arb_idx_op(), 1..150)) {
-        let mut real = MembershipIndex::new();
+        let mut real = KeyTable::default();
         let mut model: Vec<(u8, u64, u8)> = Vec::new();
         let mut hmax = 0u64;
         for op in ops {
@@ -243,16 +243,18 @@ proptest! {
                         model.push((k, t, v));
                     }
                     let prev_snap = prev.map(scalar);
-                    real.record(Key(k as u64), ev(t), &scalar(v), prev_snap.as_ref());
-                    prop_assert!(real.len() <= model.len(), "index may only be smaller");
+                    real.entry(Key(k as u64)).record(ev(t), &scalar(v), prev_snap.as_ref());
+                    prop_assert!(real.counts().members <= model.len(), "index may only be smaller");
                 }
                 IdxOp::Compact { h } => {
                     hmax = hmax.max(h);
-                    real.compact_below(ev(h));
+                    real.prune_below(ev(h)); // holding no chains, the prune only compacts
                 }
                 IdxOp::Query { k, anchor, v } => {
                     let want = model.iter().any(|&(mk, mt, mv)| mk == k && mv == v && mt < anchor);
-                    let got = real.contains_before(Key(k as u64), ev(anchor), &scalar(v));
+                    let got = real
+                        .get(Key(k as u64))
+                        .is_some_and(|s| s.contains_before(ev(anchor), &scalar(v)));
                     prop_assert_eq!(got, want, "query ({}, <{}, {}) after horizon {}", k, anchor, v, hmax);
                 }
             }
